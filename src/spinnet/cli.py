@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import os
 import sys
 from typing import Any, Sequence
@@ -33,18 +32,11 @@ from .config import (
     parse_time_expression,
 )
 from .disorder import sample_disorder, SeededRng
-from .dynamics import (
-    Protocol,
-    inject,
-    phase_kick,
-    replace_samples,
-    run_schedule,
-    uniform_samples,
-)
+from .dynamics import Protocol, replace_samples, run_schedule, uniform_samples
 from .linalg import InvariantViolation, eigh
 from .network import network_graph, write_edge_list
 from .observables import fidelity
-from .protocols import build_protocol, phase_sense_realization
+from .protocols import build_protocol, phase_probe_estimates
 from .sweep import (
     ensemble_merit,
     merit_value,
@@ -60,6 +52,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 CLEAN_CHECK_ATOL = 1e-9
+CLEAN_ANGLE_ATOL_DEG = 1e-6
 CONTOUR_LEVEL = 0.9
 
 
@@ -171,9 +164,6 @@ def cmd_run(args) -> int:
     cfg, out, seed, workers = _prepare(args)
     if cfg.protocol is None:
         raise ConfigError("run needs a 'protocol' section")
-    if cfg.protocol.name == "phase-sense":
-        return _run_phase_sense(cfg, out, seed, workers)
-
     try:
         result = build_protocol(cfg.protocol.name, cfg.protocol.params)
     except ValueError as exc:
@@ -217,59 +207,31 @@ def cmd_run(args) -> int:
                   f"{fidelity(state, expected):.6f} (disordered run)")
     value = merit_value(states[-1], result.merit)
     print(f"figure of merit ({result.merit.kind}) at t = {result.merit.time:.9g}: {value:.9f}")
+    missed = ["clean run missed an analytic target state"] if failed else []
 
-    _write_meta(out, "run", cfg, seed, workers, ["trajectory.csv"], extra={
+    extra = {
         "protocol": result.name,
         "mirror_times": list(result.network.mirror_times),
         "merit": {"kind": result.merit.kind, "time": result.merit.time, "value": value},
         "checks": [
             {"time": t, "inner_defect": d, "pass": ok} for t, d, ok in report_rows
         ],
-    })
+    }
+    if result.name == "phase-sense":
+        theta = float(cfg.protocol.params.get("theta_deg", 0.0)) % 360.0
+        estimate = phase_probe_estimates(graph, result.network.n_sites, [theta])[0]
+        error = abs(estimate - theta)
+        error = min(error, 360.0 - error)
+        print(f"true angle {theta:.6f} deg, retrieved {estimate:.6f} deg "
+              f"(|error| = {error:.2e} deg)")
+        extra.update(theta_true_deg=theta, theta_estimate_deg=estimate)
+        if clean and error > CLEAN_ANGLE_ATOL_DEG:
+            missed.append(f"clean phase retrieval missed the true angle by {error:.3e} degrees")
+
+    _write_meta(out, "run", cfg, seed, workers, ["trajectory.csv"], extra=extra)
     _write_trajectory_plot_script(out)
-    if clean and failed:
-        raise InvariantViolation("clean run missed an analytic target state")
-    return EXIT_OK
-
-
-def _run_phase_sense(cfg: Config, out: str, seed: int, workers: int) -> int:
-    params = cfg.protocol.params
-    if "n" not in params:
-        raise ConfigError("phase-sense needs parameter 'n'")
-    n = params["n"]
-    theta = float(params.get("theta_deg", 0.0)) % 360.0
-    result = build_protocol("ent-phase", {"n": n})  # same network layout
-    graph = result.graph()
-    clean = cfg.disorder.kind == "none" or cfg.disorder.strength == 0.0
-    if not clean:
-        graph = sample_disorder(graph, cfg.disorder, SeededRng(seed, 0))
-    estimate = phase_sense_realization(graph, n, theta)
-
-    t_m = result.network.chains[0].mirror_time
-    probe = Protocol(
-        [inject(1), phase_kick(n // 2 + 1, math.radians(theta), t_m)],
-        2 * t_m,
-        uniform_samples(2 * t_m, cfg.run.samples),
-    )
-    trajectory = run_schedule(graph, probe)
-    traj_path = os.path.join(out, "trajectory.csv")
-    with open(traj_path, "w", encoding="utf-8") as fh:
-        trajectory.write_csv(fh, amplitudes=cfg.run.amplitudes)
-
-    error = abs(estimate - theta)
-    error = min(error, 360.0 - error)
-    print(f"true angle {theta:.6f} deg, retrieved {estimate:.6f} deg "
-          f"(|error| = {error:.2e} deg)")
-    _write_meta(out, "run", cfg, seed, workers, ["trajectory.csv"], extra={
-        "protocol": "phase-sense",
-        "theta_true_deg": theta,
-        "theta_estimate_deg": estimate,
-    })
-    _write_trajectory_plot_script(out)
-    if clean and error > 1e-6:
-        raise InvariantViolation(
-            f"clean phase retrieval missed the true angle by {error:.3e} degrees"
-        )
+    if missed:
+        raise InvariantViolation("; ".join(missed))
     return EXIT_OK
 
 
@@ -279,6 +241,8 @@ def cmd_sweep(args) -> int:
     cfg, out, seed, workers = _prepare(args)
     if cfg.sweep is None or cfg.protocol is None:
         raise ConfigError("sweep needs 'protocol' and 'sweep' sections")
+    if cfg.protocol.name == "phase-sense":
+        raise ConfigError("phase-sense cannot be swept; use phase-scan for its disorder curves")
     try:
         cells = sweep_cells(cfg.protocol.name, cfg.protocol.params, cfg.sweep, seed)
         # validate the protocol once up front so errors surface as config errors

@@ -11,12 +11,12 @@ engineered "at t" are what gets observed at t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .linalg import InvariantViolation, eigh, evolve, frozen_array
+from .linalg import InvariantViolation, SpectralDecomposition, eigh, evolve, frozen_array
 from .network import CouplingGraph
 
 NORM_ATOL = 1e-10
@@ -142,21 +142,37 @@ class Protocol:
         if any(t < 0 or t > self.duration for t in self.sample_times):
             raise ValueError("sample times must lie within [0, duration]")
 
-    def with_samples(self, sample_times: Iterable[float]) -> "Protocol":
-        return Protocol(self.events, self.duration, sample_times)
-
 
 def uniform_samples(duration: float, count: int = 400) -> tuple[float, ...]:
     """Uniform recording grid over [0, duration], endpoints included."""
     return tuple(np.linspace(0.0, duration, count))
 
 
-def apply_phase(state: PureState, site: int, angle: float) -> PureState:
-    """Multiply one site's amplitude by e^{i angle}; norm is untouched."""
-    _check_site(site, state.n_sites)
-    amp = np.array(state.amplitudes)
-    amp[site - 1] *= complex(math.cos(angle), math.sin(angle))
-    return PureState(amp)
+def propagate(
+    decomp: SpectralDecomposition,
+    amplitudes: np.ndarray,
+    t_start: float,
+    kicks: Sequence[tuple[float, int, float]],
+    t_end: float,
+) -> np.ndarray:
+    """Evolve amplitudes held at ``t_start`` to ``t_end``, kicking on the way.
+
+    ``kicks`` are time-sorted (time, 0-based site, angle) triples within
+    [t_start, t_end]; each multiplies its site by e^{i angle} before any
+    evolution past its time. Evolution runs from stop to stop, so the
+    segments are the same whatever the caller records in between. The input
+    array is never modified.
+    """
+    t_now = t_start
+    for t_kick, site, angle in kicks:
+        if t_kick > t_now:
+            amplitudes = evolve(decomp, amplitudes, t_kick - t_now)
+            t_now = t_kick
+        amplitudes = np.array(amplitudes)
+        amplitudes[site] *= complex(math.cos(angle), math.sin(angle))
+    if t_end > t_now:
+        amplitudes = evolve(decomp, amplitudes, t_end - t_now)
+    return amplitudes
 
 
 @dataclass(frozen=True)
@@ -178,12 +194,6 @@ class Trajectory:
     def populations(self) -> np.ndarray:
         """Per-site |amplitude|^2, one row per sample time."""
         return np.array([s.populations() for s in self.states])
-
-    def state_at(self, t: float, atol: float = 1e-9) -> PureState:
-        hits = np.nonzero(np.abs(self.times - t) <= atol)[0]
-        if hits.size == 0:
-            raise KeyError(f"no recorded state at t = {t}")
-        return self.states[int(hits[0])]
 
     def write_csv(self, out: TextIO, amplitudes: bool = False) -> None:
         """Populations per site (`t,site_1,...,site_N`); with ``amplitudes``
@@ -222,38 +232,25 @@ def run_schedule(graph: CouplingGraph, protocol: Protocol) -> Trajectory:
         _check_site(event.site, graph.n_sites)
 
     decomp = eigh(graph.to_matrix())
-    sample_order = np.argsort(protocol.sample_times, kind="stable")
-    sorted_samples = [(protocol.sample_times[k], int(k)) for k in sample_order]
-
-    recorded: list[PureState | None] = [None] * len(sorted_samples)
+    kicks = [(e.time, e.site - 1, e.angle) for e in protocol.events[1:]]
     amp = np.zeros(graph.n_sites, dtype=complex)
     amp[injections[0].site - 1] = 1.0
 
+    recorded: list[PureState | None] = [None] * len(protocol.sample_times)
     t_now = 0.0
-    next_event = 1  # injection handled above
-    next_sample = 0
-    while next_sample < len(sorted_samples) or next_event < len(protocol.events):
-        t_event = protocol.events[next_event].time if next_event < len(protocol.events) else math.inf
-        t_sample = sorted_samples[next_sample][0] if next_sample < len(sorted_samples) else math.inf
-        t_stop = min(t_event, t_sample)
-        if t_stop > t_now:
-            amp = evolve(decomp, amp, t_stop - t_now)
-            t_now = t_stop
+    fired = 0
+    for k in np.argsort(protocol.sample_times, kind="stable"):
+        t = protocol.sample_times[k]
         # events fire before anything is recorded at the same instant
-        while next_event < len(protocol.events) and protocol.events[next_event].time == t_stop:
-            event = protocol.events[next_event]
-            amp = np.array(amp)
-            amp[event.site - 1] *= complex(math.cos(event.angle), math.sin(event.angle))
-            next_event += 1
-        while next_sample < len(sorted_samples) and sorted_samples[next_sample][0] == t_stop:
-            _, original_index = sorted_samples[next_sample]
-            norm = float(np.linalg.norm(amp))
-            if abs(norm - 1.0) > NORM_ATOL:
-                raise InvariantViolation(
-                    f"norm drifted to {norm!r} at t = {t_stop}"
-                )
-            recorded[original_index] = PureState(amp)
-            next_sample += 1
+        due = fired
+        while due < len(kicks) and kicks[due][0] <= t:
+            due += 1
+        amp = propagate(decomp, amp, t_now, kicks[fired:due], t)
+        t_now, fired = t, due
+        norm = float(np.linalg.norm(amp))
+        if abs(norm - 1.0) > NORM_ATOL:
+            raise InvariantViolation(f"norm drifted to {norm!r} at t = {t}")
+        recorded[k] = PureState(amp)
 
     return Trajectory(np.asarray(protocol.sample_times, dtype=float), tuple(recorded))
 

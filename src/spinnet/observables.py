@@ -152,15 +152,6 @@ def ensemble_average(values: Sequence[float]) -> tuple[float, float, float]:
     return acc.mean, acc.std, acc.std_of_mean
 
 
-def ensemble_fidelity(states: Sequence[PureState], target: PureState) -> float:
-    """Mean fidelity over realizations.
-
-    For pure realizations this equals the trace form
-    Tr(rho_bar |target><target|) with rho_bar the ensemble density matrix.
-    """
-    return ensemble_average([fidelity(s, target) for s in states])[0]
-
-
 def ensemble_eof(
     states: Sequence[PureState],
     i: int,

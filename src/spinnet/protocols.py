@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .disorder import DisorderSpec, SeededRng, sample_disorder
-from .dynamics import PureState, Protocol, inject, phase_kick
+from .dynamics import PureState, Protocol, inject, phase_kick, propagate
 from .linalg import eigh, evolve
 from .network import ChainSpec, CouplingGraph, NetworkSpec, network_graph, retune_jmax
 
@@ -106,9 +106,7 @@ def two_chain_phase_protocol(n_total: int, angle: float) -> tuple[NetworkSpec, P
     """Inject at site 1, kick site N/2+1 by ``angle`` at the mirror time."""
     spec = _two_chain_spec(n_total)
     t_m = spec.chains[0].mirror_time
-    events = [inject(1)]
-    if angle != 0.0:
-        events.append(phase_kick(n_total // 2 + 1, angle, t_m))
+    events = [inject(1), phase_kick(n_total // 2 + 1, angle, t_m)]
     return spec, Protocol(events, 2 * t_m)
 
 
@@ -150,6 +148,29 @@ def entangle_phase_two_chain(n_total: int) -> ProtocolResult:
         protocol=protocol,
         checkpoints=((t_end, expected),),
         merit=FigureOfMerit("eof", t_end, pair=(1, n_total)),
+    )
+
+
+def phase_sense_two_chain(n_total: int, theta_deg: float) -> ProtocolResult:
+    """Probe run A of the phase sensor: the unknown angle kicks the junction.
+
+    With z = e^{i theta} the excitation ends on the two ends as
+    delta ((1 + z)|1> + (1 - z)|N>) / 2 at 2 t_m, so P1 = (1 + cos theta)/2.
+    """
+    theta = math.radians(theta_deg % 360.0)
+    spec, protocol = two_chain_phase_protocol(n_total, theta)
+    z = complex(math.cos(theta), math.sin(theta))
+    d = delta_factor(n_total)
+    expected = PureState.from_terms(
+        n_total, {1: d * (1.0 + z) / 2.0, n_total: d * (1.0 - z) / 2.0}
+    )
+    t_end = protocol.duration
+    return ProtocolResult(
+        name="phase-sense",
+        network=spec,
+        protocol=protocol,
+        checkpoints=((t_end, expected),),
+        merit=FigureOfMerit("fidelity", t_end, target=expected),
     )
 
 
@@ -447,11 +468,11 @@ def phase_probe_estimates(
     decomp = eigh(graph.to_matrix())
     start = PureState.basis(graph.n_sites, 1).amplitudes
     halfway = evolve(decomp, start, t_m)
+    t_end = 2 * t_m
 
     def probe(angle: float) -> float:
-        kicked = halfway.copy()
-        kicked[kick_index] *= complex(math.cos(angle), math.sin(angle))
-        return float(abs(evolve(decomp, kicked, t_m)[0]) ** 2)
+        kicked = propagate(decomp, halfway, t_m, ((t_m, kick_index, angle),), t_end)
+        return float(abs(kicked[0]) ** 2)
 
     estimates = []
     for theta_deg in thetas_deg:
@@ -463,15 +484,10 @@ def phase_probe_estimates(
     return estimates
 
 
-def phase_sense_realization(graph: CouplingGraph, n_total: int, theta_deg: float) -> float:
-    """Two-probe phase retrieval on one device; angle in [0, 360) degrees."""
-    return phase_probe_estimates(graph, n_total, [theta_deg])[0]
-
-
 def phase_sense_estimate(n_total: int, theta_deg: float) -> float:
     """Clean-network phase retrieval; returns the angle in [0, 360) degrees."""
     spec = _two_chain_spec(n_total)
-    return phase_sense_realization(network_graph(spec), n_total, theta_deg)
+    return phase_probe_estimates(network_graph(spec), n_total, [theta_deg])[0]
 
 
 def unwrap_to_branch(estimate_deg: float, reference_deg: float) -> float:
@@ -526,6 +542,8 @@ def build_protocol(name: str, params: dict) -> ProtocolResult:
             return router_two_chain(p.pop("n"))
         if name == "ent-phase":
             return entangle_phase_two_chain(p.pop("n"))
+        if name == "phase-sense":
+            return phase_sense_two_chain(p.pop("n"), p.pop("theta_deg", 0.0))
         if name == "ent-center":
             return entangle_center_two_chain(p.pop("n"))
         if name == "unequal-router":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -181,11 +182,16 @@ def run_cells(
         if on_cell is not None:
             on_cell(row)
 
-    if workers <= 1 or len(pending) <= 1:
+    # Pool starts every process up front: never more than there are cells or cores
+    processes = min(workers, len(pending), os.cpu_count() or 1)
+    if 1 <= processes < workers:
+        print(f"using {processes} of {workers} requested worker processes "
+              f"({len(pending)} cells to run, {os.cpu_count()} cores)", file=sys.stderr)
+    if processes <= 1:
         for cell in pending:
             record(run_cell(cell))
     else:
-        with multiprocessing.Pool(processes=workers) as pool:
+        with multiprocessing.Pool(processes=processes) as pool:
             for row in pool.imap_unordered(run_cell, pending, chunksize=1):
                 record(row)
     return [rows[cell.index] for cell in cells]

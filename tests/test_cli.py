@@ -171,6 +171,35 @@ def test_run_phase_sense(tmp_path, capsys):
     assert "retrieved 45.000000" in capsys.readouterr().out
 
 
+def test_run_phase_sense_shares_the_run_path(tmp_path, capsys, monkeypatch):
+    protocol = {"name": "phase-sense", "n": 12, "theta_deg": 400.0}
+    cfg = write_config(tmp_path, {"protocol": protocol, "run": {"samples": 9}})
+    out = tmp_path / "clean"
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["protocol"] == "phase-sense"
+    assert meta["theta_true_deg"] == 40.0
+    assert abs(meta["theta_estimate_deg"] - 40.0) < 1e-6
+    assert meta["checks"][0]["pass"] and meta["mirror_times"]
+    assert len(read_csv(out / "trajectory.csv")) == 9
+    assert (out / "plot_trajectory.py").exists()
+
+    disordered = write_config(
+        tmp_path,
+        {"protocol": protocol, "disorder": {"kind": "off_diagonal", "strength": 0.3}},
+        name="disordered.yaml",
+    )
+    monkeypatch.setattr(cli, "phase_probe_estimates", lambda graph, n, thetas: [41.0])
+    assert run_cli("run", "--config", disordered, "--out", tmp_path / "dis") == 0
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "miss") == 3
+    assert "missed the true angle" in capsys.readouterr().err
+
+
+def test_run_phase_sense_needs_n(tmp_path):
+    cfg = write_config(tmp_path, {"protocol": {"name": "phase-sense", "theta_deg": 10.0}})
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+
+
 def test_invariant_violation_maps_to_exit_3(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {"protocol": {"name": "router", "n": 6}})
 
@@ -217,6 +246,12 @@ def test_sweep_heatmap_and_determinism(tmp_path):
     # stream addressing is disjoint across cells
     bases = [c["stream_base"] for c in meta["cells"]]
     assert sorted(bases) == [i * 8 for i in range(8)]
+
+
+def test_sweep_rejects_phase_sense(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**SWEEP_CONFIG, "protocol": {"name": "phase-sense", "n": 4}})
+    assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert "phase-scan" in capsys.readouterr().err
 
 
 def test_sweep_resumes_from_checkpoints(tmp_path):

@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from spinnet import (
     ChainSpec,
+    DisorderSpec,
     InvariantViolation,
     NetworkSpec,
     Protocol,
     PureState,
-    apply_phase,
+    SeededRng,
     chain_graph,
     evolve,
     eigh,
@@ -20,9 +22,11 @@ from spinnet import (
     network_graph,
     phase_kick,
     run_schedule,
+    sample_disorder,
     state_at,
 )
-from spinnet.dynamics import replace_samples, uniform_samples
+from spinnet.dynamics import propagate, replace_samples, uniform_samples
+from spinnet.protocols import phase_probe_estimates
 
 from conftest import random_single_excitation_state
 
@@ -56,34 +60,37 @@ def test_site_range_checked():
         PureState.basis(3, 5)
 
 
-# --- phase kicks --------------------------------------------------------------
+# --- phase kicks ----------------------------------------------------------------
 
-def test_apply_phase_zero_is_identity(rng):
+def _kick(psi: PureState, index: int, angle: float) -> np.ndarray:
+    """One kick through the propagation kernel, with no evolution around it."""
+    decomp = eigh(chain_graph(ChainSpec(psi.n_sites)).to_matrix())
+    return propagate(decomp, psi.amplitudes, 1.0, [(1.0, index, angle)], 1.0)
+
+
+def test_kick_zero_is_identity(rng):
     psi = random_single_excitation_state(rng, 6)
-    out = apply_phase(psi, 3, 0.0)
-    assert np.array_equal(out.amplitudes, psi.amplitudes)
+    out = _kick(psi, 2, 0.0)
+    assert np.array_equal(out, psi.amplitudes)
 
 
-def test_apply_phase_pi_flips_sign():
+def test_kick_pi_flips_sign():
     psi = PureState.basis(5, 2)
-    out = apply_phase(psi, 2, math.pi)
-    assert abs(out.amplitude(2) + 1.0) < 1e-15
+    out = _kick(psi, 1, math.pi)
+    assert abs(out[1] + 1.0) < 1e-15
 
 
-def test_apply_phase_only_touches_one_site(rng):
+def test_kick_only_touches_one_site(rng):
     psi = random_single_excitation_state(rng, 8)
-    out = apply_phase(psi, 5, 1.2345)
+    before = np.array(psi.amplitudes)
+    out = _kick(psi, 4, 1.2345)
     expected = psi.amplitude(5) * np.exp(1j * 1.2345)
-    assert abs(out.amplitude(5) - expected) < 1e-15
-    for site in range(1, 9):
-        if site != 5:
-            assert out.amplitude(site) == psi.amplitude(site)
-    assert abs(np.linalg.norm(out.amplitudes) - np.linalg.norm(psi.amplitudes)) < 1e-15
-
-
-def test_apply_phase_site_out_of_range():
-    with pytest.raises(ValueError):
-        apply_phase(PureState.basis(3, 1), 4, 0.1)
+    assert abs(out[4] - expected) < 1e-15
+    for index in range(8):
+        if index != 4:
+            assert out[index] == psi.amplitudes[index]
+    assert abs(np.linalg.norm(out) - np.linalg.norm(psi.amplitudes)) < 1e-15
+    assert np.array_equal(psi.amplitudes, before)  # the input is left alone
 
 
 # --- schedule validation --------------------------------------------------------
@@ -202,6 +209,98 @@ def test_time_reversal(rng):
         expected = np.zeros(g.n_sites, dtype=complex)
         expected[start - 1] = 1.0
         assert np.allclose(back, expected, atol=1e-9)
+
+
+# --- propagation kernel ------------------------------------------------------------
+
+def test_kernel_keeps_the_straight_line_arithmetic():
+    # one off-diagonal E = 0.10 device of the N = 50 phase scan (stream 2269 sits
+    # on the estimator's branch cut, so a last-bit change would show here)
+    n, t_m = 50, mirror_time(25)
+    graph = sample_disorder(
+        network_graph(NetworkSpec([ChainSpec(25), ChainSpec(25)])),
+        DisorderSpec("off_diagonal", 0.10),
+        SeededRng(20230724, 2269),
+    )
+    decomp = eigh(graph.to_matrix())
+    start = np.zeros(n, dtype=complex)
+    start[0] = 1.0
+    halfway = evolve(decomp, start, t_m)
+
+    def reference(angle):
+        kicked = halfway.copy()
+        kicked[n // 2] *= complex(math.cos(angle), math.sin(angle))
+        return evolve(decomp, kicked, t_m)
+
+    thetas = [15.0 * k for k in range(24)]
+    expected = []
+    for theta_deg in thetas:
+        p_direct = float(abs(reference(math.radians(theta_deg))[0]) ** 2)
+        p_quadrature = float(abs(reference(math.radians(theta_deg) + math.pi / 2.0)[0]) ** 2)
+        est = math.degrees(math.atan2(1.0 - 2.0 * p_quadrature, 2.0 * p_direct - 1.0))
+        expected.append(est % 360.0)
+    assert phase_probe_estimates(graph, n, thetas) == expected
+
+    for angle in (0.0, math.pi / 2.0, math.pi, math.radians(315.0)):
+        protocol = Protocol([inject(1), phase_kick(n // 2 + 1, angle, t_m)], 2 * t_m, (2 * t_m,))
+        state = run_schedule(graph, protocol).states[0]
+        assert np.array_equal(state.amplitudes, reference(angle))
+
+
+@st.composite
+def kicked_runs(draw):
+    """A small fused network, a start site and a time-sorted kick list."""
+    lengths = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+    graph = network_graph(NetworkSpec([ChainSpec(n) for n in lengths]))
+    t_end = draw(st.floats(0.0, 25.0))
+    kicks = draw(st.lists(
+        st.tuples(
+            st.floats(0.0, 1.0),
+            st.integers(0, graph.n_sites - 1),
+            st.floats(-2 * math.pi, 2 * math.pi),
+        ),
+        max_size=6,
+    ))
+    kicks = sorted((fraction * t_end, site, angle) for fraction, site, angle in kicks)
+    start = np.zeros(graph.n_sites, dtype=complex)
+    start[draw(st.integers(0, graph.n_sites - 1))] = 1.0
+    return eigh(graph.to_matrix()), start, kicks, t_end
+
+
+KERNEL_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@KERNEL_SETTINGS
+@given(kicked_runs())
+def test_kernel_conserves_norm(run):
+    decomp, start, kicks, t_end = run
+    out = propagate(decomp, start, 0.0, kicks, t_end)
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-10
+
+
+@KERNEL_SETTINGS
+@given(kicked_runs())
+def test_kernel_runs_back_to_the_start(run):
+    decomp, start, kicks, t_end = run
+    amp = propagate(decomp, start, 0.0, kicks, t_end)
+    t_now = t_end
+    for t_kick, site, angle in reversed(kicks):
+        amp = evolve(decomp, amp, t_kick - t_now)
+        amp = propagate(decomp, amp, t_kick, [(t_kick, site, -angle)], t_kick)
+        t_now = t_kick
+    amp = evolve(decomp, amp, -t_now)
+    assert np.allclose(amp, start, atol=1e-9)
+
+
+@KERNEL_SETTINGS
+@given(kicked_runs(), st.integers(0, 6))
+def test_kernel_split_at_a_kick_matches_one_call(run, split):
+    decomp, start, kicks, t_end = run
+    split = min(split, len(kicks))
+    t_split = kicks[split][0] if split < len(kicks) else t_end
+    first = propagate(decomp, start, 0.0, kicks[:split], t_split)
+    both = propagate(decomp, first, t_split, kicks[split:], t_end)
+    assert np.array_equal(both, propagate(decomp, start, 0.0, kicks, t_end))
 
 
 # --- trajectories -----------------------------------------------------------------

@@ -12,7 +12,6 @@ from spinnet import (
     mirror_superposition_state,
     network_graph,
     phase_sense_estimate,
-    phase_sense_realization,
 )
 from spinnet.dynamics import Protocol, inject, phase_kick, replace_samples, run_schedule, state_at
 from spinnet.protocols import (
@@ -29,6 +28,8 @@ from spinnet.protocols import (
     mws_12,
     mws_transfer_15,
     phase_power,
+    phase_probe_estimates,
+    phase_sense_two_chain,
     phi_factor,
     router_two_chain,
     two_chain_phase_protocol,
@@ -61,6 +62,8 @@ ALL_PROTOCOLS = [
     m_chain_router(2),
     m_chain_router(5),
     mws_transfer_15(),
+    phase_sense_two_chain(8, 45.0),
+    phase_sense_two_chain(20, 315.0),
 ]
 
 
@@ -418,7 +421,7 @@ def test_phase_sense_exact_on_clean_network():
 
 def test_phase_sense_realization_on_given_graph():
     g = network_graph(NetworkSpec([ChainSpec(10), ChainSpec(10)]))
-    assert abs(phase_sense_realization(g, 20, 123.0) - 123.0) < 1e-6
+    assert abs(phase_probe_estimates(g, 20, [123.0])[0] - 123.0) < 1e-6
 
 
 # --- dispatch ----------------------------------------------------------------------
