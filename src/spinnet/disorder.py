@@ -57,6 +57,17 @@ class SeededRng:
         return np.random.Generator(np.random.PCG64(ss))
 
 
+def disorder_draws(graph: CouplingGraph, spec: DisorderSpec, rng: SeededRng) -> np.ndarray:
+    """The perturbations one stream adds to ``graph`` under a disordered spec.
+
+    Off-diagonal disorder draws one value per existing edge, in site-pair
+    order, for its coupling; diagonal disorder one value per site, for its
+    on-site energy. Each value is E * J_ref * d with d ~ N(0, width^2).
+    """
+    size = len(graph.couplings) if spec.kind == "off_diagonal" else graph.n_sites
+    return spec.strength * spec.j_max_ref * rng.generator().normal(0.0, spec.width, size=size)
+
+
 def sample_disorder(graph: CouplingGraph, spec: DisorderSpec, rng: SeededRng) -> CouplingGraph:
     """One independent disorder realization of ``graph``.
 
@@ -66,15 +77,10 @@ def sample_disorder(graph: CouplingGraph, spec: DisorderSpec, rng: SeededRng) ->
     """
     if spec.kind == "none" or spec.strength == 0.0:
         return graph
-    gen = rng.generator()
-    scale = spec.strength * spec.j_max_ref
+    draws = disorder_draws(graph, spec, rng)
     if spec.kind == "off_diagonal":
         couplings = dict(graph.couplings)
-        for key in sorted(couplings):
-            couplings[key] += scale * gen.normal(0.0, spec.width)
+        for key, draw in zip(sorted(couplings), draws.tolist()):
+            couplings[key] += draw
         return CouplingGraph(graph.n_sites, couplings, graph.onsite, spec=graph.spec)
-    # diagonal
-    eps = np.asarray(graph.onsite, dtype=float) + scale * gen.normal(
-        0.0, spec.width, size=graph.n_sites
-    )
-    return CouplingGraph(graph.n_sites, dict(graph.couplings), eps, spec=graph.spec)
+    return CouplingGraph(graph.n_sites, dict(graph.couplings), graph.onsite + draws, spec=graph.spec)

@@ -160,8 +160,9 @@ def propagate(
     ``kicks`` are time-sorted (time, 0-based site, angle) triples within
     [t_start, t_end]; each multiplies its site by e^{i angle} before any
     evolution past its time. Evolution runs from stop to stop, so the
-    segments are the same whatever the caller records in between. The input
-    array is never modified.
+    segments are the same whatever the caller records in between. A stacked
+    decomposition propagates one state per matrix, along the leading axes of
+    ``amplitudes``. The input array is never modified.
     """
     t_now = t_start
     for t_kick, site, angle in kicks:
@@ -169,7 +170,16 @@ def propagate(
             amplitudes = evolve(decomp, amplitudes, t_kick - t_now)
             t_now = t_kick
         amplitudes = np.array(amplitudes)
-        amplitudes[site] *= complex(math.cos(angle), math.sin(angle))
+        phase = complex(math.cos(angle), math.sin(angle))
+        if amplitudes.ndim == 1:
+            amplitudes[site] *= phase
+        else:
+            # one scalar complex product per state, as for a single vector:
+            # numpy's vector loop rounds differently for a strided column of
+            # two or more states than for one, which would tie a state's
+            # last bits to the size of its stack
+            column = amplitudes.reshape(-1, amplitudes.shape[-1])[:, site]
+            column[:] = [a * phase for a in column.tolist()]
     if t_end > t_now:
         amplitudes = evolve(decomp, amplitudes, t_end - t_now)
     return amplitudes
@@ -215,13 +225,14 @@ class Trajectory:
                 out.write(f"{t:.12g},{row}\n")
 
 
-def run_schedule(graph: CouplingGraph, protocol: Protocol) -> Trajectory:
-    """Execute a protocol on a network and record the sampled states.
+def schedule_kicks(protocol: Protocol, n_sites: int) -> tuple[int, list[tuple[float, int, float]]]:
+    """Check a protocol against an ``n_sites`` network and compile it.
 
-    The graph is decomposed once; every evolution segment reuses the
-    decomposition. Rejected protocols: no injection, injection after t = 0,
-    more than one injection (the dynamics stay in the single-excitation
-    sector), events out of order, or sites out of range.
+    Returns the 0-based injection site and the kicks as the (time, 0-based
+    site, angle) triples :func:`propagate` takes. Rejected protocols: no
+    injection, injection after t = 0, more than one injection (the dynamics
+    stay in the single-excitation sector), or sites out of range. Event
+    order is already enforced by :class:`Protocol`.
     """
     injections = [e for e in protocol.events if e.action == INJECT]
     if len(injections) != 1:
@@ -229,12 +240,21 @@ def run_schedule(graph: CouplingGraph, protocol: Protocol) -> Trajectory:
     if injections[0].time != 0.0 or protocol.events[0].action != INJECT:
         raise ValueError("the injection must be the first event, at t = 0")
     for event in protocol.events:
-        _check_site(event.site, graph.n_sites)
-
-    decomp = eigh(graph.to_matrix())
+        _check_site(event.site, n_sites)
     kicks = [(e.time, e.site - 1, e.angle) for e in protocol.events[1:]]
+    return injections[0].site - 1, kicks
+
+
+def run_schedule(graph: CouplingGraph, protocol: Protocol) -> Trajectory:
+    """Execute a protocol on a network and record the sampled states.
+
+    The graph is decomposed once; every evolution segment reuses the
+    decomposition. The protocol is checked by :func:`schedule_kicks`.
+    """
+    start, kicks = schedule_kicks(protocol, graph.n_sites)
+    decomp = eigh(graph.to_matrix())
     amp = np.zeros(graph.n_sites, dtype=complex)
-    amp[injections[0].site - 1] = 1.0
+    amp[start] = 1.0
 
     recorded: list[PureState | None] = [None] * len(protocol.sample_times)
     t_now = 0.0

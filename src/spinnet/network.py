@@ -152,6 +152,14 @@ class CouplingGraph:
         """Edges as (i, j, J) sorted by site pair."""
         return [(i, j, self.couplings[(i, j)]) for (i, j) in sorted(self.couplings)]
 
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edges as arrays, sorted by site pair: 0-based rows (i - 1),
+        0-based columns (j - 1, with i < j) and couplings."""
+        edges = self.edges()
+        rows = np.array([i - 1 for i, _, _ in edges], dtype=np.intp)
+        cols = np.array([j - 1 for _, j, _ in edges], dtype=np.intp)
+        return rows, cols, np.array([value for _, _, value in edges], dtype=float)
+
     def to_matrix(self) -> np.ndarray:
         """Dense Hermitian matrix: H[i-1, j-1] = J_ij, H[i-1, i-1] = eps_i."""
         h = np.zeros((self.n_sites, self.n_sites), dtype=complex)

@@ -1,8 +1,10 @@
 """Fidelity, two-site reduced states, concurrence / EOF, ensemble statistics.
 
 For a pure single-excitation state the reduced state of two sites is an
-X-shaped 4x4 matrix whose concurrence collapses to 2 |a_i| |a_j|; the full
-Wootters pipeline is implemented anyway so mixed ensemble states work too.
+X-shaped 4x4 matrix whose concurrence collapses to 2 |a_i| |a_j| (Wootters,
+PRL 80, 2245, 1998). The sweep engine evaluates that closed form over whole
+stacks of states; the full Wootters pipeline serves mixed ensemble states
+and is the reference the closed form is tested against.
 
 Ensemble statistics keep the per-realization values and reduce them with
 exactly-rounded summation, so merging partial accumulators from parallel
@@ -29,6 +31,16 @@ NEGATIVITY_ATOL = 1e-10
 def fidelity(state: PureState, target: PureState) -> float:
     """|<target|state>|^2 - global-phase insensitive, in [0, 1]."""
     return min(1.0, abs(target.overlap(state)) ** 2)
+
+
+def fidelities(amplitudes: np.ndarray, target: PureState) -> np.ndarray:
+    """:func:`fidelity` of every state along the last axis of ``amplitudes``.
+
+    The overlap is an elementwise product summed per state, not a BLAS
+    matrix-vector product, whose rounding depends on how many states it gets.
+    """
+    overlaps = np.sum(amplitudes * target.amplitudes.conj(), axis=-1)
+    return np.minimum(1.0, np.abs(overlaps) ** 2)
 
 
 def reduce_two_sites(state: PureState, i: int, j: int) -> np.ndarray:
@@ -81,24 +93,37 @@ def concurrence(rho: np.ndarray) -> float:
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
 
 
-def binary_entropy(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+def binary_entropy(x: float | np.ndarray) -> np.ndarray:
+    """H2(x) in bits, elementwise; 0 at and beyond the endpoints 0 and 1."""
+    x = np.asarray(x, dtype=float)
+    inside = (x > 0.0) & (x < 1.0)
+    p = np.where(inside, x, 0.5)
+    return np.where(inside, -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p), 0.0)
 
 
-def eof_from_concurrence(c: float) -> float:
-    c = min(1.0, max(0.0, c))
-    return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
+def eof_from_concurrence(c: float | np.ndarray) -> np.ndarray:
+    """EOF from the concurrence, elementwise; c is clipped to [0, 1]."""
+    c = np.clip(c, 0.0, 1.0)
+    return binary_entropy((1.0 + np.sqrt(1.0 - c * c)) / 2.0)
 
 
 def eof(rho: np.ndarray) -> float:
     """Entanglement of formation of a two-qubit density matrix, in [0, 1]."""
-    return eof_from_concurrence(concurrence(rho))
+    return float(eof_from_concurrence(concurrence(rho)))
 
 
 def eof_pair(state: PureState, i: int, j: int) -> float:
     return eof(reduce_two_sites(state, i, j))
+
+
+def pair_eofs(amplitudes: np.ndarray, i: int, j: int) -> np.ndarray:
+    """EOF of sites (i, j), 1-based, for every pure single-excitation state
+    along the last axis of ``amplitudes``, from C = 2 |a_i| |a_j|."""
+    n = amplitudes.shape[-1]
+    if i == j or not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"need two distinct sites in 1..{n}, got ({i}, {j})")
+    c = 2.0 * np.abs(amplitudes[..., i - 1]) * np.abs(amplitudes[..., j - 1])
+    return eof_from_concurrence(c)
 
 
 @dataclass

@@ -3,8 +3,11 @@
 A sweep cell is one (size, E, kind) combination evaluated over K disorder
 realizations. Realization k of cell c draws from the stream (master seed,
 c * K + k), so the numbers cannot depend on how cells are distributed over
-workers. Completed cells are checkpointed to disk (write-temp-then-rename)
-and skipped on resume.
+workers. Realizations run in blocks through one real-symmetric eigensolve
+over a stack of Hamiltonians; a realization's value does not depend on the
+block it lands in either. Completed cells are checkpointed to disk
+(write-temp-then-rename) together with a fingerprint of their
+configuration, and skipped on resume only when that fingerprint matches.
 """
 
 from __future__ import annotations
@@ -13,20 +16,37 @@ import json
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
+from . import __version__
 from .config import ConfigError, SweepConfig, mirror_tokens, parse_time_expression
-from .disorder import DisorderSpec, SeededRng, sample_disorder
-from .dynamics import PureState, replace_samples, run_schedule
-from .observables import EnsembleAccumulator, eof_pair, fidelity
+from .disorder import DisorderSpec, SeededRng, disorder_draws
+from .dynamics import NORM_ATOL, PureState, propagate, replace_samples, schedule_kicks
+from .linalg import InvariantViolation, eigh
+from .observables import EnsembleAccumulator, eof_pair, fidelities, fidelity, pair_eofs
 from .protocols import FigureOfMerit, ProtocolResult, build_protocol, phase_scan_setting
+
+# Matrix entries per block of realizations. A stack of 2^14 float64 entries
+# (128 KiB) keeps a worker's peak memory within a few percent of a
+# one-realization-at-a-time loop and still holds 83 realizations at N = 14;
+# from N = 91 on a block is one realization.
+BLOCK_ENTRIES = 1 << 14
 
 
 def merit_value(state: PureState, merit: FigureOfMerit) -> float:
     if merit.kind == "fidelity":
         return fidelity(state, merit.target)
     return eof_pair(state, *merit.pair)
+
+
+def merit_values(amplitudes: np.ndarray, merit: FigureOfMerit) -> np.ndarray:
+    """:func:`merit_value` of every state along the last axis of ``amplitudes``."""
+    if merit.kind == "fidelity":
+        return fidelities(amplitudes, merit.target)
+    return pair_eofs(amplitudes, *merit.pair)
 
 
 def ensemble_merit(
@@ -38,20 +58,61 @@ def ensemble_merit(
     observe_time: float | None = None,
     merit: FigureOfMerit | None = None,
 ) -> EnsembleAccumulator:
-    """Run one protocol K times under fresh disorder and collect its merit."""
+    """Run one protocol K times under fresh disorder and collect its merit.
+
+    Realization k draws from stream ``stream_base + k``. Realizations run in
+    blocks of at most BLOCK_ENTRIES matrix entries: each block is one real
+    (B, N, N) stack, one batched eigensolve, one propagation of all B states
+    and one vectorised merit. A clean spec runs one realization and repeats
+    its value K times.
+    """
     merit = merit or result.merit
     t = merit.time if observe_time is None else observe_time
     graph = result.graph()
-    protocol = replace_samples(result.protocol, (t,))
+    start, kicks = schedule_kicks(replace_samples(result.protocol, (t,)), graph.n_sites)
+    kicks = [kick for kick in kicks if kick[0] <= t]
+    n = graph.n_sites
+    rows, cols, couplings = graph.edge_arrays()
+    sites = np.arange(n)
+    clean = disorder_spec.kind == "none" or disorder_spec.strength == 0.0
+    runs = min(realizations, 1) if clean else realizations
+    block = max(1, BLOCK_ENTRIES // (n * n))
     acc = EnsembleAccumulator()
-    for k in range(realizations):
-        g = sample_disorder(graph, disorder_spec, SeededRng(master_seed, stream_base + k))
-        state = run_schedule(g, protocol).states[0]
-        acc.add(merit_value(state, merit))
-        if disorder_spec.kind == "none" or disorder_spec.strength == 0.0:
-            acc.extend(acc.values * (realizations - 1))  # clean runs are identical
-            break
+    for first in range(stream_base, stream_base + runs, block):
+        streams = range(first, min(first + block, stream_base + runs))
+        onsite, values = graph.onsite, couplings
+        if not clean:
+            draws = np.array([
+                disorder_draws(graph, disorder_spec, SeededRng(master_seed, stream))
+                for stream in streams
+            ])
+            if disorder_spec.kind == "off_diagonal":
+                values = values + draws
+            else:
+                onsite = onsite + draws
+        h = np.zeros((len(streams), n, n))
+        h[:, rows, cols] = values
+        h[:, cols, rows] = values
+        h[:, sites, sites] = onsite
+        amplitudes = np.zeros((len(streams), n), dtype=complex)
+        amplitudes[:, start] = 1.0
+        amplitudes = propagate(eigh(h), amplitudes, 0.0, kicks, t)
+        _check_norms(amplitudes, streams, t)
+        acc.extend(merit_values(amplitudes, merit).tolist())
+    if clean:
+        acc.extend(acc.values * (realizations - 1))
     return acc
+
+
+def _check_norms(amplitudes: np.ndarray, streams: range, t: float) -> None:
+    """The norm bound of ``run_schedule``, over a block; names the worst stream."""
+    defects = np.abs(np.linalg.norm(amplitudes, axis=-1) - 1.0)
+    worst = int(np.argmax(defects))
+    if defects[worst] > NORM_ATOL:
+        raise InvariantViolation(
+            f"norm of the state from stream {streams[worst]} drifted by "
+            f"{defects[worst]:.3e} (bound {NORM_ATOL:.0e}) at t = {t}"
+        )
 
 
 def resolve_merit(
@@ -98,6 +159,17 @@ class SweepCell:
     eof_pair: tuple[int, int] | None
     observe: str | float | None
 
+    @property
+    def disorder(self) -> DisorderSpec:
+        return DisorderSpec(kind=self.kind, strength=self.e)
+
+    def fingerprint(self) -> dict[str, Any]:
+        """Everything the cell's numbers depend on, as its checkpoint stores it."""
+        spec = self.disorder
+        fields = dict(asdict(self), width=spec.width, j_max_ref=spec.j_max_ref,
+                      version=__version__)
+        return json.loads(json.dumps(fields))  # tuples become lists, as when read back
+
 
 def sweep_cells(
     protocol_name: str,
@@ -138,10 +210,9 @@ def run_cell(cell: SweepCell) -> dict[str, Any]:
     params[cell.axis] = cell.size
     result = build_protocol(cell.protocol_name, params)
     merit = resolve_merit(result, cell.observable, cell.eof_pair, cell.observe)
-    spec = DisorderSpec(kind=cell.kind, strength=cell.e)
     acc = ensemble_merit(
         result,
-        spec,
+        cell.disorder,
         cell.realizations,
         cell.master_seed,
         stream_base=cell.stream_base,
@@ -166,11 +237,17 @@ def run_cells(
     checkpoint_dir: str | None = None,
     on_cell: Callable[[dict[str, Any]], None] | None = None,
 ) -> list[dict[str, Any]]:
-    """Evaluate cells, resuming from and writing per-cell checkpoints."""
+    """Evaluate cells, resuming from and writing per-cell checkpoints.
+
+    A checkpoint is used only when its fingerprint matches the cell; one
+    written for another configuration, or one that cannot be read, is
+    discarded with a warning on stderr and the cell is computed again.
+    """
     rows: dict[int, dict[str, Any]] = {}
+    fingerprints = {cell.index: cell.fingerprint() for cell in cells}
     pending = []
     for cell in cells:
-        cached = _load_checkpoint(checkpoint_dir, cell.index)
+        cached = _load_checkpoint(checkpoint_dir, cell.index, fingerprints[cell.index])
         if cached is not None:
             rows[cell.index] = cached
         else:
@@ -178,7 +255,7 @@ def run_cells(
 
     def record(row: dict[str, Any]) -> None:
         rows[row["index"]] = row
-        _write_checkpoint(checkpoint_dir, row)
+        _write_checkpoint(checkpoint_dir, dict(row, fingerprint=fingerprints[row["index"]]))
         if on_cell is not None:
             on_cell(row)
 
@@ -201,14 +278,27 @@ def _checkpoint_path(checkpoint_dir: str, index: int) -> str:
     return os.path.join(checkpoint_dir, f"cell_{index:05d}.json")
 
 
-def _load_checkpoint(checkpoint_dir: str | None, index: int) -> dict[str, Any] | None:
+def _load_checkpoint(
+    checkpoint_dir: str | None, index: int, fingerprint: dict[str, Any]
+) -> dict[str, Any] | None:
+    """The checkpointed row of cell ``index``, or None when it must be computed."""
     if checkpoint_dir is None:
         return None
     path = _checkpoint_path(checkpoint_dir, index)
     if not os.path.exists(path):
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            row = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        problem = f"cannot be read ({exc})"
+    else:
+        if isinstance(row, dict) and row.pop("fingerprint", None) == fingerprint:
+            return row
+        problem = "was written for another configuration"
+    print(f"warning: discarding checkpoint {path}: it {problem}; computing the cell again",
+          file=sys.stderr)
+    return None
 
 
 def _write_checkpoint(checkpoint_dir: str | None, row: dict[str, Any]) -> None:

@@ -275,6 +275,42 @@ def test_sweep_resumes_from_checkpoints(tmp_path):
     assert (out3 / "heatmap.csv").read_bytes() == first
 
 
+def test_sweep_discards_checkpoints_of_another_configuration(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**SWEEP_CONFIG, "seed": 1})
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+    seed_1 = (out / "heatmap.csv").read_bytes()
+    capsys.readouterr()
+    assert run_cli("sweep", "--config", cfg, "--out", out, "--seed", 7) == 0
+    err = capsys.readouterr().err
+    assert err.count("written for another configuration") == 8
+    assert run_cli("sweep", "--config", cfg, "--out", fresh, "--seed", 7) == 0
+    seed_7 = (fresh / "heatmap.csv").read_bytes()
+    assert seed_7 != seed_1
+    assert (out / "heatmap.csv").read_bytes() == seed_7
+    assert json.loads((out / "meta.json").read_text())["master_seed"] == 7
+    # the rewritten checkpoints now match seed 7 and are reused silently
+    assert run_cli("sweep", "--config", cfg, "--out", out, "--seed", 7) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert (out / "heatmap.csv").read_bytes() == seed_7
+
+
+def test_sweep_recomputes_an_unreadable_checkpoint(tmp_path, capsys):
+    cfg = write_config(tmp_path, SWEEP_CONFIG)
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+    first = (out / "heatmap.csv").read_bytes()
+    truncated = out / "checkpoints" / "cell_00003.json"
+    truncated.write_bytes(truncated.read_bytes()[:20])
+    capsys.readouterr()
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+    err = capsys.readouterr().err
+    assert err.count("warning: discarding checkpoint") == 1
+    assert "cell_00003.json" in err and "cannot be read" in err
+    assert (out / "heatmap.csv").read_bytes() == first
+    assert json.loads(truncated.read_text())["index"] == 3
+
+
 def test_sweep_eof_observable(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -247,6 +247,22 @@ def test_kernel_keeps_the_straight_line_arithmetic():
         assert np.array_equal(state.amplitudes, reference(angle))
 
 
+def test_kernel_over_a_stack_matches_each_state_alone():
+    # a state's bits must not depend on the stack it is propagated in
+    graph = network_graph(NetworkSpec([ChainSpec(4), ChainSpec(4), ChainSpec(3)]))
+    h = graph.to_matrix().real
+    stack = np.array([h + np.diag(np.full(graph.n_sites, 0.01 * k)) for k in range(9)])
+    start = np.zeros((9, graph.n_sites), dtype=complex)
+    start[:, 0] = 1.0
+    kicks = [(0.7, 4, math.pi / 3), (0.7, 8, 1.1), (2.0, 4, -0.4)]
+    together = propagate(eigh(stack), start, 0.0, kicks, 3.1)
+    for k in range(9):
+        alone = propagate(eigh(stack[k:k + 1]), start[k:k + 1], 0.0, kicks, 3.1)
+        assert np.array_equal(alone[0], together[k])
+        single = propagate(eigh(stack[k]), start[k], 0.0, kicks, 3.1)
+        assert np.array_equal(single, together[k])
+
+
 @st.composite
 def kicked_runs(draw):
     """A small fused network, a start site and a time-sorted kick list."""

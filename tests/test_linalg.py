@@ -136,3 +136,41 @@ def test_reconstruction(rng):
             d.eigenvectors.conj().T @ d.eigenvectors, np.eye(n), atol=1e-10
         )
         assert np.all(np.diff(d.eigenvalues) >= 0)
+
+
+# --- stacks ---------------------------------------------------------------------
+
+def random_symmetric_stack(rng, count, n):
+    a = rng.normal(size=(count, n, n))
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
+
+
+def test_real_stack_keeps_a_real_decomposition(rng):
+    stack = random_symmetric_stack(rng, 5, 7)
+    d = eigh(stack)
+    assert d.eigenvalues.shape == (5, 7) and d.eigenvectors.shape == (5, 7, 7)
+    assert d.eigenvectors.dtype == np.float64
+    for h, w, v in zip(stack, d.eigenvalues, d.eigenvectors):
+        assert np.allclose(v @ np.diag(w) @ v.T, h, atol=1e-12)
+        assert np.allclose(w, eigh(h.astype(complex)).eigenvalues, atol=1e-12)
+
+
+def test_complex_input_stays_complex(rng):
+    assert eigh(random_hermitian(rng, 4)).eigenvectors.dtype == np.complex128
+
+
+def test_stack_hermiticity_checked_per_matrix(rng):
+    stack = random_symmetric_stack(rng, 4, 5)
+    stack[2, 0, 3] += 1e-6
+    with pytest.raises(InvariantViolation, match="1.000e-06"):
+        eigh(stack)
+
+
+def test_stacked_evolve_matches_one_matrix_at_a_time(rng):
+    stack = random_symmetric_stack(rng, 6, 8)
+    psi = rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8))
+    stacked = evolve(eigh(stack), psi, 1.7)
+    for h, start, got in zip(stack, psi, stacked):
+        assert np.allclose(got, evolve(eigh(h.astype(complex)), start, 1.7), atol=1e-12)
+    with pytest.raises(ValueError):
+        evolve(eigh(stack), psi[:5], 1.0)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinnet import (
     ChainSpec,
@@ -170,6 +171,27 @@ def test_spectrum_preserved_under_join(rng):
             )
         )
         assert np.allclose(joined, parts, atol=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(2, 9), st.floats(0.25, 4.0)), min_size=2, max_size=6))
+def test_join_preserves_the_spectrum_of_any_chain_list(chains):
+    spec = NetworkSpec([ChainSpec(n, j_max) for n, j_max in chains])
+    joined = eigh(hadamard_join(spec).to_matrix()).eigenvalues
+    parts = np.sort(np.concatenate(
+        [eigh(chain_graph(c).to_matrix()).eigenvalues for c in spec.chains]))
+    assert np.allclose(joined, parts, rtol=0, atol=1e-12 * max(j for _, j in chains))
+
+
+def test_edge_arrays_follow_the_sorted_edges(rng):
+    graph = hadamard_join(random_network_spec(rng, n_chains=3))
+    rows, cols, values = graph.edge_arrays()
+    assert [(int(i) + 1, int(j) + 1, float(v)) for i, j, v in zip(rows, cols, values)] \
+        == graph.edges()
+    h = np.zeros((graph.n_sites, graph.n_sites))
+    h[rows, cols] = values
+    h[cols, rows] = values
+    assert np.array_equal(h, graph.to_matrix().real)
 
 
 def test_single_chain_network_graph():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from spinnet import (
     EnsembleAccumulator,
@@ -15,7 +16,7 @@ from spinnet import (
     fidelity,
     reduce_two_sites,
 )
-from spinnet.observables import binary_entropy, eof_from_concurrence
+from spinnet.observables import binary_entropy, eof_from_concurrence, fidelities, pair_eofs
 
 from conftest import random_single_excitation_state
 
@@ -135,6 +136,41 @@ def test_concurrence_closed_form_on_random_states(rng):
         wootters = concurrence(reduce_two_sites(psi, int(i), int(j)))
         closed_form = 2.0 * abs(psi.amplitude(int(i))) * abs(psi.amplitude(int(j)))
         assert abs(wootters - closed_form) < 1e-9
+
+
+@st.composite
+def single_excitation_pairs(draw):
+    """A normalised single-excitation state and two distinct 1-based sites."""
+    n = draw(st.integers(2, 10))
+    parts = st.floats(-1.0, 1.0, allow_nan=False)
+    amp = np.array([complex(draw(parts), draw(parts)) for _ in range(n)])
+    norm = float(np.linalg.norm(amp))
+    assume(norm > 1e-3)
+    i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+    return PureState(amp / norm), i, j
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_excitation_pairs())
+def test_closed_form_concurrence_matches_wootters(case):
+    psi, i, j = case
+    wootters = concurrence(reduce_two_sites(psi, i, j))
+    closed_form = 2.0 * abs(psi.amplitude(i)) * abs(psi.amplitude(j))
+    assert abs(wootters - closed_form) <= 1e-12
+    assert abs(pair_eofs(psi.amplitudes[None], i, j)[0] - eof_pair(psi, i, j)) <= 1e-12
+
+
+def test_vectorised_merits_match_the_scalar_ones(rng):
+    states = [random_single_excitation_state(rng, 7) for _ in range(5)]
+    stack = np.array([s.amplitudes for s in states])
+    target = states[0]
+    assert np.allclose(fidelities(stack, target), [fidelity(s, target) for s in states],
+                       rtol=0, atol=1e-15)
+    assert np.allclose(pair_eofs(stack, 2, 6), [eof_pair(s, 2, 6) for s in states],
+                       rtol=0, atol=1e-12)
+    for bad in ((3, 3), (0, 2), (2, 8)):
+        with pytest.raises(ValueError):
+            pair_eofs(stack, *bad)
 
 
 def test_concurrence_rejects_non_density_matrix():

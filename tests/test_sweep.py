@@ -1,8 +1,20 @@
+import re
+
+import numpy as np
 import pytest
 
-from spinnet import sweep
+from spinnet import InvariantViolation, SpectralDecomposition, sweep
 from spinnet.config import SweepConfig
-from spinnet.sweep import run_cells, sweep_cells
+from spinnet.disorder import DisorderSpec, SeededRng, sample_disorder
+from spinnet.dynamics import replace_samples, run_schedule
+from spinnet.linalg import eigh
+from spinnet.protocols import build_protocol, router_two_chain
+from spinnet.sweep import ensemble_merit, merit_value, resolve_merit, run_cells, sweep_cells
+
+from test_protocols import ALL_PROTOCOLS
+
+SEED = 20230724
+KINDS = ("diagonal", "off_diagonal")
 
 
 class RecordingPool:
@@ -48,3 +60,90 @@ def test_pool_size_is_clamped(monkeypatch, capsys, cores, cells, workers, expect
         assert err.count(f"using {clamped} of {workers} requested worker processes") == 1
     else:
         assert err == ""
+
+
+# --- block engine ---------------------------------------------------------------
+
+def loop_reference(result, spec, k, base, merit):
+    """One realization at a time through run_schedule and merit_value."""
+    graph = result.graph()
+    protocol = replace_samples(result.protocol, (merit.time,))
+    return [
+        merit_value(run_schedule(sample_disorder(graph, spec, SeededRng(SEED, base + j)),
+                                 protocol).states[0], merit)
+        for j in range(k)
+    ]
+
+
+def engine_cases():
+    for result in ALL_PROTOCOLS:
+        yield f"{result.name}-{result.network.n_sites}", result, result.merit
+    router = router_two_chain(8)
+    yield "router-8-observe-t_m", router, resolve_merit(router, observe="t_m")
+    yield "router-8-observe-before-the-kick", router, resolve_merit(router, observe="t_m/2")
+    yield "router-8-eof", router, resolve_merit(router, "eof", (1, 8))
+    ent = build_protocol("ent-phase", {"n": 10})
+    yield "ent-phase-10-fidelity-observe", ent, resolve_merit(ent, "fidelity", observe="3*t_m/2")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("case", list(engine_cases()), ids=lambda case: case[0])
+def test_engine_matches_the_loop_reference(case, kind):
+    _, result, merit = case
+    spec = DisorderSpec(kind, 0.15)
+    acc = ensemble_merit(result, spec, 6, SEED, stream_base=40, merit=merit)
+    reference = loop_reference(result, spec, 6, 40, merit)
+    assert acc.count == 6
+    assert np.max(np.abs(np.array(acc.values) - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["none", "diagonal"])
+def test_clean_cell_repeats_one_realization(kind):
+    result = build_protocol("ent-phase", {"n": 8})
+    acc = ensemble_merit(result, DisorderSpec(kind, 0.0), 5, SEED)
+    assert acc.values == [acc.values[0]] * 5
+    assert acc.values[0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name, params, k", [
+    ("ent-phase", {"n": 14}, 100),   # two blocks at the default size: 83, then 17
+    ("w-state", {"chain_length": 4}, 150),  # N = 12, a kick by arccos(-1/3): 113, then 37
+])
+def test_values_do_not_depend_on_the_block_size(monkeypatch, kind, name, params, k):
+    result = build_protocol(name, params)
+    n = result.network.n_sites
+    spec = DisorderSpec(kind, 0.2)
+    default = ensemble_merit(result, spec, k, SEED, stream_base=3).values
+    for entries in (1, 7 * n * n, k * n * n):
+        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", entries)
+        assert ensemble_merit(result, spec, k, SEED, stream_base=3).values == default
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name, params", [("router", {"n": 10}), ("mws-transfer", {})])
+def test_realization_k_of_a_block_is_its_own_stream(kind, name, params):
+    result = build_protocol(name, params)  # mws-transfer: a target with four terms
+    spec = DisorderSpec(kind, 0.2)
+    block = ensemble_merit(result, spec, 9, SEED, stream_base=500).values
+    singles = [ensemble_merit(result, spec, 1, SEED, stream_base=500 + k).values[0]
+               for k in range(9)]
+    assert block == singles
+
+
+def test_norm_check_names_the_stream_time_and_defect(monkeypatch):
+    def leaky_eigh(h):
+        decomp = eigh(h)
+        vectors = decomp.eigenvectors.copy()
+        vectors[3] *= 1.01  # not unitary: each evolution scales this state by 1.01^2
+        return SpectralDecomposition(decomp.eigenvalues, vectors)
+
+    monkeypatch.setattr(sweep, "eigh", leaky_eigh)
+    result = router_two_chain(6)
+    with pytest.raises(InvariantViolation) as excinfo:
+        ensemble_merit(result, DisorderSpec("diagonal", 0.1), 8, SEED, stream_base=200)
+    message = str(excinfo.value)
+    assert "stream 203" in message
+    assert f"t = {result.merit.time}" in message
+    defect = float(re.search(r"drifted by (\S+)", message).group(1))
+    assert defect == pytest.approx(1.01 ** 4 - 1.0, rel=1e-3)  # evolved before and after the kick
