@@ -41,7 +41,6 @@ from .sweep import (
     ensemble_merit,
     merit_value,
     phase_scan_rows,
-    resolve_merit,
     run_cells,
     sweep_cells,
     threshold_contour,
@@ -168,10 +167,8 @@ def cmd_run(args) -> int:
         result = build_protocol(cfg.protocol.name, cfg.protocol.params)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    graph = result.graph()
-    clean = cfg.disorder.kind == "none" or cfg.disorder.strength == 0.0
-    if not clean:
-        graph = sample_disorder(graph, cfg.disorder, SeededRng(seed, 0))
+    clean = cfg.disorder.clean
+    graph = sample_disorder(result.graph(), cfg.disorder, SeededRng(seed, 0))
 
     tokens = mirror_tokens(result.network)
     duration = result.protocol.duration
@@ -245,11 +242,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("phase-sense cannot be swept; use phase-scan for its disorder curves")
     try:
         cells = sweep_cells(cfg.protocol.name, cfg.protocol.params, cfg.sweep, seed)
-        # validate the protocol once up front so errors surface as config errors
-        probe = dict(cfg.protocol.params)
-        probe[cfg.sweep.axis] = cfg.sweep.sizes[0]
-        resolve_merit(build_protocol(cfg.protocol.name, probe),
-                      cfg.sweep.observable, cfg.sweep.eof_pair, cfg.sweep.observe)
+        for cell in cells:  # every size's protocol and merit, before any cell runs
+            cell.protocol()
     except ValueError as exc:
         raise ConfigError(str(exc))
 

@@ -200,7 +200,7 @@ def parse_sweep(data: Any, where: str = "sweep") -> SweepConfig:
         raise ConfigError(f"{where}.e_values: need a non-empty list of numbers >= 0")
     kinds = tuple(data.get("kinds", ["diagonal"]))
     for kind in kinds:
-        if kind not in KINDS or kind == "none":
+        if kind not in ("diagonal", "off_diagonal"):
             raise ConfigError(f"{where}.kinds: {kind!r} is not a disorder kind")
     realizations = data.get("realizations", 1000)
     if realizations < 1:

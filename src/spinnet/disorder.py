@@ -40,6 +40,11 @@ class DisorderSpec:
         if self.strength < 0:
             raise ValueError(f"disorder strength must be >= 0, got {self.strength}")
 
+    @property
+    def clean(self) -> bool:
+        """True when the spec perturbs nothing: every realization is the bare graph."""
+        return self.kind == "none" or self.strength == 0.0
+
 
 @dataclass(frozen=True)
 class SeededRng:
@@ -75,7 +80,7 @@ def sample_disorder(graph: CouplingGraph, spec: DisorderSpec, rng: SeededRng) ->
     absent); the perturbed sign is unrestricted. The input graph is never
     mutated.
     """
-    if spec.kind == "none" or spec.strength == 0.0:
+    if spec.clean:
         return graph
     draws = disorder_draws(graph, spec, rng)
     if spec.kind == "off_diagonal":

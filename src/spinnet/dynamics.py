@@ -171,15 +171,11 @@ def propagate(
             t_now = t_kick
         amplitudes = np.array(amplitudes)
         phase = complex(math.cos(angle), math.sin(angle))
-        if amplitudes.ndim == 1:
-            amplitudes[site] *= phase
-        else:
-            # one scalar complex product per state, as for a single vector:
-            # numpy's vector loop rounds differently for a strided column of
-            # two or more states than for one, which would tie a state's
-            # last bits to the size of its stack
-            column = amplitudes.reshape(-1, amplitudes.shape[-1])[:, site]
-            column[:] = [a * phase for a in column.tolist()]
+        # one scalar complex product per state: numpy's vector loop rounds
+        # differently for a strided column of two or more states than for
+        # one, which would tie a state's last bits to the size of its stack
+        column = amplitudes.reshape(-1, amplitudes.shape[-1])[:, site]
+        column[:] = [a * phase for a in column.tolist()]
     if t_end > t_now:
         amplitudes = evolve(decomp, amplitudes, t_end - t_now)
     return amplitudes

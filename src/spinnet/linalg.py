@@ -87,9 +87,7 @@ def evolve(decomp: SpectralDecomposition, psi0: np.ndarray, t: float) -> np.ndar
         )
     v = decomp.eigenvectors
     phases = np.exp(-1j * decomp.eigenvalues * t)
-    if v.ndim == 2 and v.dtype.kind == "c":
-        return v @ (phases * (v.conj().T @ psi0))
-    return _matvec(v, phases * _matvec(np.swapaxes(v, -1, -2).conj(), psi0))
+    return _matvec(v, phases * _matvec(v.swapaxes(-1, -2).conj(), psi0))
 
 
 def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:

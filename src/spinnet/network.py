@@ -72,13 +72,6 @@ class NetworkSpec:
     def n_sites(self) -> int:
         return sum(c.length for c in self.chains)
 
-    def chain_sites(self, k: int) -> range:
-        """Global 1-based site labels of chain k (k itself 1-based)."""
-        if not 1 <= k <= len(self.chains):
-            raise ValueError(f"chain index {k} out of range 1..{len(self.chains)}")
-        start = 1 + sum(c.length for c in self.chains[: k - 1])
-        return range(start, start + self.chains[k - 1].length)
-
     @property
     def junction_pairs(self) -> tuple[tuple[int, int], ...]:
         """Fused (site, site+1) pairs, one per junction."""

@@ -9,16 +9,21 @@ n+1-i at its mirror time while multiplying the state by (-i)^(n-1).
 Walking a protocol through the fused network amounts to applying the block
 unitary, mirroring the uncoupled chains, and applying it back; all expected
 states below come from that algebra.
+
+Phase retrieval (:func:`probe_estimates`) takes one decomposed device or a
+stack of them; the disorder scans over it run in :mod:`spinnet.sweep`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from .disorder import DisorderSpec, SeededRng, sample_disorder
+import numpy as np
+
 from .dynamics import PureState, Protocol, inject, phase_kick, propagate
-from .linalg import eigh, evolve
+from .linalg import SpectralDecomposition, eigh, evolve
 from .network import ChainSpec, CouplingGraph, NetworkSpec, network_graph, retune_jmax
 
 SQRT2 = math.sqrt(2.0)
@@ -453,35 +458,44 @@ def mws_transfer_15() -> ProtocolResult:
 
 # --- phase sensing -------------------------------------------------------
 
-def phase_probe_estimates(
-    graph: CouplingGraph, n_total: int, thetas_deg: list[float] | tuple[float, ...]
-) -> list[float]:
-    """Estimate each unknown kick angle, decomposing the device once.
+def probe_estimates(
+    decomp: SpectralDecomposition, n_total: int, thetas_deg: Sequence[float]
+) -> list[list[float]]:
+    """Estimate each unknown kick angle on every device of a decomposed stack.
 
     Per angle, run A reads P1 = (1 + cos theta)/2 at 2 t_m; run B adds a
     known quarter turn to the unknown phase and reads P1' = (1 - sin
     theta)/2. atan2(1 - 2 P1', 2 P1 - 1) then recovers the full circle; on
-    a clean network the estimate is exact.
+    a clean network the estimate is exact. The devices evolve and are kicked
+    together, then each gets its estimates as scalars: one list per device,
+    the same bit for bit as for that device alone.
     """
     t_m = ChainSpec(n_total // 2).mirror_time
     kick_index = n_total // 2  # 0-based index of site N/2 + 1
-    decomp = eigh(graph.to_matrix())
-    start = PureState.basis(graph.n_sites, 1).amplitudes
+    start = np.zeros(decomp.eigenvalues.shape, dtype=complex)
+    start[..., 0] = 1.0
     halfway = evolve(decomp, start, t_m)
-    t_end = 2 * t_m
 
-    def probe(angle: float) -> float:
-        kicked = propagate(decomp, halfway, t_m, ((t_m, kick_index, angle),), t_end)
-        return float(abs(kicked[0]) ** 2)
+    def populations(angle: float) -> list[float]:
+        kicked = propagate(decomp, halfway, t_m, ((t_m, kick_index, angle),), 2 * t_m)
+        return [float(abs(a) ** 2) for a in kicked[..., 0].reshape(-1)]
 
-    estimates = []
+    estimates: list[list[float]] = [[] for _ in range(halfway[..., 0].size)]
     for theta_deg in thetas_deg:
         theta = math.radians(theta_deg)
-        p_direct = probe(theta)
-        p_quadrature = probe(theta + math.pi / 2.0)
-        est = math.degrees(math.atan2(1.0 - 2.0 * p_quadrature, 2.0 * p_direct - 1.0))
-        estimates.append(est % 360.0)
+        direct = populations(theta)
+        quadrature = populations(theta + math.pi / 2.0)
+        for device, p_direct, p_quad in zip(estimates, direct, quadrature):
+            est = math.degrees(math.atan2(1.0 - 2.0 * p_quad, 2.0 * p_direct - 1.0))
+            device.append(est % 360.0)
     return estimates
+
+
+def phase_probe_estimates(
+    graph: CouplingGraph, n_total: int, thetas_deg: Sequence[float]
+) -> list[float]:
+    """:func:`probe_estimates` of one device, decomposed once."""
+    return probe_estimates(eigh(graph.to_matrix()), n_total, thetas_deg)[0]
 
 
 def phase_sense_estimate(n_total: int, theta_deg: float) -> float:
@@ -493,41 +507,6 @@ def phase_sense_estimate(n_total: int, theta_deg: float) -> float:
 def unwrap_to_branch(estimate_deg: float, reference_deg: float) -> float:
     """Move an angle onto the branch within 180 degrees of the reference."""
     return reference_deg + ((estimate_deg - reference_deg + 180.0) % 360.0 - 180.0)
-
-
-def phase_scan_setting(
-    n_total: int,
-    thetas_deg: tuple[float, ...],
-    disorder_spec: DisorderSpec,
-    realizations: int,
-    master_seed: int,
-    stream_base: int = 0,
-) -> list[tuple[float, float, float]]:
-    """(mean, std, std of mean) of the estimate per scanned angle.
-
-    One disorder realization is one device: it is decomposed once and
-    probed at every angle. Estimates are unwrapped onto the branch around
-    the true angle before averaging, so means near 0/360 do not smear
-    across the seam.
-    """
-    from .observables import ensemble_average
-
-    graph = network_graph(_two_chain_spec(n_total))
-    per_angle: list[list[float]] = [[] for _ in thetas_deg]
-    for k in range(realizations):
-        g = sample_disorder(graph, disorder_spec, SeededRng(master_seed, stream_base + k))
-        estimates = phase_probe_estimates(g, n_total, thetas_deg)
-        for slot, (theta, est) in zip(per_angle, zip(thetas_deg, estimates)):
-            slot.append(unwrap_to_branch(est, theta))
-        if disorder_spec.kind == "none" or disorder_spec.strength == 0.0:
-            for slot in per_angle:  # every clean realization is identical
-                slot.extend(slot * (realizations - 1))
-            break
-    stats = []
-    for values in per_angle:
-        mean, std, sem = ensemble_average(values)
-        stats.append((mean % 360.0, std, sem))
-    return stats
 
 
 # --- name-based dispatch (CLI surface) ------------------------------------

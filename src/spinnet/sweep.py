@@ -1,11 +1,13 @@
-"""Disorder-ensemble sweeps over (size, error-strength) grids.
+"""Disorder ensembles: sweeps over (size, error-strength) grids, phase scans.
 
 A sweep cell is one (size, E, kind) combination evaluated over K disorder
 realizations. Realization k of cell c draws from the stream (master seed,
 c * K + k), so the numbers cannot depend on how cells are distributed over
-workers. Realizations run in blocks through one real-symmetric eigensolve
-over a stack of Hamiltonians; a realization's value does not depend on the
-block it lands in either. Completed cells are checkpointed to disk
+workers. Sweep cells and phase-scan settings draw their realizations from
+one block generator, :func:`hamiltonian_blocks`, one stack of Hamiltonians
+per block: a sweep decomposes the stack as real symmetric, a phase scan as
+complex. A realization's value does not depend on the block it lands in
+either. Completed sweep cells are checkpointed to disk
 (write-temp-then-rename) together with a fingerprint of their
 configuration, and skipped on resume only when that fingerprint matches.
 """
@@ -17,7 +19,7 @@ import multiprocessing
 import os
 import sys
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,14 +28,49 @@ from .config import ConfigError, SweepConfig, mirror_tokens, parse_time_expressi
 from .disorder import DisorderSpec, SeededRng, disorder_draws
 from .dynamics import NORM_ATOL, PureState, propagate, replace_samples, schedule_kicks
 from .linalg import InvariantViolation, eigh
+from .network import CouplingGraph
 from .observables import EnsembleAccumulator, eof_pair, fidelities, fidelity, pair_eofs
-from .protocols import FigureOfMerit, ProtocolResult, build_protocol, phase_scan_setting
+from .protocols import (FigureOfMerit, ProtocolResult, build_protocol, probe_estimates,
+                        unwrap_to_branch)
 
-# Matrix entries per block of realizations. A stack of 2^14 float64 entries
-# (128 KiB) keeps a worker's peak memory within a few percent of a
-# one-realization-at-a-time loop and still holds 83 realizations at N = 14;
+# Matrix entries per block of realizations. A stack of 2^14 entries (128 KiB
+# real, 256 KiB complex) keeps a worker's peak memory within a few percent of
+# a one-realization-at-a-time loop and still holds 83 realizations at N = 14;
 # from N = 91 on a block is one realization.
 BLOCK_ENTRIES = 1 << 14
+
+
+def hamiltonian_blocks(
+    graph: CouplingGraph, disorder_spec: DisorderSpec, realizations: int, master_seed: int,
+    stream_base: int = 0,
+) -> Iterator[tuple[range, np.ndarray]]:
+    """The disorder realizations of ``graph``, as (streams, H) per block.
+
+    Realization k draws from stream ``stream_base + k``. A block holds the
+    streams of at most BLOCK_ENTRIES matrix entries, and H is their real
+    (B, N, N) stack of Hamiltonians. A clean spec yields one realization,
+    the bare graph.
+    """
+    n = graph.n_sites
+    rows, cols, couplings = graph.edge_arrays()
+    sites = np.arange(n)
+    runs = min(realizations, 1) if disorder_spec.clean else realizations
+    block = max(1, BLOCK_ENTRIES // (n * n))
+    for first in range(stream_base, stream_base + runs, block):
+        streams = range(first, min(first + block, stream_base + runs))
+        onsite, values = graph.onsite, couplings
+        if not disorder_spec.clean:
+            draws = np.array([disorder_draws(graph, disorder_spec, SeededRng(master_seed, stream))
+                              for stream in streams])
+            if disorder_spec.kind == "off_diagonal":
+                values = values + draws
+            else:
+                onsite = onsite + draws
+        h = np.zeros((len(streams), n, n))
+        h[:, rows, cols] = values
+        h[:, cols, rows] = values
+        h[:, sites, sites] = onsite
+        yield streams, h
 
 
 def merit_value(state: PureState, merit: FigureOfMerit) -> float:
@@ -60,46 +97,25 @@ def ensemble_merit(
 ) -> EnsembleAccumulator:
     """Run one protocol K times under fresh disorder and collect its merit.
 
-    Realization k draws from stream ``stream_base + k``. Realizations run in
-    blocks of at most BLOCK_ENTRIES matrix entries: each block is one real
-    (B, N, N) stack, one batched eigensolve, one propagation of all B states
-    and one vectorised merit. A clean spec runs one realization and repeats
-    its value K times.
+    Realization k draws from stream ``stream_base + k``. Each block of
+    :func:`hamiltonian_blocks` gets one batched eigensolve, one propagation
+    of all its states and one vectorised merit. A clean spec runs one
+    realization and repeats its value K times.
     """
     merit = merit or result.merit
     t = merit.time if observe_time is None else observe_time
     graph = result.graph()
     start, kicks = schedule_kicks(replace_samples(result.protocol, (t,)), graph.n_sites)
     kicks = [kick for kick in kicks if kick[0] <= t]
-    n = graph.n_sites
-    rows, cols, couplings = graph.edge_arrays()
-    sites = np.arange(n)
-    clean = disorder_spec.kind == "none" or disorder_spec.strength == 0.0
-    runs = min(realizations, 1) if clean else realizations
-    block = max(1, BLOCK_ENTRIES // (n * n))
     acc = EnsembleAccumulator()
-    for first in range(stream_base, stream_base + runs, block):
-        streams = range(first, min(first + block, stream_base + runs))
-        onsite, values = graph.onsite, couplings
-        if not clean:
-            draws = np.array([
-                disorder_draws(graph, disorder_spec, SeededRng(master_seed, stream))
-                for stream in streams
-            ])
-            if disorder_spec.kind == "off_diagonal":
-                values = values + draws
-            else:
-                onsite = onsite + draws
-        h = np.zeros((len(streams), n, n))
-        h[:, rows, cols] = values
-        h[:, cols, rows] = values
-        h[:, sites, sites] = onsite
-        amplitudes = np.zeros((len(streams), n), dtype=complex)
+    for streams, h in hamiltonian_blocks(graph, disorder_spec, realizations, master_seed,
+                                         stream_base):
+        amplitudes = np.zeros((len(streams), graph.n_sites), dtype=complex)
         amplitudes[:, start] = 1.0
         amplitudes = propagate(eigh(h), amplitudes, 0.0, kicks, t)
         _check_norms(amplitudes, streams, t)
         acc.extend(merit_values(amplitudes, merit).tolist())
-    if clean:
+    if disorder_spec.clean:
         acc.extend(acc.values * (realizations - 1))
     return acc
 
@@ -132,6 +148,10 @@ def resolve_merit(
             raise ConfigError(
                 f"protocol {result.name!r} has no natural site pair; set sweep.eof_pair"
             )
+        n = result.network.n_sites
+        if pair[0] == pair[1] or not all(1 <= site <= n for site in pair):
+            raise ConfigError(f"sweep.eof_pair {list(pair)} needs two distinct sites in "
+                              f"1..{n} ({result.name!r} has {n} sites)")
         merit = FigureOfMerit("eof", result.merit.time, pair=pair)
     else:
         raise ConfigError(f"unknown observable {observable!r}")
@@ -162,6 +182,11 @@ class SweepCell:
     @property
     def disorder(self) -> DisorderSpec:
         return DisorderSpec(kind=self.kind, strength=self.e)
+
+    def protocol(self) -> tuple[ProtocolResult, FigureOfMerit]:
+        """The protocol at the cell's size, and the merit the sweep records for it."""
+        result = build_protocol(self.protocol_name, dict(self.params, **{self.axis: self.size}))
+        return result, resolve_merit(result, self.observable, self.eof_pair, self.observe)
 
     def fingerprint(self) -> dict[str, Any]:
         """Everything the cell's numbers depend on, as its checkpoint stores it."""
@@ -206,18 +231,9 @@ def sweep_cells(
 
 def run_cell(cell: SweepCell) -> dict[str, Any]:
     """Evaluate one cell; returns a plain dict so it survives any transport."""
-    params = dict(cell.params)
-    params[cell.axis] = cell.size
-    result = build_protocol(cell.protocol_name, params)
-    merit = resolve_merit(result, cell.observable, cell.eof_pair, cell.observe)
-    acc = ensemble_merit(
-        result,
-        cell.disorder,
-        cell.realizations,
-        cell.master_seed,
-        stream_base=cell.stream_base,
-        merit=merit,
-    )
+    result, merit = cell.protocol()
+    acc = ensemble_merit(result, cell.disorder, cell.realizations, cell.master_seed,
+                         stream_base=cell.stream_base, merit=merit)
     return {
         "index": cell.index,
         "size": cell.size,
@@ -314,6 +330,34 @@ def _write_checkpoint(checkpoint_dir: str | None, row: dict[str, Any]) -> None:
 
 # --- phase scan ------------------------------------------------------------
 
+def phase_scan_setting(
+    n_total: int, thetas_deg: tuple[float, ...], disorder_spec: DisorderSpec,
+    realizations: int, master_seed: int, stream_base: int = 0,
+) -> list[tuple[float, float, float]]:
+    """(mean, std, std of mean) of the estimate per scanned angle.
+
+    One disorder realization is one device, probed at every angle. Devices
+    run in the blocks of :func:`hamiltonian_blocks`, one eigensolve and one
+    probe of all devices per block. Estimates are unwrapped onto the branch
+    around the true angle before averaging, so means near 0/360 do not
+    smear across the seam.
+    """
+    graph = build_protocol("phase-sense", {"n": n_total}).graph()
+    per_angle: list[list[float]] = [[] for _ in thetas_deg]
+    for _, h in hamiltonian_blocks(graph, disorder_spec, realizations, master_seed, stream_base):
+        # complex, as one device's to_matrix(), so every estimate keeps its bits
+        # (and bench/reference/ its rows): a device on the unwrap branch cut
+        # (README, "Reproducibility") flips sides on a last-bit change
+        for estimates in probe_estimates(eigh(h.astype(complex)), n_total, thetas_deg):
+            for slot, theta, est in zip(per_angle, thetas_deg, estimates):
+                slot.append(unwrap_to_branch(est, theta))
+    if disorder_spec.clean:
+        for slot in per_angle:  # every clean realization is identical
+            slot.extend(slot * (realizations - 1))
+    accs = [EnsembleAccumulator(values) for values in per_angle]
+    return [(acc.mean % 360.0, acc.std, acc.std_of_mean) for acc in accs]
+
+
 def phase_scan_rows(
     n_total: int,
     thetas_deg: tuple[float, ...],
@@ -324,25 +368,15 @@ def phase_scan_rows(
     """One row per (disorder setting, scanned angle)."""
     rows = []
     for setting_index, spec in enumerate(settings):
-        clean = spec.kind == "none" or spec.strength == 0.0
-        k = 1 if clean else realizations
+        k = 1 if spec.clean else realizations
         stream_base = setting_index * realizations
         stats = phase_scan_setting(
             n_total, thetas_deg, spec, k, master_seed, stream_base=stream_base
         )
         for theta, (mean, std, sem) in zip(thetas_deg, stats):
-            rows.append(
-                {
-                    "kind": spec.kind,
-                    "e": spec.strength,
-                    "theta_deg": theta,
-                    "theta_mean_deg": mean,
-                    "std_deg": std,
-                    "std_of_mean_deg": sem,
-                    "k": k,
-                    "stream_base": stream_base,
-                }
-            )
+            rows.append({"kind": spec.kind, "e": spec.strength, "theta_deg": theta,
+                         "theta_mean_deg": mean, "std_deg": std, "std_of_mean_deg": sem,
+                         "k": k, "stream_base": stream_base})
     return rows
 
 

@@ -28,8 +28,8 @@ from spinnet import (
 )
 from spinnet.dynamics import Protocol, inject, phase_kick, replace_samples, run_schedule, state_at
 from spinnet.observables import ensemble_average
-from spinnet.protocols import gamma_factor, phase_scan_setting, phi_factor
-from spinnet.sweep import ensemble_merit, run_cells, sweep_cells
+from spinnet.protocols import gamma_factor, phi_factor
+from spinnet.sweep import ensemble_merit, phase_scan_setting, run_cells, sweep_cells
 from spinnet.config import SweepConfig
 
 from conftest import random_single_excitation_state

@@ -332,6 +332,37 @@ def test_sweep_eof_observable(tmp_path):
     assert float(rows[0]["mean"]) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("n_values, pair, sites", [
+    ([4], [1, 12], 4),
+    ([12, 4], [1, 12], 4),  # fits the first size, not the second
+    ([6], [3, 3], 6),
+])
+def test_sweep_rejects_an_eof_pair_that_does_not_fit_every_size(
+    tmp_path, capsys, n_values, pair, sites
+):
+    cfg = write_config(
+        tmp_path,
+        {
+            "protocol": {"name": "ent-phase", "n": 12},
+            "sweep": {
+                "n_values": n_values,
+                "e_values": [0.0],
+                "kinds": ["diagonal"],
+                "realizations": 2,
+                "observable": "eof",
+                "eof_pair": pair,
+            },
+        },
+    )
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 2
+    captured = capsys.readouterr()
+    message = f"config error: sweep.eof_pair {pair} needs two distinct sites in 1..{sites}"
+    assert message in captured.err
+    assert captured.out == ""  # no cell ran
+    assert not (out / "checkpoints").exists()
+
+
 def test_sweep_contour_crosses_threshold(tmp_path):
     cfg = write_config(
         tmp_path,

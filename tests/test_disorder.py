@@ -27,6 +27,15 @@ def test_zero_strength_returns_graph_unchanged():
     assert np.array_equal(out.onsite, g.onsite)
 
 
+@pytest.mark.parametrize("kind, strength, clean", [
+    ("none", 0.3, True),
+    ("diagonal", 0.0, True),
+    ("off_diagonal", 0.1, False),
+])
+def test_clean_spec(kind, strength, clean):
+    assert DisorderSpec(kind, strength).clean is clean
+
+
 def test_kind_none_ignores_strength():
     g = chain_graph(ChainSpec(5))
     out = sample_disorder(g, DisorderSpec("none", 0.0), SeededRng(1, 0))

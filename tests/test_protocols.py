@@ -5,15 +5,19 @@ import pytest
 
 from spinnet import (
     ChainSpec,
+    DisorderSpec,
     NetworkSpec,
     PureState,
+    SeededRng,
     eof_pair,
     fidelity,
     mirror_superposition_state,
     network_graph,
     phase_sense_estimate,
+    sample_disorder,
 )
 from spinnet.dynamics import Protocol, inject, phase_kick, replace_samples, run_schedule, state_at
+from spinnet.linalg import eigh
 from spinnet.protocols import (
     FLIP,
     alpha_factor,
@@ -31,6 +35,7 @@ from spinnet.protocols import (
     phase_probe_estimates,
     phase_sense_two_chain,
     phi_factor,
+    probe_estimates,
     router_two_chain,
     two_chain_phase_protocol,
     unequal_entangle,
@@ -422,6 +427,19 @@ def test_phase_sense_exact_on_clean_network():
 def test_phase_sense_realization_on_given_graph():
     g = network_graph(NetworkSpec([ChainSpec(10), ChainSpec(10)]))
     assert abs(phase_probe_estimates(g, 20, [123.0])[0] - 123.0) < 1e-6
+
+
+def test_probe_over_a_stack_matches_each_device_alone():
+    graph = network_graph(NetworkSpec([ChainSpec(10), ChainSpec(10)]))
+    devices = [
+        sample_disorder(graph, DisorderSpec(kind, 0.1), SeededRng(20230724, stream))
+        for kind, stream in (("diagonal", 4), ("off_diagonal", 5), ("off_diagonal", 6))
+    ]
+    thetas = [15.0 * k for k in range(24)]
+    stack = eigh(np.array([device.to_matrix() for device in devices]))
+    assert probe_estimates(stack, 20, thetas) == [
+        phase_probe_estimates(device, 20, thetas) for device in devices
+    ]
 
 
 # --- dispatch ----------------------------------------------------------------------

@@ -8,8 +8,21 @@ from spinnet.config import SweepConfig
 from spinnet.disorder import DisorderSpec, SeededRng, sample_disorder
 from spinnet.dynamics import replace_samples, run_schedule
 from spinnet.linalg import eigh
-from spinnet.protocols import build_protocol, router_two_chain
-from spinnet.sweep import ensemble_merit, merit_value, resolve_merit, run_cells, sweep_cells
+from spinnet.observables import ensemble_average
+from spinnet.protocols import (
+    build_protocol,
+    phase_probe_estimates,
+    router_two_chain,
+    unwrap_to_branch,
+)
+from spinnet.sweep import (
+    ensemble_merit,
+    merit_value,
+    phase_scan_setting,
+    resolve_merit,
+    run_cells,
+    sweep_cells,
+)
 
 from test_protocols import ALL_PROTOCOLS
 
@@ -109,15 +122,25 @@ def test_clean_cell_repeats_one_realization(kind):
 @pytest.mark.parametrize("name, params, k", [
     ("ent-phase", {"n": 14}, 100),   # two blocks at the default size: 83, then 17
     ("w-state", {"chain_length": 4}, 150),  # N = 12, a kick by arccos(-1/3): 113, then 37
+    ("phase-scan", {"n": 20}, 45),  # phase_scan_setting: 40, then 5
 ])
 def test_values_do_not_depend_on_the_block_size(monkeypatch, kind, name, params, k):
-    result = build_protocol(name, params)
-    n = result.network.n_sites
     spec = DisorderSpec(kind, 0.2)
-    default = ensemble_merit(result, spec, k, SEED, stream_base=3).values
-    for entries in (1, 7 * n * n, k * n * n):
+    if name == "phase-scan":
+        n = params["n"]
+
+        def values():
+            return phase_scan_setting(n, (0.0, 135.0, 315.0), spec, k, SEED, stream_base=3)
+    else:
+        result = build_protocol(name, params)
+        n = result.network.n_sites
+
+        def values():
+            return ensemble_merit(result, spec, k, SEED, stream_base=3).values
+    default = values()
+    for entries in (1, 7 * n * n, k * n * n):  # one per block, an uneven split, all in one
         monkeypatch.setattr(sweep, "BLOCK_ENTRIES", entries)
-        assert ensemble_merit(result, spec, k, SEED, stream_base=3).values == default
+        assert values() == default
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -147,3 +170,36 @@ def test_norm_check_names_the_stream_time_and_defect(monkeypatch):
     assert f"t = {result.merit.time}" in message
     defect = float(re.search(r"drifted by (\S+)", message).group(1))
     assert defect == pytest.approx(1.01 ** 4 - 1.0, rel=1e-3)  # evolved before and after the kick
+
+
+# --- phase scan ------------------------------------------------------------------
+
+def phase_scan_reference(n, thetas, spec, k, base):
+    """One device at a time: sample_disorder, phase_probe_estimates, unwrap, average."""
+    graph = build_protocol("phase-sense", {"n": n}).graph()
+    per_angle = [[] for _ in thetas]
+    for j in range(k):
+        device = sample_disorder(graph, spec, SeededRng(SEED, base + j))
+        for slot, theta, est in zip(per_angle, thetas, phase_probe_estimates(device, n, thetas)):
+            slot.append(unwrap_to_branch(est, theta))
+    stats = []
+    for values in per_angle:
+        mean, std, sem = ensemble_average(values)
+        stats.append((mean % 360.0, std, sem))
+    return stats
+
+
+@pytest.mark.parametrize("n, kind, e, k, base", [
+    (20, "none", 0.0, 3, 0),
+    (20, "diagonal", 0.05, 12, 1000),
+    (20, "off_diagonal", 0.10, 12, 2000),
+    # streams 2269 and 2528 estimate 315 degrees as 135 to within 7e-12, on the
+    # unwrap branch cut (README, "Reproducibility"): their last bits pick the side
+    (50, "off_diagonal", 0.10, 2, 2268),
+    (50, "off_diagonal", 0.10, 2, 2527),
+])
+def test_phase_scan_matches_the_per_device_loop(n, kind, e, k, base):
+    thetas = tuple(float(t) for t in range(0, 360, 45))
+    spec = DisorderSpec(kind, e)
+    assert (phase_scan_setting(n, thetas, spec, k, SEED, stream_base=base)
+            == phase_scan_reference(n, thetas, spec, k, base))
