@@ -150,7 +150,7 @@ def cmd_build(args) -> int:
         print(f"chain {k}: length {chain.length}, j_max {chain.j_max:g}, "
               f"mirror time {chain.mirror_time:.12g}")
     negatives = sum(1 for _, _, j in graph.edges() if j < 0)
-    print(f"{graph.n_sites} sites, {len(graph.couplings)} couplings "
+    print(f"{graph.n_sites} sites, {len(graph.values)} couplings "
           f"({negatives} negative), wrote {edges_path}")
 
     _write_meta(out, "build", cfg, seed, workers, ["edges.txt", "spectrum.csv"])

@@ -47,11 +47,18 @@ def _check_keys(data: dict, allowed: dict[str, type | tuple], where: str) -> Non
                 hint = f" (did you mean {close[0]!r}?)"
             raise ConfigError(f"{where}: unknown key {key!r}{hint}; allowed: {sorted(allowed)}")
     for key, types in allowed.items():
-        if key in data and data[key] is not None and not isinstance(data[key], types):
+        if key in data and data[key] is not None and not _is(data[key], types):
             raise ConfigError(f"{where}.{key}: expected {types}, got {type(data[key]).__name__}")
 
 
 _NUMBER = (int, float)
+
+
+def _is(value: Any, types: type | tuple) -> bool:
+    """isinstance, except that a boolean (YAML yes/true) is not a number."""
+    if isinstance(value, bool):
+        return bool in (types if isinstance(types, tuple) else (types,))
+    return isinstance(value, types)
 
 
 def parse_network(data: Any, where: str = "network") -> NetworkSpec:
@@ -74,10 +81,6 @@ def parse_network(data: Any, where: str = "network") -> NetworkSpec:
         except ValueError as exc:
             raise ConfigError(f"{w}: {exc}")
     return NetworkSpec(chains)
-
-
-def network_to_dict(spec: NetworkSpec) -> dict:
-    return {"chains": [{"length": c.length, "j_max": c.j_max} for c in spec.chains]}
 
 
 @dataclass(frozen=True)
@@ -193,10 +196,10 @@ def parse_sweep(data: Any, where: str = "sweep") -> SweepConfig:
         raise ConfigError(f"{where}: give exactly one of 'n_values' or 'm_values'")
     axis = "n" if "n_values" in data else "m"
     sizes = data.get("n_values") or data.get("m_values")
-    if not sizes or not all(isinstance(v, int) and v > 0 for v in sizes):
+    if not sizes or not all(_is(v, int) and v > 0 for v in sizes):
         raise ConfigError(f"{where}.{axis}_values: need a non-empty list of positive integers")
     e_values = data.get("e_values")
-    if not e_values or not all(isinstance(v, _NUMBER) and v >= 0 for v in e_values):
+    if not e_values or not all(_is(v, _NUMBER) and v >= 0 for v in e_values):
         raise ConfigError(f"{where}.e_values: need a non-empty list of numbers >= 0")
     kinds = tuple(data.get("kinds", ["diagonal"]))
     for kind in kinds:
@@ -210,7 +213,7 @@ def parse_sweep(data: Any, where: str = "sweep") -> SweepConfig:
         raise ConfigError(f"{where}.observable: expected auto|fidelity|eof, got {observable!r}")
     pair = data.get("eof_pair")
     if pair is not None:
-        if len(pair) != 2 or not all(isinstance(v, int) and v >= 1 for v in pair):
+        if len(pair) != 2 or not all(_is(v, int) and v >= 1 for v in pair):
             raise ConfigError(f"{where}.eof_pair: expected two 1-based site labels")
         pair = (pair[0], pair[1])
     return SweepConfig(
@@ -253,6 +256,8 @@ def parse_phase_scan(data: Any, where: str = "phase_scan") -> PhaseScanConfig:
     if not isinstance(n, int) or n < 4 or n % 2:
         raise ConfigError(f"{where}.n: need an even network size >= 4")
     if "thetas_deg" in data:
+        if not all(_is(v, _NUMBER) for v in data["thetas_deg"]):
+            raise ConfigError(f"{where}.thetas_deg: need a list of numbers")
         thetas = tuple(float(v) for v in data["thetas_deg"])
     else:
         start = float(data.get("theta_start", 0.0))

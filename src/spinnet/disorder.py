@@ -9,12 +9,16 @@ peak coupling, so retuned networks see the same absolute error level.
 Reproducibility: every realization is addressed by (master seed, stream
 index). The same address always yields the same graph, bit for bit, no
 matter which worker draws it.
+
+One rule applies it: :func:`perturb` adds the :func:`disorder_draws` of
+one stream (:func:`sample_disorder`) or of a block of streams
+(``sweep.hamiltonian_blocks``) to the graph's edge or on-site arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,12 +69,22 @@ class SeededRng:
 def disorder_draws(graph: CouplingGraph, spec: DisorderSpec, rng: SeededRng) -> np.ndarray:
     """The perturbations one stream adds to ``graph`` under a disordered spec.
 
-    Off-diagonal disorder draws one value per existing edge, in site-pair
-    order, for its coupling; diagonal disorder one value per site, for its
-    on-site energy. Each value is E * J_ref * d with d ~ N(0, width^2).
+    Off-diagonal disorder draws one value per existing edge, in edge order,
+    for its coupling; diagonal disorder one value per site, for its on-site
+    energy. Each value is E * J_ref * d with d ~ N(0, width^2).
     """
-    size = len(graph.couplings) if spec.kind == "off_diagonal" else graph.n_sites
+    size = len(graph.values) if spec.kind == "off_diagonal" else graph.n_sites
     return spec.strength * spec.j_max_ref * rng.generator().normal(0.0, spec.width, size=size)
+
+
+def perturb(graph: CouplingGraph, spec: DisorderSpec,
+            draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(couplings, on-site energies) of ``graph`` with ``draws`` added to the
+    one that ``spec.kind`` perturbs; ``draws`` holds one stream's
+    :func:`disorder_draws` or a stack of them along leading axes."""
+    if spec.kind == "off_diagonal":
+        return graph.values + draws, graph.onsite
+    return graph.values, graph.onsite + draws
 
 
 def sample_disorder(graph: CouplingGraph, spec: DisorderSpec, rng: SeededRng) -> CouplingGraph:
@@ -82,10 +96,5 @@ def sample_disorder(graph: CouplingGraph, spec: DisorderSpec, rng: SeededRng) ->
     """
     if spec.clean:
         return graph
-    draws = disorder_draws(graph, spec, rng)
-    if spec.kind == "off_diagonal":
-        couplings = dict(graph.couplings)
-        for key, draw in zip(sorted(couplings), draws.tolist()):
-            couplings[key] += draw
-        return CouplingGraph(graph.n_sites, couplings, graph.onsite, spec=graph.spec)
-    return CouplingGraph(graph.n_sites, dict(graph.couplings), graph.onsite + draws, spec=graph.spec)
+    values, onsite = perturb(graph, spec, disorder_draws(graph, spec, rng))
+    return replace(graph, values=values, onsite=onsite)

@@ -9,14 +9,15 @@ first site of the next). The conjugation preserves the spectrum by
 construction and turns each fused pair into a four-site "diamond" with one
 negative coupling.
 
-Site labels are 1-based everywhere in the public API, matching the usual
-device diagrams; array indices are 0-based internally.
+Site labels are 1-based in the public API (edge lists, protocols,
+``CouplingGraph.edges``), matching the usual device diagrams; a graph's
+edge and on-site arrays are indexed from 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -110,81 +111,75 @@ def mirror_time(n: int, j_max: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class CouplingGraph:
-    """Symmetric coupling map plus on-site energies: the single-excitation
-    Hamiltonian in sparse form.
+    """The single-excitation Hamiltonian in sparse form, as read-only arrays.
 
-    ``couplings`` maps 1-based pairs (i, j) with i < j to J_ij (sign
-    unrestricted); ``onsite`` holds the 1-based site energies (index 0 is
-    site 1). Instances are treated as immutable: disorder and editing
-    produce new graphs.
+    Edge e couples the 0-based sites ``rows[e] < cols[e]`` by ``values[e]``
+    (any sign; an explicit zero is still an edge). The pairs are distinct
+    and sorted, which fixes the order in which off-diagonal disorder draws
+    one value per edge; ``onsite[i]`` is the energy of 0-based site i.
+    :meth:`edges` and :meth:`coupling` give the 1-based view.
     """
 
     n_sites: int
-    couplings: dict[tuple[int, int], float]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     onsite: np.ndarray
-    spec: NetworkSpec | None = None
 
     def __post_init__(self) -> None:
-        onsite = frozen_array(np.asarray(self.onsite, dtype=float))
-        object.__setattr__(self, "onsite", onsite)
-        if onsite.shape != (self.n_sites,):
-            raise ValueError(
-                f"onsite energies have shape {onsite.shape}, expected ({self.n_sites},)"
-            )
-        for (i, j) in self.couplings:
-            if not (1 <= i < j <= self.n_sites):
-                raise ValueError(f"bad coupling key ({i}, {j}) for {self.n_sites} sites")
+        for name, dtype in (("rows", np.intp), ("cols", np.intp), ("values", float),
+                            ("onsite", float)):
+            object.__setattr__(self, name, frozen_array(np.asarray(getattr(self, name), dtype)))
+        n, rows, cols = self.n_sites, self.rows, self.cols
+        if self.onsite.shape != (n,):
+            raise ValueError(f"onsite energies have shape {self.onsite.shape}, expected ({n},)")
+        if not (rows.ndim == 1 and rows.shape == cols.shape == self.values.shape):
+            raise ValueError("rows, cols and values must be 1-D arrays of one length")
+        if not (np.all(0 <= rows) and np.all(rows < cols) and np.all(cols < n)):
+            raise ValueError(f"edges need 0 <= row < col < {n}")
+        if np.any(np.diff(rows * n + cols) <= 0):
+            raise ValueError("edges must be distinct and sorted by site pair")
 
     def coupling(self, i: int, j: int) -> float:
         if i == j:
             raise ValueError("no self-couplings")
-        key = (i, j) if i < j else (j, i)
-        return self.couplings.get(key, 0.0)
+        i, j = min(i, j), max(i, j)
+        hit = np.flatnonzero((self.rows == i - 1) & (self.cols == j - 1))
+        return float(self.values[hit[0]]) if hit.size else 0.0
 
     def edges(self) -> list[tuple[int, int, float]]:
-        """Edges as (i, j, J) sorted by site pair."""
-        return [(i, j, self.couplings[(i, j)]) for (i, j) in sorted(self.couplings)]
+        """Edges as 1-based (i, j, J) with i < j, sorted by site pair."""
+        return [(i + 1, j + 1, value) for i, j, value
+                in zip(self.rows.tolist(), self.cols.tolist(), self.values.tolist())]
 
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The edges as arrays, sorted by site pair: 0-based rows (i - 1),
-        0-based columns (j - 1, with i < j) and couplings."""
-        edges = self.edges()
-        rows = np.array([i - 1 for i, _, _ in edges], dtype=np.intp)
-        cols = np.array([j - 1 for _, j, _ in edges], dtype=np.intp)
-        return rows, cols, np.array([value for _, _, value in edges], dtype=float)
+    def assemble(self, values: np.ndarray, onsite: np.ndarray) -> np.ndarray:
+        """Real symmetric (..., N, N) Hamiltonians on this graph's edges from
+        couplings ``values`` (..., E) and site energies ``onsite`` (..., N),
+        whose leading axes broadcast."""
+        n = self.n_sites
+        h = np.zeros(np.broadcast_shapes(values.shape[:-1], onsite.shape[:-1]) + (n, n))
+        h[..., self.rows, self.cols] = values
+        h[..., self.cols, self.rows] = values
+        sites = np.arange(n)
+        h[..., sites, sites] = onsite
+        return h
 
     def to_matrix(self) -> np.ndarray:
         """Dense Hermitian matrix: H[i-1, j-1] = J_ij, H[i-1, i-1] = eps_i."""
-        h = np.zeros((self.n_sites, self.n_sites), dtype=complex)
-        for (i, j), value in self.couplings.items():
-            h[i - 1, j - 1] = value
-            h[j - 1, i - 1] = value
-        h[np.diag_indices(self.n_sites)] = self.onsite
-        return h
+        return self.assemble(self.values, self.onsite).astype(complex)
 
 
 def chain_graph(spec: ChainSpec) -> CouplingGraph:
     """Path graph with the PST coupling profile and zero on-site energies."""
-    js = pst_couplings(spec.length, spec.j_max)
-    couplings = {(i, i + 1): float(js[i - 1]) for i in range(1, spec.length)}
-    return CouplingGraph(
-        n_sites=spec.length,
-        couplings=couplings,
-        onsite=np.zeros(spec.length),
-        spec=NetworkSpec([spec]),
-    )
+    return block_graph(NetworkSpec([spec]))
 
 
 def block_graph(spec: NetworkSpec) -> CouplingGraph:
     """Uncoupled chains side by side (block-diagonal Hamiltonian)."""
-    couplings: dict[tuple[int, int], float] = {}
-    offset = 0
-    for chain in spec.chains:
-        js = pst_couplings(chain.length, chain.j_max)
-        for i in range(1, chain.length):
-            couplings[(offset + i, offset + i + 1)] = float(js[i - 1])
-        offset += chain.length
-    return CouplingGraph(spec.n_sites, couplings, np.zeros(spec.n_sites), spec=spec)
+    starts = np.cumsum([0] + [chain.length for chain in spec.chains])
+    rows = np.concatenate([np.arange(a, b - 1) for a, b in zip(starts[:-1], starts[1:])])
+    values = np.concatenate([pst_couplings(c.length, c.j_max) for c in spec.chains])
+    return CouplingGraph(spec.n_sites, rows, rows + 1, values, np.zeros(spec.n_sites))
 
 
 def join_unitary(spec: NetworkSpec) -> np.ndarray:
@@ -219,14 +214,10 @@ def hadamard_join(spec: NetworkSpec) -> CouplingGraph:
     h2 = u @ h @ u.T
 
     scale = float(np.max(np.abs(h2))) or 1.0
-    couplings: dict[tuple[int, int], float] = {}
+    # row-major order of the upper triangle is site-pair order
+    rows, cols = np.nonzero(np.triu(np.abs(h2) > EDGE_PRUNE_RTOL * scale, 1))
     n = spec.n_sites
-    for a in range(n):
-        for b in range(a + 1, n):
-            value = h2[a, b]
-            if abs(value) > EDGE_PRUNE_RTOL * scale:
-                couplings[(a + 1, b + 1)] = float(value)
-    return CouplingGraph(n, couplings, np.zeros(n), spec=spec)
+    return CouplingGraph(n, rows, cols, h2[rows, cols], np.zeros(n))
 
 
 def network_graph(spec: NetworkSpec) -> CouplingGraph:
@@ -269,8 +260,9 @@ def write_edge_list(graph: CouplingGraph, out: TextIO) -> None:
 
 
 def read_edge_list(source: TextIO) -> CouplingGraph:
-    """Parse the edge-list format written by :func:`write_edge_list`."""
-    couplings: dict[tuple[int, int], float] = {}
+    """Parse the edge-list format written by :func:`write_edge_list`; a zero
+    coupling is still an edge, and a repeated site pair is an error."""
+    edges: list[tuple[int, int, float]] = []
     onsite: dict[int, float] = {}
     for lineno, raw in enumerate(source, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -278,24 +270,24 @@ def read_edge_list(source: TextIO) -> CouplingGraph:
             continue
         parts = line.split()
         try:
+            if len(parts) != 3:
+                raise ValueError
             if parts[0] == "site":
-                if len(parts) != 3:
+                site = int(parts[1])
+                if site < 1:
                     raise ValueError
-                onsite[int(parts[1])] = float(parts[2])
+                onsite[site] = float(parts[2])
             else:
-                if len(parts) != 3:
-                    raise ValueError
-                i, j = int(parts[0]), int(parts[1])
+                i, j = sorted((int(parts[0]), int(parts[1])))
                 if i == j:
                     raise ValueError
-                key = (i, j) if i < j else (j, i)
-                couplings[key] = float(parts[2])
-        except (ValueError, IndexError):
+                edges.append((i, j, float(parts[2])))
+        except ValueError:
             raise ValueError(f"edge list line {lineno}: cannot parse {raw.rstrip()!r}")
-    n = max(
-        [j for (_, j) in couplings] + list(onsite) + [1],
-    )
+    edges.sort()
+    n = max([j for _, j, _ in edges] + list(onsite) + [1])
     eps = np.zeros(n)
     for i, value in onsite.items():
         eps[i - 1] = value
-    return CouplingGraph(n, couplings, eps)
+    pairs = np.array([(i - 1, j - 1) for i, j, _ in edges], dtype=np.intp).reshape(-1, 2)
+    return CouplingGraph(n, pairs[:, 0], pairs[:, 1], [value for *_, value in edges], eps)

@@ -7,8 +7,8 @@ stacks of states; the full Wootters pipeline serves mixed ensemble states
 and is the reference the closed form is tested against.
 
 Ensemble statistics keep the per-realization values and reduce them with
-exactly-rounded summation, so merging partial accumulators from parallel
-workers gives the same numbers in any order.
+exactly-rounded summation, so the mean and spread do not depend on the
+order in which the values were added.
 """
 
 from __future__ import annotations
@@ -137,11 +137,6 @@ class EnsembleAccumulator:
 
     def extend(self, values: Iterable[float]) -> None:
         self.values.extend(float(v) for v in values)
-
-    def merge(self, other: "EnsembleAccumulator") -> "EnsembleAccumulator":
-        merged = EnsembleAccumulator(list(self.values))
-        merged.values.extend(other.values)
-        return merged
 
     @property
     def count(self) -> int:

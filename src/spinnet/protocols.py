@@ -512,36 +512,42 @@ def unwrap_to_branch(estimate_deg: float, reference_deg: float) -> float:
 # --- name-based dispatch (CLI surface) ------------------------------------
 
 def build_protocol(name: str, params: dict) -> ProtocolResult:
-    """Build a protocol from its CLI name and validated parameters."""
+    """Build a protocol from its CLI name and validated parameters. A
+    parameter the chosen protocol does not use (``n`` beside ``m`` for the
+    router, ``j_max_b`` for the 9-site mws) is an error, not dropped."""
     p = dict(params)
     try:
         if name == "router":
-            if "m" in p:
-                return m_chain_router(p.pop("m"))
-            return router_two_chain(p.pop("n"))
-        if name == "ent-phase":
-            return entangle_phase_two_chain(p.pop("n"))
-        if name == "phase-sense":
-            return phase_sense_two_chain(p.pop("n"), p.pop("theta_deg", 0.0))
-        if name == "ent-center":
-            return entangle_center_two_chain(p.pop("n"))
-        if name == "unequal-router":
-            return unequal_router(p.pop("n_a"), p.pop("n_b"))
-        if name == "unequal-ent":
-            return unequal_entangle(p.pop("n_a"), p.pop("n_b"))
-        if name == "w-state":
-            return w_state(p.pop("chain_length"))
-        if name == "mws":
+            result = m_chain_router(p.pop("m")) if "m" in p else router_two_chain(p.pop("n"))
+        elif name == "ent-phase":
+            result = entangle_phase_two_chain(p.pop("n"))
+        elif name == "phase-sense":
+            result = phase_sense_two_chain(p.pop("n"), p.pop("theta_deg", 0.0))
+        elif name == "ent-center":
+            result = entangle_center_two_chain(p.pop("n"))
+        elif name == "unequal-router":
+            result = unequal_router(p.pop("n_a"), p.pop("n_b"))
+        elif name == "unequal-ent":
+            result = unequal_entangle(p.pop("n_a"), p.pop("n_b"))
+        elif name == "w-state":
+            result = w_state(p.pop("chain_length"))
+        elif name == "mws":
             chain_length = p.pop("chain_length", 3)
             if chain_length == 3:
-                return mws_9(with_flips=p.pop("with_flips", False))
-            if chain_length == 4:
-                return mws_12(j_max_b=p.pop("j_max_b", 0.5))
-            raise ValueError(f"mws supports chain lengths 3 and 4, got {chain_length}")
-        if name == "max-ent":
-            return max_entangle_12(j_max_b=p.pop("j_max_b", 0.5))
-        if name == "mws-transfer":
-            return mws_transfer_15()
+                result = mws_9(with_flips=p.pop("with_flips", False))
+            elif chain_length == 4:
+                result = mws_12(j_max_b=p.pop("j_max_b", 0.5))
+            else:
+                raise ValueError(f"mws supports chain lengths 3 and 4, got {chain_length}")
+        elif name == "max-ent":
+            result = max_entangle_12(j_max_b=p.pop("j_max_b", 0.5))
+        elif name == "mws-transfer":
+            result = mws_transfer_15()
+        else:
+            raise ValueError(f"unknown protocol {name!r}")
     except KeyError as exc:
         raise ValueError(f"protocol {name!r} is missing parameter {exc.args[0]!r}")
-    raise ValueError(f"unknown protocol {name!r}")
+    if p:
+        raise ValueError(f"protocol {name!r} built from {sorted(set(params) - set(p))} does "
+                         f"not use parameter {', '.join(map(repr, sorted(p)))}")
+    return result

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, SweepConfig, mirror_tokens, parse_time_expression
-from .disorder import DisorderSpec, SeededRng, disorder_draws
+from .disorder import DisorderSpec, SeededRng, disorder_draws, perturb
 from .dynamics import NORM_ATOL, PureState, propagate, replace_samples, schedule_kicks
 from .linalg import InvariantViolation, eigh
 from .network import CouplingGraph
@@ -48,29 +48,21 @@ def hamiltonian_blocks(
 
     Realization k draws from stream ``stream_base + k``. A block holds the
     streams of at most BLOCK_ENTRIES matrix entries, and H is their real
-    (B, N, N) stack of Hamiltonians. A clean spec yields one realization,
-    the bare graph.
+    (B, N, N) stack of Hamiltonians, perturbed and assembled as
+    ``sample_disorder(...).to_matrix()`` is for one stream, bit for bit. A
+    clean spec yields one realization, the bare graph.
     """
-    n = graph.n_sites
-    rows, cols, couplings = graph.edge_arrays()
-    sites = np.arange(n)
     runs = min(realizations, 1) if disorder_spec.clean else realizations
-    block = max(1, BLOCK_ENTRIES // (n * n))
+    block = max(1, BLOCK_ENTRIES // (graph.n_sites ** 2))
     for first in range(stream_base, stream_base + runs, block):
         streams = range(first, min(first + block, stream_base + runs))
-        onsite, values = graph.onsite, couplings
-        if not disorder_spec.clean:
+        if disorder_spec.clean:
+            values, onsite = graph.values[np.newaxis], graph.onsite
+        else:
             draws = np.array([disorder_draws(graph, disorder_spec, SeededRng(master_seed, stream))
                               for stream in streams])
-            if disorder_spec.kind == "off_diagonal":
-                values = values + draws
-            else:
-                onsite = onsite + draws
-        h = np.zeros((len(streams), n, n))
-        h[:, rows, cols] = values
-        h[:, cols, rows] = values
-        h[:, sites, sites] = onsite
-        yield streams, h
+            values, onsite = perturb(graph, disorder_spec, draws)
+        yield streams, graph.assemble(values, onsite)
 
 
 def merit_value(state: PureState, merit: FigureOfMerit) -> float:

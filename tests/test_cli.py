@@ -254,6 +254,30 @@ def test_sweep_rejects_phase_sense(tmp_path, capsys):
     assert "phase-scan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("protocol", [
+    {"name": "router", "m": 3},
+    {"name": "w-state", "chain_length": 3},
+])
+def test_sweep_rejects_an_axis_its_protocol_does_not_use(tmp_path, capsys, protocol):
+    cfg = write_config(tmp_path, {**SWEEP_CONFIG, "protocol": protocol})
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert "does not use parameter 'n'" in captured.err
+    assert captured.out == ""  # no cell ran
+    assert not (out / "heatmap.csv").exists()
+
+
+def test_sweep_rejects_a_boolean_realization_count(tmp_path, capsys):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("protocol: {name: router, n: 4}\n"
+                   "sweep: {n_values: [4], e_values: [0.1], realizations: yes}\n")
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 2
+    assert "realizations" in capsys.readouterr().err
+    assert not (out / "heatmap.csv").exists()
+
+
 def test_sweep_resumes_from_checkpoints(tmp_path):
     cfg = write_config(tmp_path, SWEEP_CONFIG)
     out = tmp_path / "out"

@@ -12,7 +12,6 @@ from spinnet.config import (
     parse_protocol,
     parse_sweep,
     parse_time_expression,
-    network_to_dict,
 )
 
 
@@ -20,8 +19,6 @@ def test_network_parse_and_round_trip():
     data = {"chains": [{"length": 3, "j_max": 1.0}, {"length": 4}]}
     spec = parse_network(data)
     assert spec.chains == (ChainSpec(3, 1.0), ChainSpec(4, 1.0))
-    # parse -> serialize -> parse is idempotent
-    assert parse_network(network_to_dict(spec)) == spec
 
 
 def test_config_round_trip_through_yaml():
@@ -85,6 +82,24 @@ def test_sweep_validates_kinds_and_values():
         parse_sweep({"n_values": [4], "e_values": [-0.1]})
     with pytest.raises(ConfigError, match="realizations"):
         parse_sweep({"n_values": [4], "e_values": [0.0], "realizations": 0})
+
+
+def test_booleans_are_not_numbers():
+    sweep = {"n_values": [4], "e_values": [0.1]}
+    for key, bad in [("realizations", True), ("n_values", [True, 4]), ("e_values", [False]),
+                     ("eof_pair", [True, 2])]:
+        with pytest.raises(ConfigError, match=key):
+            parse_sweep(dict(sweep, **{key: bad}))
+    with pytest.raises(ConfigError, match="thetas_deg"):
+        parse_config({"phase_scan": {"n": 4, "thetas_deg": [True]}})
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config({"seed": True})
+    with pytest.raises(ConfigError, match="protocol.n"):
+        parse_protocol({"name": "router", "n": True})
+    cfg = parse_config(yaml.safe_load(
+        "protocol: {name: mws, chain_length: 3, with_flips: true}\nrun: {amplitudes: yes}"))
+    assert cfg.protocol.params["with_flips"] is True
+    assert cfg.run.amplitudes is True
 
 
 def test_disorder_validation():

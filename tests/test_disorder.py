@@ -23,7 +23,7 @@ def test_width_constant():
 def test_zero_strength_returns_graph_unchanged():
     g = chain_graph(ChainSpec(5))
     out = sample_disorder(g, DisorderSpec("diagonal", 0.0), SeededRng(1, 0))
-    assert out.couplings == g.couplings
+    assert out.edges() == g.edges()
     assert np.array_equal(out.onsite, g.onsite)
 
 
@@ -39,7 +39,7 @@ def test_clean_spec(kind, strength, clean):
 def test_kind_none_ignores_strength():
     g = chain_graph(ChainSpec(5))
     out = sample_disorder(g, DisorderSpec("none", 0.0), SeededRng(1, 0))
-    assert out.couplings == g.couplings
+    assert out.edges() == g.edges()
 
 
 def test_fixed_seed_and_stream_is_bit_identical():
@@ -47,7 +47,7 @@ def test_fixed_seed_and_stream_is_bit_identical():
     spec = DisorderSpec("off_diagonal", 0.1)
     a = sample_disorder(g, spec, SeededRng(42, 7))
     b = sample_disorder(g, spec, SeededRng(42, 7))
-    assert a.couplings == b.couplings  # exact float equality
+    assert a.edges() == b.edges()  # exact float equality
     spec_d = DisorderSpec("diagonal", 0.1)
     c = sample_disorder(g, spec_d, SeededRng(42, 7))
     d = sample_disorder(g, spec_d, SeededRng(42, 7))
@@ -59,15 +59,15 @@ def test_streams_are_independent():
     spec = DisorderSpec("off_diagonal", 0.1)
     a = sample_disorder(g, spec, SeededRng(42, 0))
     b = sample_disorder(g, spec, SeededRng(42, 1))
-    assert a.couplings != b.couplings
+    assert a.edges() != b.edges()
 
 
 def test_base_graph_never_mutated():
     g = chain_graph(ChainSpec(6))
-    before = dict(g.couplings)
+    before = g.edges()
     sample_disorder(g, DisorderSpec("off_diagonal", 0.3), SeededRng(0, 0))
     sample_disorder(g, DisorderSpec("diagonal", 0.3), SeededRng(0, 0))
-    assert g.couplings == before
+    assert g.edges() == before
     assert np.all(g.onsite == 0.0)
 
 
@@ -85,15 +85,15 @@ def test_gaussian_statistics_of_coupling_perturbation():
     # 10^5 draws at E = 0.1, J_ref = 1: the perturbation J' - J is Gaussian
     # with mean 0 and std E / (2 sqrt 3)
     n_edges = 1000
-    couplings = {(i, i + 1): 1.0 for i in range(1, n_edges + 1)}
     from spinnet import CouplingGraph
 
-    g = CouplingGraph(n_edges + 1, couplings, np.zeros(n_edges + 1))
+    g = CouplingGraph(n_edges + 1, np.arange(n_edges), np.arange(1, n_edges + 1),
+                      np.ones(n_edges), np.zeros(n_edges + 1))
     spec = DisorderSpec("off_diagonal", 0.1)
     deltas = []
     for k in range(100):
         out = sample_disorder(g, spec, SeededRng(9, k))
-        deltas.extend(out.couplings[key] - g.couplings[key] for key in g.couplings)
+        deltas.extend(out.values - g.values)
     deltas = np.asarray(deltas)
     target_std = 0.1 * GAUSSIAN_WIDTH
     standard_error = target_std / math.sqrt(deltas.size)
@@ -105,10 +105,10 @@ def test_diagonal_disorder_statistics_and_support():
     n = 2000
     from spinnet import CouplingGraph
 
-    g = CouplingGraph(n, {(1, 2): 1.0}, np.zeros(n))
+    g = CouplingGraph(n, [0], [1], [1.0], np.zeros(n))
     spec = DisorderSpec("diagonal", 0.2)
     out = sample_disorder(g, spec, SeededRng(3, 0))
-    assert out.couplings == g.couplings  # couplings untouched
+    assert out.edges() == g.edges()  # couplings untouched
     target_std = 0.2 * GAUSSIAN_WIDTH
     assert abs(out.onsite.mean()) < 4 * target_std / math.sqrt(n)
     assert abs(out.onsite.std() - target_std) < 0.05 * target_std
@@ -117,7 +117,7 @@ def test_diagonal_disorder_statistics_and_support():
 def test_only_existing_edges_are_perturbed():
     g = hadamard_join(NetworkSpec([ChainSpec(3), ChainSpec(3)]))
     out = sample_disorder(g, DisorderSpec("off_diagonal", 0.5), SeededRng(5, 0))
-    assert set(out.couplings) == set(g.couplings)
+    assert {(i, j) for i, j, _ in out.edges()} == {(i, j) for i, j, _ in g.edges()}
     # e.g. the diamond's missing diagonal stays absent
     assert out.coupling(3, 4) == 0.0
 

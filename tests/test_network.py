@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinnet import (
     ChainSpec,
+    CouplingGraph,
     NetworkSpec,
     chain_graph,
     eigh,
@@ -185,13 +186,34 @@ def test_join_preserves_the_spectrum_of_any_chain_list(chains):
 
 def test_edge_arrays_follow_the_sorted_edges(rng):
     graph = hadamard_join(random_network_spec(rng, n_chains=3))
-    rows, cols, values = graph.edge_arrays()
+    rows, cols, values = graph.rows, graph.cols, graph.values
     assert [(int(i) + 1, int(j) + 1, float(v)) for i, j, v in zip(rows, cols, values)] \
         == graph.edges()
     h = np.zeros((graph.n_sites, graph.n_sites))
     h[rows, cols] = values
     h[cols, rows] = values
     assert np.array_equal(h, graph.to_matrix().real)
+
+
+@pytest.mark.parametrize("rows, cols, values, problem", [
+    ([1, 0], [2, 1], [1.0, 1.0], "sorted"),
+    ([0, 0], [1, 1], [1.0, 2.0], "distinct"),
+    ([1], [1], [1.0], "row < col"),
+    ([2], [1], [1.0], "row < col"),
+    ([-1], [1], [1.0], "0 <= row"),
+    ([0], [3], [1.0], "col < 3"),
+    ([0, 1], [1, 2], [1.0], "one length"),
+])
+def test_coupling_graph_rejects_malformed_edge_arrays(rows, cols, values, problem):
+    with pytest.raises(ValueError, match=problem):
+        CouplingGraph(3, rows, cols, values, np.zeros(3))
+
+
+def test_coupling_graph_arrays_are_read_only():
+    graph = chain_graph(ChainSpec(4))
+    for array in (graph.rows, graph.cols, graph.values, graph.onsite):
+        with pytest.raises(ValueError):
+            array[0] = 1
 
 
 def test_single_chain_network_graph():
@@ -242,10 +264,20 @@ def test_edge_list_round_trip(rng):
     buffer.seek(0)
     back = read_edge_list(buffer)
     assert back.n_sites == g.n_sites
-    assert set(back.couplings) == set(g.couplings)
-    for key, value in g.couplings.items():
-        assert math.isclose(back.couplings[key], value, rel_tol=0, abs_tol=1e-15)
+    assert {(i, j) for i, j, _ in back.edges()} == {(i, j) for i, j, _ in g.edges()}
+    for i, j, value in g.edges():
+        assert math.isclose(back.coupling(i, j), value, rel_tol=0, abs_tol=1e-15)
     assert np.allclose(back.onsite, g.onsite)
+
+
+def test_edge_list_keeps_an_explicit_zero_coupling():
+    graph = read_edge_list(io.StringIO("3 2 0.5\n1 2 0.0\n"))
+    assert graph.edges() == [(1, 2, 0.0), (2, 3, 0.5)]
+
+
+def test_edge_list_rejects_a_repeated_pair():
+    with pytest.raises(ValueError, match="distinct"):
+        read_edge_list(io.StringIO("1 2 0.5\n2 1 0.5\n"))
 
 
 def test_edge_list_parse_error_reports_line():

@@ -234,17 +234,17 @@ def test_ensemble_average_empty_rejected():
         ensemble_average([])
 
 
-def test_accumulator_merge_is_order_independent(rng):
+def test_accumulator_extend_is_order_independent(rng):
     values = list(rng.uniform(0.0, 1.0, size=1000))
     chunks = [values[i::7] for i in range(7)]
     forward = EnsembleAccumulator()
     for chunk in chunks:
-        forward = forward.merge(EnsembleAccumulator(list(chunk)))
+        forward.extend(chunk)
     backward = EnsembleAccumulator()
     for chunk in reversed(chunks):
-        backward = backward.merge(EnsembleAccumulator(list(chunk)))
-    assert abs(forward.mean - backward.mean) < 1e-12
-    assert abs(forward.std - backward.std) < 1e-12
+        backward.extend(reversed(chunk))
+    assert forward.mean == backward.mean
+    assert forward.std == backward.std
     assert forward.count == backward.count == 1000
 
 

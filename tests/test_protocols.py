@@ -456,6 +456,16 @@ def test_build_protocol_unknown_name():
         build_protocol("teleport", {})
 
 
+@pytest.mark.parametrize("name, params, unused", [
+    ("router", {"n": 12, "m": 3}, "'n'"),
+    ("mws", {"chain_length": 3, "j_max_b": 0.7}, "'j_max_b'"),
+    ("mws", {"chain_length": 4, "with_flips": True}, "'with_flips'"),
+])
+def test_build_protocol_rejects_unused_parameters(name, params, unused):
+    with pytest.raises(ValueError, match=f"does not use parameter {unused}"):
+        build_protocol(name, params)
+
+
 def test_build_protocol_missing_parameter():
     with pytest.raises(ValueError, match="missing parameter"):
         build_protocol("router", {})

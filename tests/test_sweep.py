@@ -154,6 +154,19 @@ def test_realization_k_of_a_block_is_its_own_stream(kind, name, params):
     assert block == singles
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_block_realization_is_the_matrix_of_sample_disorder(kind):
+    graph = build_protocol("router", {"n": 12}).graph()
+    spec = DisorderSpec(kind, 0.2)
+    block = sweep.BLOCK_ENTRIES // 12 ** 2  # 113 realizations per block
+    stacks = [h for _, h in sweep.hamiltonian_blocks(graph, spec, block + 2, SEED, 40)]
+    assert [len(h) for h in stacks] == [block, 2]
+    realizations = np.concatenate(stacks)
+    for k in (0, block - 1, block, block + 1):  # both sides of the block boundary
+        single = sample_disorder(graph, spec, SeededRng(SEED, 40 + k)).to_matrix().real
+        assert np.array_equal(realizations[k], single)
+
+
 def test_norm_check_names_the_stream_time_and_defect(monkeypatch):
     def leaky_eigh(h):
         decomp = eigh(h)
