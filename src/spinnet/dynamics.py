@@ -3,9 +3,11 @@
 A protocol is a time-ordered event list over one static network: exactly one
 excitation injection at t = 0, then any number of phase injections, each an
 ideal zero-width diagonal unitary. Between events the state evolves under
-the network Hamiltonian through a single spectral decomposition. When an
-event and a recording time coincide, the event is applied first, so states
-engineered "at t" are what gets observed at t.
+the network Hamiltonian through one operator, built once: a spectral
+decomposition, or for the large networks of a sweep the band diagonals of
+the Hamiltonian (``linalg``). When an event and a recording time coincide,
+the event is applied first, so states engineered "at t" are what gets
+observed at t.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .linalg import InvariantViolation, SpectralDecomposition, eigh, evolve, frozen_array
+from .linalg import (BandOperator, InvariantViolation, SpectralDecomposition, chebyshev_evolve,
+                     eigh, evolve, frozen_array)
 from .network import CouplingGraph
 
 NORM_ATOL = 1e-10
@@ -149,7 +152,7 @@ def uniform_samples(duration: float, count: int = 400) -> tuple[float, ...]:
 
 
 def propagate(
-    decomp: SpectralDecomposition,
+    operator: SpectralDecomposition | BandOperator,
     amplitudes: np.ndarray,
     t_start: float,
     kicks: Sequence[tuple[float, int, float]],
@@ -160,14 +163,17 @@ def propagate(
     ``kicks`` are time-sorted (time, 0-based site, angle) triples within
     [t_start, t_end]; each multiplies its site by e^{i angle} before any
     evolution past its time. Evolution runs from stop to stop, so the
-    segments are the same whatever the caller records in between. A stacked
-    decomposition propagates one state per matrix, along the leading axes of
+    segments are the same whatever the caller records in between. The
+    operator is a spectral decomposition (:func:`~spinnet.linalg.evolve`) or
+    a band operator (:func:`~spinnet.linalg.chebyshev_evolve`); a stacked
+    one propagates one state per matrix, along the leading axes of
     ``amplitudes``. The input array is never modified.
     """
+    advance = chebyshev_evolve if isinstance(operator, BandOperator) else evolve
     t_now = t_start
     for t_kick, site, angle in kicks:
         if t_kick > t_now:
-            amplitudes = evolve(decomp, amplitudes, t_kick - t_now)
+            amplitudes = advance(operator, amplitudes, t_kick - t_now)
             t_now = t_kick
         amplitudes = np.array(amplitudes)
         phase = complex(math.cos(angle), math.sin(angle))
@@ -177,7 +183,7 @@ def propagate(
         column = amplitudes.reshape(-1, amplitudes.shape[-1])[:, site]
         column[:] = [a * phase for a in column.tolist()]
     if t_end > t_now:
-        amplitudes = evolve(decomp, amplitudes, t_end - t_now)
+        amplitudes = advance(operator, amplitudes, t_end - t_now)
     return amplitudes
 
 

@@ -4,10 +4,14 @@ A sweep cell is one (size, E, kind) combination evaluated over K disorder
 realizations. Realization k of cell c draws from the stream (master seed,
 c * K + k), so the numbers cannot depend on how cells are distributed over
 workers. Sweep cells and phase-scan settings draw their realizations from
-one block generator, :func:`hamiltonian_blocks`, one stack of Hamiltonians
-per block: a sweep decomposes the stack as real symmetric, a phase scan as
-complex. A realization's value does not depend on the block it lands in
-either. Completed sweep cells are checkpointed to disk
+one block generator, :func:`hamiltonian_blocks`, one stack of edge arrays
+per block, sized by what the consumer keeps per realization. A sweep of a
+network below CHEBYSHEV_MIN_SITES sites assembles the stack and decomposes
+it as real symmetric; from that size on it holds the stack as band
+diagonals and propagates it by a Chebyshev series, which costs O(N) per
+term and diagonal instead of an O(N^3) eigensolve. A phase scan assembles and
+decomposes its stack as complex. A realization's value does not depend on
+the block it lands in either. Completed sweep cells are checkpointed to disk
 (write-temp-then-rename) together with a fingerprint of their
 configuration, and skipped on resume only when that fingerprint matches.
 """
@@ -27,42 +31,52 @@ from . import __version__
 from .config import ConfigError, SweepConfig, mirror_tokens, parse_time_expression
 from .disorder import DisorderSpec, SeededRng, disorder_draws, perturb
 from .dynamics import NORM_ATOL, PureState, propagate, replace_samples, schedule_kicks
-from .linalg import InvariantViolation, eigh
+from .linalg import InvariantViolation, band_operator, eigh
 from .network import CouplingGraph
 from .observables import EnsembleAccumulator, eof_pair, fidelities, fidelity, pair_eofs
 from .protocols import (FigureOfMerit, ProtocolResult, build_protocol, probe_estimates,
                         unwrap_to_branch)
 
-# Matrix entries per block of realizations. A stack of 2^14 entries (128 KiB
-# real, 256 KiB complex) keeps a worker's peak memory within a few percent of
-# a one-realization-at-a-time loop and still holds 83 realizations at N = 14;
-# from N = 91 on a block is one realization.
+# Array entries per block of realizations: N^2 per realization for a dense
+# stack, 2N (the real and imaginary parts of one state) for a band. A dense
+# stack of 2^14 entries (128 KiB real, 256 KiB complex) keeps a worker's peak
+# memory within a few percent of a one-realization-at-a-time loop and still
+# holds 83 realizations at N = 14; from N = 91 on a block is one realization.
+# A band block holds 58 realizations at N = 140.
 BLOCK_ENTRIES = 1 << 14
+
+# Sweeps of networks with at least this many sites propagate on the band
+# diagonals (linalg.chebyshev_evolve); smaller ones through a dense eigh.
+# Measured crossover: CHANGES.md.
+CHEBYSHEV_MIN_SITES = 40
 
 
 def hamiltonian_blocks(
     graph: CouplingGraph, disorder_spec: DisorderSpec, realizations: int, master_seed: int,
-    stream_base: int = 0,
-) -> Iterator[tuple[range, np.ndarray]]:
-    """The disorder realizations of ``graph``, as (streams, H) per block.
+    stream_base: int = 0, footprint: int | None = None,
+) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
+    """The disorder realizations of ``graph``, as (streams, values, onsite)
+    per block.
 
     Realization k draws from stream ``stream_base + k``. A block holds the
-    streams of at most BLOCK_ENTRIES matrix entries, and H is their real
-    (B, N, N) stack of Hamiltonians, perturbed and assembled as
-    ``sample_disorder(...).to_matrix()`` is for one stream, bit for bit. A
-    clean spec yields one realization, the bare graph.
+    streams of at most BLOCK_ENTRIES entries at ``footprint`` entries per
+    realization (default N^2, a dense stack). ``values`` and ``onsite`` are
+    the block's couplings and site energies, perturbed as
+    :func:`~spinnet.disorder.sample_disorder` does for one stream, bit for
+    bit; the array that the spec leaves alone is the graph's own, without a
+    block axis. A clean spec yields one realization, the bare graph.
     """
     runs = min(realizations, 1) if disorder_spec.clean else realizations
-    block = max(1, BLOCK_ENTRIES // (graph.n_sites ** 2))
+    block = max(1, BLOCK_ENTRIES // (footprint or graph.n_sites ** 2))
     for first in range(stream_base, stream_base + runs, block):
         streams = range(first, min(first + block, stream_base + runs))
         if disorder_spec.clean:
-            values, onsite = graph.values[np.newaxis], graph.onsite
+            values, onsite = graph.values[np.newaxis], graph.onsite[np.newaxis]
         else:
             draws = np.array([disorder_draws(graph, disorder_spec, SeededRng(master_seed, stream))
                               for stream in streams])
             values, onsite = perturb(graph, disorder_spec, draws)
-        yield streams, graph.assemble(values, onsite)
+        yield streams, values, onsite
 
 
 def merit_value(state: PureState, merit: FigureOfMerit) -> float:
@@ -90,21 +104,29 @@ def ensemble_merit(
     """Run one protocol K times under fresh disorder and collect its merit.
 
     Realization k draws from stream ``stream_base + k``. Each block of
-    :func:`hamiltonian_blocks` gets one batched eigensolve, one propagation
-    of all its states and one vectorised merit. A clean spec runs one
-    realization and repeats its value K times.
+    :func:`hamiltonian_blocks` gets one operator (a batched eigensolve
+    below CHEBYSHEV_MIN_SITES sites, band diagonals from there on), one
+    propagation of all its states and one vectorised merit. A clean spec
+    runs one realization and repeats its value K times.
     """
     merit = merit or result.merit
     t = merit.time if observe_time is None else observe_time
     graph = result.graph()
-    start, kicks = schedule_kicks(replace_samples(result.protocol, (t,)), graph.n_sites)
+    n = graph.n_sites
+    start, kicks = schedule_kicks(replace_samples(result.protocol, (t,)), n)
     kicks = [kick for kick in kicks if kick[0] <= t]
+    banded = n >= CHEBYSHEV_MIN_SITES
     acc = EnsembleAccumulator()
-    for streams, h in hamiltonian_blocks(graph, disorder_spec, realizations, master_seed,
-                                         stream_base):
-        amplitudes = np.zeros((len(streams), graph.n_sites), dtype=complex)
+    for streams, values, onsite in hamiltonian_blocks(graph, disorder_spec, realizations,
+                                                      master_seed, stream_base,
+                                                      2 * n if banded else n * n):
+        if banded:
+            operator = band_operator(graph.rows, graph.cols, values, onsite)
+        else:
+            operator = eigh(graph.assemble(values, onsite))
+        amplitudes = np.zeros((len(streams), n), dtype=complex)
         amplitudes[:, start] = 1.0
-        amplitudes = propagate(eigh(h), amplitudes, 0.0, kicks, t)
+        amplitudes = propagate(operator, amplitudes, 0.0, kicks, t)
         _check_norms(amplitudes, streams, t)
         acc.extend(merit_values(amplitudes, merit).tolist())
     if disorder_spec.clean:
@@ -113,13 +135,18 @@ def ensemble_merit(
 
 
 def _check_norms(amplitudes: np.ndarray, streams: range, t: float) -> None:
-    """The norm bound of ``run_schedule``, over a block; names the worst stream."""
-    defects = np.abs(np.linalg.norm(amplitudes, axis=-1) - 1.0)
+    """The norm bound of ``run_schedule``, over a block; names the worst
+    stream, and any stream whose norm is not finite before the others."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 inside the norm of inf
+        norms = np.linalg.norm(amplitudes, axis=-1)
+    defects = np.where(np.isfinite(norms), np.abs(norms - 1.0), np.inf)
     worst = int(np.argmax(defects))
     if defects[worst] > NORM_ATOL:
+        drift = (f"drifted by {defects[worst]:.3e}" if np.isfinite(norms[worst])
+                 else f"is {norms[worst]}")
         raise InvariantViolation(
-            f"norm of the state from stream {streams[worst]} drifted by "
-            f"{defects[worst]:.3e} (bound {NORM_ATOL:.0e}) at t = {t}"
+            f"norm of the state from stream {streams[worst]} {drift} "
+            f"(bound {NORM_ATOL:.0e}) at t = {t}"
         )
 
 
@@ -336,11 +363,13 @@ def phase_scan_setting(
     """
     graph = build_protocol("phase-sense", {"n": n_total}).graph()
     per_angle: list[list[float]] = [[] for _ in thetas_deg]
-    for _, h in hamiltonian_blocks(graph, disorder_spec, realizations, master_seed, stream_base):
+    for _, values, onsite in hamiltonian_blocks(graph, disorder_spec, realizations, master_seed,
+                                                stream_base):
         # complex, as one device's to_matrix(), so every estimate keeps its bits
         # (and bench/reference/ its rows): a device on the unwrap branch cut
         # (README, "Reproducibility") flips sides on a last-bit change
-        for estimates in probe_estimates(eigh(h.astype(complex)), n_total, thetas_deg):
+        h = graph.assemble(values, onsite).astype(complex)
+        for estimates in probe_estimates(eigh(h), n_total, thetas_deg):
             for slot, theta, est in zip(per_angle, thetas_deg, estimates):
                 slot.append(unwrap_to_branch(est, theta))
     if disorder_spec.clean:

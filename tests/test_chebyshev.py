@@ -1,0 +1,168 @@
+"""The banded Chebyshev propagator against scipy's Bessel J and dense eigh."""
+
+import io
+import math
+import re
+from dataclasses import replace
+
+import numpy as np
+import pytest
+import scipy.special
+from hypothesis import given, settings, strategies as st
+
+from spinnet import InvariantViolation, sweep
+from spinnet.disorder import DisorderSpec, SeededRng, disorder_draws, perturb
+from spinnet.dynamics import propagate
+from spinnet.linalg import CHEBYSHEV_CUTOFF, band_operator, bessel_coefficients, eigh
+from spinnet.network import CouplingGraph, mirror_time, read_edge_list
+from spinnet.protocols import build_protocol
+from spinnet.sweep import ensemble_merit
+
+SEED = 20230724
+KINDS = ("diagonal", "off_diagonal")
+
+
+def disordered_stack(graph, kind, streams, strength=0.2):
+    spec = DisorderSpec(kind, strength)
+    draws = np.array([disorder_draws(graph, spec, SeededRng(SEED, s)) for s in streams])
+    return perturb(graph, spec, draws)
+
+
+def both_propagators(graph, values, onsite, start, kicks, t_end):
+    """(Chebyshev, dense) amplitudes of one propagation of a stack."""
+    chebyshev = propagate(band_operator(graph.rows, graph.cols, values, onsite),
+                          start, 0.0, kicks, t_end)
+    dense = propagate(eigh(graph.assemble(values, onsite)), start, 0.0, kicks, t_end)
+    return chebyshev, dense
+
+
+# --- Bessel coefficients -------------------------------------------------------------
+
+ARGUMENTS = np.array([0.0, 1e-12, 1e-3, 0.5, 1.0, 2.404825557695773, 7.0, 30.0, 99.5,
+                      110.3, 157.1, 225.0, 299.9, 300.0])
+
+
+def test_bessel_coefficients_match_scipy():
+    coeffs = bessel_coefficients(ARGUMENTS)
+    orders = np.arange(len(coeffs))[:, None]
+    exact = scipy.special.jv(orders, ARGUMENTS)
+    assert np.max(np.abs(coeffs - exact)) <= 1e-14
+    # past its cutoff a coefficient is exactly 0, and the true one is below it
+    assert np.all((coeffs != 0) | (2 * np.abs(exact) < CHEBYSHEV_CUTOFF))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.0, 300.0), min_size=1, max_size=8))
+def test_bessel_column_depends_on_its_own_argument_only(xs):
+    coeffs = bessel_coefficients(np.array(xs))
+    exact = scipy.special.jv(np.arange(len(coeffs))[:, None], np.array(xs))
+    assert np.max(np.abs(coeffs - exact)) <= 1e-14
+    for b, x in enumerate(xs):
+        alone = bessel_coefficients(np.array([x]))[:, 0]
+        assert np.array_equal(coeffs[: len(alone), b], alone)
+        assert not np.any(coeffs[len(alone):, b])
+
+
+# --- the propagator against dense eigh -----------------------------------------------
+
+@st.composite
+def banded_runs(draw):
+    """A random real symmetric band graph of width 1-4, a disordered stack
+    of it, a start site, a kick list and an end time."""
+    n = draw(st.integers(1, 24))
+    width = draw(st.integers(1, 4))
+    pairs = [(i, i + d) for i in range(n) for d in range(1, width + 1) if i + d < n]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair for pair, kept in zip(pairs, keep) if kept]
+    if n > width and (0, width) not in edges:
+        edges.append((0, width))  # the graph has the drawn width
+    edges.sort()
+    coupling = st.floats(-1.5, 1.5)
+    graph = CouplingGraph(
+        n, [i for i, _ in edges], [j for _, j in edges],
+        draw(st.lists(coupling, min_size=len(edges), max_size=len(edges))),
+        draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)),
+    )
+    kind = draw(st.sampled_from(KINDS))
+    first = draw(st.integers(0, 10 ** 6))
+    streams = range(first, first + draw(st.integers(1, 4)))
+    values, onsite = disordered_stack(graph, kind, streams)
+    t_end = draw(st.floats(0.0, 30.0))
+    kicks = sorted((fraction * t_end, site, angle) for fraction, site, angle in draw(st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.integers(0, n - 1), st.floats(-math.pi, math.pi)),
+        max_size=3)))
+    start = np.zeros((len(streams), n), dtype=complex)
+    start[:, draw(st.integers(0, n - 1))] = 1.0
+    return graph, values, onsite, start, kicks, t_end
+
+
+@settings(max_examples=120, deadline=None)
+@given(banded_runs())
+def test_chebyshev_propagate_matches_dense_eigh(run):
+    graph, values, onsite, start, kicks, t_end = run
+    chebyshev, dense = both_propagators(graph, values, onsite, start, kicks, t_end)
+    assert np.max(np.abs(chebyshev - dense)) <= 1e-12
+
+
+def test_edge_list_graph_with_site_energies():
+    text = io.StringIO("1 2 0.9\n1 4 -0.3\n2 3 1.1\n2 6 0.45\n3 5 0.2\n4 5 0.8\n"
+                       "5 6 -0.7\n6 7 0.6\n7 8 1.0\n5 8 0.35\n"
+                       "site 1 0.25\nsite 3 -0.4\nsite 6 0.1\nsite 8 0.55\n")
+    graph = read_edge_list(text)
+    assert set((graph.cols - graph.rows).tolist()) == {1, 2, 3, 4}
+    for kind in KINDS:
+        values, onsite = disordered_stack(graph, kind, range(30, 36))
+        start = np.zeros((6, graph.n_sites), dtype=complex)
+        start[:, 2] = 1.0
+        chebyshev, dense = both_propagators(graph, values, onsite, start,
+                                            [(4.0, 5, 2.0), (9.5, 0, -1.0)], 17.3)
+        assert np.max(np.abs(chebyshev - dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_router_at_200_sites_up_to_twice_the_mirror_time(kind):
+    result = build_protocol("router", {"n": 200})
+    graph = result.graph()
+    t_m = mirror_time(100)
+    values, onsite = disordered_stack(graph, kind, range(7, 10), strength=0.1)
+    start = np.zeros((3, 200), dtype=complex)
+    start[:, 0] = 1.0
+    for t_end in (t_m / 2, t_m, 1.5 * t_m, 2 * t_m):
+        chebyshev, dense = both_propagators(graph, values, onsite, start,
+                                            [(t_m, 99, math.pi)], t_end)
+        assert np.max(np.abs(chebyshev - dense)) <= 1e-12
+
+
+def test_the_gershgorin_interval_holds_the_spectrum():
+    graph = build_protocol("router", {"n": 140}).graph()
+    for kind in KINDS:
+        values, onsite = disordered_stack(graph, kind, range(20), strength=0.3)
+        op = band_operator(graph.rows, graph.cols, values, onsite)
+        eigenvalues = eigh(graph.assemble(values, onsite)).eigenvalues
+        assert np.all(op.lower <= eigenvalues[:, 0]) and np.all(eigenvalues[:, -1] <= op.upper)
+    # nearly tight for a PST network: row sums 2.0 against a spectral radius of 1.97
+    clean = band_operator(graph.rows, graph.cols, graph.values, graph.onsite)
+    radius = np.max(np.abs(eigh(graph.to_matrix()).eigenvalues))
+    assert radius <= clean.upper < 1.02 * radius
+    assert clean.lower == -clean.upper
+
+
+# --- the norm guard on the Chebyshev path --------------------------------------------
+
+@pytest.mark.parametrize("shrink", [0.5, 1e-3])  # a finite blow-up, and an overflow to nan
+def test_an_understated_spectral_bound_trips_the_norm_guard(monkeypatch, shrink):
+    def understated(rows, cols, values, onsite):
+        op = band_operator(rows, cols, values, onsite)
+        lower, upper = op.lower.copy(), op.upper.copy()
+        lower[3] *= shrink  # the fourth realization of the block: stream 203
+        upper[3] *= shrink
+        return replace(op, lower=lower, upper=upper)
+
+    monkeypatch.setattr(sweep, "CHEBYSHEV_MIN_SITES", 0)
+    monkeypatch.setattr(sweep, "band_operator", understated)
+    result = build_protocol("router", {"n": 40})
+    with pytest.raises(InvariantViolation) as excinfo:
+        ensemble_merit(result, DisorderSpec("diagonal", 0.1), 8, SEED, stream_base=200)
+    message = str(excinfo.value)
+    assert "stream 203" in message
+    assert re.search(r"drifted by \S+|is nan|is inf", message)

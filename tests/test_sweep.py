@@ -99,23 +99,39 @@ def engine_cases():
     yield "ent-phase-10-fidelity-observe", ent, resolve_merit(ent, "fidelity", observe="3*t_m/2")
 
 
+DEFAULT_BLOCK_ENTRIES = sweep.BLOCK_ENTRIES
+DEFAULT_MIN_SITES = sweep.CHEBYSHEV_MIN_SITES
+
+
+def each_propagator(monkeypatch):
+    """Runs the loop body once per sweep propagator: with the crossover at 0
+    every network takes the Chebyshev path, at its default these sizes stay
+    on the dense one. The loop keeps each test's id unchanged."""
+    for min_sites in (0, DEFAULT_MIN_SITES):
+        monkeypatch.setattr(sweep, "CHEBYSHEV_MIN_SITES", min_sites)
+        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", DEFAULT_BLOCK_ENTRIES)
+        yield min_sites
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("case", list(engine_cases()), ids=lambda case: case[0])
-def test_engine_matches_the_loop_reference(case, kind):
+def test_engine_matches_the_loop_reference(monkeypatch, case, kind):
     _, result, merit = case
     spec = DisorderSpec(kind, 0.15)
-    acc = ensemble_merit(result, spec, 6, SEED, stream_base=40, merit=merit)
     reference = loop_reference(result, spec, 6, 40, merit)
-    assert acc.count == 6
-    assert np.max(np.abs(np.array(acc.values) - reference)) <= 1e-12
+    for _ in each_propagator(monkeypatch):
+        acc = ensemble_merit(result, spec, 6, SEED, stream_base=40, merit=merit)
+        assert acc.count == 6
+        assert np.max(np.abs(np.array(acc.values) - reference)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["none", "diagonal"])
-def test_clean_cell_repeats_one_realization(kind):
+def test_clean_cell_repeats_one_realization(monkeypatch, kind):
     result = build_protocol("ent-phase", {"n": 8})
-    acc = ensemble_merit(result, DisorderSpec(kind, 0.0), 5, SEED)
-    assert acc.values == [acc.values[0]] * 5
-    assert acc.values[0] == pytest.approx(1.0, abs=1e-12)
+    for _ in each_propagator(monkeypatch):
+        acc = ensemble_merit(result, DisorderSpec(kind, 0.0), 5, SEED)
+        assert acc.values == [acc.values[0]] * 5
+        assert acc.values[0] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -137,21 +153,24 @@ def test_values_do_not_depend_on_the_block_size(monkeypatch, kind, name, params,
 
         def values():
             return ensemble_merit(result, spec, k, SEED, stream_base=3).values
-    default = values()
-    for entries in (1, 7 * n * n, k * n * n):  # one per block, an uneven split, all in one
-        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", entries)
-        assert values() == default
+    for _ in each_propagator(monkeypatch):
+        default = values()
+        # one per block, an uneven split, all in one (a band block takes 2n per realization)
+        for entries in (1, 7 * n * n, k * n * n):
+            monkeypatch.setattr(sweep, "BLOCK_ENTRIES", entries)
+            assert values() == default
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name, params", [("router", {"n": 10}), ("mws-transfer", {})])
-def test_realization_k_of_a_block_is_its_own_stream(kind, name, params):
+def test_realization_k_of_a_block_is_its_own_stream(monkeypatch, kind, name, params):
     result = build_protocol(name, params)  # mws-transfer: a target with four terms
     spec = DisorderSpec(kind, 0.2)
-    block = ensemble_merit(result, spec, 9, SEED, stream_base=500).values
-    singles = [ensemble_merit(result, spec, 1, SEED, stream_base=500 + k).values[0]
-               for k in range(9)]
-    assert block == singles
+    for _ in each_propagator(monkeypatch):
+        block = ensemble_merit(result, spec, 9, SEED, stream_base=500).values
+        singles = [ensemble_merit(result, spec, 1, SEED, stream_base=500 + k).values[0]
+                   for k in range(9)]
+        assert block == singles
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -159,7 +178,8 @@ def test_block_realization_is_the_matrix_of_sample_disorder(kind):
     graph = build_protocol("router", {"n": 12}).graph()
     spec = DisorderSpec(kind, 0.2)
     block = sweep.BLOCK_ENTRIES // 12 ** 2  # 113 realizations per block
-    stacks = [h for _, h in sweep.hamiltonian_blocks(graph, spec, block + 2, SEED, 40)]
+    stacks = [graph.assemble(values, onsite)
+              for _, values, onsite in sweep.hamiltonian_blocks(graph, spec, block + 2, SEED, 40)]
     assert [len(h) for h in stacks] == [block, 2]
     realizations = np.concatenate(stacks)
     for k in (0, block - 1, block, block + 1):  # both sides of the block boundary
@@ -183,6 +203,15 @@ def test_norm_check_names_the_stream_time_and_defect(monkeypatch):
     assert f"t = {result.merit.time}" in message
     defect = float(re.search(r"drifted by (\S+)", message).group(1))
     assert defect == pytest.approx(1.01 ** 4 - 1.0, rel=1e-3)  # evolved before and after the kick
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_norm_check_rejects_a_non_finite_state(bad):
+    amplitudes = np.zeros((4, 5), dtype=complex)
+    amplitudes[:, 0] = 1.0
+    amplitudes[2, 3] = bad  # the worst finite defect of the block is 0
+    with pytest.raises(InvariantViolation, match=rf"stream 12 is {bad}"):
+        sweep._check_norms(amplitudes, range(10, 14), 1.5)
 
 
 # --- phase scan ------------------------------------------------------------------
