@@ -12,8 +12,6 @@ from .disorder import DisorderSpec, SeededRng, sample_disorder
 from .dynamics import (
     Protocol,
     PureState,
-    ScheduleEvent,
-    Trajectory,
     inject,
     phase_kick,
     run_schedule,
@@ -38,7 +36,6 @@ from .observables import (
     EnsembleAccumulator,
     concurrence,
     ensemble_average,
-    ensemble_eof,
     eof,
     eof_pair,
     fidelity,
@@ -52,7 +49,6 @@ from .protocols import (
     entangle_phase_two_chain,
     m_chain_router,
     max_entangle_12,
-    mirror_superposition_state,
     mws_9,
     mws_12,
     mws_transfer_15,
@@ -75,16 +71,13 @@ __all__ = [
     "Protocol",
     "ProtocolResult",
     "PureState",
-    "ScheduleEvent",
     "SeededRng",
     "SpectralDecomposition",
-    "Trajectory",
     "build_protocol",
     "chain_graph",
     "concurrence",
     "eigh",
     "ensemble_average",
-    "ensemble_eof",
     "entangle_center_two_chain",
     "entangle_phase_two_chain",
     "eof",
@@ -96,7 +89,6 @@ __all__ = [
     "join_unitary",
     "m_chain_router",
     "max_entangle_12",
-    "mirror_superposition_state",
     "mirror_time",
     "mws_9",
     "mws_12",

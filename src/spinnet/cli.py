@@ -32,19 +32,12 @@ from .config import (
     parse_time_expression,
 )
 from .disorder import sample_disorder, SeededRng
-from .dynamics import Protocol, replace_samples, run_schedule, uniform_samples
+from .dynamics import Protocol, replace_samples, run_decomposed, uniform_samples
 from .linalg import InvariantViolation, eigh
 from .network import network_graph, write_edge_list
 from .observables import fidelity
-from .protocols import build_protocol, phase_probe_estimates
-from .sweep import (
-    ensemble_merit,
-    merit_value,
-    phase_scan_rows,
-    run_cells,
-    sweep_cells,
-    threshold_contour,
-)
+from .protocols import build_protocol, probe_estimates
+from .sweep import merit_values, phase_scan_rows, run_cells, sweep_cells, threshold_contour
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -179,14 +172,15 @@ def cmd_run(args) -> int:
         max(duration, result.protocol.duration),
         uniform_samples(duration, cfg.run.samples),
     )
-    trajectory = run_schedule(graph, render)
+    decomp = eigh(graph.to_matrix())  # the run's one eigensolve, shared by every step below
+    trajectory = run_decomposed(decomp, render)
     traj_path = os.path.join(out, "trajectory.csv")
     with open(traj_path, "w", encoding="utf-8") as fh:
         trajectory.write_csv(fh, amplitudes=cfg.run.amplitudes)
 
     check_times = [t for t, _ in result.checkpoints]
-    states = run_schedule(
-        graph, replace_samples(result.protocol, check_times + [result.merit.time])
+    states = run_decomposed(
+        decomp, replace_samples(result.protocol, check_times + [result.merit.time])
     ).states
     failed = False
     report_rows = []
@@ -202,7 +196,7 @@ def cmd_run(args) -> int:
         else:
             print(f"t = {t:.9g}: fidelity vs clean target = "
                   f"{fidelity(state, expected):.6f} (disordered run)")
-    value = merit_value(states[-1], result.merit)
+    value = float(merit_values(states[-1].amplitudes, result.merit)[0])
     print(f"figure of merit ({result.merit.kind}) at t = {result.merit.time:.9g}: {value:.9f}")
     missed = ["clean run missed an analytic target state"] if failed else []
 
@@ -216,7 +210,7 @@ def cmd_run(args) -> int:
     }
     if result.name == "phase-sense":
         theta = float(cfg.protocol.params.get("theta_deg", 0.0)) % 360.0
-        estimate = phase_probe_estimates(graph, result.network.n_sites, [theta])[0]
+        estimate = probe_estimates(decomp, result.network.n_sites, [theta])[0][0]
         error = abs(estimate - theta)
         error = min(error, 360.0 - error)
         print(f"true angle {theta:.6f} deg, retrieved {estimate:.6f} deg "

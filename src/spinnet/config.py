@@ -9,6 +9,7 @@ Times may be given as expressions over the built network's mirror times
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Any
@@ -199,8 +200,8 @@ def parse_sweep(data: Any, where: str = "sweep") -> SweepConfig:
     if not sizes or not all(_is(v, int) and v > 0 for v in sizes):
         raise ConfigError(f"{where}.{axis}_values: need a non-empty list of positive integers")
     e_values = data.get("e_values")
-    if not e_values or not all(_is(v, _NUMBER) and v >= 0 for v in e_values):
-        raise ConfigError(f"{where}.e_values: need a non-empty list of numbers >= 0")
+    if not e_values or not all(_is(v, _NUMBER) and 0 <= v < math.inf for v in e_values):
+        raise ConfigError(f"{where}.e_values: need a non-empty list of finite numbers >= 0")
     kinds = tuple(data.get("kinds", ["diagonal"]))
     for kind in kinds:
         if kind not in ("diagonal", "off_diagonal"):
@@ -263,6 +264,8 @@ def parse_phase_scan(data: Any, where: str = "phase_scan") -> PhaseScanConfig:
         start = float(data.get("theta_start", 0.0))
         stop = float(data.get("theta_stop", 360.0))
         step = float(data.get("theta_step", 15.0))
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigError(f"{where}: theta_start, theta_stop and theta_step must be finite")
         if step <= 0:
             raise ConfigError(f"{where}.theta_step: must be positive")
         thetas = []
@@ -271,7 +274,7 @@ def parse_phase_scan(data: Any, where: str = "phase_scan") -> PhaseScanConfig:
             thetas.append(t)
             t += step
         thetas = tuple(thetas)
-    if not thetas or any(t < 0 or t >= 360.0 for t in thetas):
+    if not thetas or not all(0.0 <= t < 360.0 for t in thetas):
         raise ConfigError(f"{where}: angles must lie in [0, 360) degrees")
     settings_raw = data.get("settings") or [{"kind": "none"}]
     settings = tuple(
@@ -368,14 +371,16 @@ def parse_time_expression(expr: str | float | int, tokens: dict[str, float]) -> 
     ``3/2*t_m`` and sums such as ``t_m_A + t_m_B``.
     """
     if isinstance(expr, (int, float)):
-        if expr < 0:
-            raise ConfigError(f"times must be non-negative, got {expr}")
+        if not 0 <= expr < math.inf:
+            raise ConfigError(f"times must be finite and non-negative, got {expr}")
         return float(expr)
     total = 0.0
     for part in str(expr).split("+"):
         m = _TERM_RE.match(part)
         if not m or (m.group("num") is None and m.group("token") is None):
             raise ConfigError(f"cannot parse time term {part.strip()!r} in {expr!r}")
+        if 0.0 in (float(m.group(g) or 1.0) for g in ("den", "div")):
+            raise ConfigError(f"division by zero in time term {part.strip()!r} of {expr!r}")
         value = 1.0
         if m.group("num") is not None:
             value = float(m.group("num"))

@@ -41,8 +41,12 @@ class DisorderSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown disorder kind {self.kind!r}, expected one of {KINDS}")
-        if self.strength < 0:
-            raise ValueError(f"disorder strength must be >= 0, got {self.strength}")
+        for name in ("strength", "width"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"disorder {name} must be finite and >= 0, "
+                                 f"got {getattr(self, name)}")
+        if not math.isfinite(self.j_max_ref):
+            raise ValueError(f"disorder j_max_ref must be finite, got {self.j_max_ref}")
 
     @property
     def clean(self) -> bool:

@@ -248,14 +248,21 @@ def schedule_kicks(protocol: Protocol, n_sites: int) -> tuple[int, list[tuple[fl
 
 
 def run_schedule(graph: CouplingGraph, protocol: Protocol) -> Trajectory:
-    """Execute a protocol on a network and record the sampled states.
+    """Execute a protocol on a network and record the sampled states."""
+    return run_decomposed(eigh(graph.to_matrix()), protocol)
 
-    The graph is decomposed once; every evolution segment reuses the
-    decomposition. The protocol is checked by :func:`schedule_kicks`.
+
+def run_decomposed(decomp: SpectralDecomposition, protocol: Protocol) -> Trajectory:
+    """Execute a protocol under one decomposed Hamiltonian and record the
+    sampled states.
+
+    Every evolution segment reuses ``decomp``, so runs that share it (the
+    trajectory and the checks of ``spinnet run``) share one eigensolve. The
+    protocol is checked by :func:`schedule_kicks`.
     """
-    start, kicks = schedule_kicks(protocol, graph.n_sites)
-    decomp = eigh(graph.to_matrix())
-    amp = np.zeros(graph.n_sites, dtype=complex)
+    n_sites = decomp.eigenvalues.shape[-1]
+    start, kicks = schedule_kicks(protocol, n_sites)
+    amp = np.zeros(n_sites, dtype=complex)
     amp[start] = 1.0
 
     recorded: list[PureState | None] = [None] * len(protocol.sample_times)

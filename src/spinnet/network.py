@@ -41,8 +41,8 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if self.length < 2:
             raise ValueError(f"chain length must be >= 2, got {self.length}")
-        if not self.j_max > 0:
-            raise ValueError(f"j_max must be positive, got {self.j_max}")
+        if not 0 < self.j_max < math.inf:
+            raise ValueError(f"j_max must be positive and finite, got {self.j_max}")
 
     @property
     def j0(self) -> float:

@@ -2,9 +2,12 @@
 
 For a pure single-excitation state the reduced state of two sites is an
 X-shaped 4x4 matrix whose concurrence collapses to 2 |a_i| |a_j| (Wootters,
-PRL 80, 2245, 1998). The sweep engine evaluates that closed form over whole
-stacks of states; the full Wootters pipeline serves mixed ensemble states
-and is the reference the closed form is tested against.
+PRL 80, 2245, 1998). Every merit of a pure state, one state or a stack,
+goes through the two stack kernels :func:`fidelities` and
+:func:`pair_eofs`; a single state is a one-row stack, so it gets the same
+bits as in any stack. The full Wootters pipeline (:func:`reduce_two_sites`,
+:func:`concurrence`, :func:`eof`) takes any two-qubit density matrix and is
+the reference the closed form is tested against.
 
 Ensemble statistics keep the per-realization values and reduce them with
 exactly-rounded summation, so the mean and spread do not depend on the
@@ -30,16 +33,27 @@ NEGATIVITY_ATOL = 1e-10
 
 def fidelity(state: PureState, target: PureState) -> float:
     """|<target|state>|^2 - global-phase insensitive, in [0, 1]."""
-    return min(1.0, abs(target.overlap(state)) ** 2)
+    return float(fidelities(state.amplitudes, target)[0])
+
+
+def _rows(amplitudes: np.ndarray) -> np.ndarray:
+    """``amplitudes`` as a 2-D stack, one state per row: numpy rounds a 1-D
+    reduction differently from the same state's row in a stack."""
+    amplitudes = np.asarray(amplitudes)
+    return amplitudes.reshape(-1, amplitudes.shape[-1])
 
 
 def fidelities(amplitudes: np.ndarray, target: PureState) -> np.ndarray:
-    """:func:`fidelity` of every state along the last axis of ``amplitudes``.
+    """:func:`fidelity` of every row of ``amplitudes``, a 2-D stack of states
+    (a single state is a one-row stack).
 
-    The overlap is an elementwise product summed per state, not a BLAS
+    The overlap is an elementwise product summed per row, not a BLAS
     matrix-vector product, whose rounding depends on how many states it gets.
     """
-    overlaps = np.sum(amplitudes * target.amplitudes.conj(), axis=-1)
+    rows = _rows(amplitudes)
+    if rows.shape[1] != target.n_sites:
+        raise ValueError("states live on different site counts")
+    overlaps = np.sum(rows * target.amplitudes.conj(), axis=-1)
     return np.minimum(1.0, np.abs(overlaps) ** 2)
 
 
@@ -113,16 +127,18 @@ def eof(rho: np.ndarray) -> float:
 
 
 def eof_pair(state: PureState, i: int, j: int) -> float:
-    return eof(reduce_two_sites(state, i, j))
+    """EOF of sites (i, j), 1-based, of a pure single-excitation state."""
+    return float(pair_eofs(state.amplitudes, i, j)[0])
 
 
 def pair_eofs(amplitudes: np.ndarray, i: int, j: int) -> np.ndarray:
     """EOF of sites (i, j), 1-based, for every pure single-excitation state
-    along the last axis of ``amplitudes``, from C = 2 |a_i| |a_j|."""
-    n = amplitudes.shape[-1]
+    in the rows of ``amplitudes``, a 2-D stack, from C = 2 |a_i| |a_j|."""
+    rows = _rows(amplitudes)
+    n = rows.shape[-1]
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"need two distinct sites in 1..{n}, got ({i}, {j})")
-    c = 2.0 * np.abs(amplitudes[..., i - 1]) * np.abs(amplitudes[..., j - 1])
+    c = 2.0 * np.abs(rows[:, i - 1]) * np.abs(rows[:, j - 1])
     return eof_from_concurrence(c)
 
 
@@ -171,22 +187,3 @@ def ensemble_average(values: Sequence[float]) -> tuple[float, float, float]:
     acc.extend(values)
     return acc.mean, acc.std, acc.std_of_mean
 
-
-def ensemble_eof(
-    states: Sequence[PureState],
-    i: int,
-    j: int,
-    convention: str = "per_realization",
-) -> float:
-    """Ensemble EOF between two sites.
-
-    ``per_realization`` (the default) averages each realization's EOF;
-    ``mean_state`` first averages the reduced density matrices and takes the
-    EOF of the mixture. The two differ for disordered ensembles.
-    """
-    if convention == "per_realization":
-        return ensemble_average([eof_pair(s, i, j) for s in states])[0]
-    if convention == "mean_state":
-        rho = np.mean([reduce_two_sites(s, i, j) for s in states], axis=0)
-        return eof(rho)
-    raise ValueError(f"unknown EOF convention {convention!r}")

@@ -115,15 +115,6 @@ def two_chain_phase_protocol(n_total: int, angle: float) -> tuple[NetworkSpec, P
     return spec, Protocol(events, 2 * t_m)
 
 
-def mirror_superposition_state(n_total: int) -> PureState:
-    """The junction superposition reached at t_m from site 1 (no kick)."""
-    phase = phi_factor(n_total)
-    return PureState.from_terms(
-        n_total,
-        {n_total // 2: phase / SQRT2, n_total // 2 + 1: phase / SQRT2},
-    )
-
-
 def router_two_chain(n_total: int) -> ProtocolResult:
     """Send the excitation from site 1 to site N on two fused equal chains."""
     spec, protocol = two_chain_phase_protocol(n_total, FLIP)

@@ -30,10 +30,10 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, SweepConfig, mirror_tokens, parse_time_expression
 from .disorder import DisorderSpec, SeededRng, disorder_draws, perturb
-from .dynamics import NORM_ATOL, PureState, propagate, replace_samples, schedule_kicks
+from .dynamics import NORM_ATOL, propagate, replace_samples, schedule_kicks
 from .linalg import InvariantViolation, band_operator, eigh
 from .network import CouplingGraph
-from .observables import EnsembleAccumulator, eof_pair, fidelities, fidelity, pair_eofs
+from .observables import EnsembleAccumulator, fidelities, pair_eofs
 from .protocols import (FigureOfMerit, ProtocolResult, build_protocol, probe_estimates,
                         unwrap_to_branch)
 
@@ -79,14 +79,9 @@ def hamiltonian_blocks(
         yield streams, values, onsite
 
 
-def merit_value(state: PureState, merit: FigureOfMerit) -> float:
-    if merit.kind == "fidelity":
-        return fidelity(state, merit.target)
-    return eof_pair(state, *merit.pair)
-
-
 def merit_values(amplitudes: np.ndarray, merit: FigureOfMerit) -> np.ndarray:
-    """:func:`merit_value` of every state along the last axis of ``amplitudes``."""
+    """The figure of merit of every row of ``amplitudes``, a 2-D stack of
+    states: the one merit path of sweeps and of ``spinnet run``."""
     if merit.kind == "fidelity":
         return fidelities(amplitudes, merit.target)
     return pair_eofs(amplitudes, *merit.pair)

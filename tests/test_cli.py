@@ -3,6 +3,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 import yaml
 
@@ -189,7 +190,7 @@ def test_run_phase_sense_shares_the_run_path(tmp_path, capsys, monkeypatch):
         {"protocol": protocol, "disorder": {"kind": "off_diagonal", "strength": 0.3}},
         name="disordered.yaml",
     )
-    monkeypatch.setattr(cli, "phase_probe_estimates", lambda graph, n, thetas: [41.0])
+    monkeypatch.setattr(cli, "probe_estimates", lambda decomp, n, thetas: [[41.0]])
     assert run_cli("run", "--config", disordered, "--out", tmp_path / "dis") == 0
     assert run_cli("run", "--config", cfg, "--out", tmp_path / "miss") == 3
     assert "missed the true angle" in capsys.readouterr().err
@@ -208,6 +209,93 @@ def test_invariant_violation_maps_to_exit_3(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "build_protocol", boom)
     assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 3
+
+
+@pytest.mark.parametrize("protocol", [
+    {"name": "phase-sense", "n": 8, "theta_deg": 45.0},
+    {"name": "router", "n": 6},
+    {"name": "ent-phase", "n": 6},
+])
+@pytest.mark.parametrize("disorder", [{}, {"kind": "diagonal", "strength": 0.2}])
+def test_run_decomposes_its_network_once(tmp_path, monkeypatch, protocol, disorder):
+    """Trajectory, checks, merit and the phase-sense probe share one eigh."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    cfg = write_config(tmp_path, {"protocol": protocol, "disorder": disorder,
+                                  "run": {"samples": 5}})
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 0
+    n = protocol["n"]
+    assert calls == [(n, n)]
+
+
+def assert_config_error_writes_nothing(tmp_path, capsys, command, data, message):
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("duration, message", [
+    ("t_m/0", "division by zero"),
+    ("2/0*t_m", "division by zero"),
+    ("t_m + 1/0.0*t_m", "division by zero"),
+    (math.inf, "finite"),
+    (math.nan, "finite"),
+])
+def test_run_rejects_an_undefined_duration(tmp_path, capsys, duration, message):
+    data = {"protocol": {"name": "router", "n": 6}, "run": {"duration": duration}}
+    assert_config_error_writes_nothing(tmp_path, capsys, "run", data, message)
+
+
+def test_sweep_rejects_a_zero_denominator_in_observe(tmp_path, capsys):
+    data = dict(SWEEP_CONFIG, sweep=dict(SWEEP_CONFIG["sweep"], observe="2/0*t_m"))
+    assert_config_error_writes_nothing(tmp_path, capsys, "sweep", data, "division by zero")
+
+
+BAD_DISORDER = [
+    ({"width": -1}, "width must be finite and >= 0"),
+    ({"strength": math.nan}, "strength must be finite and >= 0"),
+    ({"strength": math.inf}, "strength must be finite and >= 0"),
+    ({"width": math.nan}, "width must be finite and >= 0"),
+    ({"j_max_ref": math.inf}, "j_max_ref must be finite"),
+]
+
+
+@pytest.mark.parametrize("fields, message", BAD_DISORDER)
+def test_run_rejects_non_finite_or_negative_disorder(tmp_path, capsys, fields, message):
+    data = {"protocol": {"name": "router", "n": 6},
+            "disorder": dict({"kind": "diagonal", "strength": 0.1}, **fields)}
+    assert_config_error_writes_nothing(tmp_path, capsys, "run", data, message)
+
+
+@pytest.mark.parametrize("fields, message", BAD_DISORDER)
+def test_phase_scan_rejects_non_finite_or_negative_disorder(tmp_path, capsys, fields, message):
+    setting = dict({"kind": "off_diagonal", "strength": 0.1}, **fields)
+    data = {"phase_scan": {"n": 6, "thetas_deg": [90.0], "realizations": 2,
+                           "settings": [{"kind": "none"}, setting]}}
+    assert_config_error_writes_nothing(tmp_path, capsys, "phase-scan", data, message)
+
+
+@pytest.mark.parametrize("e", [math.inf, math.nan, -0.1])
+def test_sweep_rejects_non_finite_e_values(tmp_path, capsys, e):
+    data = dict(SWEEP_CONFIG, sweep=dict(SWEEP_CONFIG["sweep"], e_values=[0.1, e]))
+    assert_config_error_writes_nothing(tmp_path, capsys, "sweep", data,
+                                       "need a non-empty list of finite numbers >= 0")
+
+
+@pytest.mark.parametrize("j_max", [math.inf, math.nan, 0.0])
+def test_build_rejects_an_infinite_chain_coupling(tmp_path, capsys, j_max):
+    data = {"network": {"chains": [{"length": 3}, {"length": 3, "j_max": j_max}]}}
+    assert_config_error_writes_nothing(tmp_path, capsys, "build", data,
+                                       "j_max must be positive and finite")
 
 
 # --- sweep ------------------------------------------------------------------

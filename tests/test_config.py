@@ -190,3 +190,14 @@ def test_phase_scan_rejects_out_of_range_angles():
         parse_config({"phase_scan": {"n": 8, "thetas_deg": [0.0, 360.0]}})
     with pytest.raises(ConfigError, match="n"):
         parse_config({"phase_scan": {"n": 7, "thetas_deg": [0.0]}})
+
+
+@pytest.mark.parametrize("scan", [
+    {"theta_start": math.nan},
+    {"theta_step": math.inf},
+    {"theta_step": math.nan},
+    {"thetas_deg": [0.0, math.nan]},
+])
+def test_phase_scan_rejects_non_finite_angles(scan):
+    with pytest.raises(ConfigError, match="finite|angles must lie"):
+        parse_config({"phase_scan": dict({"n": 8}, **scan)})

@@ -10,7 +10,6 @@ from spinnet import (
     PureState,
     concurrence,
     ensemble_average,
-    ensemble_eof,
     eof,
     eof_pair,
     fidelity,
@@ -157,16 +156,35 @@ def test_closed_form_concurrence_matches_wootters(case):
     wootters = concurrence(reduce_two_sites(psi, i, j))
     closed_form = 2.0 * abs(psi.amplitude(i)) * abs(psi.amplitude(j))
     assert abs(wootters - closed_form) <= 1e-12
-    assert abs(pair_eofs(psi.amplitudes[None], i, j)[0] - eof_pair(psi, i, j)) <= 1e-12
+    wootters_eof = eof(reduce_two_sites(psi, i, j))
+    assert abs(pair_eofs(psi.amplitudes[None], i, j)[0] - wootters_eof) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 64), st.integers(2, 200), st.integers(0, 2 ** 32 - 1), st.data())
+def test_one_state_merits_are_rows_of_the_stack_kernels(b, n, seed, data):
+    """A state scored alone gets the bits of its row in any stack."""
+    gen = np.random.default_rng(seed)
+    stack = gen.normal(size=(b, n)) + 1j * gen.normal(size=(b, n))
+    stack /= np.linalg.norm(stack, axis=1, keepdims=True)
+    target = random_single_excitation_state(gen, n)
+    i, j = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+    stack_fidelities = fidelities(stack, target)
+    stack_eofs = pair_eofs(stack, i, j)
+    for k, row in enumerate(stack):
+        state = PureState(row)
+        assert fidelity(state, target) == stack_fidelities[k]
+        assert eof_pair(state, i, j) == stack_eofs[k]
+    assert fidelities(stack[0], target).shape == pair_eofs(stack[0], i, j).shape == (1,)
 
 
 def test_vectorised_merits_match_the_scalar_ones(rng):
     states = [random_single_excitation_state(rng, 7) for _ in range(5)]
     stack = np.array([s.amplitudes for s in states])
     target = states[0]
-    assert np.allclose(fidelities(stack, target), [fidelity(s, target) for s in states],
-                       rtol=0, atol=1e-15)
-    assert np.allclose(pair_eofs(stack, 2, 6), [eof_pair(s, 2, 6) for s in states],
+    overlaps = [abs(np.vdot(target.amplitudes, s.amplitudes)) ** 2 for s in states]
+    assert np.allclose(fidelities(stack, target), overlaps, rtol=0, atol=1e-15)
+    assert np.allclose(pair_eofs(stack, 2, 6), [eof(reduce_two_sites(s, 2, 6)) for s in states],
                        rtol=0, atol=1e-12)
     for bad in ((3, 3), (0, 2), (2, 8)):
         with pytest.raises(ValueError):
@@ -261,16 +279,3 @@ def test_mean_fidelity_equals_trace_form(rng):
     )
     assert abs(mean_fid - trace_form) < 1e-12
 
-
-def test_eof_conventions_differ():
-    plus = PureState.from_terms(2, {1: 1 / math.sqrt(2), 2: 1 / math.sqrt(2)})
-    minus = PureState.from_terms(2, {1: 1 / math.sqrt(2), 2: -1 / math.sqrt(2)})
-    per_realization = ensemble_eof([plus, minus], 1, 2)
-    mean_state = ensemble_eof([plus, minus], 1, 2, convention="mean_state")
-    assert per_realization == pytest.approx(1.0, abs=1e-12)
-    assert mean_state == pytest.approx(0.0, abs=1e-12)
-
-
-def test_unknown_convention_rejected():
-    with pytest.raises(ValueError):
-        ensemble_eof([PureState.basis(2, 1)], 1, 2, convention="bogus")

@@ -11,7 +11,6 @@ from spinnet import (
     SeededRng,
     eof_pair,
     fidelity,
-    mirror_superposition_state,
     network_graph,
     phase_sense_estimate,
     sample_disorder,
@@ -106,10 +105,11 @@ def test_checkpoints_reached_including_global_phase(result):
 
 @pytest.mark.parametrize("result", ALL_PROTOCOLS, ids=lambda r: f"{r.name}-{r.network.n_sites}")
 def test_merit_is_perfect_on_clean_network(result):
-    from spinnet.sweep import merit_value
+    from spinnet.sweep import merit_values
 
     state = state_at(result.graph(), result.protocol, result.merit.time)
-    assert merit_value(state, result.merit) == pytest.approx(1.0, abs=1e-9)
+    assert merit_values(state.amplitudes[np.newaxis], result.merit)[0] == pytest.approx(
+        1.0, abs=1e-9)
 
 
 # --- two-chain routing --------------------------------------------------------
@@ -147,7 +147,10 @@ def test_halfway_superposition_state():
         g = network_graph(spec)
         t_m = spec.chains[0].mirror_time
         psi = state_at(g, Protocol([inject(1)], t_m), t_m)
-        assert abs(mirror_superposition_state(n).overlap(psi) - 1.0) < 1e-9
+        expected = PureState.from_terms(
+            n, {n // 2: phi_factor(n) / SQRT2, n // 2 + 1: phi_factor(n) / SQRT2}
+        )
+        assert abs(expected.overlap(psi) - 1.0) < 1e-9
 
 
 # --- entanglement protocols ----------------------------------------------------

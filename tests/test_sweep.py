@@ -17,7 +17,7 @@ from spinnet.protocols import (
 )
 from spinnet.sweep import (
     ensemble_merit,
-    merit_value,
+    merit_values,
     phase_scan_setting,
     resolve_merit,
     run_cells,
@@ -78,12 +78,12 @@ def test_pool_size_is_clamped(monkeypatch, capsys, cores, cells, workers, expect
 # --- block engine ---------------------------------------------------------------
 
 def loop_reference(result, spec, k, base, merit):
-    """One realization at a time through run_schedule and merit_value."""
+    """One realization at a time through run_schedule and a one-row merit_values."""
     graph = result.graph()
     protocol = replace_samples(result.protocol, (merit.time,))
     return [
-        merit_value(run_schedule(sample_disorder(graph, spec, SeededRng(SEED, base + j)),
-                                 protocol).states[0], merit)
+        merit_values(run_schedule(sample_disorder(graph, spec, SeededRng(SEED, base + j)),
+                                  protocol).states[0].amplitudes[np.newaxis], merit)[0]
         for j in range(k)
     ]
 
