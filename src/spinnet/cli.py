@@ -31,7 +31,7 @@ from .config import (
     parse_config,
     parse_time_expression,
 )
-from .disorder import sample_disorder, SeededRng
+from .disorder import SEED_LIMIT, SeededRng, sample_disorder
 from .dynamics import Protocol, replace_samples, run_decomposed, uniform_samples
 from .linalg import InvariantViolation, eigh
 from .network import network_graph, write_edge_list
@@ -86,15 +86,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _prepare(args) -> tuple[Config, str, int, int]:
     cfg = load_config(args.config)
-    out = args.out
-    os.makedirs(out, exist_ok=True)
     seed = cfg.seed if args.seed is None else args.seed
-    if seed < 0:
-        raise ConfigError("--seed must be non-negative")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ConfigError(f"--seed must be in [0, 2^64), got {seed}")
     workers = cfg.workers if args.workers is None else args.workers
     if workers < 1:
         raise ConfigError("--workers must be >= 1")
-    return cfg, out, seed, workers
+    os.makedirs(args.out, exist_ok=True)
+    return cfg, args.out, seed, workers
 
 
 def _write_meta(out: str, command: str, cfg: Config, seed: int, workers: int,

@@ -16,12 +16,23 @@ from typing import Any
 
 import yaml
 
-from .disorder import KINDS, DisorderSpec
+from .disorder import KINDS, SEED_LIMIT, DisorderSpec
 from .network import ChainSpec, NetworkSpec
 
 
 class ConfigError(Exception):
     """Malformed or inconsistent configuration."""
+
+
+# Bounds on what a config may ask for, so that no input exhausts the
+# machine: `spinnet run` keeps every sample's state, and sweeps and phase
+# scans keep every realization's value (a Python float each, about 32 bytes).
+# With at most MAX_REALIZATIONS per cell or setting, a stream index
+# c * K + k stays below 2^64 for any grid of fewer than 1.8e13 cells, more
+# than a config file can list.
+MAX_RUN_SAMPLES = 100_000
+MAX_REALIZATIONS = 1_000_000
+MAX_SCAN_ANGLES = 3600
 
 
 def load_yaml(path: str) -> dict:
@@ -159,9 +170,17 @@ def parse_run(data: Any, where: str = "run") -> RunConfig:
         raise ConfigError(f"{where}: expected a mapping")
     _check_keys(data, {"duration": (str, int, float), "samples": int, "amplitudes": bool}, where)
     samples = data.get("samples", 400)
-    if samples < 2:
-        raise ConfigError(f"{where}.samples: need at least 2, got {samples}")
+    if not 2 <= samples <= MAX_RUN_SAMPLES:
+        raise ConfigError(f"{where}.samples: need 2 to {MAX_RUN_SAMPLES}, got {samples}")
     return RunConfig(data.get("duration"), samples, bool(data.get("amplitudes", False)))
+
+
+def _realizations(data: dict, where: str) -> int:
+    realizations = data.get("realizations", 1000)
+    if not 1 <= realizations <= MAX_REALIZATIONS:
+        raise ConfigError(f"{where}.realizations: need 1 to {MAX_REALIZATIONS}, "
+                          f"got {realizations}")
+    return realizations
 
 
 @dataclass(frozen=True)
@@ -206,9 +225,7 @@ def parse_sweep(data: Any, where: str = "sweep") -> SweepConfig:
     for kind in kinds:
         if kind not in ("diagonal", "off_diagonal"):
             raise ConfigError(f"{where}.kinds: {kind!r} is not a disorder kind")
-    realizations = data.get("realizations", 1000)
-    if realizations < 1:
-        raise ConfigError(f"{where}.realizations: need at least 1")
+    realizations = _realizations(data, where)
     observable = data.get("observable", "auto")
     if observable not in ("auto", "fidelity", "eof"):
         raise ConfigError(f"{where}.observable: expected auto|fidelity|eof, got {observable!r}")
@@ -259,6 +276,8 @@ def parse_phase_scan(data: Any, where: str = "phase_scan") -> PhaseScanConfig:
     if "thetas_deg" in data:
         if not all(_is(v, _NUMBER) for v in data["thetas_deg"]):
             raise ConfigError(f"{where}.thetas_deg: need a list of numbers")
+        if len(data["thetas_deg"]) > MAX_SCAN_ANGLES:
+            raise ConfigError(f"{where}.thetas_deg: at most {MAX_SCAN_ANGLES} angles are allowed")
         thetas = tuple(float(v) for v in data["thetas_deg"])
     else:
         start = float(data.get("theta_start", 0.0))
@@ -268,6 +287,10 @@ def parse_phase_scan(data: Any, where: str = "phase_scan") -> PhaseScanConfig:
             raise ConfigError(f"{where}: theta_start, theta_stop and theta_step must be finite")
         if step <= 0:
             raise ConfigError(f"{where}.theta_step: must be positive")
+        count = (stop - 1e-9 - start) / step  # the loop below makes ceil(count) angles
+        if count > MAX_SCAN_ANGLES:
+            raise ConfigError(f"{where}: theta_step {step} asks for about {count:.3g} angles; "
+                              f"at most {MAX_SCAN_ANGLES} are allowed")
         thetas = []
         t = start
         while t < stop - 1e-9:
@@ -281,9 +304,7 @@ def parse_phase_scan(data: Any, where: str = "phase_scan") -> PhaseScanConfig:
         parse_disorder(entry, f"{where}.settings[{idx}]")
         for idx, entry in enumerate(settings_raw, start=1)
     )
-    realizations = data.get("realizations", 1000)
-    if realizations < 1:
-        raise ConfigError(f"{where}.realizations: need at least 1")
+    realizations = _realizations(data, where)
     return PhaseScanConfig(n, thetas, settings, realizations)
 
 
@@ -318,8 +339,8 @@ _TOP_KEYS = {
 def parse_config(data: dict, where: str = "config") -> Config:
     _check_keys(data, _TOP_KEYS, where)
     seed = data.get("seed", 0)
-    if seed < 0:
-        raise ConfigError(f"{where}.seed: must be non-negative")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ConfigError(f"{where}.seed: must be in [0, 2^64), got {seed}")
     workers = data.get("workers", 1)
     if workers < 1:
         raise ConfigError(f"{where}.workers: must be >= 1")

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, SweepConfig, mirror_tokens, parse_time_expression
-from .disorder import DisorderSpec, SeededRng, disorder_draws, perturb
+from .disorder import DisorderSpec, perturb, stream_draws
 from .dynamics import NORM_ATOL, propagate, replace_samples, schedule_kicks
 from .linalg import InvariantViolation, band_operator, eigh
 from .network import CouplingGraph
@@ -73,9 +73,8 @@ def hamiltonian_blocks(
         if disorder_spec.clean:
             values, onsite = graph.values[np.newaxis], graph.onsite[np.newaxis]
         else:
-            draws = np.array([disorder_draws(graph, disorder_spec, SeededRng(master_seed, stream))
-                              for stream in streams])
-            values, onsite = perturb(graph, disorder_spec, draws)
+            values, onsite = perturb(graph, disorder_spec,
+                                     stream_draws(graph, disorder_spec, master_seed, streams))
         yield streams, values, onsite
 
 

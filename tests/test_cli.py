@@ -9,6 +9,7 @@ import yaml
 
 import spinnet.cli as cli
 from spinnet import InvariantViolation
+from spinnet.config import MAX_REALIZATIONS, MAX_RUN_SAMPLES, MAX_SCAN_ANGLES, parse_config
 
 
 def write_config(tmp_path, data, name="config.yaml"):
@@ -546,3 +547,62 @@ def test_phase_scan_clean_and_disordered(tmp_path):
         else:
             assert int(row["k"]) == 5
     assert (out / "plot_angles.py").exists()
+
+
+# --- input bounds ---------------------------------------------------------------
+
+RUN_CONFIG = {"protocol": {"name": "router", "n": 6},
+              "disorder": {"kind": "diagonal", "strength": 0.1}}
+SCAN_CONFIG = {"phase_scan": {"n": 6, "thetas_deg": [90.0], "realizations": 2}}
+
+
+@pytest.mark.parametrize("command, data", [
+    ("run", RUN_CONFIG), ("sweep", SWEEP_CONFIG), ("phase-scan", SCAN_CONFIG),
+])
+def test_a_seed_of_2_to_the_64_is_a_config_error(tmp_path, capsys, command, data):
+    assert_config_error_writes_nothing(tmp_path, capsys, command, dict(data, seed=2**64),
+                                       "seed: must be in [0, 2^64)")
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "flag"
+    assert run_cli(command, "--config", cfg, "--out", out, "--seed", 2**64) == 2
+    assert "--seed must be in [0, 2^64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_largest_u64_seed_runs(tmp_path):
+    # two 32-bit seed words: the stream takes the last two of the four
+    cfg = write_config(tmp_path, dict(RUN_CONFIG, seed=2**64 - 1))
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "a") == 0
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "b") == 0
+    trajectory = (tmp_path / "a" / "trajectory.csv").read_bytes()
+    assert trajectory == (tmp_path / "b" / "trajectory.csv").read_bytes()
+    cfg = write_config(tmp_path, dict(RUN_CONFIG, seed=2**64 - 2))
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "c") == 0
+    assert (tmp_path / "c" / "trajectory.csv").read_bytes() != trajectory
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("run", dict(RUN_CONFIG, run={"samples": MAX_RUN_SAMPLES + 1}),
+     f"run.samples: need 2 to {MAX_RUN_SAMPLES}"),
+    ("sweep", dict(SWEEP_CONFIG, sweep=dict(SWEEP_CONFIG["sweep"],
+                                            realizations=MAX_REALIZATIONS + 1)),
+     f"sweep.realizations: need 1 to {MAX_REALIZATIONS}"),
+    ("phase-scan", {"phase_scan": dict(SCAN_CONFIG["phase_scan"],
+                                       realizations=MAX_REALIZATIONS + 1)},
+     f"phase_scan.realizations: need 1 to {MAX_REALIZATIONS}"),
+    ("phase-scan", {"phase_scan": {"n": 6, "theta_step": 1e-9}},
+     f"asks for about 3.6e+11 angles; at most {MAX_SCAN_ANGLES}"),
+    ("phase-scan", {"phase_scan": {"n": 6, "theta_step": 5e-324}},
+     f"asks for about inf angles; at most {MAX_SCAN_ANGLES}"),
+    ("phase-scan", {"phase_scan": {"n": 6, "thetas_deg": [1.0] * (MAX_SCAN_ANGLES + 1)}},
+     f"at most {MAX_SCAN_ANGLES} angles"),
+])
+def test_counts_above_their_bound_are_config_errors(tmp_path, capsys, command, data, message):
+    assert_config_error_writes_nothing(tmp_path, capsys, command, data, message)
+
+
+def test_a_scan_of_max_angles_is_accepted():
+    step = 360.0 / MAX_SCAN_ANGLES
+    scan = parse_config({"phase_scan": {"n": 6, "theta_step": step}}).phase_scan
+    assert len(scan.thetas_deg) == MAX_SCAN_ANGLES
+    assert scan.thetas_deg[1] == step

@@ -110,8 +110,10 @@ def test_disorder_validation():
 
 
 def test_seed_and_workers_validated():
-    with pytest.raises(ConfigError, match="seed"):
-        parse_config({"seed": -1})
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config({"seed": seed})
+    assert parse_config({"seed": 2**64 - 1}).seed == 2**64 - 1
     with pytest.raises(ConfigError, match="workers"):
         parse_config({"workers": 0})
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spinnet import (
     ChainSpec,
@@ -12,7 +13,14 @@ from spinnet import (
     hadamard_join,
     sample_disorder,
 )
-from spinnet.disorder import GAUSSIAN_WIDTH
+from spinnet.disorder import (
+    GAUSSIAN_WIDTH,
+    SEED_LIMIT,
+    disorder_draws,
+    pcg64_state,
+    seed_sequence_words,
+    stream_draws,
+)
 from spinnet.linalg import hermiticity_defect
 
 
@@ -128,3 +136,72 @@ def test_disordered_graph_stays_hermitian_compatible():
         out = sample_disorder(g, DisorderSpec(kind, 0.3), SeededRng(11, 2))
         assert out.n_sites == g.n_sites
         assert hermiticity_defect(out.to_matrix()) == 0.0
+
+
+# --- seeding: numpy's SeedSequence and PCG64, recomputed per block ------------
+
+def numpy_generator(seed, stream):
+    """The generator every stream is defined to draw from."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream))))
+
+
+# the edges of one and two 32-bit entropy words, for seeds and streams alike
+U64 = st.one_of(st.integers(0, SEED_LIMIT - 1), st.integers(2**32 - 4, 2**32 + 4),
+                st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, SEED_LIMIT - 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=U64, streams=st.lists(U64, min_size=1, max_size=12))
+@example(seed=0, streams=[0])
+@example(seed=SEED_LIMIT - 1, streams=[SEED_LIMIT - 1, 0, 2**32])
+@example(seed=20230724, streams=[2**32 - 1, 2**32])
+def test_block_states_are_numpys_pcg64_states(seed, streams):
+    words = seed_sequence_words(seed, streams)
+    assert words.shape == (len(streams), 4) and words.dtype == np.uint64
+    for row, stream in zip(words, streams):
+        assert pcg64_state(row) == numpy_generator(seed, stream).bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [7, 20230724, 2**32 + 11, SEED_LIMIT - 1])
+@pytest.mark.parametrize("kind", ["diagonal", "off_diagonal"])
+def test_block_across_two_to_the_32_draws_numpys_bits(seed, kind):
+    # streams 2^32 - 3 ... 2^32 + 3: one entropy word, then two, in one block
+    g = hadamard_join(NetworkSpec([ChainSpec(4), ChainSpec(5)]))
+    spec = DisorderSpec(kind, 0.3)
+    streams = range(2**32 - 3, 2**32 + 4)
+    size = len(g.values) if kind == "off_diagonal" else g.n_sites
+    expected = np.array([spec.strength * spec.j_max_ref
+                         * numpy_generator(seed, s).normal(0.0, spec.width, size=size)
+                         for s in streams])
+    block = stream_draws(g, spec, seed, streams)
+    assert block.tobytes() == expected.tobytes()
+    for row, stream in zip(block, streams):
+        assert disorder_draws(g, spec, SeededRng(seed, stream)).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("seed, stream", [(0, 0), (42, 7), (5, 2**32 + 1), (SEED_LIMIT - 1, 3)])
+def test_seeded_rng_generator_draws_numpys_bits(seed, stream):
+    ours, theirs = SeededRng(seed, stream).generator(), numpy_generator(seed, stream)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert ours.normal(size=50).tobytes() == theirs.normal(size=50).tobytes()
+    assert ours.integers(0, 2**63, size=5).tobytes() == theirs.integers(0, 2**63, size=5).tobytes()
+
+
+def test_seeded_rng_generators_are_independent():
+    a, b = SeededRng(1, 2).generator(), SeededRng(1, 2).generator()
+    first = a.normal(size=3)
+    assert b.normal(size=3).tobytes() == first.tobytes()
+    assert a.normal(size=3).tobytes() != first.tobytes()
+
+
+@pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1), (SEED_LIMIT, 0), (0, SEED_LIMIT)])
+def test_seed_and_stream_must_fit_in_u64(seed, stream):
+    with pytest.raises(ValueError, match="2\\^64"):
+        SeededRng(seed, stream)
+    with pytest.raises(ValueError, match="2\\^64"):
+        seed_sequence_words(seed, [stream])
+
+
+def test_empty_block_draws_nothing():
+    g = chain_graph(ChainSpec(5))
+    assert stream_draws(g, DisorderSpec("diagonal", 0.1), 3, range(0)).shape == (0, 5)
