@@ -37,7 +37,7 @@ from .linalg import InvariantViolation, eigh
 from .network import network_graph, write_edge_list
 from .observables import fidelity
 from .protocols import build_protocol, probe_estimates
-from .sweep import merit_values, phase_scan_rows, run_cells, sweep_cells, threshold_contour
+from .sweep import merit_values, phase_scan_cells, run_cells, sweep_cells, threshold_contour
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -289,17 +289,29 @@ def cmd_phase_scan(args) -> int:
     cfg, out, seed, workers = _prepare(args)
     if cfg.phase_scan is None:
         raise ConfigError("phase-scan needs a 'phase_scan' section")
-    scan = cfg.phase_scan
-    rows = phase_scan_rows(scan.n, scan.thetas_deg, scan.settings, scan.realizations, seed)
+    thetas = cfg.phase_scan.thetas_deg
+    cells = phase_scan_cells(cfg.phase_scan, seed)
+    done = 0
+
+    def progress(row: dict[str, Any]) -> None:
+        nonlocal done
+        done += 1
+        worst = max(abs((mean - theta + 180.0) % 360.0 - 180.0)
+                    for theta, (mean, _, _) in zip(thetas, row["stats"]))
+        print(f"[{done}/{len(cells)}] {row['kind']} E={row['e']:g}: "
+              f"max |mean - theta|={worst:.6f} deg", flush=True)
+
+    rows = run_cells(cells, workers=workers, checkpoint_dir=os.path.join(out, "checkpoints"),
+                     on_cell=progress)
     path = os.path.join(out, "phase_scan.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("kind,e,theta_deg,theta_mean_deg,std_deg,std_of_mean_deg,k,stream_base\n")
         for row in rows:
-            fh.write(
-                f"{row['kind']},{row['e']:.12g},{row['theta_deg']:.12g},"
-                f"{row['theta_mean_deg']:.12g},{row['std_deg']:.12g},"
-                f"{row['std_of_mean_deg']:.12g},{row['k']},{row['stream_base']}\n"
-            )
+            for theta, (mean, std, sem) in zip(thetas, row["stats"]):
+                fh.write(
+                    f"{row['kind']},{row['e']:.12g},{theta:.12g},{mean:.12g},{std:.12g},"
+                    f"{sem:.12g},{row['k']},{row['stream_base']}\n"
+                )
     _write_meta(out, "phase-scan", cfg, seed, workers, ["phase_scan.csv"])
     _write_phase_plot_script(out)
     print(f"wrote {path}")

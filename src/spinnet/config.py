@@ -59,8 +59,11 @@ def _check_keys(data: dict, allowed: dict[str, type | tuple], where: str) -> Non
                 hint = f" (did you mean {close[0]!r}?)"
             raise ConfigError(f"{where}: unknown key {key!r}{hint}; allowed: {sorted(allowed)}")
     for key, types in allowed.items():
-        if key in data and data[key] is not None and not _is(data[key], types):
-            raise ConfigError(f"{where}.{key}: expected {types}, got {type(data[key]).__name__}")
+        if key not in data or (data[key] is None and types is dict):
+            continue  # an empty section (`run: null`) takes its defaults
+        if not _is(data[key], types):
+            got = "null" if data[key] is None else type(data[key]).__name__
+            raise ConfigError(f"{where}.{key}: expected {types}, got {got}")
 
 
 _NUMBER = (int, float)

@@ -1,9 +1,10 @@
 """Disorder ensembles: sweeps over (size, error-strength) grids, phase scans.
 
 A sweep cell is one (size, E, kind) combination evaluated over K disorder
-realizations. Realization k of cell c draws from the stream (master seed,
-c * K + k), so the numbers cannot depend on how cells are distributed over
-workers. Sweep cells and phase-scan settings draw their realizations from
+realizations; a phase-scan cell is one disorder setting, every device probed
+at every scanned angle. Realization k of cell c draws from the stream
+(master seed, c * K + k), so the numbers cannot depend on how cells are
+distributed over workers. Both kinds of cell draw their realizations from
 one block generator, :func:`hamiltonian_blocks`, one stack of edge arrays
 per block, sized by what the consumer keeps per realization. A sweep of a
 network below CHEBYSHEV_MIN_SITES sites assembles the stack and decomposes
@@ -11,9 +12,10 @@ it as real symmetric; from that size on it holds the stack as band
 diagonals and propagates it by a Chebyshev series, which costs O(N) per
 term and diagonal instead of an O(N^3) eigensolve. A phase scan assembles and
 decomposes its stack as complex. A realization's value does not depend on
-the block it lands in either. Completed sweep cells are checkpointed to disk
-(write-temp-then-rename) together with a fingerprint of their
-configuration, and skipped on resume only when that fingerprint matches.
+the block it lands in either. :func:`run_cells` runs either kind of cell,
+in process or on a clamped pool, checkpoints each completed cell to disk
+(write-temp-then-rename) together with a fingerprint of its configuration,
+and skips it on resume only when that fingerprint matches.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, SweepConfig, mirror_tokens, parse_time_expression
+from .config import (ConfigError, PhaseScanConfig, SweepConfig, mirror_tokens,
+                     parse_time_expression)
 from .disorder import DisorderSpec, perturb, stream_draws
 from .dynamics import NORM_ATOL, propagate, replace_samples, schedule_kicks
 from .linalg import InvariantViolation, band_operator, eigh
@@ -208,6 +211,23 @@ class SweepCell:
                       version=__version__)
         return json.loads(json.dumps(fields))  # tuples become lists, as when read back
 
+    def run(self) -> dict[str, Any]:
+        """Evaluate the cell; returns a plain dict so it survives any transport."""
+        result, merit = self.protocol()
+        acc = ensemble_merit(result, self.disorder, self.realizations, self.master_seed,
+                             stream_base=self.stream_base, merit=merit)
+        return {
+            "index": self.index,
+            "size": self.size,
+            "e": self.e,
+            "kind": self.kind,
+            "mean": acc.mean,
+            "std": acc.std,
+            "std_of_mean": acc.std_of_mean,
+            "k": acc.count,
+            "stream_base": self.stream_base,
+        }
+
 
 def sweep_cells(
     protocol_name: str,
@@ -242,26 +262,14 @@ def sweep_cells(
     return cells
 
 
-def run_cell(cell: SweepCell) -> dict[str, Any]:
-    """Evaluate one cell; returns a plain dict so it survives any transport."""
-    result, merit = cell.protocol()
-    acc = ensemble_merit(result, cell.disorder, cell.realizations, cell.master_seed,
-                         stream_base=cell.stream_base, merit=merit)
-    return {
-        "index": cell.index,
-        "size": cell.size,
-        "e": cell.e,
-        "kind": cell.kind,
-        "mean": acc.mean,
-        "std": acc.std,
-        "std_of_mean": acc.std_of_mean,
-        "k": acc.count,
-        "stream_base": cell.stream_base,
-    }
+def run_cell(cell: SweepCell | PhaseScanCell) -> dict[str, Any]:
+    """The one runner of :func:`run_cells`, in process and on the pool (which
+    pickles it by name)."""
+    return cell.run()
 
 
 def run_cells(
-    cells: Sequence[SweepCell],
+    cells: Sequence[SweepCell | PhaseScanCell],
     workers: int = 1,
     checkpoint_dir: str | None = None,
     on_cell: Callable[[dict[str, Any]], None] | None = None,
@@ -373,26 +381,61 @@ def phase_scan_setting(
     return [(acc.mean % 360.0, acc.std, acc.std_of_mean) for acc in accs]
 
 
-def phase_scan_rows(
-    n_total: int,
-    thetas_deg: tuple[float, ...],
-    settings: Sequence[DisorderSpec],
-    realizations: int,
-    master_seed: int,
-) -> list[dict[str, Any]]:
-    """One row per (disorder setting, scanned angle)."""
-    rows = []
-    for setting_index, spec in enumerate(settings):
-        k = 1 if spec.clean else realizations
-        stream_base = setting_index * realizations
-        stats = phase_scan_setting(
-            n_total, thetas_deg, spec, k, master_seed, stream_base=stream_base
+@dataclass(frozen=True)
+class PhaseScanCell:
+    """One phase-scan disorder setting, probed at every scanned angle."""
+
+    index: int
+    n: int
+    thetas_deg: tuple[float, ...]
+    kind: str
+    strength: float
+    width: float
+    j_max_ref: float
+    realizations: int  # 1 for a clean setting
+    master_seed: int
+    stream_base: int
+
+    @property
+    def disorder(self) -> DisorderSpec:
+        return DisorderSpec(self.kind, self.strength, self.width, self.j_max_ref)
+
+    def fingerprint(self) -> dict[str, Any]:
+        """Everything the cell's numbers depend on, as its checkpoint stores it."""
+        return json.loads(json.dumps(dict(asdict(self), version=__version__)))
+
+    def run(self) -> dict[str, Any]:
+        """Evaluate the setting; its stats are [mean, std, std of mean] per angle,
+        which JSON stores and reads back bit for bit."""
+        stats = phase_scan_setting(self.n, self.thetas_deg, self.disorder, self.realizations,
+                                   self.master_seed, stream_base=self.stream_base)
+        return {
+            "index": self.index,
+            "kind": self.kind,
+            "e": self.strength,
+            "k": self.realizations,
+            "stream_base": self.stream_base,
+            "stats": [list(angle) for angle in stats],
+        }
+
+
+def phase_scan_cells(scan: PhaseScanConfig, master_seed: int) -> list[PhaseScanCell]:
+    """One cell per disorder setting; setting c draws from streams c * K on."""
+    return [
+        PhaseScanCell(
+            index=index,
+            n=scan.n,
+            thetas_deg=scan.thetas_deg,
+            kind=spec.kind,
+            strength=spec.strength,
+            width=spec.width,
+            j_max_ref=spec.j_max_ref,
+            realizations=1 if spec.clean else scan.realizations,
+            master_seed=master_seed,
+            stream_base=index * scan.realizations,
         )
-        for theta, (mean, std, sem) in zip(thetas_deg, stats):
-            rows.append({"kind": spec.kind, "e": spec.strength, "theta_deg": theta,
-                         "theta_mean_deg": mean, "std_deg": std, "std_of_mean_deg": sem,
-                         "k": k, "stream_base": stream_base})
-    return rows
+        for index, spec in enumerate(scan.settings)
+    ]
 
 
 # --- threshold contour ------------------------------------------------------

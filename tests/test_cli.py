@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 import spinnet.cli as cli
+import spinnet.sweep as sweep
 from spinnet import InvariantViolation
 from spinnet.config import MAX_REALIZATIONS, MAX_RUN_SAMPLES, MAX_SCAN_ANGLES, parse_config
 
@@ -549,6 +550,98 @@ def test_phase_scan_clean_and_disordered(tmp_path):
     assert (out / "plot_angles.py").exists()
 
 
+POOLED_SCAN_CONFIG = {
+    "seed": 5,
+    "phase_scan": {
+        "n": 6,
+        "thetas_deg": [0.0, 135.0, 315.0],
+        "realizations": 6,
+        "settings": [
+            {"kind": "none"},
+            {"kind": "diagonal", "strength": 0.05},
+            {"kind": "off_diagonal", "strength": 0.1},
+        ],
+    },
+}
+
+
+def scan_config(**settings_2):
+    """POOLED_SCAN_CONFIG with its second disordered setting changed."""
+    scan = dict(POOLED_SCAN_CONFIG["phase_scan"])
+    scan["settings"] = scan["settings"][:2] + [dict(scan["settings"][2], **settings_2)]
+    return dict(POOLED_SCAN_CONFIG, phase_scan=scan)
+
+
+def test_phase_scan_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys):
+    sizes = []
+    real_pool = sweep.multiprocessing.Pool
+
+    def pool(processes):
+        sizes.append(processes)
+        return real_pool(processes=processes)
+
+    monkeypatch.setattr(sweep.multiprocessing, "Pool", pool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)  # a real pool of 2 on any machine
+    cfg = write_config(tmp_path, POOLED_SCAN_CONFIG)
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert run_cli("phase-scan", "--config", cfg, "--out", serial, "--workers", 1) == 0
+    assert run_cli("phase-scan", "--config", cfg, "--out", pooled, "--workers", 2) == 0
+    assert sizes == [2]
+    assert (pooled / "phase_scan.csv").read_bytes() == (serial / "phase_scan.csv").read_bytes()
+    for name in ("cell_00000.json", "cell_00001.json", "cell_00002.json"):
+        assert ((pooled / "checkpoints" / name).read_bytes()
+                == (serial / "checkpoints" / name).read_bytes())
+    out = capsys.readouterr().out
+    assert all(f"[{done}/3] " in out for done in (1, 2, 3))
+    assert "diagonal E=0.05: max |mean - theta|=" in out
+
+
+def test_phase_scan_resumes_from_checkpoints(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, POOLED_SCAN_CONFIG)
+    out = tmp_path / "out"
+    assert run_cli("phase-scan", "--config", cfg, "--out", out) == 0
+    first = (out / "phase_scan.csv").read_bytes()
+    # an interrupted run: the CSV and one setting's checkpoint were never written
+    (out / "phase_scan.csv").unlink()
+    (out / "checkpoints" / "cell_00001.json").unlink()
+    ran = []
+    run = sweep.PhaseScanCell.run
+
+    def spy(cell):
+        ran.append(cell.index)
+        return run(cell)
+
+    monkeypatch.setattr(sweep.PhaseScanCell, "run", spy)
+    assert run_cli("phase-scan", "--config", cfg, "--out", out) == 0
+    assert ran == [1]
+    assert (out / "phase_scan.csv").read_bytes() == first
+    replayed = tmp_path / "replayed"
+    assert run_cli("replay", out / "meta.json", "--out", replayed) == 0
+    assert (replayed / "phase_scan.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("command, data, discarded", [
+    ("phase-scan", scan_config(width=0.5), 1),
+    ("phase-scan", scan_config(j_max_ref=2.0), 1),
+    ("phase-scan", {**POOLED_SCAN_CONFIG, "phase_scan": dict(POOLED_SCAN_CONFIG["phase_scan"],
+                                                             thetas_deg=[0.0, 135.0])}, 3),
+    ("sweep", SWEEP_CONFIG, 3),  # a sweep's cells 0-2 in the same --out
+])
+def test_phase_scan_discards_checkpoints_of_another_configuration(
+    tmp_path, capsys, command, data, discarded
+):
+    cfg = write_config(tmp_path, POOLED_SCAN_CONFIG)
+    before = write_config(tmp_path, data, name="before.yaml")
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert run_cli(command, "--config", before, "--out", out) == 0
+    capsys.readouterr()
+    assert run_cli("phase-scan", "--config", cfg, "--out", out) == 0
+    err = capsys.readouterr().err
+    assert err.count("written for another configuration; computing the cell again") == discarded
+    assert run_cli("phase-scan", "--config", cfg, "--out", fresh) == 0
+    assert (out / "phase_scan.csv").read_bytes() == (fresh / "phase_scan.csv").read_bytes()
+
+
 # --- input bounds ---------------------------------------------------------------
 
 RUN_CONFIG = {"protocol": {"name": "router", "n": 6},
@@ -606,3 +699,18 @@ def test_a_scan_of_max_angles_is_accepted():
     scan = parse_config({"phase_scan": {"n": 6, "theta_step": step}}).phase_scan
     assert len(scan.thetas_deg) == MAX_SCAN_ANGLES
     assert scan.thetas_deg[1] == step
+
+
+@pytest.mark.parametrize("command, data, key", [
+    ("run", dict(RUN_CONFIG, seed=None), "seed"),
+    ("run", dict(RUN_CONFIG, workers=None), "workers"),
+    ("run", dict(RUN_CONFIG, run={"samples": None}), "run.samples"),
+    ("sweep", dict(SWEEP_CONFIG, sweep=dict(SWEEP_CONFIG["sweep"], realizations=None)),
+     "sweep.realizations"),
+    ("phase-scan", {"phase_scan": dict(SCAN_CONFIG["phase_scan"], realizations=None)},
+     "phase_scan.realizations"),
+])
+def test_a_null_number_is_a_config_error(tmp_path, capsys, command, data, key):
+    assert_config_error_writes_nothing(tmp_path, capsys, command, data,
+                                       f"{key}: expected <class 'int'>, got null")
+

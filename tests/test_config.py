@@ -1,11 +1,14 @@
 import math
+import re
 
 import pytest
 import yaml
 
 from spinnet import ChainSpec, NetworkSpec
+from spinnet.disorder import DisorderSpec
 from spinnet.config import (
     ConfigError,
+    RunConfig,
     mirror_tokens,
     parse_config,
     parse_network,
@@ -100,6 +103,28 @@ def test_booleans_are_not_numbers():
         "protocol: {name: mws, chain_length: 3, with_flips: true}\nrun: {amplitudes: yes}"))
     assert cfg.protocol.params["with_flips"] is True
     assert cfg.run.amplitudes is True
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"seed": None}, "config.seed"),
+    ({"disorder": {"kind": None}}, "disorder.kind"),
+    ({"disorder": {"kind": "diagonal", "strength": None}}, "disorder.strength"),
+    ({"run": {"amplitudes": None}}, "run.amplitudes"),
+    ({"protocol": {"name": "mws", "with_flips": None}}, "protocol.with_flips"),
+    ({"sweep": {"n_values": None, "e_values": [0.1]}}, "sweep.n_values"),
+    ({"phase_scan": {"n": 4, "thetas_deg": None}}, "phase_scan.thetas_deg"),
+    ({"network": {"chains": [{"length": 3, "j_max": None}]}}, "network.chains[1].j_max"),
+])
+def test_null_is_not_a_value(data, key):
+    with pytest.raises(ConfigError, match=re.escape(f"{key}: expected ") + ".*, got null"):
+        parse_config(data)
+
+
+def test_null_sections_take_their_defaults():
+    cfg = parse_config({"disorder": None, "run": None})
+    assert cfg.disorder == DisorderSpec() and cfg.run == RunConfig()
+    with pytest.raises(ConfigError, match="sweep: expected a mapping"):
+        parse_config({"sweep": None})
 
 
 def test_disorder_validation():

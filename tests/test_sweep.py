@@ -1,10 +1,12 @@
+import dataclasses
+import json
 import re
 
 import numpy as np
 import pytest
 
 from spinnet import InvariantViolation, SpectralDecomposition, sweep
-from spinnet.config import SweepConfig
+from spinnet.config import PhaseScanConfig, SweepConfig
 from spinnet.disorder import DisorderSpec, SeededRng, sample_disorder
 from spinnet.dynamics import replace_samples, run_schedule
 from spinnet.linalg import eigh
@@ -18,6 +20,7 @@ from spinnet.protocols import (
 from spinnet.sweep import (
     ensemble_merit,
     merit_values,
+    phase_scan_cells,
     phase_scan_setting,
     resolve_merit,
     run_cells,
@@ -54,6 +57,12 @@ def clean_cells(count):
     return sweep_cells("router", {}, grid, 1)
 
 
+def clean_phase_scan_cells(count):
+    scan = PhaseScanConfig(n=4, thetas_deg=(0.0, 90.0), settings=(DisorderSpec(),) * count,
+                           realizations=2)
+    return phase_scan_cells(scan, 1)
+
+
 @pytest.mark.parametrize("cores, cells, workers, expected", [
     (2, 3, 10000, [2]),  # bounded by the cores
     (8, 3, 10000, [3]),  # bounded by the cells
@@ -61,18 +70,25 @@ def clean_cells(count):
     (8, 1, 10000, []),   # one cell runs in-process
 ])
 def test_pool_size_is_clamped(monkeypatch, capsys, cores, cells, workers, expected):
-    RecordingPool.sizes = []
     monkeypatch.setattr(sweep.multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: cores)
-    rows = run_cells(clean_cells(cells), workers=workers)
-    assert RecordingPool.sizes == expected
-    assert [row["mean"] for row in rows] == pytest.approx([1.0] * cells, abs=1e-9)
-    err = capsys.readouterr().err
     clamped = min(workers, cells, cores)
-    if clamped < workers:
-        assert err.count(f"using {clamped} of {workers} requested worker processes") == 1
-    else:
-        assert err == ""
+    for make_cells in (clean_cells, clean_phase_scan_cells):  # one pool for both kinds
+        RecordingPool.sizes = []
+        rows = run_cells(make_cells(cells), workers=workers)
+        assert RecordingPool.sizes == expected
+        assert [row["index"] for row in rows] == list(range(cells))
+        if make_cells is clean_cells:
+            assert [row["mean"] for row in rows] == pytest.approx([1.0] * cells, abs=1e-9)
+        else:
+            for row in rows:
+                means = [mean for mean, _, _ in row["stats"]]
+                assert means == pytest.approx([0.0, 90.0], abs=1e-6)
+        err = capsys.readouterr().err
+        if clamped < workers:
+            assert err.count(f"using {clamped} of {workers} requested worker processes") == 1
+        else:
+            assert err == ""
 
 
 # --- block engine ---------------------------------------------------------------
@@ -245,3 +261,29 @@ def test_phase_scan_matches_the_per_device_loop(n, kind, e, k, base):
     spec = DisorderSpec(kind, e)
     assert (phase_scan_setting(n, thetas, spec, k, SEED, stream_base=base)
             == phase_scan_reference(n, thetas, spec, k, base))
+
+
+def test_a_phase_scan_cell_is_one_setting():
+    scan = PhaseScanConfig(n=20, thetas_deg=(0.0, 135.0, 315.0), realizations=12, settings=(
+        DisorderSpec(), DisorderSpec("diagonal", 0.05, width=0.5, j_max_ref=2.0)))
+    clean, disordered = phase_scan_cells(scan, SEED)
+    assert (clean.realizations, clean.stream_base) == (1, 0)
+    assert (disordered.realizations, disordered.stream_base) == (12, 12)
+    assert disordered.disorder == scan.settings[1]  # a setting's width and j_max_ref too
+    row = disordered.run()
+    assert row["stats"] == [list(stats) for stats in phase_scan_setting(
+        20, scan.thetas_deg, scan.settings[1], 12, SEED, stream_base=12)]
+    assert json.loads(json.dumps(row)) == row  # a checkpoint reads back bit for bit
+
+
+@pytest.mark.parametrize("field, value", [
+    ("width", 0.5), ("j_max_ref", 2.0), ("thetas_deg", (0.0, 90.0)), ("strength", 0.06),
+    ("master_seed", SEED + 1), ("realizations", 13), ("n", 22),
+])
+def test_a_phase_scan_fingerprint_covers_every_field(field, value):
+    scan = PhaseScanConfig(n=20, thetas_deg=(0.0, 135.0), realizations=12,
+                           settings=(DisorderSpec("diagonal", 0.05),))
+    cell = phase_scan_cells(scan, SEED)[0]
+    other = dataclasses.replace(cell, **{field: value})
+    assert other.fingerprint() != cell.fingerprint()
+    assert cell.fingerprint()["thetas_deg"] == [0.0, 135.0]  # as JSON reads it back
