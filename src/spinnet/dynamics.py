@@ -167,7 +167,8 @@ def propagate(
     operator is a spectral decomposition (:func:`~spinnet.linalg.evolve`) or
     a band operator (:func:`~spinnet.linalg.chebyshev_evolve`); a stacked
     one propagates one state per matrix, along the leading axes of
-    ``amplitudes``. The input array is never modified.
+    ``amplitudes``. The input array is never modified; each kick is
+    :func:`kick_site` on a copy.
     """
     advance = chebyshev_evolve if isinstance(operator, BandOperator) else evolve
     t_now = t_start
@@ -176,15 +177,24 @@ def propagate(
             amplitudes = advance(operator, amplitudes, t_kick - t_now)
             t_now = t_kick
         amplitudes = np.array(amplitudes)
-        phase = complex(math.cos(angle), math.sin(angle))
-        # one scalar complex product per state: numpy's vector loop rounds
-        # differently for a strided column of two or more states than for
-        # one, which would tie a state's last bits to the size of its stack
-        column = amplitudes.reshape(-1, amplitudes.shape[-1])[:, site]
-        column[:] = [a * phase for a in column.tolist()]
+        kick_site(amplitudes, site, angle)
     if t_end > t_now:
         amplitudes = advance(operator, amplitudes, t_end - t_now)
     return amplitudes
+
+
+def kick_site(amplitudes: np.ndarray, site: int, angle: float) -> None:
+    """Multiply the 0-based ``site`` of every state in ``amplitudes`` by
+    e^{i angle}, in place: the one kick of :func:`propagate` and of the
+    phase probe.
+
+    One scalar Python complex product per state: numpy's vector loop rounds
+    differently for a strided column of two or more states than for one,
+    which would tie a state's last bits to the size of its stack.
+    """
+    phase = complex(math.cos(angle), math.sin(angle))
+    column = amplitudes[..., site]
+    column.flat = [a * phase for a in column.reshape(-1).tolist()]
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ Two operators evolve states, and ``dynamics.propagate`` takes either:
 - :class:`SpectralDecomposition` from :func:`eigh`, a dense eigensystem:
   decompose once, then :func:`evolve` to any time at O(N^2) per state. A
   real symmetric input keeps a real decomposition; a stack along leading
-  axes is decomposed in one call. The decomposition itself costs O(N^3),
-  and its rounding depends on the LAPACK build.
+  axes is decomposed in one call, and many states per matrix evolve in one
+  call too. The decomposition itself costs O(N^3), and its rounding
+  depends on the LAPACK build.
 - :class:`BandOperator` from :func:`band_operator`, a stack of real
   symmetric Hamiltonians held as their nonzero diagonals, each with its own
   Gershgorin spectral interval. :func:`chebyshev_evolve` expands
@@ -25,6 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITICITY_ATOL = 1e-12
+
+# Array entries per block of work: the matrices of a sweep's dense stack, or
+# the states of one phase-probe evolve call. 2^14 entries are 128 KiB real,
+# 256 KiB complex, so a block stays within a few percent of a worker's peak
+# memory whatever the size of the run.
+BLOCK_ENTRIES = 1 << 14
 
 # A Chebyshev coefficient 2 J_k below the unit roundoff no longer changes a
 # unit-norm state; the series stops at the last order above it.
@@ -100,12 +107,16 @@ def evolve(decomp: SpectralDecomposition, psi0: np.ndarray, t: float) -> np.ndar
     """Apply exp(-iHt) to ``psi0`` through the spectral basis (hbar = 1).
 
     For a decomposed stack ``psi0`` holds one state per matrix, along the
-    same leading axes.
+    same leading axes. Axes in front of those broadcast over the
+    decomposition: a (A, B, N) stack over a (B, N, N) one, or (A, N) over
+    one matrix, gives what A separate calls give, bit for bit, with V† and
+    the phases computed once.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != decomp.eigenvalues.shape:
+    shape = decomp.eigenvalues.shape
+    if psi0.ndim < len(shape) or psi0.shape[psi0.ndim - len(shape):] != shape:
         raise ValueError(
-            f"state has shape {psi0.shape}, expected {decomp.eigenvalues.shape}"
+            f"state has shape {psi0.shape}, expected {shape} after any leading axes"
         )
     v = decomp.eigenvectors
     phases = np.exp(-1j * decomp.eigenvalues * t)
@@ -113,7 +124,8 @@ def evolve(decomp: SpectralDecomposition, psi0: np.ndarray, t: float) -> np.ndar
 
 
 def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``a @ x`` for matching stacks of matrices and vectors.
+    """``a @ x`` for stacks of matrices and vectors, ``x`` broadcasting
+    over ``a`` along any extra leading axes.
 
     A real ``a`` multiplies the real and imaginary parts of ``x`` as the two
     columns of one real product instead of being promoted to complex.

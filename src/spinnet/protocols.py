@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import PureState, Protocol, inject, phase_kick, propagate
-from .linalg import SpectralDecomposition, eigh, evolve
+from .dynamics import PureState, Protocol, inject, kick_site, phase_kick
+from .linalg import BLOCK_ENTRIES, SpectralDecomposition, eigh, evolve
 from .network import ChainSpec, CouplingGraph, NetworkSpec, network_graph, retune_jmax
 
 SQRT2 = math.sqrt(2.0)
@@ -457,9 +457,13 @@ def probe_estimates(
     Per angle, run A reads P1 = (1 + cos theta)/2 at 2 t_m; run B adds a
     known quarter turn to the unknown phase and reads P1' = (1 - sin
     theta)/2. atan2(1 - 2 P1', 2 P1 - 1) then recovers the full circle; on
-    a clean network the estimate is exact. The devices evolve and are kicked
-    together, then each gets its estimates as scalars: one list per device,
-    the same bit for bit as for that device alone.
+    a clean network the estimate is exact. One evolve call takes every
+    device to t_m; each probe (two per angle) is a copy of that stack,
+    kicked by :func:`~spinnet.dynamics.kick_site`, and the probes of a chunk
+    of at most BLOCK_ENTRIES state entries share one broadcast evolve call
+    to 2 t_m. Each device gets its estimates as scalars: one list per
+    device, the same bit for bit as for that device alone, probe by probe
+    through :func:`~spinnet.dynamics.propagate`.
     """
     t_m = ChainSpec(n_total // 2).mirror_time
     kick_index = n_total // 2  # 0-based index of site N/2 + 1
@@ -467,15 +471,24 @@ def probe_estimates(
     start[..., 0] = 1.0
     halfway = evolve(decomp, start, t_m)
 
-    def populations(angle: float) -> list[float]:
-        kicked = propagate(decomp, halfway, t_m, ((t_m, kick_index, angle),), 2 * t_m)
-        return [float(abs(a) ** 2) for a in kicked[..., 0].reshape(-1)]
-
-    estimates: list[list[float]] = [[] for _ in range(halfway[..., 0].size)]
+    angles = []  # direct, then quadrature, per unknown angle
     for theta_deg in thetas_deg:
         theta = math.radians(theta_deg)
-        direct = populations(theta)
-        quadrature = populations(theta + math.pi / 2.0)
+        angles += [theta, theta + math.pi / 2.0]
+    populations: list[list[float]] = []  # P1 of every device, per probe
+    per_chunk = max(1, BLOCK_ENTRIES // halfway.size)
+    for first in range(0, len(angles), per_chunk):
+        chunk = angles[first:first + per_chunk]
+        probes = np.empty((len(chunk),) + halfway.shape, dtype=complex)
+        probes[...] = halfway
+        for probe, angle in zip(probes, chunk):
+            kick_site(probe, kick_index, angle)
+        # from t_m to 2 t_m: 2 t_m - t_m is t_m exactly
+        arrived = evolve(decomp, probes, t_m)[..., 0].reshape(len(chunk), -1)
+        populations += [[abs(a) ** 2 for a in probe] for probe in arrived.tolist()]
+
+    estimates: list[list[float]] = [[] for _ in range(halfway[..., 0].size)]
+    for direct, quadrature in zip(populations[::2], populations[1::2]):
         for device, p_direct, p_quad in zip(estimates, direct, quadrature):
             est = math.degrees(math.atan2(1.0 - 2.0 * p_quad, 2.0 * p_direct - 1.0))
             device.append(est % 360.0)

@@ -25,7 +25,7 @@ import multiprocessing
 import os
 import sys
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -34,19 +34,11 @@ from .config import (ConfigError, PhaseScanConfig, SweepConfig, mirror_tokens,
                      parse_time_expression)
 from .disorder import DisorderSpec, perturb, stream_draws
 from .dynamics import NORM_ATOL, propagate, replace_samples, schedule_kicks
-from .linalg import InvariantViolation, band_operator, eigh
+from .linalg import BLOCK_ENTRIES, InvariantViolation, band_operator, eigh
 from .network import CouplingGraph
 from .observables import EnsembleAccumulator, fidelities, pair_eofs
 from .protocols import (FigureOfMerit, ProtocolResult, build_protocol, probe_estimates,
                         unwrap_to_branch)
-
-# Array entries per block of realizations: N^2 per realization for a dense
-# stack, 2N (the real and imaginary parts of one state) for a band. A dense
-# stack of 2^14 entries (128 KiB real, 256 KiB complex) keeps a worker's peak
-# memory within a few percent of a one-realization-at-a-time loop and still
-# holds 83 realizations at N = 14; from N = 91 on a block is one realization.
-# A band block holds 58 realizations at N = 140.
-BLOCK_ENTRIES = 1 << 14
 
 # Sweeps of networks with at least this many sites propagate on the band
 # diagonals (linalg.chebyshev_evolve); smaller ones through a dense eigh.
@@ -63,11 +55,13 @@ def hamiltonian_blocks(
 
     Realization k draws from stream ``stream_base + k``. A block holds the
     streams of at most BLOCK_ENTRIES entries at ``footprint`` entries per
-    realization (default N^2, a dense stack). ``values`` and ``onsite`` are
-    the block's couplings and site energies, perturbed as
-    :func:`~spinnet.disorder.sample_disorder` does for one stream, bit for
-    bit; the array that the spec leaves alone is the graph's own, without a
-    block axis. A clean spec yields one realization, the bare graph.
+    realization (default N^2, a dense stack; 2N, the real and imaginary
+    parts of one state, for a band). A dense block holds 83 realizations at
+    N = 14 and one from N = 91 on; a band block holds 58 at N = 140.
+    ``values`` and ``onsite`` are the block's couplings and site energies,
+    perturbed as :func:`~spinnet.disorder.sample_disorder` does for one
+    stream, bit for bit; the array that the spec leaves alone is the graph's
+    own, without a block axis. A clean spec yields one realization, the bare graph.
     """
     runs = min(realizations, 1) if disorder_spec.clean else realizations
     block = max(1, BLOCK_ENTRIES // (footprint or graph.n_sites ** 2))
@@ -181,6 +175,10 @@ def resolve_merit(
 class SweepCell:
     """One grid cell: identity, addressing, and its task payload."""
 
+    # checkpoints/cell_00003.json; a phase-scan setting's is setting_00003.json,
+    # so a sweep and a phase scan in one --out keep their checkpoints apart
+    checkpoint_stem: ClassVar[str] = "cell"
+
     index: int
     size: int
     e: float
@@ -283,16 +281,20 @@ def run_cells(
     rows: dict[int, dict[str, Any]] = {}
     fingerprints = {cell.index: cell.fingerprint() for cell in cells}
     pending = []
+    stems = {cell.index: cell.checkpoint_stem for cell in cells}
     for cell in cells:
-        cached = _load_checkpoint(checkpoint_dir, cell.index, fingerprints[cell.index])
+        cached = _load_checkpoint(checkpoint_dir, cell.index, fingerprints[cell.index],
+                                  cell.checkpoint_stem)
         if cached is not None:
             rows[cell.index] = cached
         else:
             pending.append(cell)
 
     def record(row: dict[str, Any]) -> None:
-        rows[row["index"]] = row
-        _write_checkpoint(checkpoint_dir, dict(row, fingerprint=fingerprints[row["index"]]))
+        index = row["index"]
+        rows[index] = row
+        _write_checkpoint(checkpoint_dir, dict(row, fingerprint=fingerprints[index]),
+                          stems[index])
         if on_cell is not None:
             on_cell(row)
 
@@ -311,17 +313,17 @@ def run_cells(
     return [rows[cell.index] for cell in cells]
 
 
-def _checkpoint_path(checkpoint_dir: str, index: int) -> str:
-    return os.path.join(checkpoint_dir, f"cell_{index:05d}.json")
+def _checkpoint_path(checkpoint_dir: str, index: int, stem: str) -> str:
+    return os.path.join(checkpoint_dir, f"{stem}_{index:05d}.json")
 
 
 def _load_checkpoint(
-    checkpoint_dir: str | None, index: int, fingerprint: dict[str, Any]
+    checkpoint_dir: str | None, index: int, fingerprint: dict[str, Any], stem: str
 ) -> dict[str, Any] | None:
     """The checkpointed row of cell ``index``, or None when it must be computed."""
     if checkpoint_dir is None:
         return None
-    path = _checkpoint_path(checkpoint_dir, index)
+    path = _checkpoint_path(checkpoint_dir, index, stem)
     if not os.path.exists(path):
         return None
     try:
@@ -338,11 +340,11 @@ def _load_checkpoint(
     return None
 
 
-def _write_checkpoint(checkpoint_dir: str | None, row: dict[str, Any]) -> None:
+def _write_checkpoint(checkpoint_dir: str | None, row: dict[str, Any], stem: str = "cell") -> None:
     if checkpoint_dir is None:
         return
     os.makedirs(checkpoint_dir, exist_ok=True)
-    path = _checkpoint_path(checkpoint_dir, row["index"])
+    path = _checkpoint_path(checkpoint_dir, row["index"], stem)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(row, fh, sort_keys=True)
@@ -384,6 +386,8 @@ def phase_scan_setting(
 @dataclass(frozen=True)
 class PhaseScanCell:
     """One phase-scan disorder setting, probed at every scanned angle."""
+
+    checkpoint_stem: ClassVar[str] = "setting"  # see SweepCell.checkpoint_stem
 
     index: int
     n: int

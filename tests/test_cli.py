@@ -588,7 +588,7 @@ def test_phase_scan_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, c
     assert run_cli("phase-scan", "--config", cfg, "--out", pooled, "--workers", 2) == 0
     assert sizes == [2]
     assert (pooled / "phase_scan.csv").read_bytes() == (serial / "phase_scan.csv").read_bytes()
-    for name in ("cell_00000.json", "cell_00001.json", "cell_00002.json"):
+    for name in ("setting_00000.json", "setting_00001.json", "setting_00002.json"):
         assert ((pooled / "checkpoints" / name).read_bytes()
                 == (serial / "checkpoints" / name).read_bytes())
     out = capsys.readouterr().out
@@ -603,7 +603,7 @@ def test_phase_scan_resumes_from_checkpoints(tmp_path, monkeypatch):
     first = (out / "phase_scan.csv").read_bytes()
     # an interrupted run: the CSV and one setting's checkpoint were never written
     (out / "phase_scan.csv").unlink()
-    (out / "checkpoints" / "cell_00001.json").unlink()
+    (out / "checkpoints" / "setting_00001.json").unlink()
     ran = []
     run = sweep.PhaseScanCell.run
 
@@ -625,7 +625,7 @@ def test_phase_scan_resumes_from_checkpoints(tmp_path, monkeypatch):
     ("phase-scan", scan_config(j_max_ref=2.0), 1),
     ("phase-scan", {**POOLED_SCAN_CONFIG, "phase_scan": dict(POOLED_SCAN_CONFIG["phase_scan"],
                                                              thetas_deg=[0.0, 135.0])}, 3),
-    ("sweep", SWEEP_CONFIG, 3),  # a sweep's cells 0-2 in the same --out
+    ("sweep", SWEEP_CONFIG, 0),  # a sweep's cells 0-2 in the same --out keep their own names
 ])
 def test_phase_scan_discards_checkpoints_of_another_configuration(
     tmp_path, capsys, command, data, discarded
@@ -640,6 +640,31 @@ def test_phase_scan_discards_checkpoints_of_another_configuration(
     assert err.count("written for another configuration; computing the cell again") == discarded
     assert run_cli("phase-scan", "--config", cfg, "--out", fresh) == 0
     assert (out / "phase_scan.csv").read_bytes() == (fresh / "phase_scan.csv").read_bytes()
+
+
+def test_a_sweep_and_a_phase_scan_share_one_out(tmp_path, capsys, monkeypatch):
+    sweep_cfg = write_config(tmp_path, SWEEP_CONFIG, name="sweep.yaml")
+    scan_cfg = write_config(tmp_path, POOLED_SCAN_CONFIG, name="scan.yaml")
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", sweep_cfg, "--out", out) == 0
+    heatmap = (out / "heatmap.csv").read_bytes()
+    assert run_cli("phase-scan", "--config", scan_cfg, "--out", out) == 0
+    scan = (out / "phase_scan.csv").read_bytes()
+    names = sorted(path.name for path in (out / "checkpoints").glob("*.json"))
+    assert names == ([f"cell_{i:05d}.json" for i in range(8)]
+                     + [f"setting_{i:05d}.json" for i in range(3)])
+    assert "warning" not in capsys.readouterr().err
+
+    def never(cell):
+        raise AssertionError(f"cell {cell.index} ran again instead of resuming")
+
+    monkeypatch.setattr(sweep, "run_cell", never)
+    for command, cfg, csv_name, first in (("sweep", sweep_cfg, "heatmap.csv", heatmap),
+                                          ("phase-scan", scan_cfg, "phase_scan.csv", scan)):
+        (out / csv_name).unlink()
+        assert run_cli(command, "--config", cfg, "--out", out) == 0
+        assert "warning" not in capsys.readouterr().err
+        assert (out / csv_name).read_bytes() == first
 
 
 # --- input bounds ---------------------------------------------------------------

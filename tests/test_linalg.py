@@ -174,3 +174,34 @@ def test_stacked_evolve_matches_one_matrix_at_a_time(rng):
         assert np.allclose(got, evolve(eigh(h.astype(complex)), start, 1.7), atol=1e-12)
     with pytest.raises(ValueError):
         evolve(eigh(stack), psi[:5], 1.0)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_a_stack_of_states_broadcasts_over_a_decomposed_stack(rng, kind):
+    stack = random_symmetric_stack(rng, 5, 9)
+    if kind == "complex":
+        stack = np.array([random_hermitian(rng, 9) for _ in range(5)])
+    decomp = eigh(stack)
+    assert decomp.eigenvectors.dtype.kind == ("c" if kind == "complex" else "f")
+    states = rng.normal(size=(7, 5, 9)) + 1j * rng.normal(size=(7, 5, 9))
+    got = evolve(decomp, states, 1.3)
+    assert got.shape == (7, 5, 9)
+    for probe, expected in zip(got, states):
+        assert np.array_equal(probe, evolve(decomp, expected, 1.3))  # bit for bit
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_a_stack_of_states_broadcasts_over_one_matrix(rng, kind):
+    h = random_symmetric_stack(rng, 1, 11)[0] if kind == "real" else random_hermitian(rng, 11)
+    decomp = eigh(h)
+    states = rng.normal(size=(6, 11)) + 1j * rng.normal(size=(6, 11))
+    got = evolve(decomp, states, 0.7)
+    for probe, state in zip(got, states):
+        assert np.array_equal(probe, evolve(decomp, state, 0.7))
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 8), (3, 4, 9), (9,), (5,), (2, 4)])
+def test_a_mismatched_trailing_shape_is_rejected(rng, shape):
+    decomp = eigh(random_symmetric_stack(rng, 5, 9))
+    with pytest.raises(ValueError, match="expected \\(5, 9\\)"):
+        evolve(decomp, np.zeros(shape), 1.0)

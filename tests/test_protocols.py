@@ -15,8 +15,11 @@ from spinnet import (
     phase_sense_estimate,
     sample_disorder,
 )
-from spinnet.dynamics import Protocol, inject, phase_kick, replace_samples, run_schedule, state_at
-from spinnet.linalg import eigh
+from spinnet import protocols
+from spinnet.disorder import perturb, stream_draws
+from spinnet.dynamics import (Protocol, inject, phase_kick, propagate, replace_samples,
+                              run_schedule, state_at)
+from spinnet.linalg import eigh, evolve
 from spinnet.protocols import (
     FLIP,
     alpha_factor,
@@ -443,6 +446,86 @@ def test_probe_over_a_stack_matches_each_device_alone():
     assert probe_estimates(stack, 20, thetas) == [
         phase_probe_estimates(device, 20, thetas) for device in devices
     ]
+
+
+# the five devices of the N = 50 bench phase scan (off-diagonal E = 0.10, seed
+# 20230724) that read 315 degrees as its antipode: on the unwrap branch cut,
+# where a last-bit change of the probe would show
+TIE_STREAMS = (2269, 2528, 2548, 2856, 2915)
+
+
+def per_angle_probe(decomp, n_total, thetas_deg):
+    """The probe one angle at a time, each run through propagate."""
+    t_m = ChainSpec(n_total // 2).mirror_time
+    start = np.zeros(decomp.eigenvalues.shape, dtype=complex)
+    start[..., 0] = 1.0
+    halfway = evolve(decomp, start, t_m)
+
+    def populations(angle):
+        kicked = propagate(decomp, halfway, t_m, ((t_m, n_total // 2, angle),), 2 * t_m)
+        return [float(abs(a) ** 2) for a in kicked[..., 0].reshape(-1)]
+
+    estimates = [[] for _ in range(halfway[..., 0].size)]
+    for theta_deg in thetas_deg:
+        theta = math.radians(theta_deg)
+        direct, quadrature = populations(theta), populations(theta + math.pi / 2.0)
+        for device, p_direct, p_quad in zip(estimates, direct, quadrature):
+            est = math.degrees(math.atan2(1.0 - 2.0 * p_quad, 2.0 * p_direct - 1.0))
+            device.append(est % 360.0)
+    return estimates
+
+
+def tie_block():
+    """The bench's complex decomposition of a block holding the tie devices."""
+    graph = build_protocol("phase-sense", {"n": 50}).graph()
+    spec = DisorderSpec("off_diagonal", 0.10)
+    streams = (2268,) + TIE_STREAMS
+    values, onsite = perturb(graph, spec, stream_draws(graph, spec, 20230724, streams))
+    return graph, spec, eigh(graph.assemble(values, onsite).astype(complex))
+
+
+def test_probe_keeps_the_bits_of_one_angle_at_a_time():
+    _, _, decomp = tie_block()
+    got = probe_estimates(decomp, 50, (135.0, 315.0))
+    assert got == per_angle_probe(decomp, 50, (135.0, 315.0))
+    for device in got[1:]:  # the ties really are on the cut
+        assert abs(device[1] - 135.0) < 1e-9
+
+
+def test_one_device_probe_keeps_the_bits_of_one_angle_at_a_time():
+    graph, spec, _ = tie_block()
+    device = sample_disorder(graph, spec, SeededRng(20230724, TIE_STREAMS[0]))
+    thetas = (135.0, 315.0) + tuple(15.0 * k for k in range(24))
+    expected = per_angle_probe(eigh(device.to_matrix()), 50, thetas)
+    assert phase_probe_estimates(device, 50, thetas) == expected[0]
+
+
+def test_probe_estimates_do_not_depend_on_the_chunk_size(monkeypatch):
+    _, _, decomp = tie_block()
+    thetas = tuple(15.0 * k for k in range(24))
+    whole = probe_estimates(decomp, 50, thetas)
+    calls = []
+    monkeypatch.setattr(protocols, "evolve",
+                        lambda d, psi, t: calls.append(np.shape(psi)) or evolve(d, psi, t))
+    monkeypatch.setattr(protocols, "BLOCK_ENTRIES", 7 * 6 * 50)  # 7 probes a chunk
+    assert probe_estimates(decomp, 50, thetas) == whole
+    assert calls == [(6, 50)] + [(7, 6, 50)] * 6 + [(6, 6, 50)]
+
+
+@pytest.mark.parametrize("n", [32, 50])
+def test_probe_memory_is_bounded_by_the_chunk(monkeypatch, n):
+    calls = []
+    monkeypatch.setattr(protocols, "evolve",
+                        lambda d, psi, t: calls.append(np.shape(psi)) or evolve(d, psi, t))
+    thetas = [k * 0.1 for k in range(3600)]
+    estimates = phase_probe_estimates(build_protocol("phase-sense", {"n": n}).graph(), n, thetas)
+    per_chunk = 2 ** 14 // n
+    assert len(calls) == 1 + math.ceil(7200 / per_chunk)
+    if n == 32:  # a state size dividing 2^14 fills every chunk
+        assert len(calls) == 1 + math.ceil(7200 * n / 2 ** 14)
+    assert max(math.prod(shape) for shape in calls) <= 2 ** 14
+    assert all(abs((est - theta + 180.0) % 360.0 - 180.0) < 1e-6
+               for est, theta in zip(estimates, thetas))
 
 
 # --- dispatch ----------------------------------------------------------------------
