@@ -4,10 +4,10 @@ A protocol is a time-ordered event list over one static network: exactly one
 excitation injection at t = 0, then any number of phase injections, each an
 ideal zero-width diagonal unitary. Between events the state evolves under
 the network Hamiltonian through one operator, built once: a spectral
-decomposition, or for the large networks of a sweep the band diagonals of
-the Hamiltonian (``linalg``). When an event and a recording time coincide,
-the event is applied first, so states engineered "at t" are what gets
-observed at t.
+decomposition, or for a sweep's block of disorder realizations the band
+diagonals of their Hamiltonians (``linalg``). When an event and a
+recording time coincide, the event is applied first, so states engineered
+"at t" are what gets observed at t.
 """
 
 from __future__ import annotations

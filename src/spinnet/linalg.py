@@ -4,10 +4,10 @@ Two operators evolve states, and ``dynamics.propagate`` takes either:
 
 - :class:`SpectralDecomposition` from :func:`eigh`, a dense eigensystem:
   decompose once, then :func:`evolve` to any time at O(N^2) per state. A
-  real symmetric input keeps a real decomposition; a stack along leading
-  axes is decomposed in one call, and many states per matrix evolve in one
-  call too. The decomposition itself costs O(N^3), and its rounding
-  depends on the LAPACK build.
+  stack along leading axes is decomposed in one call, and many states per
+  matrix evolve in one call too. The decomposition itself costs O(N^3), and
+  its rounding depends on the LAPACK build. ``spinnet run`` and the phase
+  scan propagate this way, on the complex matrix of ``to_matrix()``.
 - :class:`BandOperator` from :func:`band_operator`, a stack of real
   symmetric Hamiltonians held as their nonzero diagonals, each with its own
   Gershgorin spectral interval. :func:`chebyshev_evolve` expands
@@ -15,11 +15,13 @@ Two operators evolve states, and ``dynamics.propagate`` takes either:
   81, 3967, 1984) at O(terms * N * diagonals) per state, with no
   decomposition. Its arithmetic is elementwise real, so each matrix's result
   is the same bit for bit whatever stack it sits in, and it does not depend
-  on the BLAS/LAPACK build or thread count.
+  on the BLAS/LAPACK build or thread count. Every sweep propagates this way,
+  at any size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,10 +29,11 @@ import numpy as np
 
 HERMITICITY_ATOL = 1e-12
 
-# Array entries per block of work: the matrices of a sweep's dense stack, or
-# the states of one phase-probe evolve call. 2^14 entries are 128 KiB real,
-# 256 KiB complex, so a block stays within a few percent of a worker's peak
-# memory whatever the size of the run.
+# Array entries per block of work: the states of a sweep's band block, the
+# matrices of a phase scan's dense stack, or the states of one phase-probe
+# evolve call. 2^14 entries are 128 KiB real, 256 KiB complex, so a block
+# stays within a few percent of a worker's peak memory whatever the size of
+# the run.
 BLOCK_ENTRIES = 1 << 14
 
 # A Chebyshev coefficient 2 J_k below the unit roundoff no longer changes a
@@ -120,20 +123,8 @@ def evolve(decomp: SpectralDecomposition, psi0: np.ndarray, t: float) -> np.ndar
         )
     v = decomp.eigenvectors
     phases = np.exp(-1j * decomp.eigenvalues * t)
-    return _matvec(v, phases * _matvec(v.swapaxes(-1, -2).conj(), psi0))
-
-
-def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``a @ x`` for stacks of matrices and vectors, ``x`` broadcasting
-    over ``a`` along any extra leading axes.
-
-    A real ``a`` multiplies the real and imaginary parts of ``x`` as the two
-    columns of one real product instead of being promoted to complex.
-    """
-    if a.dtype.kind == "c":
-        return (a @ x[..., None])[..., 0]
-    pairs = np.ascontiguousarray(x).view(float).reshape(*x.shape, 2)
-    return (a @ pairs).view(complex)[..., 0]
+    coefficients = (v.swapaxes(-1, -2).conj() @ psi0[..., None])[..., 0]
+    return (v @ (phases * coefficients)[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -195,13 +186,14 @@ def bessel_coefficients(x: np.ndarray) -> np.ndarray:
     factor = np.arange(top + 1)[:, None] * (2.0 / x)  # 2k / x
     j = np.zeros((top + 2, len(x)))
     total = np.zeros(len(x))
+    rows, factors = list(j), list(factor)  # row views, made once: the loop is per-call bound
     for k in range(top, 0, -1):
         if k in seeds:
-            j[k][seeds[k]] = MILLER_SEED
-        np.multiply(factor[k], j[k], out=j[k - 1])
-        j[k - 1] -= j[k + 1]
+            rows[k][seeds[k]] = MILLER_SEED
+        np.multiply(factors[k], rows[k], out=rows[k - 1])
+        rows[k - 1] -= rows[k + 1]
         if k % 2 == 0:
-            total += j[k]
+            total += rows[k]
     total = j[0] + 2.0 * total
     j /= total
     order = np.arange(top + 2)[:, None]
@@ -229,10 +221,7 @@ def chebyshev_evolve(op: BandOperator, psi0: np.ndarray, t: float) -> np.ndarray
         raise ValueError(f"chebyshev_evolve runs forward only, got t = {t}")
     center = (op.upper + op.lower) / 2.0
     radius = (op.upper - op.lower) / 2.0
-    coeffs = bessel_coefficients(radius * t)
-    coeffs[1:] *= 2.0
-    coeffs[2::4] *= -1.0  # (-i)^k: the even orders alternate in sign,
-    coeffs[3::4] *= -1.0  # and so do the odd ones, which carry -i
+    coeffs = _series_coefficients(tuple((radius * t).tolist()))
     # a real stack skips the imaginary part, whose every term would be 0
     parts = (psi0.real, psi0.imag) if psi0.imag.any() else (psi0.real,)
     with np.errstate(over="ignore", invalid="ignore"):  # the norm guard reports a blow-up
@@ -252,6 +241,19 @@ def chebyshev_evolve(op: BandOperator, psi0: np.ndarray, t: float) -> np.ndarray
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _series_coefficients(x: tuple[float, ...]) -> np.ndarray:
+    """The coefficients (2 - delta_k0) J_k(x_b) of :func:`chebyshev_evolve`, each
+    signed as the nonzero part of (-i)^k; read-only. The last set is kept for
+    the two equal segments of a kick halfway through (router, ent-phase)."""
+    coeffs = bessel_coefficients(np.array(x))
+    coeffs[1:] *= 2.0
+    coeffs[2::4] *= -1.0  # (-i)^k: the even orders alternate in sign,
+    coeffs[3::4] *= -1.0  # and so do the odd ones, which carry -i
+    coeffs.setflags(write=False)
+    return coeffs
+
+
 def _chebyshev_sums(op: BandOperator, center: np.ndarray, radius: np.ndarray,
                     coeffs: np.ndarray, parts: tuple[np.ndarray, ...]
                     ) -> tuple[np.ndarray, np.ndarray]:
@@ -265,33 +267,40 @@ def _chebyshev_sums(op: BandOperator, center: np.ndarray, radius: np.ndarray,
     scale = np.divide(2.0, radius, out=np.zeros_like(radius), where=radius > 0)[:, None]
     n = op.bands.shape[-1]
     diagonal = _columns([(op.bands[:, 0] - center[:, None]) * scale] * len(parts))
-    off = [(d, _columns([op.bands[:, j, : n - d] * scale] * len(parts)))
+    off = [_columns([op.bands[:, j, : n - d] * scale] * len(parts))
            for j, d in enumerate(op.offsets, start=1)]
-    coeffs = _columns([coeffs.T] * len(parts))
-    previous = _columns(list(parts))
-    scratch = np.empty_like(previous)
+    coeffs = list(_columns([coeffs.T] * len(parts)))
+    start = _columns(list(parts))
+    scratch = np.empty_like(start)
+    heads = [scratch[: n - d] for d in op.offsets]
 
-    def recur(v: np.ndarray, out: np.ndarray) -> None:  # out <- 2 H' v - out
+    # A term is a dozen numpy calls on small arrays, so each buffer carries its
+    # views v[d:] (hi) and v[: n - d] (lo), one pair per offset d, made once.
+    def with_views(v: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        return v, [(v[d:], v[: n - d]) for d in op.offsets]
+
+    def recur(v: tuple, out: tuple) -> None:  # out <- 2 H' v - out
+        (v, v_views), (out, out_views) = v, out
         np.multiply(diagonal, v, out=scratch)
         np.subtract(scratch, out, out=out)
-        for d, u in off:
-            head = scratch[: n - d]
-            np.multiply(u, v[d:], out=head)
-            out[: n - d] += head
-            np.multiply(u, v[: n - d], out=head)
-            out[d:] += head
+        for u, head, (v_hi, v_lo), (out_hi, out_lo) in zip(off, heads, v_views, out_views):
+            np.multiply(u, v_hi, out=head)
+            out_lo += head
+            np.multiply(u, v_lo, out=head)
+            out_hi += head
 
-    sums = [coeffs[0] * previous, np.zeros_like(previous)]
+    previous = with_views(start)
+    sums = [coeffs[0] * start, np.zeros_like(start)]
     if len(coeffs) > 1:
-        current = np.zeros_like(previous)
+        current = with_views(np.zeros_like(start))
         recur(previous, current)
-        current *= 0.5
-        np.multiply(coeffs[1], current, out=scratch)
+        np.multiply(current[0], 0.5, out=current[0])
+        np.multiply(coeffs[1], current[0], out=scratch)
         sums[1] += scratch
     for k in range(2, len(coeffs)):
         recur(current, previous)
         previous, current = current, previous
-        np.multiply(coeffs[k], current, out=scratch)
+        np.multiply(coeffs[k], current[0], out=scratch)
         sums[k % 2] += scratch
     even, odd = (a.reshape(n, len(parts), -1) for a in sums)
     return even, odd

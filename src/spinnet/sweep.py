@@ -6,11 +6,10 @@ at every scanned angle. Realization k of cell c draws from the stream
 (master seed, c * K + k), so the numbers cannot depend on how cells are
 distributed over workers. Both kinds of cell draw their realizations from
 one block generator, :func:`hamiltonian_blocks`, one stack of edge arrays
-per block, sized by what the consumer keeps per realization. A sweep of a
-network below CHEBYSHEV_MIN_SITES sites assembles the stack and decomposes
-it as real symmetric; from that size on it holds the stack as band
-diagonals and propagates it by a Chebyshev series, which costs O(N) per
-term and diagonal instead of an O(N^3) eigensolve. A phase scan assembles and
+per block, sized by what the consumer keeps per realization. A sweep holds
+its stack as band diagonals and propagates it by a Chebyshev series, at
+O(N) per term and diagonal and in elementwise real arithmetic, so its
+numbers do not depend on the BLAS/LAPACK build. A phase scan assembles and
 decomposes its stack as complex. A realization's value does not depend on
 the block it lands in either. :func:`run_cells` runs either kind of cell,
 in process or on a clamped pool, checkpoints each completed cell to disk
@@ -40,12 +39,6 @@ from .observables import EnsembleAccumulator, fidelities, pair_eofs
 from .protocols import (FigureOfMerit, ProtocolResult, build_protocol, probe_estimates,
                         unwrap_to_branch)
 
-# Sweeps of networks with at least this many sites propagate on the band
-# diagonals (linalg.chebyshev_evolve); smaller ones through a dense eigh.
-# Measured crossover: CHANGES.md.
-CHEBYSHEV_MIN_SITES = 40
-
-
 def hamiltonian_blocks(
     graph: CouplingGraph, disorder_spec: DisorderSpec, realizations: int, master_seed: int,
     stream_base: int = 0, footprint: int | None = None,
@@ -55,9 +48,9 @@ def hamiltonian_blocks(
 
     Realization k draws from stream ``stream_base + k``. A block holds the
     streams of at most BLOCK_ENTRIES entries at ``footprint`` entries per
-    realization (default N^2, a dense stack; 2N, the real and imaginary
-    parts of one state, for a band). A dense block holds 83 realizations at
-    N = 14 and one from N = 91 on; a band block holds 58 at N = 140.
+    realization: 2N, the real and imaginary parts of one state, for a
+    sweep's band (585 realizations at N = 14, 58 at N = 140); by default
+    N^2, the dense stack of a phase scan (83 at N = 14, one from N = 91 on).
     ``values`` and ``onsite`` are the block's couplings and site energies,
     perturbed as :func:`~spinnet.disorder.sample_disorder` does for one
     stream, bit for bit; the array that the spec leaves alone is the graph's
@@ -95,10 +88,9 @@ def ensemble_merit(
     """Run one protocol K times under fresh disorder and collect its merit.
 
     Realization k draws from stream ``stream_base + k``. Each block of
-    :func:`hamiltonian_blocks` gets one operator (a batched eigensolve
-    below CHEBYSHEV_MIN_SITES sites, band diagonals from there on), one
-    propagation of all its states and one vectorised merit. A clean spec
-    runs one realization and repeats its value K times.
+    :func:`hamiltonian_blocks` becomes one band operator, whose states all
+    propagate in one Chebyshev series, and one vectorised merit. A clean
+    spec runs one realization and repeats its value K times.
     """
     merit = merit or result.merit
     t = merit.time if observe_time is None else observe_time
@@ -106,15 +98,10 @@ def ensemble_merit(
     n = graph.n_sites
     start, kicks = schedule_kicks(replace_samples(result.protocol, (t,)), n)
     kicks = [kick for kick in kicks if kick[0] <= t]
-    banded = n >= CHEBYSHEV_MIN_SITES
     acc = EnsembleAccumulator()
     for streams, values, onsite in hamiltonian_blocks(graph, disorder_spec, realizations,
-                                                      master_seed, stream_base,
-                                                      2 * n if banded else n * n):
-        if banded:
-            operator = band_operator(graph.rows, graph.cols, values, onsite)
-        else:
-            operator = eigh(graph.assemble(values, onsite))
+                                                      master_seed, stream_base, 2 * n):
+        operator = band_operator(graph.rows, graph.cols, values, onsite)
         amplitudes = np.zeros((len(streams), n), dtype=complex)
         amplitudes[:, start] = 1.0
         amplitudes = propagate(operator, amplitudes, 0.0, kicks, t)

@@ -158,7 +158,6 @@ def test_an_understated_spectral_bound_trips_the_norm_guard(monkeypatch, shrink)
         upper[3] *= shrink
         return replace(op, lower=lower, upper=upper)
 
-    monkeypatch.setattr(sweep, "CHEBYSHEV_MIN_SITES", 0)
     monkeypatch.setattr(sweep, "band_operator", understated)
     result = build_protocol("router", {"n": 40})
     with pytest.raises(InvariantViolation) as excinfo:

@@ -5,11 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from spinnet import InvariantViolation, SpectralDecomposition, sweep
+from spinnet import InvariantViolation, dynamics, linalg, sweep
 from spinnet.config import PhaseScanConfig, SweepConfig
 from spinnet.disorder import DisorderSpec, SeededRng, sample_disorder
 from spinnet.dynamics import replace_samples, run_schedule
-from spinnet.linalg import eigh
+from spinnet.linalg import chebyshev_evolve
 from spinnet.observables import ensemble_average
 from spinnet.protocols import (
     build_protocol,
@@ -115,45 +115,29 @@ def engine_cases():
     yield "ent-phase-10-fidelity-observe", ent, resolve_merit(ent, "fidelity", observe="3*t_m/2")
 
 
-DEFAULT_BLOCK_ENTRIES = sweep.BLOCK_ENTRIES
-DEFAULT_MIN_SITES = sweep.CHEBYSHEV_MIN_SITES
-
-
-def each_propagator(monkeypatch):
-    """Runs the loop body once per sweep propagator: with the crossover at 0
-    every network takes the Chebyshev path, at its default these sizes stay
-    on the dense one. The loop keeps each test's id unchanged."""
-    for min_sites in (0, DEFAULT_MIN_SITES):
-        monkeypatch.setattr(sweep, "CHEBYSHEV_MIN_SITES", min_sites)
-        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", DEFAULT_BLOCK_ENTRIES)
-        yield min_sites
-
-
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("case", list(engine_cases()), ids=lambda case: case[0])
-def test_engine_matches_the_loop_reference(monkeypatch, case, kind):
+def test_engine_matches_the_loop_reference(case, kind):
     _, result, merit = case
     spec = DisorderSpec(kind, 0.15)
     reference = loop_reference(result, spec, 6, 40, merit)
-    for _ in each_propagator(monkeypatch):
-        acc = ensemble_merit(result, spec, 6, SEED, stream_base=40, merit=merit)
-        assert acc.count == 6
-        assert np.max(np.abs(np.array(acc.values) - reference)) <= 1e-12
+    acc = ensemble_merit(result, spec, 6, SEED, stream_base=40, merit=merit)
+    assert acc.count == 6
+    assert np.max(np.abs(np.array(acc.values) - reference)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["none", "diagonal"])
-def test_clean_cell_repeats_one_realization(monkeypatch, kind):
+def test_clean_cell_repeats_one_realization(kind):
     result = build_protocol("ent-phase", {"n": 8})
-    for _ in each_propagator(monkeypatch):
-        acc = ensemble_merit(result, DisorderSpec(kind, 0.0), 5, SEED)
-        assert acc.values == [acc.values[0]] * 5
-        assert acc.values[0] == pytest.approx(1.0, abs=1e-12)
+    acc = ensemble_merit(result, DisorderSpec(kind, 0.0), 5, SEED)
+    assert acc.values == [acc.values[0]] * 5
+    assert acc.values[0] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name, params, k", [
-    ("ent-phase", {"n": 14}, 100),   # two blocks at the default size: 83, then 17
-    ("w-state", {"chain_length": 4}, 150),  # N = 12, a kick by arccos(-1/3): 113, then 37
+    ("ent-phase", {"n": 14}, 100),
+    ("w-state", {"chain_length": 4}, 150),  # N = 12, a kick by arccos(-1/3)
     ("phase-scan", {"n": 20}, 45),  # phase_scan_setting: 40, then 5
 ])
 def test_values_do_not_depend_on_the_block_size(monkeypatch, kind, name, params, k):
@@ -169,24 +153,38 @@ def test_values_do_not_depend_on_the_block_size(monkeypatch, kind, name, params,
 
         def values():
             return ensemble_merit(result, spec, k, SEED, stream_base=3).values
-    for _ in each_propagator(monkeypatch):
-        default = values()
-        # one per block, an uneven split, all in one (a band block takes 2n per realization)
-        for entries in (1, 7 * n * n, k * n * n):
-            monkeypatch.setattr(sweep, "BLOCK_ENTRIES", entries)
-            assert values() == default
+    default = values()
+    # one per block, an uneven split, all in one (a band block takes 2n per realization)
+    for entries in (1, 7 * n * n, k * n * n):
+        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", entries)
+        assert values() == default
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name, params", [("router", {"n": 10}), ("mws-transfer", {})])
-def test_realization_k_of_a_block_is_its_own_stream(monkeypatch, kind, name, params):
+def test_realization_k_of_a_block_is_its_own_stream(kind, name, params):
     result = build_protocol(name, params)  # mws-transfer: a target with four terms
     spec = DisorderSpec(kind, 0.2)
-    for _ in each_propagator(monkeypatch):
-        block = ensemble_merit(result, spec, 9, SEED, stream_base=500).values
-        singles = [ensemble_merit(result, spec, 1, SEED, stream_base=500 + k).values[0]
-                   for k in range(9)]
-        assert block == singles
+    block = ensemble_merit(result, spec, 9, SEED, stream_base=500).values
+    singles = [ensemble_merit(result, spec, 1, SEED, stream_base=500 + k).values[0]
+               for k in range(9)]
+    assert block == singles
+
+
+@pytest.mark.parametrize("kind", ["none", *KINDS])
+@pytest.mark.parametrize("name, params", [("ent-phase", {"n": 4}), ("router", {"n": 12})])
+def test_a_sweep_decomposes_no_matrix(monkeypatch, kind, name, params):
+    """Sweeps run on the band propagator at every size, so their numbers do
+    not depend on the LAPACK build."""
+    result = build_protocol(name, params)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("a sweep called eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(linalg, "eigh", no_eigh)
+    acc = ensemble_merit(result, DisorderSpec(kind, 0.0 if kind == "none" else 0.1), 5, SEED)
+    assert acc.count == 5
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -204,13 +202,12 @@ def test_block_realization_is_the_matrix_of_sample_disorder(kind):
 
 
 def test_norm_check_names_the_stream_time_and_defect(monkeypatch):
-    def leaky_eigh(h):
-        decomp = eigh(h)
-        vectors = decomp.eigenvectors.copy()
-        vectors[3] *= 1.01  # not unitary: each evolution scales this state by 1.01^2
-        return SpectralDecomposition(decomp.eigenvalues, vectors)
+    def leaky_evolve(op, psi0, t):
+        psi = chebyshev_evolve(op, psi0, t)
+        psi[3] *= 1.01  # not unitary: each evolution scales this state by 1.01
+        return psi
 
-    monkeypatch.setattr(sweep, "eigh", leaky_eigh)
+    monkeypatch.setattr(dynamics, "chebyshev_evolve", leaky_evolve)
     result = router_two_chain(6)
     with pytest.raises(InvariantViolation) as excinfo:
         ensemble_merit(result, DisorderSpec("diagonal", 0.1), 8, SEED, stream_base=200)
@@ -218,7 +215,7 @@ def test_norm_check_names_the_stream_time_and_defect(monkeypatch):
     assert "stream 203" in message
     assert f"t = {result.merit.time}" in message
     defect = float(re.search(r"drifted by (\S+)", message).group(1))
-    assert defect == pytest.approx(1.01 ** 4 - 1.0, rel=1e-3)  # evolved before and after the kick
+    assert defect == pytest.approx(1.01 ** 2 - 1.0, rel=1e-3)  # evolved before and after the kick
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
