@@ -12,7 +12,6 @@ from .disorder import DisorderSpec, SeededRng, sample_disorder
 from .dynamics import (
     Protocol,
     PureState,
-    inject,
     phase_kick,
     run_schedule,
     state_at,
@@ -85,7 +84,6 @@ __all__ = [
     "evolve",
     "fidelity",
     "hadamard_join",
-    "inject",
     "join_unitary",
     "m_chain_router",
     "max_entangle_12",

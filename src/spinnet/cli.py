@@ -32,7 +32,7 @@ from .config import (
     parse_time_expression,
 )
 from .disorder import SEED_LIMIT, SeededRng, sample_disorder
-from .dynamics import Protocol, replace_samples, run_decomposed, uniform_samples
+from .dynamics import replace_samples, run_decomposed, uniform_samples
 from .linalg import InvariantViolation, eigh
 from .network import network_graph, write_edge_list
 from .observables import fidelity
@@ -166,11 +166,7 @@ def cmd_run(args) -> int:
     duration = result.protocol.duration
     if cfg.run.duration is not None:
         duration = parse_time_expression(cfg.run.duration, tokens)
-    render = Protocol(
-        result.protocol.events,
-        max(duration, result.protocol.duration),
-        uniform_samples(duration, cfg.run.samples),
-    )
+    render = replace_samples(result.protocol, uniform_samples(duration, cfg.run.samples))
     decomp = eigh(graph.to_matrix())  # the run's one eigensolve, shared by every step below
     trajectory = run_decomposed(decomp, render)
     traj_path = os.path.join(out, "trajectory.csv")

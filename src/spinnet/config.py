@@ -112,9 +112,9 @@ _PROTOCOL_PARAMS: dict[str, dict[str, type | tuple]] = {
     "unequal-router": {"n_a": int, "n_b": int},
     "unequal-ent": {"n_a": int, "n_b": int},
     "w-state": {"chain_length": int},
-    "mws": {"chain_length": int, "with_flips": bool, "j_max_b": _NUMBER},
+    "mws": {"chain_length": int, "with_flips": bool},
     "mws-transfer": {},
-    "max-ent": {"j_max_b": _NUMBER},
+    "max-ent": {},
 }
 
 

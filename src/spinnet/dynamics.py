@@ -1,13 +1,14 @@
 """Timed protocols: free evolution punctuated by instantaneous local phases.
 
-A protocol is a time-ordered event list over one static network: exactly one
-excitation injection at t = 0, then any number of phase injections, each an
-ideal zero-width diagonal unitary. Between events the state evolves under
+A protocol over one static network injects one excitation at its start site
+at t = 0, then applies its time-sorted phase kicks, each an ideal zero-width
+diagonal unitary. Between kicks the state evolves under
 the network Hamiltonian through one operator, built once: a spectral
 decomposition, or for a sweep's block of disorder realizations the band
-diagonals of their Hamiltonians (``linalg``). When an event and a
-recording time coincide, the event is applied first, so states engineered
-"at t" are what gets observed at t.
+diagonals of their Hamiltonians (``linalg``). When a kick and a
+recording time coincide, the kick is applied first, so states engineered
+"at t" are what gets observed at t. :func:`check_norms` holds every evolved
+stack to unit norm within ``NORM_ATOL``.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from .linalg import (BandOperator, InvariantViolation, SpectralDecomposition, ch
 from .network import CouplingGraph
 
 NORM_ATOL = 1e-10
-
-INJECT = "inject"
-PHASE = "phase"
 
 
 @dataclass(frozen=True)
@@ -94,44 +92,41 @@ def _check_site(site: int, n_sites: int) -> None:
 
 @dataclass(frozen=True)
 class ScheduleEvent:
-    """One timed action: inject the excitation, or kick a site's phase."""
+    """One phase kick: multiply ``site`` by e^{i angle} at ``time``."""
 
     time: float
-    action: str
     site: int
-    angle: float = 0.0
+    angle: float
 
     def __post_init__(self) -> None:
-        if self.action not in (INJECT, PHASE):
-            raise ValueError(f"unknown action {self.action!r}")
         if self.time < 0:
             raise ValueError("event times must be non-negative")
         if not math.isfinite(self.angle):
             raise ValueError("phase angle must be finite")
 
 
-def inject(site: int, time: float = 0.0) -> ScheduleEvent:
-    return ScheduleEvent(time, INJECT, site)
-
-
 def phase_kick(site: int, angle: float, time: float) -> ScheduleEvent:
-    return ScheduleEvent(time, PHASE, site, angle)
+    return ScheduleEvent(time, site, angle)
 
 
 @dataclass(frozen=True)
 class Protocol:
-    """Time-ordered events plus the run duration and recording grid."""
+    """The 1-based site injected at t = 0, the time-sorted phase kicks, the
+    run duration and the recording grid."""
 
+    start: int
     events: tuple[ScheduleEvent, ...]
     duration: float
     sample_times: tuple[float, ...] = ()
 
     def __init__(
         self,
+        start: int,
         events: Iterable[ScheduleEvent],
         duration: float,
         sample_times: Iterable[float] = (),
     ):
+        object.__setattr__(self, "start", start)
         object.__setattr__(self, "events", tuple(events))
         object.__setattr__(self, "duration", float(duration))
         object.__setattr__(self, "sample_times", tuple(float(t) for t in sample_times))
@@ -139,9 +134,9 @@ class Protocol:
             raise ValueError("duration must be non-negative")
         times = [e.time for e in self.events]
         if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("events must be sorted by time")
+            raise ValueError("kicks must be sorted by time")
         if any(t > self.duration for t in times):
-            raise ValueError("event times must not exceed the duration")
+            raise ValueError("kick times must not exceed the duration")
         if any(t < 0 or t > self.duration for t in self.sample_times):
             raise ValueError("sample times must lie within [0, duration]")
 
@@ -238,23 +233,39 @@ class Trajectory:
 
 
 def schedule_kicks(protocol: Protocol, n_sites: int) -> tuple[int, list[tuple[float, int, float]]]:
-    """Check a protocol against an ``n_sites`` network and compile it.
+    """Check a protocol's sites against an ``n_sites`` network and compile it.
 
-    Returns the 0-based injection site and the kicks as the (time, 0-based
-    site, angle) triples :func:`propagate` takes. Rejected protocols: no
-    injection, injection after t = 0, more than one injection (the dynamics
-    stay in the single-excitation sector), or sites out of range. Event
-    order is already enforced by :class:`Protocol`.
+    Returns the 0-based start site and the kicks as the (time, 0-based site,
+    angle) triples :func:`propagate` takes. Kick order is already enforced
+    by :class:`Protocol`.
     """
-    injections = [e for e in protocol.events if e.action == INJECT]
-    if len(injections) != 1:
-        raise ValueError(f"exactly one injection required, got {len(injections)}")
-    if injections[0].time != 0.0 or protocol.events[0].action != INJECT:
-        raise ValueError("the injection must be the first event, at t = 0")
+    _check_site(protocol.start, n_sites)
     for event in protocol.events:
         _check_site(event.site, n_sites)
-    kicks = [(e.time, e.site - 1, e.angle) for e in protocol.events[1:]]
-    return injections[0].site - 1, kicks
+    return protocol.start - 1, [(e.time, e.site - 1, e.angle) for e in protocol.events]
+
+
+def check_norms(amplitudes: np.ndarray, streams: Sequence[int] | None, t: float) -> None:
+    """Raise :class:`~spinnet.linalg.InvariantViolation` unless every state
+    along the last axis of ``amplitudes`` has unit norm within NORM_ATOL.
+
+    The message names the worst state, and any state whose norm is not
+    finite before the others, together with the time ``t``. ``streams``,
+    when the caller knows them, are the disorder streams of the states along
+    the second-to-last axis; a stack of probes of one block's devices repeats
+    them along any axis in front of it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 inside the norm of inf
+        norms = np.linalg.norm(amplitudes, axis=-1).reshape(-1)
+    defects = np.where(np.isfinite(norms), np.abs(norms - 1.0), np.inf)
+    worst = int(np.argmax(defects))
+    if defects[worst] > NORM_ATOL:
+        state = "" if streams is None else f" from stream {streams[worst % len(streams)]}"
+        drift = (f"drifted by {defects[worst]:.3e}" if np.isfinite(norms[worst])
+                 else f"is {norms[worst]}")
+        raise InvariantViolation(
+            f"norm of the state{state} {drift} (bound {NORM_ATOL:.0e}) at t = {t}"
+        )
 
 
 def run_schedule(graph: CouplingGraph, protocol: Protocol) -> Trajectory:
@@ -286,9 +297,7 @@ def run_decomposed(decomp: SpectralDecomposition, protocol: Protocol) -> Traject
             due += 1
         amp = propagate(decomp, amp, t_now, kicks[fired:due], t)
         t_now, fired = t, due
-        norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise InvariantViolation(f"norm drifted to {norm!r} at t = {t}")
+        check_norms(amp, None, t)
         recorded[k] = PureState(amp)
 
     return Trajectory(np.asarray(protocol.sample_times, dtype=float), tuple(recorded))
@@ -302,4 +311,4 @@ def state_at(graph: CouplingGraph, protocol: Protocol, t: float) -> PureState:
 
 def replace_samples(protocol: Protocol, sample_times: Sequence[float]) -> Protocol:
     duration = max(protocol.duration, max(sample_times, default=0.0))
-    return Protocol(protocol.events, duration, sample_times)
+    return Protocol(protocol.start, protocol.events, duration, sample_times)

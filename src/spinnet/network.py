@@ -45,10 +45,6 @@ class ChainSpec:
             raise ValueError(f"j_max must be positive and finite, got {self.j_max}")
 
     @property
-    def j0(self) -> float:
-        return coupling_j0(self.length, self.j_max)
-
-    @property
     def mirror_time(self) -> float:
         return mirror_time(self.length, self.j_max)
 

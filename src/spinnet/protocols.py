@@ -1,8 +1,11 @@
 """Canned network protocols with their analytic target states.
 
-Each constructor returns the network, the timed schedule, the exact state
-the clean dynamics must reach (global phase included), and the figure of
-merit used when the protocol runs under disorder.
+Each constructor returns the network, the protocol (its start site and its
+timed phase kicks), the exact states the clean dynamics must reach (global
+phase included), and the figure of merit used when the protocol runs under
+disorder. Most protocols are checked at one instant, their end, and scored
+there by the fidelity to the end state or by the EOF of a site pair; three
+(ent-center, the plain mws and the 12-site mws) list several checkpoints.
 
 Mirror-phase bookkeeping: a PST chain of length n maps site i to site
 n+1-i at its mirror time while multiplying the state by (-i)^(n-1).
@@ -22,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import PureState, Protocol, inject, kick_site, phase_kick
+from .dynamics import PureState, Protocol, check_norms, kick_site, phase_kick
 from .linalg import BLOCK_ENTRIES, SpectralDecomposition, eigh, evolve
 from .network import ChainSpec, CouplingGraph, NetworkSpec, network_graph, retune_jmax
 
@@ -31,8 +34,6 @@ SQRT2 = math.sqrt(2.0)
 # phase flip angle and the three-way-split angle arccos(-1/3)
 FLIP = math.pi
 W_STATE_ANGLE = math.acos(-1.0 / 3.0)
-
-MIRROR_TIME_RTOL = 1e-9
 
 
 def phase_power(k: int) -> complex:
@@ -107,26 +108,32 @@ def _two_chain_spec(n_total: int) -> NetworkSpec:
     return NetworkSpec([half, half])
 
 
+def _end_state_result(
+    name: str, spec: NetworkSpec, protocol: Protocol, expected: PureState,
+    pair: tuple[int, int] | None = None,
+) -> ProtocolResult:
+    """A result whose one checkpoint is ``expected`` at the end of the
+    protocol, scored by the fidelity to it, or by the EOF of ``pair``."""
+    t_end = protocol.duration
+    if pair is None:
+        merit = FigureOfMerit("fidelity", t_end, target=expected)
+    else:
+        merit = FigureOfMerit("eof", t_end, pair=pair)
+    return ProtocolResult(name, spec, protocol, ((t_end, expected),), merit)
+
+
 def two_chain_phase_protocol(n_total: int, angle: float) -> tuple[NetworkSpec, Protocol]:
     """Inject at site 1, kick site N/2+1 by ``angle`` at the mirror time."""
     spec = _two_chain_spec(n_total)
     t_m = spec.chains[0].mirror_time
-    events = [inject(1), phase_kick(n_total // 2 + 1, angle, t_m)]
-    return spec, Protocol(events, 2 * t_m)
+    return spec, Protocol(1, [phase_kick(n_total // 2 + 1, angle, t_m)], 2 * t_m)
 
 
 def router_two_chain(n_total: int) -> ProtocolResult:
     """Send the excitation from site 1 to site N on two fused equal chains."""
     spec, protocol = two_chain_phase_protocol(n_total, FLIP)
     expected = PureState.from_terms(n_total, {n_total: gamma_factor(n_total)})
-    t_end = protocol.duration
-    return ProtocolResult(
-        name="router",
-        network=spec,
-        protocol=protocol,
-        checkpoints=((t_end, expected),),
-        merit=FigureOfMerit("fidelity", t_end, target=expected),
-    )
+    return _end_state_result("router", spec, protocol, expected)
 
 
 def entangle_phase_two_chain(n_total: int) -> ProtocolResult:
@@ -137,14 +144,7 @@ def entangle_phase_two_chain(n_total: int) -> ProtocolResult:
         n_total,
         {1: d * (1.0 + 1.0j) / 2.0, n_total: d * (1.0 - 1.0j) / 2.0},
     )
-    t_end = protocol.duration
-    return ProtocolResult(
-        name="ent-phase",
-        network=spec,
-        protocol=protocol,
-        checkpoints=((t_end, expected),),
-        merit=FigureOfMerit("eof", t_end, pair=(1, n_total)),
-    )
+    return _end_state_result("ent-phase", spec, protocol, expected, pair=(1, n_total))
 
 
 def phase_sense_two_chain(n_total: int, theta_deg: float) -> ProtocolResult:
@@ -160,21 +160,14 @@ def phase_sense_two_chain(n_total: int, theta_deg: float) -> ProtocolResult:
     expected = PureState.from_terms(
         n_total, {1: d * (1.0 + z) / 2.0, n_total: d * (1.0 - z) / 2.0}
     )
-    t_end = protocol.duration
-    return ProtocolResult(
-        name="phase-sense",
-        network=spec,
-        protocol=protocol,
-        checkpoints=((t_end, expected),),
-        merit=FigureOfMerit("fidelity", t_end, target=expected),
-    )
+    return _end_state_result("phase-sense", spec, protocol, expected)
 
 
 def entangle_center_two_chain(n_total: int) -> ProtocolResult:
     """End-to-end entanglement from a central injection, no kick at all."""
     spec = _two_chain_spec(n_total)
     t_m = spec.chains[0].mirror_time
-    protocol = Protocol([inject(n_total // 2)], 2 * t_m)
+    protocol = Protocol(n_total // 2, [], 2 * t_m)
     phase = phi_factor(n_total)
     entangled = PureState.from_terms(
         n_total, {1: phase / SQRT2, n_total: phase / SQRT2}
@@ -194,56 +187,28 @@ def unequal_router(n_a: int, n_b: int) -> ProtocolResult:
     spec = NetworkSpec([ChainSpec(n_a), ChainSpec(n_b)])
     t_a, t_b = spec.mirror_times
     n_total = n_a + n_b
-    protocol = Protocol(
-        [inject(1), phase_kick(n_a + 1, FLIP, t_a)],
-        t_a + t_b,
-    )
+    protocol = Protocol(1, [phase_kick(n_a + 1, FLIP, t_a)], t_a + t_b)
     expected = PureState.from_terms(n_total, {n_total: gamma_factor(n_total)})
-    t_end = protocol.duration
-    return ProtocolResult(
-        name="unequal-router",
-        network=spec,
-        protocol=protocol,
-        checkpoints=((t_end, expected),),
-        merit=FigureOfMerit("fidelity", t_end, target=expected),
-    )
+    return _end_state_result("unequal-router", spec, protocol, expected)
 
 
-def unequal_entangle(n_a: int, n_b: int, network: NetworkSpec | None = None) -> ProtocolResult:
+def unequal_entangle(n_a: int, n_b: int) -> ProtocolResult:
     """End-to-end entanglement on unequal chains from a central injection.
 
     The chains must share one mirror time, which is arranged by slowing the
     shorter chain down (its peak coupling shrinks; growing the longer
-    chain's coupling may not be physical). A custom ``network`` is accepted
-    but rejected unless its mirror times already agree.
+    chain's coupling may not be physical).
     """
-    if network is None:
-        spec = NetworkSpec([ChainSpec(n_a), ChainSpec(n_b)])
-        target, reference = (1, 2) if n_a <= n_b else (2, 1)
-        spec = retune_jmax(spec, target, reference)
-    else:
-        spec = network
-        if tuple(c.length for c in spec.chains) != (n_a, n_b):
-            raise ValueError(f"network chain lengths {spec.chains} do not match ({n_a}, {n_b})")
-    t_a, t_b = spec.mirror_times
-    if abs(t_a - t_b) > MIRROR_TIME_RTOL * max(t_a, t_b):
-        raise ValueError(
-            "chain mirror times differ "
-            f"({t_a!r} vs {t_b!r}); retune one chain's j_max so they match"
-        )
+    spec = NetworkSpec([ChainSpec(n_a), ChainSpec(n_b)])
+    target, reference = (1, 2) if n_a <= n_b else (2, 1)
+    spec = retune_jmax(spec, target, reference)
     n_total = n_a + n_b
-    protocol = Protocol([inject(n_a)], t_a)
+    protocol = Protocol(n_a, [], spec.chains[0].mirror_time)
     expected = PureState.from_terms(
         n_total,
         {1: alpha_factor(n_a) / SQRT2, n_total: alpha_factor(n_b) / SQRT2},
     )
-    return ProtocolResult(
-        name="unequal-ent",
-        network=spec,
-        protocol=protocol,
-        checkpoints=((t_a, expected),),
-        merit=FigureOfMerit("eof", t_a, pair=(1, n_total)),
-    )
+    return _end_state_result("unequal-ent", spec, protocol, expected, pair=(1, n_total))
 
 
 def _equal_chain_network(n_chains: int, chain_len: int) -> NetworkSpec:
@@ -263,10 +228,7 @@ def w_state(chain_len: int) -> ProtocolResult:
     t_m = spec.chains[0].mirror_time
     kick_site = chain_len + 1
     far_a, far_b = 2 * chain_len, 2 * chain_len + 1
-    protocol = Protocol(
-        [inject(1), phase_kick(kick_site, W_STATE_ANGLE, t_m)],
-        2 * t_m,
-    )
+    protocol = Protocol(1, [phase_kick(kick_site, W_STATE_ANGLE, t_m)], 2 * t_m)
     sign = phase_power(2 * (chain_len - 1))  # +1 for odd chains, -1 for even
     z = complex(math.cos(W_STATE_ANGLE), math.sin(W_STATE_ANGLE))
     expected = PureState.from_terms(
@@ -277,14 +239,7 @@ def w_state(chain_len: int) -> ProtocolResult:
             far_b: sign * (1.0 - z) / (2.0 * SQRT2),
         },
     )
-    t_end = protocol.duration
-    return ProtocolResult(
-        name="w-state",
-        network=spec,
-        protocol=protocol,
-        checkpoints=((t_end, expected),),
-        merit=FigureOfMerit("fidelity", t_end, target=expected),
-    )
+    return _end_state_result("w-state", spec, protocol, expected)
 
 
 def mws_9(with_flips: bool = False) -> ProtocolResult:
@@ -301,7 +256,7 @@ def mws_9(with_flips: bool = False) -> ProtocolResult:
         n, {3: -0.5j, 4: 0.5j, 6: -0.5j, 7: -0.5j}
     )
     if not with_flips:
-        protocol = Protocol([inject(5)], t_m)
+        protocol = Protocol(5, [], t_m)
         revived = PureState.from_terms(n, {5: -1.0})
         return ProtocolResult(
             name="mws",
@@ -311,47 +266,30 @@ def mws_9(with_flips: bool = False) -> ProtocolResult:
             merit=FigureOfMerit("fidelity", t_m / 2.0, target=mws),
         )
     protocol = Protocol(
-        [
-            inject(5),
-            phase_kick(4, FLIP, t_m / 2.0),
-            phase_kick(7, FLIP, t_m / 2.0),
-        ],
-        1.5 * t_m,
+        5, [phase_kick(4, FLIP, t_m / 2.0), phase_kick(7, FLIP, t_m / 2.0)], 1.5 * t_m
     )
     paired = PureState.from_terms(n, {1: 1.0j / SQRT2, 9: 1.0j / SQRT2})
-    return ProtocolResult(
-        name="mws",
-        network=spec,
-        protocol=protocol,
-        checkpoints=((1.5 * t_m, paired),),
-        merit=FigureOfMerit("eof", 1.5 * t_m, pair=(1, 9)),
-    )
+    return _end_state_result("mws", spec, protocol, paired, pair=(1, 9))
 
 
-def _retuned_three_by_four(j_max_b: float) -> tuple[NetworkSpec, float]:
-    spec = NetworkSpec([ChainSpec(4), ChainSpec(4, j_max_b), ChainSpec(4)])
-    t_a = spec.chains[0].mirror_time
-    t_b = spec.chains[1].mirror_time
-    if abs(t_b - 2.0 * t_a) > MIRROR_TIME_RTOL * t_b:
-        raise ValueError(
-            "the middle chain must run at half speed (t_m,B = 2 t_m,A); "
-            f"got t_m,B = {t_b!r} with t_m,A = {t_a!r} - set j_max_b = 1/2"
-        )
-    return spec, t_a
+# Three 4-site chains, the middle one at half speed: j_max 1/2 makes its
+# mirror time t_m,B = 2 t_m,A.
+HALF_SPEED_MIDDLE = NetworkSpec([ChainSpec(4), ChainSpec(4, 0.5), ChainSpec(4)])
 
 
-def mws_12(j_max_b: float = 0.5) -> ProtocolResult:
+def mws_12() -> ProtocolResult:
     """Four-site equal-share entanglement on three 4-site chains.
 
     No site couples directly to both junctions here, so the trick is to run
-    the middle chain at half speed: the two halves of the injected amplitude
-    then meet the far junction in step, and the state cycles through two
-    equal-share patterns, a one-site revival at 4 t_m,A, and back at
-    8 t_m,A.
+    the middle chain at half speed (:data:`HALF_SPEED_MIDDLE`): the two
+    halves of the injected amplitude then meet the far junction in step, and
+    the state cycles through two equal-share patterns, a one-site revival at
+    4 t_m,A, and back at 8 t_m,A.
     """
-    spec, t_a = _retuned_three_by_four(j_max_b)
+    spec = HALF_SPEED_MIDDLE
+    t_a = spec.chains[0].mirror_time
     n = spec.n_sites
-    protocol = Protocol([inject(5)], 8.0 * t_a)
+    protocol = Protocol(5, [], 8.0 * t_a)
     mws_plus = PureState.from_terms(
         n, {4: -0.5, 5: -0.5, 8: -0.5j, 9: -0.5j}
     )
@@ -372,22 +310,13 @@ def mws_12(j_max_b: float = 0.5) -> ProtocolResult:
     )
 
 
-def max_entangle_12(j_max_b: float = 0.5) -> ProtocolResult:
+def max_entangle_12() -> ProtocolResult:
     """End-to-end pair state on the half-speed-middle 12-site network."""
-    spec, t_a = _retuned_three_by_four(j_max_b)
-    n = spec.n_sites
-    protocol = Protocol(
-        [inject(5), phase_kick(9, FLIP, 2.0 * t_a)],
-        3.0 * t_a,
-    )
-    expected = PureState.from_terms(n, {1: -1.0j / SQRT2, 12: 1.0 / SQRT2})
-    return ProtocolResult(
-        name="max-ent",
-        network=spec,
-        protocol=protocol,
-        checkpoints=((3.0 * t_a, expected),),
-        merit=FigureOfMerit("eof", 3.0 * t_a, pair=(1, 12)),
-    )
+    spec = HALF_SPEED_MIDDLE
+    t_a = spec.chains[0].mirror_time
+    protocol = Protocol(5, [phase_kick(9, FLIP, 2.0 * t_a)], 3.0 * t_a)
+    expected = PureState.from_terms(spec.n_sites, {1: -1.0j / SQRT2, 12: 1.0 / SQRT2})
+    return _end_state_result("max-ent", spec, protocol, expected, pair=(1, 12))
 
 
 def m_chain_router(n_chains: int) -> ProtocolResult:
@@ -401,20 +330,11 @@ def m_chain_router(n_chains: int) -> ProtocolResult:
         raise ValueError(f"need at least two chains, got {n_chains}")
     spec = _equal_chain_network(n_chains, 3)
     t_m = spec.chains[0].mirror_time
-    events = [inject(1)]
-    for k in range(1, n_chains):
-        events.append(phase_kick(3 * k + 1, FLIP, k * t_m))
-    protocol = Protocol(events, n_chains * t_m)
+    kicks = [phase_kick(3 * k + 1, FLIP, k * t_m) for k in range(1, n_chains)]
+    protocol = Protocol(1, kicks, n_chains * t_m)
     sign = 1.0 if n_chains % 2 == 0 else -1.0
     expected = PureState.from_terms(spec.n_sites, {spec.n_sites: sign})
-    t_end = protocol.duration
-    return ProtocolResult(
-        name="router",
-        network=spec,
-        protocol=protocol,
-        checkpoints=((t_end, expected),),
-        merit=FigureOfMerit("fidelity", t_end, target=expected),
-    )
+    return _end_state_result("router", spec, protocol, expected)
 
 
 def mws_transfer_15() -> ProtocolResult:
@@ -426,31 +346,20 @@ def mws_transfer_15() -> ProtocolResult:
     """
     spec = _equal_chain_network(5, 3)
     t_m = spec.chains[0].mirror_time
-    n = spec.n_sites
     protocol = Protocol(
-        [
-            inject(8),
-            phase_kick(7, FLIP, t_m / 2.0),
-            phase_kick(10, FLIP, t_m / 2.0),
-        ],
-        1.5 * t_m,
+        8, [phase_kick(7, FLIP, t_m / 2.0), phase_kick(10, FLIP, t_m / 2.0)], 1.5 * t_m
     )
     expected = PureState.from_terms(
-        n, {3: 0.5j, 4: -0.5j, 12: 0.5j, 13: 0.5j}
+        spec.n_sites, {3: 0.5j, 4: -0.5j, 12: 0.5j, 13: 0.5j}
     )
-    return ProtocolResult(
-        name="mws-transfer",
-        network=spec,
-        protocol=protocol,
-        checkpoints=((1.5 * t_m, expected),),
-        merit=FigureOfMerit("fidelity", 1.5 * t_m, target=expected),
-    )
+    return _end_state_result("mws-transfer", spec, protocol, expected)
 
 
 # --- phase sensing -------------------------------------------------------
 
 def probe_estimates(
-    decomp: SpectralDecomposition, n_total: int, thetas_deg: Sequence[float]
+    decomp: SpectralDecomposition, n_total: int, thetas_deg: Sequence[float],
+    streams: Sequence[int] | None = None,
 ) -> list[list[float]]:
     """Estimate each unknown kick angle on every device of a decomposed stack.
 
@@ -463,13 +372,16 @@ def probe_estimates(
     of at most BLOCK_ENTRIES state entries share one broadcast evolve call
     to 2 t_m. Each device gets its estimates as scalars: one list per
     device, the same bit for bit as for that device alone, probe by probe
-    through :func:`~spinnet.dynamics.propagate`.
+    through :func:`~spinnet.dynamics.propagate`. Every evolved stack passes
+    :func:`~spinnet.dynamics.check_norms`, which names a failing device by
+    its disorder stream when ``streams`` gives them.
     """
     t_m = ChainSpec(n_total // 2).mirror_time
     kick_index = n_total // 2  # 0-based index of site N/2 + 1
     start = np.zeros(decomp.eigenvalues.shape, dtype=complex)
     start[..., 0] = 1.0
     halfway = evolve(decomp, start, t_m)
+    check_norms(halfway, streams, t_m)
 
     angles = []  # direct, then quadrature, per unknown angle
     for theta_deg in thetas_deg:
@@ -484,7 +396,9 @@ def probe_estimates(
         for probe, angle in zip(probes, chunk):
             kick_site(probe, kick_index, angle)
         # from t_m to 2 t_m: 2 t_m - t_m is t_m exactly
-        arrived = evolve(decomp, probes, t_m)[..., 0].reshape(len(chunk), -1)
+        evolved = evolve(decomp, probes, t_m)
+        check_norms(evolved, streams, 2 * t_m)
+        arrived = evolved[..., 0].reshape(len(chunk), -1)
         populations += [[abs(a) ** 2 for a in probe] for probe in arrived.tolist()]
 
     estimates: list[list[float]] = [[] for _ in range(halfway[..., 0].size)]
@@ -518,7 +432,7 @@ def unwrap_to_branch(estimate_deg: float, reference_deg: float) -> float:
 def build_protocol(name: str, params: dict) -> ProtocolResult:
     """Build a protocol from its CLI name and validated parameters. A
     parameter the chosen protocol does not use (``n`` beside ``m`` for the
-    router, ``j_max_b`` for the 9-site mws) is an error, not dropped."""
+    router, ``with_flips`` for the 12-site mws) is an error, not dropped."""
     p = dict(params)
     try:
         if name == "router":
@@ -540,11 +454,11 @@ def build_protocol(name: str, params: dict) -> ProtocolResult:
             if chain_length == 3:
                 result = mws_9(with_flips=p.pop("with_flips", False))
             elif chain_length == 4:
-                result = mws_12(j_max_b=p.pop("j_max_b", 0.5))
+                result = mws_12()
             else:
                 raise ValueError(f"mws supports chain lengths 3 and 4, got {chain_length}")
         elif name == "max-ent":
-            result = max_entangle_12(j_max_b=p.pop("j_max_b", 0.5))
+            result = max_entangle_12()
         elif name == "mws-transfer":
             result = mws_transfer_15()
         else:

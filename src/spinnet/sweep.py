@@ -32,8 +32,8 @@ from . import __version__
 from .config import (ConfigError, PhaseScanConfig, SweepConfig, mirror_tokens,
                      parse_time_expression)
 from .disorder import DisorderSpec, perturb, stream_draws
-from .dynamics import NORM_ATOL, propagate, replace_samples, schedule_kicks
-from .linalg import BLOCK_ENTRIES, InvariantViolation, band_operator, eigh
+from .dynamics import check_norms, propagate, schedule_kicks
+from .linalg import BLOCK_ENTRIES, band_operator, eigh
 from .network import CouplingGraph
 from .observables import EnsembleAccumulator, fidelities, pair_eofs
 from .protocols import (FigureOfMerit, ProtocolResult, build_protocol, probe_estimates,
@@ -82,7 +82,6 @@ def ensemble_merit(
     realizations: int,
     master_seed: int,
     stream_base: int = 0,
-    observe_time: float | None = None,
     merit: FigureOfMerit | None = None,
 ) -> EnsembleAccumulator:
     """Run one protocol K times under fresh disorder and collect its merit.
@@ -93,10 +92,10 @@ def ensemble_merit(
     spec runs one realization and repeats its value K times.
     """
     merit = merit or result.merit
-    t = merit.time if observe_time is None else observe_time
+    t = merit.time
     graph = result.graph()
     n = graph.n_sites
-    start, kicks = schedule_kicks(replace_samples(result.protocol, (t,)), n)
+    start, kicks = schedule_kicks(result.protocol, n)
     kicks = [kick for kick in kicks if kick[0] <= t]
     acc = EnsembleAccumulator()
     for streams, values, onsite in hamiltonian_blocks(graph, disorder_spec, realizations,
@@ -105,27 +104,11 @@ def ensemble_merit(
         amplitudes = np.zeros((len(streams), n), dtype=complex)
         amplitudes[:, start] = 1.0
         amplitudes = propagate(operator, amplitudes, 0.0, kicks, t)
-        _check_norms(amplitudes, streams, t)
+        check_norms(amplitudes, streams, t)
         acc.extend(merit_values(amplitudes, merit).tolist())
     if disorder_spec.clean:
         acc.extend(acc.values * (realizations - 1))
     return acc
-
-
-def _check_norms(amplitudes: np.ndarray, streams: range, t: float) -> None:
-    """The norm bound of ``run_schedule``, over a block; names the worst
-    stream, and any stream whose norm is not finite before the others."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 inside the norm of inf
-        norms = np.linalg.norm(amplitudes, axis=-1)
-    defects = np.where(np.isfinite(norms), np.abs(norms - 1.0), np.inf)
-    worst = int(np.argmax(defects))
-    if defects[worst] > NORM_ATOL:
-        drift = (f"drifted by {defects[worst]:.3e}" if np.isfinite(norms[worst])
-                 else f"is {norms[worst]}")
-        raise InvariantViolation(
-            f"norm of the state from stream {streams[worst]} {drift} "
-            f"(bound {NORM_ATOL:.0e}) at t = {t}"
-        )
 
 
 def resolve_merit(
@@ -354,13 +337,13 @@ def phase_scan_setting(
     """
     graph = build_protocol("phase-sense", {"n": n_total}).graph()
     per_angle: list[list[float]] = [[] for _ in thetas_deg]
-    for _, values, onsite in hamiltonian_blocks(graph, disorder_spec, realizations, master_seed,
-                                                stream_base):
+    for streams, values, onsite in hamiltonian_blocks(graph, disorder_spec, realizations,
+                                                      master_seed, stream_base):
         # complex, as one device's to_matrix(), so every estimate keeps its bits
         # (and bench/reference/ its rows): a device on the unwrap branch cut
         # (README, "Reproducibility") flips sides on a last-bit change
         h = graph.assemble(values, onsite).astype(complex)
-        for estimates in probe_estimates(eigh(h), n_total, thetas_deg):
+        for estimates in probe_estimates(eigh(h), n_total, thetas_deg, streams):
             for slot, theta, est in zip(per_angle, thetas_deg, estimates):
                 slot.append(unwrap_to_branch(est, theta))
     if disorder_spec.clean:

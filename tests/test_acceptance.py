@@ -26,7 +26,7 @@ from spinnet import (
     network_graph,
     sample_disorder,
 )
-from spinnet.dynamics import Protocol, inject, phase_kick, replace_samples, run_schedule, state_at
+from spinnet.dynamics import Protocol, phase_kick, replace_samples, run_schedule, state_at
 from spinnet.observables import ensemble_average
 from spinnet.protocols import gamma_factor, phi_factor
 from spinnet.sweep import ensemble_merit, phase_scan_setting, run_cells, sweep_cells
@@ -69,7 +69,7 @@ def test_criterion_01_router_and_halfway_states():
         spec = NetworkSpec([ChainSpec(n // 2)] * 2)
         g = network_graph(spec)
         t_m = spec.chains[0].mirror_time
-        psi = state_at(g, Protocol([inject(1)], t_m), t_m)
+        psi = state_at(g, Protocol(1, [], t_m), t_m)
         expected = PureState.from_terms(
             n, {n // 2: phi_factor(n) / math.sqrt(2), n // 2 + 1: phi_factor(n) / math.sqrt(2)}
         )
@@ -107,7 +107,7 @@ def test_criterion_03_unequal_chains():
     t_a = spec.chains[0].mirror_time
     g = network_graph(spec)
     psi = state_at(
-        g, Protocol([inject(1), phase_kick(4, math.pi / 2, t_a)], 2 * t_a), 2 * t_a
+        g, Protocol(1, [phase_kick(4, math.pi / 2, t_a)], 2 * t_a), 2 * t_a
     )
     reference = {
         1: (1 + 1j) / 2, 3: -0.031 + 0.031j, 4: 0.031 - 0.031j,
@@ -152,7 +152,7 @@ def test_criterion_05_twelve_site_half_speed_middle():
 
     spec = NetworkSpec([ChainSpec(4)] * 3)
     t_m = spec.chains[0].mirror_time
-    psi = state_at(network_graph(spec), Protocol([inject(5)], 2 * t_m), 2 * t_m)
+    psi = state_at(network_graph(spec), Protocol(5, [], 2 * t_m), 2 * t_m)
     defect_equal = abs(PureState.from_terms(12, {5: -1.0}).overlap(psi) - 1.0)
 
     ok = defect_seq < EXACT and defect_pair < EXACT and defect_equal < EXACT
@@ -305,11 +305,13 @@ def test_criterion_17_property_suites():
         spec = NetworkSpec([ChainSpec(int(rng.integers(2, 7))) for _ in range(2)])
         g = network_graph(spec)
         duration = float(rng.uniform(1.0, 20.0))
-        events = [inject(int(rng.integers(1, g.n_sites + 1)))]
+        start = int(rng.integers(1, g.n_sites + 1))
+        events = []
         for t in sorted(rng.uniform(0.0, duration, size=3)):
             events.append(phase_kick(int(rng.integers(1, g.n_sites + 1)),
                                      float(rng.uniform(0, 2 * math.pi)), float(t)))
-        traj = run_schedule(g, Protocol(events, duration, tuple(rng.uniform(0, duration, 5))))
+        traj = run_schedule(g, Protocol(start, events, duration,
+                                        tuple(rng.uniform(0, duration, 5))))
         norm_ok &= all(
             abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-10 for s in traj.states
         )

@@ -119,7 +119,7 @@ def test_run_mws12_is_periodic(tmp_path):
     cfg = write_config(
         tmp_path,
         {
-            "protocol": {"name": "mws", "chain_length": 4, "j_max_b": 0.5},
+            "protocol": {"name": "mws", "chain_length": 4},
             "run": {"samples": 321},
         },
     )
@@ -509,6 +509,23 @@ def test_replay_reproduces_sweep(tmp_path):
     replayed = tmp_path / "replayed"
     assert run_cli("replay", out / "meta.json", "--out", replayed) == 0
     assert (replayed / "heatmap.csv").read_bytes() == (out / "heatmap.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, data, csv_name", [
+    ("run", {"protocol": {"name": "ent-phase", "n": 8},
+             "disorder": {"kind": "diagonal", "strength": 0.1},
+             "run": {"samples": 50}}, "trajectory.csv"),
+    ("phase-scan", {"phase_scan": {"n": 6, "thetas_deg": [0.0, 135.0, 315.0], "realizations": 4,
+                                   "settings": [{"kind": "none"},
+                                                {"kind": "diagonal", "strength": 0.05}]}},
+     "phase_scan.csv"),
+])
+def test_replay_reproduces_run_and_phase_scan(tmp_path, command, data, csv_name):
+    cfg = write_config(tmp_path, data)
+    out, replayed = tmp_path / "out", tmp_path / "replayed"
+    assert run_cli(command, "--config", cfg, "--out", out, "--seed", 17) == 0
+    assert run_cli("replay", out / "meta.json", "--out", replayed) == 0
+    assert (replayed / csv_name).read_bytes() == (out / csv_name).read_bytes()
 
 
 def test_replay_rejects_bad_record(tmp_path):

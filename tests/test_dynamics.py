@@ -17,7 +17,6 @@ from spinnet import (
     chain_graph,
     evolve,
     eigh,
-    inject,
     mirror_time,
     network_graph,
     phase_kick,
@@ -95,33 +94,14 @@ def test_kick_only_touches_one_site(rng):
 
 # --- schedule validation --------------------------------------------------------
 
-def test_schedule_requires_injection():
-    g = chain_graph(ChainSpec(3))
-    with pytest.raises(ValueError, match="injection"):
-        run_schedule(g, Protocol([], 1.0, (0.5,)))
-
-
-def test_injection_must_be_at_time_zero():
-    g = chain_graph(ChainSpec(3))
-    with pytest.raises(ValueError):
-        run_schedule(g, Protocol([inject(1, time=0.5)], 1.0))
-
-
-def test_single_injection_only():
-    g = chain_graph(ChainSpec(3))
-    events = [inject(1), inject(2)]
-    with pytest.raises(ValueError, match="one injection"):
-        run_schedule(g, Protocol(events, 1.0))
-
-
 def test_events_must_be_sorted():
     with pytest.raises(ValueError, match="sorted"):
-        Protocol([inject(1), phase_kick(2, 1.0, 0.8), phase_kick(2, 1.0, 0.3)], 1.0)
+        Protocol(1, [phase_kick(2, 1.0, 0.8), phase_kick(2, 1.0, 0.3)], 1.0)
 
 
 def test_event_beyond_duration_rejected():
     with pytest.raises(ValueError):
-        Protocol([inject(1), phase_kick(2, 1.0, 2.0)], 1.0)
+        Protocol(1, [phase_kick(2, 1.0, 2.0)], 1.0)
 
 
 def test_negative_event_time_rejected():
@@ -132,7 +112,9 @@ def test_negative_event_time_rejected():
 def test_event_site_out_of_range():
     g = chain_graph(ChainSpec(3))
     with pytest.raises(ValueError, match="site"):
-        run_schedule(g, Protocol([inject(7)], 1.0))
+        run_schedule(g, Protocol(7, [], 1.0))
+    with pytest.raises(ValueError, match="site"):
+        run_schedule(g, Protocol(1, [phase_kick(4, 1.0, 0.5)], 1.0))
 
 
 # --- evolution ------------------------------------------------------------------
@@ -141,7 +123,7 @@ def test_bare_chain_pst_against_expm_oracle():
     n = 7
     g = chain_graph(ChainSpec(n))
     t_m = mirror_time(n)
-    traj = run_schedule(g, Protocol([inject(1)], t_m, (t_m,)))
+    traj = run_schedule(g, Protocol(1, [], t_m, (t_m,)))
     state = traj.states[0]
     oracle = scipy.linalg.expm(-1j * g.to_matrix() * t_m)[:, 0]
     assert np.allclose(state.amplitudes, oracle, atol=1e-11)
@@ -153,7 +135,7 @@ def test_two_chain_halfway_superposition():
     n = 12
     g = network_graph(NetworkSpec([ChainSpec(6), ChainSpec(6)]))
     t_m = mirror_time(6)
-    psi = state_at(g, Protocol([inject(1)], t_m), t_m)
+    psi = state_at(g, Protocol(1, [], t_m), t_m)
     a6, a7 = psi.amplitude(6), psi.amplitude(7)
     assert abs(abs(a6) ** 2 - 0.5) < 1e-12
     assert abs(abs(a7) ** 2 - 0.5) < 1e-12
@@ -165,9 +147,9 @@ def test_event_applies_before_recording():
     n = 8
     g = network_graph(NetworkSpec([ChainSpec(4), ChainSpec(4)]))
     t_m = mirror_time(4)
-    bare = state_at(g, Protocol([inject(1)], t_m), t_m)
+    bare = state_at(g, Protocol(1, [], t_m), t_m)
     kicked = state_at(
-        g, Protocol([inject(1), phase_kick(5, math.pi, t_m)], t_m), t_m
+        g, Protocol(1, [phase_kick(5, math.pi, t_m)], t_m), t_m
     )
     assert abs(kicked.amplitude(5) + bare.amplitude(5)) < 1e-12
     assert abs(kicked.amplitude(4) - bare.amplitude(4)) < 1e-12
@@ -179,13 +161,14 @@ def test_norm_conserved_on_random_schedules(rng):
         spec = NetworkSpec([ChainSpec(int(rng.integers(2, 7))) for _ in range(n_chains)])
         g = network_graph(spec)
         duration = float(rng.uniform(1.0, 30.0))
-        events = [inject(int(rng.integers(1, g.n_sites + 1)))]
+        start = int(rng.integers(1, g.n_sites + 1))
+        events = []
         for t in sorted(rng.uniform(0.0, duration, size=rng.integers(0, 5))):
             events.append(
                 phase_kick(int(rng.integers(1, g.n_sites + 1)), float(rng.uniform(0, 2 * math.pi)), float(t))
             )
         samples = sorted(float(t) for t in rng.uniform(0.0, duration, size=7))
-        traj = run_schedule(g, Protocol(events, duration, samples))
+        traj = run_schedule(g, Protocol(start, events, duration, samples))
         for state in traj.states:
             assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
@@ -194,7 +177,7 @@ def test_two_chain_periodicity(rng):
     for n in (4, 6, 10):
         g = network_graph(NetworkSpec([ChainSpec(n // 2), ChainSpec(n // 2)]))
         t_m = mirror_time(n // 2)
-        psi = state_at(g, Protocol([inject(1)], 2 * t_m), 2 * t_m)
+        psi = state_at(g, Protocol(1, [], 2 * t_m), 2 * t_m)
         assert abs(psi.population(1) - 1.0) < 1e-9
 
 
@@ -204,7 +187,7 @@ def test_time_reversal(rng):
         g = network_graph(spec)
         t = float(rng.uniform(0.5, 20.0))
         start = int(rng.integers(1, g.n_sites + 1))
-        forward = state_at(g, Protocol([inject(start)], t), t)
+        forward = state_at(g, Protocol(start, [], t), t)
         back = evolve(eigh(g.to_matrix()), forward.amplitudes, -t)
         expected = np.zeros(g.n_sites, dtype=complex)
         expected[start - 1] = 1.0
@@ -242,7 +225,7 @@ def test_kernel_keeps_the_straight_line_arithmetic():
     assert phase_probe_estimates(graph, n, thetas) == expected
 
     for angle in (0.0, math.pi / 2.0, math.pi, math.radians(315.0)):
-        protocol = Protocol([inject(1), phase_kick(n // 2 + 1, angle, t_m)], 2 * t_m, (2 * t_m,))
+        protocol = Protocol(1, [phase_kick(n // 2 + 1, angle, t_m)], 2 * t_m, (2 * t_m,))
         state = run_schedule(graph, protocol).states[0]
         assert np.array_equal(state.amplitudes, reference(angle))
 
@@ -323,7 +306,7 @@ def test_kernel_split_at_a_kick_matches_one_call(run, split):
 
 def test_trajectory_rows_and_header():
     g = chain_graph(ChainSpec(3))
-    protocol = Protocol([inject(1)], 2.0, uniform_samples(2.0, 5))
+    protocol = Protocol(1, [], 2.0, uniform_samples(2.0, 5))
     traj = run_schedule(g, protocol)
     assert traj.populations().shape == (5, 3)
     assert np.allclose(traj.populations().sum(axis=1), 1.0, atol=1e-10)
@@ -341,22 +324,22 @@ def test_trajectory_rows_and_header():
 
 def test_unsorted_sample_times_are_returned_in_given_order():
     g = chain_graph(ChainSpec(2))
-    protocol = Protocol([inject(1)], 2.0, (1.5, 0.5))
+    protocol = Protocol(1, [], 2.0, (1.5, 0.5))
     traj = run_schedule(g, protocol)
     assert traj.times[0] == 1.5 and traj.times[1] == 0.5
-    direct = state_at(g, Protocol([inject(1)], 2.0), 1.5)
+    direct = state_at(g, Protocol(1, [], 2.0), 1.5)
     assert np.allclose(traj.states[0].amplitudes, direct.amplitudes, atol=1e-12)
 
 
 def test_state_at_matches_expm(rng):
     g = network_graph(NetworkSpec([ChainSpec(3), ChainSpec(4)]))
     t = 2.341
-    psi = state_at(g, Protocol([inject(2)], t), t)
+    psi = state_at(g, Protocol(2, [], t), t)
     oracle = scipy.linalg.expm(-1j * g.to_matrix() * t)[:, 1]
     assert np.allclose(psi.amplitudes, oracle, atol=1e-11)
 
 
 def test_replace_samples_extends_duration():
-    protocol = Protocol([inject(1)], 1.0)
+    protocol = Protocol(1, [], 1.0)
     extended = replace_samples(protocol, (5.0,))
     assert extended.duration == 5.0

@@ -17,7 +17,7 @@ from spinnet import (
 )
 from spinnet import protocols
 from spinnet.disorder import perturb, stream_draws
-from spinnet.dynamics import (Protocol, inject, phase_kick, propagate, replace_samples,
+from spinnet.dynamics import (Protocol, phase_kick, propagate, replace_samples,
                               run_schedule, state_at)
 from spinnet.linalg import eigh, evolve
 from spinnet.protocols import (
@@ -140,7 +140,7 @@ def test_no_flip_returns_home():
     spec, _ = two_chain_phase_protocol(12, 0.0)
     g = network_graph(spec)
     t_m = spec.chains[0].mirror_time
-    psi = state_at(g, Protocol([inject(1)], 2 * t_m), 2 * t_m)
+    psi = state_at(g, Protocol(1, [], 2 * t_m), 2 * t_m)
     assert psi.population(1) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -149,7 +149,7 @@ def test_halfway_superposition_state():
         spec, _ = two_chain_phase_protocol(n, 0.0)
         g = network_graph(spec)
         t_m = spec.chains[0].mirror_time
-        psi = state_at(g, Protocol([inject(1)], t_m), t_m)
+        psi = state_at(g, Protocol(1, [], t_m), t_m)
         expected = PureState.from_terms(
             n, {n // 2: phi_factor(n) / SQRT2, n // 2 + 1: phi_factor(n) / SQRT2}
         )
@@ -205,7 +205,7 @@ def test_unequal_router_three_plus_four():
 def test_unequal_router_reduces_to_equal_router():
     uneven = unequal_router(3, 3)
     even = router_two_chain(6)
-    assert uneven.protocol.events == even.protocol.events
+    assert uneven.protocol == even.protocol
     assert np.allclose(
         uneven.expected_state.amplitudes, even.expected_state.amplitudes
     )
@@ -219,12 +219,6 @@ def test_unequal_entangle_three_plus_four():
     assert eof_pair(state, 1, 7) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_unequal_entangle_requires_matched_mirror_times():
-    raw = NetworkSpec([ChainSpec(3), ChainSpec(4)])
-    with pytest.raises(ValueError, match="retune"):
-        unequal_entangle(3, 4, network=raw)
-
-
 def test_unequal_entangle_slows_the_shorter_chain():
     result = unequal_entangle(3, 4)
     assert result.network.chains[0].j_max < result.network.chains[1].j_max
@@ -233,11 +227,11 @@ def test_unequal_entangle_slows_the_shorter_chain():
 
 
 def test_unretuned_phase_protocol_coefficients():
-    # inject at 1, quarter-turn kick at site 4 at t_m,A, read out at 2 t_m,A
+    # start at 1, quarter-turn kick at site 4 at t_m,A, read out at 2 t_m,A
     spec = NetworkSpec([ChainSpec(3), ChainSpec(4)])
     t_a = spec.chains[0].mirror_time
     g = network_graph(spec)
-    protocol = Protocol([inject(1), phase_kick(4, math.pi / 2, t_a)], 2 * t_a)
+    protocol = Protocol(1, [phase_kick(4, math.pi / 2, t_a)], 2 * t_a)
     psi = state_at(g, protocol, 2 * t_a)
     reference = {
         1: (1 + 1j) / 2,
@@ -258,7 +252,7 @@ def test_unretuned_entanglement_revival_near_eight_mirror_times():
     spec = NetworkSpec([ChainSpec(3), ChainSpec(4)])
     t_a = spec.chains[0].mirror_time
     g = network_graph(spec)
-    protocol = Protocol([inject(1), phase_kick(4, math.pi / 2, t_a)], 2 * t_a)
+    protocol = Protocol(1, [phase_kick(4, math.pi / 2, t_a)], 2 * t_a)
     times = np.linspace(7.5 * t_a, 8.5 * t_a, 160)
     traj = run_schedule(g, replace_samples(protocol, times))
     best = max(eof_pair(s, 1, 7) for s in traj.states)
@@ -280,7 +274,7 @@ def test_w_state_reforms_at_even_mirror_multiples():
     g = result.graph()
     t_m = result.network.chains[0].mirror_time
     for mult in (2, 4, 6):
-        psi = state_at(g, Protocol(result.protocol.events, mult * t_m), mult * t_m)
+        psi = state_at(g, result.protocol, mult * t_m)
         assert fidelity(psi, result.expected_state) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -313,19 +307,12 @@ def test_mws12_state_sequence():
     assert abs(states[0].amplitude(8) + states[2].amplitude(8)) < 1e-9
 
 
-def test_mws12_rejects_unretuned_middle_chain():
-    with pytest.raises(ValueError, match="half speed"):
-        mws_12(j_max_b=1.0)
-    with pytest.raises(ValueError):
-        max_entangle_12(j_max_b=0.7)
-
-
 def test_equal_mirror_times_variant_returns_to_center():
     # with three identical chains the two amplitudes interfere into site 5
     spec = NetworkSpec([ChainSpec(4)] * 3)
     t_m = spec.chains[0].mirror_time
     g = network_graph(spec)
-    psi = state_at(g, Protocol([inject(5)], 2 * t_m), 2 * t_m)
+    psi = state_at(g, Protocol(5, [], 2 * t_m), 2 * t_m)
     expected = PureState.from_terms(12, {5: -1.0})
     assert abs(expected.overlap(psi) - 1.0) < 1e-9
 
@@ -344,7 +331,7 @@ def test_max_entangle_fails_on_identical_chains():
     spec = NetworkSpec([ChainSpec(4)] * 3)
     t_a = spec.chains[0].mirror_time
     g = network_graph(spec)
-    protocol = Protocol([inject(5), phase_kick(9, FLIP, 2 * t_a)], 3 * t_a)
+    protocol = Protocol(5, [phase_kick(9, FLIP, 2 * t_a)], 3 * t_a)
     psi = state_at(g, protocol, 3 * t_a)
     target = max_entangle_12().expected_state
     assert fidelity(psi, target) < 0.5
@@ -358,7 +345,7 @@ def test_m_chain_router_end_to_end():
 
 
 def test_m_chain_router_reduces_to_two_chain():
-    assert m_chain_router(2).protocol.events == router_two_chain(6).protocol.events
+    assert m_chain_router(2).protocol == router_two_chain(6).protocol
     assert np.allclose(
         m_chain_router(2).expected_state.amplitudes,
         router_two_chain(6).expected_state.amplitudes,
@@ -387,7 +374,7 @@ def test_mws_transfer_share_before_flips():
     result = mws_transfer_15()
     g = result.graph()
     t_m = result.network.chains[0].mirror_time
-    psi = state_at(g, Protocol([inject(8)], t_m / 2), t_m / 2)
+    psi = state_at(g, Protocol(8, [], t_m / 2), t_m / 2)
     for site in (6, 7, 9, 10):
         assert psi.population(site) == pytest.approx(0.25, abs=1e-9)
 
@@ -396,7 +383,7 @@ def test_mws_transfer_keeps_oscillating():
     result = mws_transfer_15()
     g = result.graph()
     t_m = result.network.chains[0].mirror_time
-    psi = state_at(g, Protocol(result.protocol.events, 2.5 * t_m), 2.5 * t_m)
+    psi = state_at(g, result.protocol, 2.5 * t_m)
     for site in (6, 7, 9, 10):
         assert psi.population(site) == pytest.approx(0.25, abs=1e-9)
 
@@ -405,7 +392,7 @@ def test_mws_share_from_other_central_site():
     result = mws_transfer_15()
     g = result.graph()
     t_m = result.network.chains[0].mirror_time
-    psi = state_at(g, Protocol([inject(5)], t_m / 2), t_m / 2)
+    psi = state_at(g, Protocol(5, [], t_m / 2), t_m / 2)
     for site in (3, 4, 6, 7):
         assert psi.population(site) == pytest.approx(0.25, abs=1e-9)
 
@@ -418,7 +405,7 @@ def test_phase_sense_quadrature_populations():
     g = network_graph(spec)
     t_m = spec.chains[0].mirror_time
     for theta in (0.0, math.pi / 3, math.pi / 2, math.pi, 4.0):
-        protocol = Protocol([inject(1), phase_kick(7, theta, t_m)], 2 * t_m)
+        protocol = Protocol(1, [phase_kick(7, theta, t_m)], 2 * t_m)
         p1 = state_at(g, protocol, 2 * t_m).population(1)
         assert p1 == pytest.approx((1 + math.cos(theta)) / 2, abs=1e-10)
 
@@ -546,6 +533,7 @@ def test_build_protocol_unknown_name():
     ("router", {"n": 12, "m": 3}, "'n'"),
     ("mws", {"chain_length": 3, "j_max_b": 0.7}, "'j_max_b'"),
     ("mws", {"chain_length": 4, "with_flips": True}, "'with_flips'"),
+    ("max-ent", {"j_max_b": 0.5}, "'j_max_b'"),
 ])
 def test_build_protocol_rejects_unused_parameters(name, params, unused):
     with pytest.raises(ValueError, match=f"does not use parameter {unused}"):

@@ -1,0 +1,26 @@
+import pathlib
+import re
+
+import pytest
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def python_blocks():
+    return re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                      re.MULTILINE | re.DOTALL)
+
+
+def test_readme_has_the_quick_start_and_the_custom_schedule():
+    assert len(python_blocks()) == 2
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["quick-start", "custom-schedule"])
+def test_readme_python_block_runs(index, capsys):
+    exec(compile(python_blocks()[index], f"README.md block {index}", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    if index == 0:  # fidelity of the routed state, then the ensemble's mean and its error
+        assert float(printed[0]) == pytest.approx(1.0, abs=1e-9)
+        assert 0.9 < float(printed[1]) <= 1.0
+    else:  # populations at 2 t_m: the flip at the junction routes the excitation to site 6
+        assert float(printed[-1].rstrip("]")) == pytest.approx(1.0, abs=1e-9)

@@ -5,11 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from spinnet import InvariantViolation, dynamics, linalg, sweep
+from spinnet import InvariantViolation, dynamics, linalg, protocols, sweep
 from spinnet.config import PhaseScanConfig, SweepConfig
 from spinnet.disorder import DisorderSpec, SeededRng, sample_disorder
-from spinnet.dynamics import replace_samples, run_schedule
+from spinnet.dynamics import check_norms, replace_samples, run_schedule
 from spinnet.linalg import chebyshev_evolve
+from spinnet.network import mirror_time
 from spinnet.observables import ensemble_average
 from spinnet.protocols import (
     build_protocol,
@@ -218,13 +219,33 @@ def test_norm_check_names_the_stream_time_and_defect(monkeypatch):
     assert defect == pytest.approx(1.01 ** 2 - 1.0, rel=1e-3)  # evolved before and after the kick
 
 
+@pytest.mark.parametrize("leaky_ndim, t_mirrors", [(2, 1), (3, 2)])  # half way, probes
+def test_phase_scan_norm_check_names_the_stream_time_and_defect(monkeypatch, leaky_ndim,
+                                                                t_mirrors):
+    def leaky_evolve(decomp, psi0, t):
+        psi = linalg.evolve(decomp, psi0, t)
+        if psi.ndim == leaky_ndim:  # (devices, N) to t_m, (probes, devices, N) to 2 t_m
+            psi[..., 3, :] *= 1.01  # not unitary: scales device 3 of the block
+        return psi
+
+    monkeypatch.setattr(protocols, "evolve", leaky_evolve)
+    with pytest.raises(InvariantViolation) as excinfo:
+        phase_scan_setting(6, (30.0, 200.0), DisorderSpec("diagonal", 0.1), 8, SEED,
+                           stream_base=200)
+    message = str(excinfo.value)
+    assert "stream 203" in message
+    assert f"t = {t_mirrors * mirror_time(3)}" in message
+    defect = float(re.search(r"drifted by (\S+)", message).group(1))
+    assert defect == pytest.approx(0.01, rel=1e-3)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_norm_check_rejects_a_non_finite_state(bad):
     amplitudes = np.zeros((4, 5), dtype=complex)
     amplitudes[:, 0] = 1.0
     amplitudes[2, 3] = bad  # the worst finite defect of the block is 0
     with pytest.raises(InvariantViolation, match=rf"stream 12 is {bad}"):
-        sweep._check_norms(amplitudes, range(10, 14), 1.5)
+        check_norms(amplitudes, range(10, 14), 1.5)
 
 
 # --- phase scan ------------------------------------------------------------------
