@@ -12,11 +12,13 @@ Two operators evolve states, and ``dynamics.propagate`` takes either:
   symmetric Hamiltonians held as their nonzero diagonals, each with its own
   Gershgorin spectral interval. :func:`chebyshev_evolve` expands
   exp(-iHt) in Chebyshev polynomials (Tal-Ezer and Kosloff, J. Chem. Phys.
-  81, 3967, 1984) at O(terms * N * diagonals) per state, with no
-  decomposition. Its arithmetic is elementwise real, so each matrix's result
-  is the same bit for bit whatever stack it sits in, and it does not depend
-  on the BLAS/LAPACK build or thread count. Every sweep propagates this way,
-  at any size.
+  81, 3967, 1984) at O(terms * N * diagonals) per real vector, with no
+  decomposition: a complex state costs two real vectors, and a stack of real
+  start vectors per matrix runs in the same series as extra column groups.
+  Its arithmetic is elementwise real, so each matrix's result is the same
+  bit for bit whatever stack it sits in, and it does not depend on the
+  BLAS/LAPACK build or thread count. Every sweep propagates this way, at any
+  size.
 """
 
 from __future__ import annotations
@@ -204,48 +206,56 @@ def bessel_coefficients(x: np.ndarray) -> np.ndarray:
 
 
 def chebyshev_evolve(op: BandOperator, psi0: np.ndarray, t: float) -> np.ndarray:
-    """Apply exp(-iHt), t >= 0, to one state per matrix of ``op`` (B, N).
+    """Apply exp(-iHt), t >= 0, to the states of the matrices of ``op`` (B, N).
 
-    With H = c + r H' and the spectrum of H' in [-1, 1],
+    ``psi0`` is one complex state per matrix, (B, N), or a real stack of G
+    start vectors per matrix, (G, B, N); the result is complex, of the same
+    shape. With H = c + r H' and the spectrum of H' in [-1, 1],
     exp(-iHt) = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(r t) T_k(H'),
-    where [c - r, c + r] is the matrix's own Gershgorin interval. The
-    polynomials T_k(H') psi follow the three-term recurrence on the real
-    and imaginary parts as real arrays, and the even and odd orders are
-    summed apart, each with a real coefficient.
+    where [c - r, c + r] is the matrix's own Gershgorin interval. Every real
+    vector is one column group of a single series: a real start is one group,
+    a complex state two, its real and imaginary parts (one, when it has no
+    imaginary part). The polynomials T_k(H') follow the three-term
+    recurrence on all groups at once, and the even and odd orders are summed
+    apart, each with a real coefficient. Group g of a stack gets the same
+    bits as alone.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
+    psi0 = np.asarray(psi0)
+    stacked = not np.iscomplexobj(psi0)
     shape = op.bands.shape[:-2] + op.bands.shape[-1:]
-    if psi0.shape != shape or len(shape) != 2:
-        raise ValueError(f"state has shape {psi0.shape}, expected {shape} (a stack)")
+    if len(shape) != 2 or psi0.shape[stacked:] != shape or psi0.ndim != 2 + stacked:
+        raise ValueError(f"state has shape {psi0.shape}, expected {shape} complex "
+                         f"or (starts,) + {shape} real")
     if t < 0:
         raise ValueError(f"chebyshev_evolve runs forward only, got t = {t}")
     center = (op.upper + op.lower) / 2.0
     radius = (op.upper - op.lower) / 2.0
     coeffs = _series_coefficients(tuple((radius * t).tolist()))
-    # a real stack skips the imaginary part, whose every term would be 0
-    parts = (psi0.real, psi0.imag) if psi0.imag.any() else (psi0.real,)
+    if stacked:
+        parts = tuple(psi0.astype(float, copy=False))
+    else:  # a real state skips the imaginary part, whose every term would be 0
+        parts = (psi0.real, psi0.imag) if psi0.imag.any() else (psi0.real,)
     with np.errstate(over="ignore", invalid="ignore"):  # the norm guard reports a blow-up
         even, odd = _chebyshev_sums(op, center, radius, coeffs, parts)
-        # psi(t) = e^{-ict} (even - i odd), all as (N, B)
-        if len(parts) == 2:
-            re = even[:, 0] + odd[:, 1]
-            im = even[:, 1] - odd[:, 0]
-        else:
-            re, im = even[:, 0], -odd[:, 0]
+        # group g evolves to e^{-ict} (re_g + i im_g), all as (N, groups, B)
+        re, im = even, -odd
+        if len(parts) == 2 and not stacked:  # U (a + i b) = U a + i U b
+            re, im = re[:, :1] - im[:, 1:], im[:, :1] + re[:, 1:]
     angle = center * t
     cos = np.array([math.cos(a) for a in angle.tolist()])
     sin = np.array([math.sin(a) for a in angle.tolist()])
-    out = np.empty(shape, dtype=complex)
-    out.real = (re * cos + im * sin).T
-    out.imag = (im * cos - re * sin).T
-    return out
+    out = np.empty((re.shape[1],) + shape, dtype=complex)
+    out.real = (re * cos + im * sin).transpose(1, 2, 0)
+    out.imag = (im * cos - re * sin).transpose(1, 2, 0)
+    return out if stacked else out[0]
 
 
 @functools.lru_cache(maxsize=1)
 def _series_coefficients(x: tuple[float, ...]) -> np.ndarray:
     """The coefficients (2 - delta_k0) J_k(x_b) of :func:`chebyshev_evolve`, each
     signed as the nonzero part of (-i)^k; read-only. The last set is kept for
-    the two equal segments of a kick halfway through (router, ent-phase)."""
+    a forward run whose segments are all equal, such as the m-chain router's
+    one mirror time per hop; a sweep's split runs one series per block."""
     coeffs = bessel_coefficients(np.array(x))
     coeffs[1:] *= 2.0
     coeffs[2::4] *= -1.0  # (-i)^k: the even orders alternate in sign,
@@ -257,11 +267,12 @@ def _series_coefficients(x: tuple[float, ...]) -> np.ndarray:
 def _chebyshev_sums(op: BandOperator, center: np.ndarray, radius: np.ndarray,
                     coeffs: np.ndarray, parts: tuple[np.ndarray, ...]
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The even- and odd-order sums of ``coeffs[k] * T_k(H') psi`` for the
-    real parts ``parts`` of psi, each (N, len(parts), B).
+    """The even- and odd-order sums of ``coeffs[k] * T_k(H') v`` for every
+    real (B, N) vector stack v of ``parts``, each (N, len(parts), B).
 
-    The parts run side by side as the columns of one (N, len(parts) * B)
-    array, so every operation is one contiguous elementwise pass.
+    The parts run side by side as the column groups of one
+    (N, len(parts) * B) array, so every operation is one contiguous
+    elementwise pass.
     """
     # 2 H' = (H - c) * (2 / r); a matrix with r = 0 is c times the identity
     scale = np.divide(2.0, radius, out=np.zeros_like(radius), where=radius > 0)[:, None]

@@ -9,8 +9,10 @@ one block generator, :func:`hamiltonian_blocks`, one stack of edge arrays
 per block, sized by what the consumer keeps per realization. A sweep holds
 its stack as band diagonals and propagates it by a Chebyshev series, at
 O(N) per term and diagonal and in elementwise real arithmetic, so its
-numbers do not depend on the BLAS/LAPACK build. A phase scan assembles and
-decomposes its stack as complex. A realization's value does not depend on
+numbers do not depend on the BLAS/LAPACK build. Where it saves series, it
+propagates only the amplitudes its merit reads, through the last kick
+(:class:`SplitPlan`), instead of the whole state. A phase scan assembles
+and decomposes its stack as complex. A realization's value does not depend on
 the block it lands in either. :func:`run_cells` runs either kind of cell,
 in process or on a clamped pool, checkpoints each completed cell to disk
 (write-temp-then-rename) together with a fingerprint of its configuration,
@@ -33,7 +35,7 @@ from .config import (ConfigError, PhaseScanConfig, SweepConfig, mirror_tokens,
                      parse_time_expression)
 from .disorder import DisorderSpec, perturb, stream_draws
 from .dynamics import check_norms, propagate, schedule_kicks
-from .linalg import BLOCK_ENTRIES, band_operator, eigh
+from .linalg import BLOCK_ENTRIES, BandOperator, band_operator, chebyshev_evolve, eigh
 from .network import CouplingGraph
 from .observables import EnsembleAccumulator, fidelities, pair_eofs
 from .protocols import (FigureOfMerit, ProtocolResult, build_protocol, probe_estimates,
@@ -48,9 +50,10 @@ def hamiltonian_blocks(
 
     Realization k draws from stream ``stream_base + k``. A block holds the
     streams of at most BLOCK_ENTRIES entries at ``footprint`` entries per
-    realization: 2N, the real and imaginary parts of one state, for a
-    sweep's band (585 realizations at N = 14, 58 at N = 140); by default
-    N^2, the dense stack of a phase scan (83 at N = 14, one from N = 91 on).
+    realization: 2N, two real vectors (one complex state, or a split's psi
+    and phi), for a sweep's band (585 realizations at N = 14, 58 at
+    N = 140); by default N^2, the dense stack of a phase scan (83 at
+    N = 14, one from N = 91 on).
     ``values`` and ``onsite`` are the block's couplings and site energies,
     perturbed as :func:`~spinnet.disorder.sample_disorder` does for one
     stream, bit for bit; the array that the spec leaves alone is the graph's
@@ -87,9 +90,12 @@ def ensemble_merit(
     """Run one protocol K times under fresh disorder and collect its merit.
 
     Realization k draws from stream ``stream_base + k``. Each block of
-    :func:`hamiltonian_blocks` becomes one band operator, whose states all
-    propagate in one Chebyshev series, and one vectorised merit. A clean
-    spec runs one realization and repeats its value K times.
+    :func:`hamiltonian_blocks` becomes one band operator and one vectorised
+    merit. The cell picks its plan once: the :func:`split_plan`, which
+    propagates only the amplitudes the merit reads, through the last kick,
+    when it :attr:`~SplitPlan.saves` work, or else forward, every state to
+    the merit time. A clean spec runs one realization and repeats its value
+    K times.
     """
     merit = merit or result.merit
     t = merit.time
@@ -97,18 +103,110 @@ def ensemble_merit(
     n = graph.n_sites
     start, kicks = schedule_kicks(result.protocol, n)
     kicks = [kick for kick in kicks if kick[0] <= t]
+    plan = split_plan(start, kicks, t, merit_sites(merit))
+    if plan is not None and not plan.saves:  # a tie keeps the forward plan
+        plan = None
     acc = EnsembleAccumulator()
     for streams, values, onsite in hamiltonian_blocks(graph, disorder_spec, realizations,
                                                       master_seed, stream_base, 2 * n):
         operator = band_operator(graph.rows, graph.cols, values, onsite)
-        amplitudes = np.zeros((len(streams), n), dtype=complex)
-        amplitudes[:, start] = 1.0
-        amplitudes = propagate(operator, amplitudes, 0.0, kicks, t)
-        check_norms(amplitudes, streams, t)
+        if plan is None:
+            amplitudes = np.zeros((len(streams), n), dtype=complex)
+            amplitudes[:, start] = 1.0
+            amplitudes = propagate(operator, amplitudes, 0.0, kicks, t)
+            check_norms(amplitudes, streams, t)
+        else:
+            amplitudes = plan.amplitudes(operator, streams)
         acc.extend(merit_values(amplitudes, merit).tolist())
     if disorder_spec.clean:
         acc.extend(acc.values * (realizations - 1))
     return acc
+
+
+def merit_sites(merit: FigureOfMerit) -> tuple[int, ...]:
+    """The 0-based sites a merit reads: the target's nonzero sites, or the EOF pair."""
+    if merit.kind == "fidelity":
+        return tuple(np.flatnonzero(merit.target.amplitudes).tolist())
+    return tuple(site - 1 for site in merit.pair)
+
+
+@dataclass(frozen=True)
+class SplitPlan:
+    """Read a merit's ``sites`` at ``t`` through the last kicks of a run from
+    ``start``.
+
+    A sweep's H is real symmetric, so U(tau) = exp(-iH tau) is complex
+    symmetric, and the amplitude of site s at t is sum_j phi_j K_j psi_j:
+    psi is the state at the last kick time t_L, K the kicks there, and
+    phi = U(t - t_L) e_s the propagation of a real start vector. ``own``
+    are the sites whose phi costs a real series. When ``joined``, psi's
+    first segment, from its real start to the first kick, is as long as
+    t - t_L: the own phi run as extra columns of that series, which is
+    itself the phi of the start site.
+    """
+
+    start: int
+    kicks: tuple[tuple[float, int, float], ...]
+    t: float
+    sites: tuple[int, ...]
+    own: tuple[int, ...]
+    joined: bool
+
+    @property
+    def saves(self) -> bool:
+        """Whether the split runs fewer real series x time than the forward
+        plan. Both run psi to t_L. Past it, the forward plan runs one complex
+        series over t - t_L, which is two real ones, and the split one real
+        series per phi of its own."""
+        return len(self.own) < 2
+
+    def amplitudes(self, operator: BandOperator, streams: Sequence[int]) -> np.ndarray:
+        """The (B, N) stack of the amplitudes of ``sites`` at ``t``, zero
+        elsewhere, for every matrix of ``operator``.
+
+        :func:`~spinnet.dynamics.check_norms` checks psi at t_L and every
+        phi at t - t_L, as no full final state exists.
+        """
+        b, n = operator.lower.shape[0], operator.bands.shape[-1]
+        t_first, t_last = self.kicks[0][0], self.kicks[-1][0]
+        if self.joined:
+            phi_sites = (self.start,) + self.own
+            phis = chebyshev_evolve(operator, _basis_stack(phi_sites, b, n), t_first)
+            psi = propagate(operator, phis[0], t_first, self.kicks, t_last)
+        else:
+            phi_sites = self.own
+            phis = chebyshev_evolve(operator, _basis_stack(phi_sites, b, n), self.t - t_last)
+            psi = np.zeros((b, n), dtype=complex)
+            psi[:, self.start] = 1.0
+            psi = propagate(operator, psi, 0.0, self.kicks, t_last)
+        check_norms(psi, streams, t_last)  # kicked at t_L, which keeps the norm
+        check_norms(phis, streams, self.t - t_last)
+        reads = dict(zip(phi_sites, phis))
+        out = np.zeros_like(psi)
+        for site in self.sites:
+            out[:, site] = np.sum(reads[site] * psi, axis=-1)
+        return out
+
+
+def split_plan(start: int, kicks: Sequence[tuple[float, int, float]], t: float,
+               sites: tuple[int, ...]) -> SplitPlan | None:
+    """The split of a run from ``start`` through ``kicks`` (none past ``t``)
+    for a merit read at ``t`` from ``sites``; None for a run without kicks
+    or a merit read at the last kick time t_L, where no split exists."""
+    if not kicks or t == kicks[-1][0]:
+        return None
+    joined = kicks[0][0] == t - kicks[-1][0]
+    own = tuple(site for site in sites if not (joined and site == start))
+    return SplitPlan(start, tuple(kicks), t, sites, own, joined)
+
+
+def _basis_stack(sites: tuple[int, ...], b: int, n: int) -> np.ndarray:
+    """The real (len(sites), b, n) stack whose group g is e_{sites[g]} in
+    every row."""
+    stack = np.zeros((len(sites), b, n))
+    for g, site in enumerate(sites):
+        stack[g, :, site] = 1.0
+    return stack
 
 
 def resolve_merit(

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from spinnet import InvariantViolation, sweep
 from spinnet.disorder import DisorderSpec, SeededRng, disorder_draws, perturb
 from spinnet.dynamics import propagate
-from spinnet.linalg import CHEBYSHEV_CUTOFF, band_operator, bessel_coefficients, eigh
+from spinnet.linalg import (CHEBYSHEV_CUTOFF, band_operator, bessel_coefficients,
+                            chebyshev_evolve, eigh)
 from spinnet.network import CouplingGraph, mirror_time, read_edge_list
 from spinnet.protocols import build_protocol
 from spinnet.sweep import ensemble_merit
@@ -102,6 +103,24 @@ def test_chebyshev_propagate_matches_dense_eigh(run):
     graph, values, onsite, start, kicks, t_end = run
     chebyshev, dense = both_propagators(graph, values, onsite, start, kicks, t_end)
     assert np.max(np.abs(chebyshev - dense)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(banded_runs())
+def test_the_propagator_of_a_real_symmetric_h_is_symmetric(run):
+    """<s|U(t)|j> = <j|U(t)|s>, which lets a sweep read a site through the
+    last kick; and real starts in one call get the bits of separate calls."""
+    graph, values, onsite, _, _, t_end = run
+    op = band_operator(graph.rows, graph.cols, values, onsite)
+    b, n = op.lower.shape[0], graph.n_sites
+    starts = np.zeros((n, b, n))
+    for s in range(n):
+        starts[s, :, s] = 1.0
+    evolved = chebyshev_evolve(op, starts, t_end)  # evolved[s, b, j] = <j|U_b(t)|s>
+    assert np.max(np.abs(evolved - evolved.transpose(2, 1, 0)), initial=0.0) <= 1e-12
+    for s in range(n):
+        assert np.array_equal(evolved[s], chebyshev_evolve(op, starts[s:s + 1], t_end)[0])
+        assert np.array_equal(evolved[s], chebyshev_evolve(op, starts[s] + 0j, t_end))
 
 
 def test_edge_list_graph_with_site_energies():

@@ -8,7 +8,7 @@ import pytest
 from spinnet import InvariantViolation, dynamics, linalg, protocols, sweep
 from spinnet.config import PhaseScanConfig, SweepConfig
 from spinnet.disorder import DisorderSpec, SeededRng, sample_disorder
-from spinnet.dynamics import check_norms, replace_samples, run_schedule
+from spinnet.dynamics import check_norms, propagate, replace_samples, run_schedule, schedule_kicks
 from spinnet.linalg import chebyshev_evolve
 from spinnet.network import mirror_time
 from spinnet.observables import ensemble_average
@@ -20,11 +20,13 @@ from spinnet.protocols import (
 )
 from spinnet.sweep import (
     ensemble_merit,
+    merit_sites,
     merit_values,
     phase_scan_cells,
     phase_scan_setting,
     resolve_merit,
     run_cells,
+    split_plan,
     sweep_cells,
 )
 
@@ -127,6 +129,88 @@ def test_engine_matches_the_loop_reference(case, kind):
     assert np.max(np.abs(np.array(acc.values) - reference)) <= 1e-12
 
 
+# --- the split: only the amplitudes a merit reads -----------------------------------
+
+def plan_of(result, merit):
+    """The cell's split_plan, whether or not it saves work."""
+    start, kicks = schedule_kicks(result.protocol, result.network.n_sites)
+    return split_plan(start, [kick for kick in kicks if kick[0] <= merit.time], merit.time,
+                      merit_sites(merit))
+
+
+# the protocols whose split needs at most one phi series of its own
+SPLIT_PROTOCOLS = {"router", "ent-phase", "phase-sense", "unequal-router"}
+# read at the kick, before it, and a tie: two phi of their own over t_m / 2
+FORWARD_CASES = {"router-8-observe-t_m", "router-8-observe-before-the-kick",
+                 "ent-phase-10-fidelity-observe"}
+
+
+@pytest.mark.parametrize("case", list(engine_cases()), ids=lambda case: case[0])
+def test_a_cell_splits_only_where_it_saves_series(case):
+    name, result, merit = case
+    plan = plan_of(result, merit)
+    chosen = plan is not None and plan.saves
+    assert chosen == (result.name in SPLIT_PROTOCOLS and name not in FORWARD_CASES)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("case", list(engine_cases()), ids=lambda case: case[0])
+def test_the_split_matches_a_direct_propagate(case, kind):
+    _, result, merit = case
+    graph = result.graph()
+    n = graph.n_sites
+    spec = DisorderSpec(kind, 0.15)
+    [(streams, values, onsite)] = sweep.hamiltonian_blocks(graph, spec, 6, SEED, 40, 2 * n)
+    op = linalg.band_operator(graph.rows, graph.cols, values, onsite)
+    start, kicks = schedule_kicks(result.protocol, n)
+    direct = np.zeros((6, n), dtype=complex)
+    direct[:, start] = 1.0
+    direct = propagate(op, direct, 0.0, [kick for kick in kicks if kick[0] <= merit.time],
+                       merit.time)
+    engine = ensemble_merit(result, spec, 6, SEED, stream_base=40, merit=merit).values
+    assert np.max(np.abs(np.array(engine) - merit_values(direct, merit))) <= 1e-12
+    plan = plan_of(result, merit)
+    if plan is not None:  # a tie's split too, though the cell runs forward
+        split = plan.amplitudes(op, streams)
+        sites = list(plan.sites)
+        assert np.max(np.abs(split[:, sites] - direct[:, sites])) <= 1e-12
+        assert not np.delete(split, sites, axis=1).any()
+
+
+@pytest.mark.parametrize("name, params", [
+    ("router", {"n": 12}), ("ent-phase", {"n": 12}), ("phase-sense", {"n": 12, "theta_deg": 45.0}),
+    ("router", {"m": 3}),  # psi through two kicks; phi joins its first segment
+    ("unequal-router", {"n_a": 4, "n_b": 3}),  # unequal segments: psi and phi apart
+    ("ent-center", {"n": 12}), ("unequal-ent", {"n_a": 3, "n_b": 4}), ("mws", {}),  # no kick
+    ("max-ent", {}), ("w-state", {"chain_length": 3}), ("mws", {"with_flips": True}),  # ties
+])
+def test_a_block_runs_the_series_of_its_plan(monkeypatch, name, params):
+    calls = []
+
+    def recording(op, psi0, t):
+        calls.append((psi0.shape, t))
+        return chebyshev_evolve(op, psi0, t)
+
+    monkeypatch.setattr(sweep, "chebyshev_evolve", recording)
+    monkeypatch.setattr(dynamics, "chebyshev_evolve", recording)
+    result = build_protocol(name, params)
+    n = result.network.n_sites
+    monkeypatch.setattr(sweep, "BLOCK_ENTRIES", 2 * n * 4)  # blocks of 4, 4 and 2
+    ensemble_merit(result, DisorderSpec("diagonal", 0.1), 10, SEED)
+    _, kicks = schedule_kicks(result.protocol, n)
+    t = result.merit.time
+    stops = sorted({0.0, t, *(kick[0] for kick in kicks)})
+
+    def series(b):  # the calls of a block of b realizations
+        if name == "unequal-router":
+            return [((1, b, n), t - kicks[-1][0]), ((b, n), kicks[-1][0])]
+        if name in SPLIT_PROTOCOLS:  # e_1 beside e_N (phi_1 is psi), then psi's other hops
+            return [((2, b, n), t - kicks[-1][0])] + [((b, n), kicks[0][0])] * (len(kicks) - 1)
+        return [((b, n), t2 - t1) for t1, t2 in zip(stops, stops[1:])]
+
+    assert calls == series(4) + series(4) + series(2)
+
+
 @pytest.mark.parametrize("kind", ["none", "diagonal"])
 def test_clean_cell_repeats_one_realization(kind):
     result = build_protocol("ent-phase", {"n": 8})
@@ -202,21 +286,32 @@ def test_block_realization_is_the_matrix_of_sample_disorder(kind):
         assert np.array_equal(realizations[k], single)
 
 
-def test_norm_check_names_the_stream_time_and_defect(monkeypatch):
+def check_leaky_router(monkeypatch, leaky):
+    """A router sweep whose evolution scales state 3 of the start groups
+    ``leaky`` by 1.01 fails the norm check on stream 203 at t_m, by 0.01."""
     def leaky_evolve(op, psi0, t):
         psi = chebyshev_evolve(op, psi0, t)
-        psi[3] *= 1.01  # not unitary: each evolution scales this state by 1.01
+        psi[leaky, 3] *= 1.01  # not unitary
         return psi
 
-    monkeypatch.setattr(dynamics, "chebyshev_evolve", leaky_evolve)
+    # the router's split evolves once: e_1 (psi) and e_N (phi) to t_m in one series
+    monkeypatch.setattr(sweep, "chebyshev_evolve", leaky_evolve)
     result = router_two_chain(6)
     with pytest.raises(InvariantViolation) as excinfo:
         ensemble_merit(result, DisorderSpec("diagonal", 0.1), 8, SEED, stream_base=200)
     message = str(excinfo.value)
     assert "stream 203" in message
-    assert f"t = {result.merit.time}" in message
+    assert f"t = {result.merit.time / 2}" in message  # psi at the kick, phi over the rest
     defect = float(re.search(r"drifted by (\S+)", message).group(1))
-    assert defect == pytest.approx(1.01 ** 2 - 1.0, rel=1e-3)  # evolved before and after the kick
+    assert defect == pytest.approx(0.01, rel=1e-3)  # after one evolution
+
+
+def test_norm_check_names_the_stream_time_and_defect(monkeypatch):
+    check_leaky_router(monkeypatch, np.s_[:])  # psi and phi: psi is checked first
+
+
+def test_norm_check_covers_a_phi_column_alone(monkeypatch):
+    check_leaky_router(monkeypatch, np.s_[1:])  # psi keeps its norm
 
 
 @pytest.mark.parametrize("leaky_ndim, t_mirrors", [(2, 1), (3, 2)])  # half way, probes
