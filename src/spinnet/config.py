@@ -33,6 +33,12 @@ class ConfigError(Exception):
 MAX_RUN_SAMPLES = 100_000
 MAX_REALIZATIONS = 1_000_000
 MAX_SCAN_ANGLES = 3600
+# Every network size a config gives (a protocol's n, m, n_a, n_b and
+# chain_length, a sweep's n_values or m_values, phase_scan.n, the sites of a
+# network's chains) is at most MAX_SIZE, five times the paper's largest
+# N = 200. `spinnet run` decomposes a dense complex N x N matrix: 16 MB at
+# N = 1000, and 144 MB for the 3000 sites of the largest m-chain router.
+MAX_SIZE = 1000
 
 
 def load_yaml(path: str) -> dict:
@@ -84,6 +90,7 @@ def parse_network(data: Any, where: str = "network") -> NetworkSpec:
     if not chains_raw:
         raise ConfigError(f"{where}.chains: need at least one chain")
     chains = []
+    sites = 0
     for idx, entry in enumerate(chains_raw, start=1):
         w = f"{where}.chains[{idx}]"
         if not isinstance(entry, dict):
@@ -91,6 +98,9 @@ def parse_network(data: Any, where: str = "network") -> NetworkSpec:
         _check_keys(entry, {"length": int, "j_max": _NUMBER}, w)
         if "length" not in entry:
             raise ConfigError(f"{w}: missing 'length'")
+        sites += entry["length"]
+        if sites > MAX_SIZE:
+            raise ConfigError(f"{where}: the chains have more than {MAX_SIZE} sites")
         try:
             chains.append(ChainSpec(entry["length"], float(entry.get("j_max", 1.0))))
         except ValueError as exc:
@@ -136,6 +146,9 @@ def parse_protocol(data: Any, where: str = "protocol") -> ProtocolConfig:
     allowed.update(_PROTOCOL_PARAMS[name])
     _check_keys(data, allowed, where)
     params = {k: v for k, v in data.items() if k != "name"}
+    for key, value in params.items():
+        if allowed[key] is int and value > MAX_SIZE:  # every integer parameter is a size
+            raise ConfigError(f"{where}.{key}: at most {MAX_SIZE}, got {value}")
     return ProtocolConfig(name, params)
 
 
@@ -221,6 +234,8 @@ def parse_sweep(data: Any, where: str = "sweep") -> SweepConfig:
     sizes = data.get("n_values") or data.get("m_values")
     if not sizes or not all(_is(v, int) and v > 0 for v in sizes):
         raise ConfigError(f"{where}.{axis}_values: need a non-empty list of positive integers")
+    if max(sizes) > MAX_SIZE:
+        raise ConfigError(f"{where}.{axis}_values: at most {MAX_SIZE}, got {max(sizes)}")
     e_values = data.get("e_values")
     if not e_values or not all(_is(v, _NUMBER) and 0 <= v < math.inf for v in e_values):
         raise ConfigError(f"{where}.e_values: need a non-empty list of finite numbers >= 0")
@@ -276,6 +291,8 @@ def parse_phase_scan(data: Any, where: str = "phase_scan") -> PhaseScanConfig:
     n = data.get("n")
     if not isinstance(n, int) or n < 4 or n % 2:
         raise ConfigError(f"{where}.n: need an even network size >= 4")
+    if n > MAX_SIZE:
+        raise ConfigError(f"{where}.n: at most {MAX_SIZE}, got {n}")
     if "thetas_deg" in data:
         if not all(_is(v, _NUMBER) for v in data["thetas_deg"]):
             raise ConfigError(f"{where}.thetas_deg: need a list of numbers")

@@ -12,9 +12,11 @@ Two operators evolve states, and ``dynamics.propagate`` takes either:
   symmetric Hamiltonians held as their nonzero diagonals, each with its own
   Gershgorin spectral interval. :func:`chebyshev_evolve` expands
   exp(-iHt) in Chebyshev polynomials (Tal-Ezer and Kosloff, J. Chem. Phys.
-  81, 3967, 1984) at O(terms * N * diagonals) per real vector, with no
-  decomposition: a complex state costs two real vectors, and a stack of real
-  start vectors per matrix runs in the same series as extra column groups.
+  81, 3967, 1984), with no decomposition. A series term costs N for the
+  main diagonal plus, for each off-diagonal, the rows its edges occupy: the
+  offset-2 diagonal of two fused chains holds only the junction's couplings.
+  A complex state costs two real vectors, and a stack of real start vectors
+  per matrix runs in the same series as extra column groups.
   Its arithmetic is elementwise real, so each matrix's result is the same
   bit for bit whatever stack it sits in, and it does not depend on the
   BLAS/LAPACK build or thread count. Every sweep propagates this way, at any
@@ -134,11 +136,15 @@ class BandOperator:
     """A stack of real symmetric Hamiltonians held as their nonzero diagonals.
 
     ``bands[..., 0, i]`` is H[i, i]; for j >= 1, ``bands[..., j, i]`` is
-    H[i, i + offsets[j - 1]], zero past the edge of the matrix. Matrix b's
-    spectrum lies in its Gershgorin interval [``lower[b]``, ``upper[b]``].
+    H[i, i + offsets[j - 1]]. Diagonal j is read only over its span, the
+    rows ``spans[j - 1]`` = (first, stop) from the first to the last row of
+    the edges on it, the same for every matrix of the stack; it is zero
+    outside. Matrix b's spectrum lies in its Gershgorin interval
+    [``lower[b]``, ``upper[b]``].
     """
 
     offsets: tuple[int, ...]
+    spans: tuple[tuple[int, int], ...]
     bands: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -148,24 +154,28 @@ def band_operator(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
                   onsite: np.ndarray) -> BandOperator:
     """The Hamiltonians with couplings ``values`` (..., E) on the edges
     (``rows``, ``cols``), rows < cols, and site energies ``onsite`` (..., N),
-    as a :class:`BandOperator` on the diagonals that the edges occupy.
+    as a :class:`BandOperator` on the diagonals that the edges occupy, each
+    spanning the rows of its edges whatever their values.
 
     A realization's interval comes from its own row sums only.
     """
     rows, cols = np.asarray(rows), np.asarray(cols)
     values, onsite = np.asarray(values, dtype=float), np.asarray(onsite, dtype=float)
     n = onsite.shape[-1]
-    offsets = sorted(set((cols - rows).tolist()))  # np.unique would import numpy.ma
+    offset = cols - rows
+    offsets = sorted(set(offset.tolist()))  # np.unique would import numpy.ma
+    occupied = [rows[offset == d] for d in offsets]
+    spans = tuple((int(r.min()), int(r.max()) + 1) for r in occupied)
     lead = np.broadcast_shapes(values.shape[:-1], onsite.shape[:-1])
     bands = np.zeros(lead + (1 + len(offsets), n))
     bands[..., 0, :] = onsite
-    bands[..., 1 + np.searchsorted(offsets, cols - rows), rows] = values
+    bands[..., 1 + np.searchsorted(offsets, offset), rows] = values
     radius = np.zeros(lead + (n,))
-    for j, d in enumerate(offsets, start=1):
-        edge = np.abs(bands[..., j, : n - d])
-        radius[..., : n - d] += edge
-        radius[..., d:] += edge
-    return BandOperator(tuple(offsets), frozen_array(bands),
+    for j, (d, (first, stop)) in enumerate(zip(offsets, spans), start=1):
+        edge = np.abs(bands[..., j, first:stop])
+        radius[..., first:stop] += edge
+        radius[..., first + d: stop + d] += edge
+    return BandOperator(tuple(offsets), spans, frozen_array(bands),
                         frozen_array(np.min(bands[..., 0, :] - radius, axis=-1)),
                         frozen_array(np.max(bands[..., 0, :] + radius, axis=-1)))
 
@@ -278,17 +288,20 @@ def _chebyshev_sums(op: BandOperator, center: np.ndarray, radius: np.ndarray,
     scale = np.divide(2.0, radius, out=np.zeros_like(radius), where=radius > 0)[:, None]
     n = op.bands.shape[-1]
     diagonal = _columns([(op.bands[:, 0] - center[:, None]) * scale] * len(parts))
-    off = [_columns([op.bands[:, j, : n - d] * scale] * len(parts))
-           for j, d in enumerate(op.offsets, start=1)]
+    off = [_columns([op.bands[:, j, first:stop] * scale] * len(parts))
+           for j, (first, stop) in enumerate(op.spans, start=1)]
     coeffs = list(_columns([coeffs.T] * len(parts)))
     start = _columns(list(parts))
     scratch = np.empty_like(start)
-    heads = [scratch[: n - d] for d in op.offsets]
+    heads = [scratch[: stop - first] for first, stop in op.spans]
+    # row i of the span of offset d couples v[i + d] (hi) into out[i] (lo), and back
+    windows = [(slice(first + d, stop + d), slice(first, stop))
+               for d, (first, stop) in zip(op.offsets, op.spans)]
 
     # A term is a dozen numpy calls on small arrays, so each buffer carries its
-    # views v[d:] (hi) and v[: n - d] (lo), one pair per offset d, made once.
+    # hi and lo views, one pair per offset, made once.
     def with_views(v: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-        return v, [(v[d:], v[: n - d]) for d in op.offsets]
+        return v, [(v[hi], v[lo]) for hi, lo in windows]
 
     def recur(v: tuple, out: tuple) -> None:  # out <- 2 H' v - out
         (v, v_views), (out, out_views) = v, out

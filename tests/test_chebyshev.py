@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from spinnet import InvariantViolation, sweep
 from spinnet.disorder import DisorderSpec, SeededRng, disorder_draws, perturb
-from spinnet.dynamics import propagate
+from spinnet.dynamics import propagate, schedule_kicks
 from spinnet.linalg import (CHEBYSHEV_CUTOFF, band_operator, bessel_coefficients,
                             chebyshev_evolve, eigh)
 from spinnet.network import CouplingGraph, mirror_time, read_edge_list
 from spinnet.protocols import build_protocol
-from spinnet.sweep import ensemble_merit
+from spinnet.sweep import ensemble_merit, merit_sites, split_plan
 
 SEED = 20230724
 KINDS = ("diagonal", "off_diagonal")
@@ -121,6 +121,64 @@ def test_the_propagator_of_a_real_symmetric_h_is_symmetric(run):
     for s in range(n):
         assert np.array_equal(evolved[s], chebyshev_evolve(op, starts[s:s + 1], t_end)[0])
         assert np.array_equal(evolved[s], chebyshev_evolve(op, starts[s] + 0j, t_end))
+
+
+def stretched(graph, values):
+    """The edges of ``graph`` with zero-coupling edges added at the first and
+    last row of every diagonal it occupies, and the stack's couplings on them."""
+    rows, cols = graph.rows.tolist(), graph.cols.tolist()
+    present = set(zip(rows, cols))
+    extra = [(i, i + d) for d in set(graph.cols - graph.rows)
+             for i in (0, graph.n_sites - 1 - d) if (i, i + d) not in present]
+    rows += [i for i, _ in extra]
+    cols += [j for _, j in extra]
+    values = np.concatenate([values, np.zeros(values.shape[:-1] + (len(extra),))], axis=-1)
+    return np.array(rows, dtype=int), np.array(cols, dtype=int), values
+
+
+@settings(max_examples=80, deadline=None)
+@given(banded_runs())
+def test_zero_couplings_that_stretch_every_diagonal_change_no_bit(run):
+    """A diagonal runs only over the rows of its edges; one stretched to the
+    full matrix by couplings that are 0 in every realization, added after
+    disorder, gives the same values, so every nonzero result keeps its bits."""
+    graph, values, onsite, start, kicks, t_end = run
+    op = band_operator(graph.rows, graph.cols, values, onsite)
+    full = band_operator(*stretched(graph, values), onsite)
+    n = graph.n_sites
+    assert full.spans == tuple((0, n - d) for d in full.offsets)
+    assert full.offsets == op.offsets and np.array_equal(full.bands, op.bands)
+    assert np.array_equal(full.lower, op.lower) and np.array_equal(full.upper, op.upper)
+    phase = np.exp(1j * np.linspace(0.0, 2.0, n))  # a state with an imaginary part
+    for psi in (start, start * phase, np.real(start * phase)[None] * [[[1.0]], [[-0.5]]]):
+        assert np.array_equal(chebyshev_evolve(full, psi, t_end), chebyshev_evolve(op, psi, t_end))
+    assert np.array_equal(propagate(full, start, 0.0, kicks, t_end),
+                          propagate(op, start, 0.0, kicks, t_end))
+
+
+def test_the_junction_diagonal_of_a_router_spans_its_two_junction_rows():
+    graph = build_protocol("router", {"n": 140}).graph()
+    op = band_operator(graph.rows, graph.cols, graph.values, graph.onsite)
+    assert op.offsets == (1, 2) and op.spans == ((0, 139), (68, 70))
+    # the m = 4 router's junction diagonal spans rows 1 to 8 of 10; its split
+    # runs still give the dense eigensolve's amplitudes
+    result = build_protocol("router", {"m": 4})
+    graph = result.graph()
+    assert band_operator(graph.rows, graph.cols, graph.values, graph.onsite).spans == (
+        (0, 11), (1, 9))
+    n, merit = graph.n_sites, result.merit
+    start, kicks = schedule_kicks(result.protocol, n)
+    plan = split_plan(start, kicks, merit.time, merit_sites(merit))
+    assert plan is not None and plan.saves
+    for kind in KINDS:
+        values, onsite = disordered_stack(graph, kind, range(5, 11))
+        split = plan.amplitudes(band_operator(graph.rows, graph.cols, values, onsite),
+                                range(5, 11))
+        psi = np.zeros((6, n), dtype=complex)
+        psi[:, start] = 1.0
+        dense = propagate(eigh(graph.assemble(values, onsite)), psi, 0.0, kicks, merit.time)
+        sites = list(plan.sites)
+        assert np.max(np.abs(split[:, sites] - dense[:, sites])) <= 1e-12
 
 
 def test_edge_list_graph_with_site_energies():

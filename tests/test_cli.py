@@ -10,7 +10,9 @@ import yaml
 import spinnet.cli as cli
 import spinnet.sweep as sweep
 from spinnet import InvariantViolation
-from spinnet.config import MAX_REALIZATIONS, MAX_RUN_SAMPLES, MAX_SCAN_ANGLES, parse_config
+from spinnet.config import (MAX_REALIZATIONS, MAX_RUN_SAMPLES, MAX_SCAN_ANGLES, MAX_SIZE,
+                            parse_config)
+from spinnet.network import CouplingGraph
 
 
 def write_config(tmp_path, data, name="config.yaml"):
@@ -734,6 +736,48 @@ def test_the_largest_u64_seed_runs(tmp_path):
 ])
 def test_counts_above_their_bound_are_config_errors(tmp_path, capsys, command, data, message):
     assert_config_error_writes_nothing(tmp_path, capsys, command, data, message)
+
+
+FAR_ABOVE = 2_000_000  # a router of this size would ask for a 29 TiB matrix
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("run", dict(RUN_CONFIG, protocol={"name": "router", "n": FAR_ABOVE}),
+     f"protocol.n: at most {MAX_SIZE}, got {FAR_ABOVE}"),
+    ("run", dict(RUN_CONFIG, protocol={"name": "router", "m": FAR_ABOVE}),
+     f"protocol.m: at most {MAX_SIZE}"),
+    ("run", dict(RUN_CONFIG, protocol={"name": "unequal-router", "n_a": 3, "n_b": FAR_ABOVE}),
+     f"protocol.n_b: at most {MAX_SIZE}"),
+    ("sweep", dict(SWEEP_CONFIG, sweep=dict(SWEEP_CONFIG["sweep"], n_values=[4, FAR_ABOVE])),
+     f"sweep.n_values: at most {MAX_SIZE}, got {FAR_ABOVE}"),
+    ("sweep", dict(SWEEP_CONFIG, protocol={"name": "router", "m": 2},
+                   sweep={"m_values": [FAR_ABOVE], "e_values": [0.1], "realizations": 2}),
+     f"sweep.m_values: at most {MAX_SIZE}"),
+    ("phase-scan", {"phase_scan": dict(SCAN_CONFIG["phase_scan"], n=FAR_ABOVE)},
+     f"phase_scan.n: at most {MAX_SIZE}"),
+    ("build", {"network": {"chains": [{"length": MAX_SIZE - 2}, {"length": FAR_ABOVE}]}},
+     f"network: the chains have more than {MAX_SIZE} sites"),
+])
+def test_sizes_above_their_bound_fail_before_any_network_is_built(
+        tmp_path, capsys, monkeypatch, command, data, message):
+    def trap(*args, **kwargs):
+        raise AssertionError("an oversize network was built")
+
+    monkeypatch.setattr(CouplingGraph, "__post_init__", trap)
+    for module in (cli, sweep):
+        monkeypatch.setattr(module, "build_protocol", trap)
+    assert_config_error_writes_nothing(tmp_path, capsys, command, data, message)
+
+
+def test_sizes_at_their_bound_are_accepted():
+    cfg = parse_config({
+        "protocol": {"name": "router", "n": MAX_SIZE},
+        "sweep": {"n_values": [4, MAX_SIZE], "e_values": [0.1]},
+        "phase_scan": {"n": MAX_SIZE},
+        "network": {"chains": [{"length": MAX_SIZE // 2}] * 2},
+    })
+    assert cfg.protocol.params == {"n": MAX_SIZE} and max(cfg.sweep.sizes) == MAX_SIZE
+    assert cfg.phase_scan.n == MAX_SIZE and cfg.network.n_sites == MAX_SIZE
 
 
 def test_a_scan_of_max_angles_is_accepted():
