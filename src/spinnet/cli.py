@@ -24,6 +24,7 @@ import yaml
 
 from . import __version__
 from .config import (
+    MAX_RUN_AMPLITUDES,
     Config,
     ConfigError,
     load_config,
@@ -159,6 +160,10 @@ def cmd_run(args) -> int:
         result = build_protocol(cfg.protocol.name, cfg.protocol.params)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    sites = result.network.n_sites
+    if cfg.run.samples * sites > MAX_RUN_AMPLITUDES:
+        raise ConfigError(f"run.samples: {cfg.run.samples} samples of {sites} sites are more "
+                          f"than {MAX_RUN_AMPLITUDES:,} amplitudes")
     clean = cfg.disorder.clean
     graph = sample_disorder(result.graph(), cfg.disorder, SeededRng(seed, 0))
 

@@ -31,6 +31,9 @@ class ConfigError(Exception):
 # c * K + k stays below 2^64 for any grid of fewer than 1.8e13 cells, more
 # than a config file can list.
 MAX_RUN_SAMPLES = 100_000
+# `spinnet run` keeps its whole trajectory, run.samples states of one complex
+# amplitude per site: 10^7 amplitudes are 160 MB.
+MAX_RUN_AMPLITUDES = 10**7
 MAX_REALIZATIONS = 1_000_000
 MAX_SCAN_ANGLES = 3600
 # Every network size a config gives (a protocol's n, m, n_a, n_b and

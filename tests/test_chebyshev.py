@@ -3,6 +3,7 @@
 import io
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from spinnet import InvariantViolation, sweep
+from spinnet import InvariantViolation, linalg, sweep
 from spinnet.disorder import DisorderSpec, SeededRng, disorder_draws, perturb
 from spinnet.dynamics import propagate, schedule_kicks
 from spinnet.linalg import (CHEBYSHEV_CUTOFF, band_operator, bessel_coefficients,
@@ -242,3 +243,66 @@ def test_an_understated_spectral_bound_trips_the_norm_guard(monkeypatch, shrink)
     message = str(excinfo.value)
     assert "stream 203" in message
     assert re.search(r"drifted by \S+|is nan|is inf", message)
+
+
+# --- the series' arrays start on cache lines -----------------------------------------
+
+def work_arrays(op, psi0, t):
+    """The work arrays of ``linalg._chebyshev_sums`` in one ``chebyshev_evolve``
+    call, read by name from its frame as it returns."""
+    arrays = {}
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is linalg._chebyshev_sums.__code__:
+            local = frame.f_locals
+            arrays.update(diagonal=local["diagonal"], coefficients=local["coeffs"][0],
+                          start=local["start"], scratch=local["scratch"],
+                          even=local["sums"][0], odd=local["sums"][1],
+                          current=local["current"][0], previous=local["previous"][0])
+            arrays.update((f"offset {d}", u) for d, u in zip(op.offsets, local["off"]))
+
+    sys.setprofile(profile)
+    try:
+        chebyshev_evolve(op, psi0, t)
+    finally:
+        sys.setprofile(None)
+    return arrays
+
+
+@pytest.mark.parametrize("n, b", [(140, 58), (40, 5), (14, 3)])
+def test_every_work_array_of_the_series_starts_on_a_64_byte_boundary(n, b):
+    """A SIMD pass over an array off a cache line splits a line on every
+    vector. The coefficient table is checked by its first row: the others
+    sit wherever the column count puts them."""
+    graph = build_protocol("router", {"n": n}).graph()
+    op = band_operator(graph.rows, graph.cols, *disordered_stack(graph, "diagonal", range(b)))
+    start = np.zeros((2, b, graph.n_sites))
+    start[0, :, 0] = start[1, :, -1] = 1.0
+    for psi0 in (start, start[0] + 1j * start[1], start[0] + 0j):
+        arrays = work_arrays(op, psi0, mirror_time(graph.n_sites))
+        assert len(arrays) == 8 + len(op.offsets)
+        misaligned = {name: a.ctypes.data % 64 for name, a in arrays.items()
+                      if a.ctypes.data % 64}
+        assert not misaligned
+
+
+def placed(a, offset):
+    """A copy of ``a`` whose data starts ``offset`` bytes past a 64-byte
+    boundary, as a view into a larger buffer."""
+    raw = np.empty(a.nbytes + 64 + offset, dtype=np.uint8)
+    first = -raw.ctypes.data % 64 + offset
+    view = raw[first: first + a.nbytes].view(a.dtype).reshape(a.shape)
+    view[...] = a
+    assert view.ctypes.data % 64 == offset
+    return view
+
+
+@settings(max_examples=60, deadline=None)
+@given(banded_runs(), st.sampled_from([8, 16, 32]))
+def test_a_misaligned_start_gets_the_bytes_of_an_aligned_copy(run, offset):
+    graph, values, onsite, start, _, t_end = run
+    op = band_operator(graph.rows, graph.cols, values, onsite)
+    phase = np.exp(1j * np.linspace(0.0, 2.0, graph.n_sites))
+    for psi in (start * phase, np.real(start * phase)[None] * [[[1.0]], [[-0.5]]]):
+        aligned = chebyshev_evolve(op, placed(psi, 0), t_end)
+        assert chebyshev_evolve(op, placed(psi, offset), t_end).tobytes() == aligned.tobytes()

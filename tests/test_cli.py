@@ -10,8 +10,8 @@ import yaml
 import spinnet.cli as cli
 import spinnet.sweep as sweep
 from spinnet import InvariantViolation
-from spinnet.config import (MAX_REALIZATIONS, MAX_RUN_SAMPLES, MAX_SCAN_ANGLES, MAX_SIZE,
-                            parse_config)
+from spinnet.config import (MAX_REALIZATIONS, MAX_RUN_AMPLITUDES, MAX_RUN_SAMPLES,
+                            MAX_SCAN_ANGLES, MAX_SIZE, parse_config)
 from spinnet.network import CouplingGraph
 
 
@@ -778,6 +778,23 @@ def test_sizes_at_their_bound_are_accepted():
     })
     assert cfg.protocol.params == {"n": MAX_SIZE} and max(cfg.sweep.sizes) == MAX_SIZE
     assert cfg.phase_scan.n == MAX_SIZE and cfg.network.n_sites == MAX_SIZE
+
+
+def test_a_trajectory_above_its_amplitude_bound_fails_before_the_eigensolve(
+        tmp_path, capsys, monkeypatch):
+    # 100,000 samples of a 1000-site router would keep 1.6 GB of amplitudes
+    def trap(*args, **kwargs):
+        raise AssertionError("an oversize run went on past its config check")
+
+    for name in ("sample_disorder", "eigh", "run_decomposed"):
+        monkeypatch.setattr(cli, name, trap)
+    data = dict(RUN_CONFIG, protocol={"name": "router", "n": MAX_SIZE},
+                run={"samples": MAX_RUN_SAMPLES})
+    assert MAX_RUN_SAMPLES * MAX_SIZE > MAX_RUN_AMPLITUDES
+    assert_config_error_writes_nothing(
+        tmp_path, capsys, "run", data,
+        f"run.samples: {MAX_RUN_SAMPLES} samples of {MAX_SIZE} sites are more than "
+        f"{MAX_RUN_AMPLITUDES:,} amplitudes")
 
 
 def test_a_scan_of_max_angles_is_accepted():
