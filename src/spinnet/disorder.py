@@ -9,10 +9,12 @@ peak coupling, so retuned networks see the same absolute error level.
 Reproducibility: every realization is addressed by (master seed, stream
 index). The same address always yields the same graph, bit for bit, no
 matter which worker draws it: stream s draws from numpy's
-``Generator(PCG64(SeedSequence((master_seed, s))))``. :func:`stream_draws`
-computes those generator states for a whole block of streams at once and
-draws every stream of the block from one generator, set to each state in
-turn; one stream is a block of one.
+``Generator(PCG64(SeedSequence((master_seed, s))))``. Those generator
+states are computed for a whole block of streams at once, in uint64 array
+arithmetic: :func:`seed_sequence_words` mixes the SeedSequence pool and
+:func:`pcg64_states` takes PCG64's two seeding steps. :func:`stream_draws`
+sets one generator to each state of the block in turn and draws straight
+into the block; :meth:`SeededRng.generator` is a block of one.
 
 One rule applies the draws: :func:`perturb` adds the :func:`stream_draws`
 of a block of streams (``sweep.hamiltonian_blocks``) or the
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,11 +46,19 @@ SEED_LIMIT = 1 << 64
 # property test pins both against numpy. Hash k xors its input with
 # constant k, multiplies it by constant k + 1 and folds the high half in.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _XSHIFT = np.uint32(16)
 _MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# PCG64's 128-bit multiplier as its high and low 64 bits, the low half also
+# as two 32-bit limbs; every constant is a uint64, so no operand is cast
+# under any numpy's promotion rules
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MULTIPLIER_HIGH = np.uint64(_PCG64_MULTIPLIER >> 64)
+_MULTIPLIER_LOW = np.uint64(_PCG64_MULTIPLIER & (1 << 64) - 1)
+_MULTIPLIER_LIMBS = (np.uint64(_PCG64_MULTIPLIER >> 32 & _MASK32),
+                     np.uint64(_PCG64_MULTIPLIER & _MASK32))
+_LIMB, _LOW_LIMB = np.uint64(32), np.uint64(_MASK32)
+_ONE, _TOP_BIT = np.uint64(1), np.uint64(63)
 
 
 def _hash_constants(init: int, multiplier: int, count: int) -> np.ndarray:
@@ -116,16 +126,56 @@ def seed_sequence_words(master_seed: int, streams: Sequence[int]) -> np.ndarray:
     return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
-def pcg64_state(words: np.ndarray) -> dict:
-    """The ``bit_generator.state`` of ``PCG64`` seeded with one row of
+def _add128(high: np.ndarray, low: np.ndarray, other_high: np.ndarray,
+            other_low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 128-bit sums (high, low) + (other_high, other_low) mod 2^128."""
+    low = low + other_low
+    return high + other_high + (low < other_low), low  # the carry out of the low limb
+
+
+def _high_product(a: np.ndarray, b_high: np.uint64, b_low: np.uint64) -> np.ndarray:
+    """The high 64 bits of the 128-bit products of ``a`` with the 64-bit
+    constant b = b_high * 2^32 + b_low, from the four 32-bit limb products."""
+    a_high, a_low = a >> _LIMB, a & _LOW_LIMB
+    low_low, low_high, high_low = a_low * b_low, a_low * b_high, a_high * b_low
+    middle = (low_low >> _LIMB) + (low_high & _LOW_LIMB) + (high_low & _LOW_LIMB)
+    return a_high * b_high + (low_high >> _LIMB) + (high_low >> _LIMB) + (middle >> _LIMB)
+
+
+def pcg64_states(words: np.ndarray) -> np.ndarray:
+    """The state and increment of ``PCG64`` seeded with each row of
     :func:`seed_sequence_words` (seed, then increment, each as its high and
-    low 64 bits): two steps of the 128-bit LCG, the first from state 0, the
-    second after adding the seed."""
-    state_high, state_low, inc_high, inc_low = words.tolist()
-    inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
-    state = ((inc + (state_high << 64 | state_low)) * _PCG64_MULTIPLIER + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
+    low 64 bits), as one (B, 4) uint64 array of rows (state high, state low,
+    increment high, increment low).
+
+    PCG64 takes two steps of its 128-bit LCG, the first from state 0, the
+    second after adding the seed: state = (inc + seed) * multiplier + inc,
+    inc = 2 * increment + 1, mod 2^128.
+    """
+    seed_high, seed_low, inc_high, inc_low = words.T
+    inc_high = inc_high << _ONE | inc_low >> _TOP_BIT
+    inc_low = inc_low << _ONE | _ONE
+    high, low = _add128(inc_high, inc_low, seed_high, seed_low)
+    high = (_high_product(low, *_MULTIPLIER_LIMBS) + low * _MULTIPLIER_HIGH
+            + high * _MULTIPLIER_LOW)
+    high, low = _add128(high, low * _MULTIPLIER_LOW, inc_high, inc_low)
+    return np.stack([high, low, inc_high, inc_low], axis=1)
+
+
+def _stream_generators(master_seed: int, streams: Sequence[int]) -> Iterator[np.random.Generator]:
+    """One generator, set to the start of each of ``streams`` in turn; its
+    own seed is never drawn from."""
+    generator = np.random.Generator(np.random.PCG64())
+    bit_generator = generator.bit_generator
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    # one row's Python ints at a time: a whole block's list of them, 1000
+    # streams, raised a sweep's peak RSS by 0.45 MiB
+    for row in pcg64_states(seed_sequence_words(master_seed, streams)):
+        state_high, state_low, inc_high, inc_low = row.tolist()
+        pcg["state"], pcg["inc"] = state_high << 64 | state_low, inc_high << 64 | inc_low
+        bit_generator.state = state
+        yield generator
 
 
 @dataclass(frozen=True)
@@ -166,9 +216,7 @@ class SeededRng:
 
     def generator(self) -> np.random.Generator:
         """A new generator at the start of this stream."""
-        bit_generator = np.random.PCG64()
-        bit_generator.state = pcg64_state(seed_sequence_words(self.master_seed, (self.stream,))[0])
-        return np.random.Generator(bit_generator)
+        return next(_stream_generators(self.master_seed, (self.stream,)))
 
 
 def stream_draws(graph: CouplingGraph, spec: DisorderSpec, master_seed: int,
@@ -182,15 +230,14 @@ def stream_draws(graph: CouplingGraph, spec: DisorderSpec, master_seed: int,
     the stream's own generator state.
     """
     size = len(graph.values) if spec.kind == "off_diagonal" else graph.n_sites
-    # one generator per block, set to each stream's state in turn; its own
-    # seed is never drawn from
-    generator = np.random.Generator(np.random.PCG64())
-    words = seed_sequence_words(master_seed, streams)
-    draws = np.empty((len(words), size))
-    for row, stream_words in zip(draws, words):
-        generator.bit_generator.state = pcg64_state(stream_words)
-        row[:] = generator.normal(0.0, spec.width, size=size)
-    return spec.strength * spec.j_max_ref * draws
+    draws = np.empty((len(streams), size))
+    for row, generator in zip(draws, _stream_generators(master_seed, streams)):
+        generator.standard_normal(out=row)
+    # numpy's normal(0.0, width) is 0.0 + width * z: the zero turns a -0.0 into +0.0
+    draws *= spec.width
+    draws += 0.0
+    draws *= spec.strength * spec.j_max_ref
+    return draws
 
 
 def disorder_draws(graph: CouplingGraph, spec: DisorderSpec, rng: SeededRng) -> np.ndarray:

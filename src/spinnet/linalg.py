@@ -202,7 +202,8 @@ def bessel_coefficients(x: np.ndarray) -> np.ndarray:
     # depending on the length of the array it sits in
     start = [math.ceil(v + 18.0 * v ** (1.0 / 3.0)) + 20 for v in x.tolist()]
     top = max(start)
-    seeds = {k: np.equal(start, k) for k in set(start)}
+    start_orders = np.array(start)
+    seeds = {k: start_orders == k for k in set(start)}
     factor = np.arange(top + 1)[:, None] * (2.0 / x)  # 2k / x
     j = np.zeros((top + 2, len(x)))
     total = np.zeros(len(x))

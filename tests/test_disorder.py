@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from spinnet import (
     ChainSpec,
+    CouplingGraph,
     DisorderSpec,
     NetworkSpec,
     SeededRng,
@@ -17,7 +18,7 @@ from spinnet.disorder import (
     GAUSSIAN_WIDTH,
     SEED_LIMIT,
     disorder_draws,
-    pcg64_state,
+    pcg64_states,
     seed_sequence_words,
     stream_draws,
 )
@@ -93,8 +94,6 @@ def test_gaussian_statistics_of_coupling_perturbation():
     # 10^5 draws at E = 0.1, J_ref = 1: the perturbation J' - J is Gaussian
     # with mean 0 and std E / (2 sqrt 3)
     n_edges = 1000
-    from spinnet import CouplingGraph
-
     g = CouplingGraph(n_edges + 1, np.arange(n_edges), np.arange(1, n_edges + 1),
                       np.ones(n_edges), np.zeros(n_edges + 1))
     spec = DisorderSpec("off_diagonal", 0.1)
@@ -111,8 +110,6 @@ def test_gaussian_statistics_of_coupling_perturbation():
 
 def test_diagonal_disorder_statistics_and_support():
     n = 2000
-    from spinnet import CouplingGraph
-
     g = CouplingGraph(n, [0], [1], [1.0], np.zeros(n))
     spec = DisorderSpec("diagonal", 0.2)
     out = sample_disorder(g, spec, SeededRng(3, 0))
@@ -150,6 +147,12 @@ U64 = st.one_of(st.integers(0, SEED_LIMIT - 1), st.integers(2**32 - 4, 2**32 + 4
                 st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, SEED_LIMIT - 1]))
 
 
+def state_of(row):
+    """A :func:`pcg64_states` row as the integers of ``bit_generator.state``."""
+    state_high, state_low, inc_high, inc_low = row.tolist()
+    return {"state": state_high << 64 | state_low, "inc": inc_high << 64 | inc_low}
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=U64, streams=st.lists(U64, min_size=1, max_size=12))
 @example(seed=0, streams=[0])
@@ -158,8 +161,72 @@ U64 = st.one_of(st.integers(0, SEED_LIMIT - 1), st.integers(2**32 - 4, 2**32 + 4
 def test_block_states_are_numpys_pcg64_states(seed, streams):
     words = seed_sequence_words(seed, streams)
     assert words.shape == (len(streams), 4) and words.dtype == np.uint64
-    for row, stream in zip(words, streams):
-        assert pcg64_state(row) == numpy_generator(seed, stream).bit_generator.state
+    states = pcg64_states(words)
+    assert states.shape == (len(streams), 4) and states.dtype == np.uint64
+    for row, stream in zip(states, streams):
+        assert state_of(row) == numpy_generator(seed, stream).bit_generator.state["state"]
+
+
+class FixedWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose ``generate_state`` is the given words, so that
+    numpy's own PCG64 seeding runs on words no SeedSequence need produce."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+TOP = SEED_LIMIT - 1
+WORD = st.one_of(st.integers(0, TOP), st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, TOP]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(WORD, min_size=4, max_size=4), min_size=1, max_size=8))
+# all-ones limbs: every 32-bit limb product is nonzero and carries, and both
+# 128-bit adds carry out of the low limb
+@example(rows=[[TOP, TOP, TOP, TOP]])
+# seed low limb 2^64 - 1 plus the odd increment's low limb carries; a zero
+# high seed and increment leave only the carries and products in the high limb
+@example(rows=[[0, TOP, 0, 0], [0, TOP, 0, 2**63], [TOP, 0, 2**63, TOP]])
+@example(rows=[[0, 0, 0, 0], [0, 1, 0, 0], [2**63, 2**63, 2**63, 2**63]])
+def test_pcg64_states_are_numpys_for_any_words(rows):
+    states = pcg64_states(np.array(rows, dtype=np.uint64))
+    for row, words in zip(states, rows):
+        assert state_of(row) == np.random.PCG64(FixedWords(words)).state["state"]
+
+
+def line_graph(size, kind):
+    """A path graph with ``size`` draws of ``kind``: ``size`` sites for
+    diagonal disorder, ``size`` edges for off-diagonal."""
+    n_sites = size + (kind == "off_diagonal")
+    return CouplingGraph(n_sites, np.arange(n_sites - 1), np.arange(1, n_sites),
+                         np.ones(n_sites - 1), np.zeros(n_sites))
+
+
+NEAR_TOP = st.integers(SEED_LIMIT - 2**16, SEED_LIMIT - 1)
+FACTOR = st.one_of(st.sampled_from([0.0, 1.0]),
+                   st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["diagonal", "off_diagonal"]), size=st.integers(1, 40),
+       seed=st.one_of(U64, NEAR_TOP), first=st.integers(2**32 - 20, 2**32 + 4),
+       count=st.integers(1, 24), strength=FACTOR, width=FACTOR, j_max_ref=FACTOR)
+# a zero width draws only zeros: numpy's 0.0 + 0.0 * z is +0.0 for a negative z
+@example(kind="diagonal", size=40, seed=SEED_LIMIT - 1, first=2**32 - 12, count=24,
+         strength=0.3, width=0.0, j_max_ref=1.0)
+def test_stream_draws_are_numpys_normal_draws(kind, size, seed, first, count,
+                                              strength, width, j_max_ref):
+    # a block of streams first ... first + count - 1, most straddling 2^32
+    spec = DisorderSpec(kind, abs(strength), abs(width), j_max_ref)
+    streams = range(first, first + count)
+    expected = np.array([spec.strength * spec.j_max_ref
+                         * numpy_generator(seed, s).normal(0.0, spec.width, size=size)
+                         for s in streams])
+    block = stream_draws(line_graph(size, kind), spec, seed, streams)
+    assert block.shape == (count, size) and block.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("seed", [7, 20230724, 2**32 + 11, SEED_LIMIT - 1])
