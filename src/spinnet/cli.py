@@ -68,10 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, handler, needs_config: bool = True):
         p = sub.add_parser(name)
-        if needs_config:
+        if needs_config:  # replay takes its config and seed from the record
             p.add_argument("--config", required=True, help="YAML config file")
+            p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         p.add_argument("--workers", type=int, default=None, help="worker processes")
         p.set_defaults(handler=handler)
         return p
@@ -90,11 +90,17 @@ def _prepare(args) -> tuple[Config, str, int, int]:
     seed = cfg.seed if args.seed is None else args.seed
     if not 0 <= seed < SEED_LIMIT:
         raise ConfigError(f"--seed must be in [0, 2^64), got {seed}")
-    workers = cfg.workers if args.workers is None else args.workers
-    if workers < 1:
-        raise ConfigError("--workers must be >= 1")
+    workers = _workers(args.workers, cfg.workers)
     os.makedirs(args.out, exist_ok=True)
     return cfg, args.out, seed, workers
+
+
+def _workers(requested: int | None, default: int) -> int:
+    """The worker count: ``--workers`` when given, else ``default``."""
+    workers = default if requested is None else requested
+    if workers < 1:
+        raise ConfigError("--workers must be >= 1")
+    return workers
 
 
 def _write_meta(out: str, command: str, cfg: Config, seed: int, workers: int,
@@ -341,6 +347,7 @@ def cmd_replay(args) -> int:
         raise ConfigError(f"cannot replay command {command!r}")
     # materialise the recorded config and dispatch with the recorded seed
     parse_config(meta["config"], where=args.meta)  # validate before writing anything
+    workers = _workers(args.workers, meta.get("workers", 1))
     os.makedirs(args.out, exist_ok=True)
     config_path = os.path.join(args.out, "replayed_config.yaml")
     with open(config_path, "w", encoding="utf-8") as fh:
@@ -349,7 +356,7 @@ def cmd_replay(args) -> int:
         config=config_path,
         out=args.out,
         seed=int(meta["master_seed"]),
-        workers=args.workers if args.workers else meta.get("workers", 1),
+        workers=workers,
     )
     return handlers[command](replay_args)
 

@@ -36,6 +36,8 @@ MAX_RUN_SAMPLES = 100_000
 MAX_RUN_AMPLITUDES = 10**7
 MAX_REALIZATIONS = 1_000_000
 MAX_SCAN_ANGLES = 3600
+# the angles a phase scan probes when its config lists none: 0, 15, ..., 345
+DEFAULT_THETAS_DEG = tuple(float(t) for t in range(0, 360, 15))
 # Every network size a config gives (a protocol's n, m, n_a, n_b and
 # chain_length, a sweep's n_values or m_values, phase_scan.n, the sites of a
 # network's chains) is at most MAX_SIZE, five times the paper's largest
@@ -160,17 +162,12 @@ def parse_disorder(data: Any, where: str = "disorder") -> DisorderSpec:
         return DisorderSpec()
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a mapping")
-    _check_keys(data, {"kind": str, "strength": _NUMBER, "width": _NUMBER, "j_max_ref": _NUMBER}, where)
+    _check_keys(data, {"kind": str, "strength": _NUMBER}, where)
     kind = data.get("kind", "none")
     if kind not in KINDS:
         raise ConfigError(f"{where}.kind: unknown kind {kind!r}; allowed: {KINDS}")
     try:
-        return DisorderSpec(
-            kind=kind,
-            strength=float(data.get("strength", 0.0)),
-            width=float(data.get("width", DisorderSpec().width)),
-            j_max_ref=float(data.get("j_max_ref", 1.0)),
-        )
+        return DisorderSpec(kind, float(data.get("strength", 0.0)))
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}")
 
@@ -278,48 +275,19 @@ class PhaseScanConfig:
 def parse_phase_scan(data: Any, where: str = "phase_scan") -> PhaseScanConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a mapping")
-    _check_keys(
-        data,
-        {
-            "n": int,
-            "theta_start": _NUMBER,
-            "theta_stop": _NUMBER,
-            "theta_step": _NUMBER,
-            "thetas_deg": list,
-            "settings": list,
-            "realizations": int,
-        },
-        where,
-    )
+    _check_keys(data, {"n": int, "thetas_deg": list, "settings": list, "realizations": int},
+                where)
     n = data.get("n")
     if not isinstance(n, int) or n < 4 or n % 2:
         raise ConfigError(f"{where}.n: need an even network size >= 4")
     if n > MAX_SIZE:
         raise ConfigError(f"{where}.n: at most {MAX_SIZE}, got {n}")
-    if "thetas_deg" in data:
-        if not all(_is(v, _NUMBER) for v in data["thetas_deg"]):
-            raise ConfigError(f"{where}.thetas_deg: need a list of numbers")
-        if len(data["thetas_deg"]) > MAX_SCAN_ANGLES:
-            raise ConfigError(f"{where}.thetas_deg: at most {MAX_SCAN_ANGLES} angles are allowed")
-        thetas = tuple(float(v) for v in data["thetas_deg"])
-    else:
-        start = float(data.get("theta_start", 0.0))
-        stop = float(data.get("theta_stop", 360.0))
-        step = float(data.get("theta_step", 15.0))
-        if not all(map(math.isfinite, (start, stop, step))):
-            raise ConfigError(f"{where}: theta_start, theta_stop and theta_step must be finite")
-        if step <= 0:
-            raise ConfigError(f"{where}.theta_step: must be positive")
-        count = (stop - 1e-9 - start) / step  # the loop below makes ceil(count) angles
-        if count > MAX_SCAN_ANGLES:
-            raise ConfigError(f"{where}: theta_step {step} asks for about {count:.3g} angles; "
-                              f"at most {MAX_SCAN_ANGLES} are allowed")
-        thetas = []
-        t = start
-        while t < stop - 1e-9:
-            thetas.append(t)
-            t += step
-        thetas = tuple(thetas)
+    thetas = data.get("thetas_deg", DEFAULT_THETAS_DEG)
+    if not all(_is(v, _NUMBER) for v in thetas):
+        raise ConfigError(f"{where}.thetas_deg: need a list of numbers")
+    if len(thetas) > MAX_SCAN_ANGLES:
+        raise ConfigError(f"{where}.thetas_deg: at most {MAX_SCAN_ANGLES} angles are allowed")
+    thetas = tuple(float(v) for v in thetas)
     if not thetas or not all(0.0 <= t < 360.0 for t in thetas):
         raise ConfigError(f"{where}: angles must lie in [0, 360) degrees")
     settings_raw = data.get("settings") or [{"kind": "none"}]

@@ -1,10 +1,12 @@
 """Static disorder realizations of a coupling graph.
 
 Two kinds of fabrication error are modelled: off-diagonal (every existing
-coupling picks up E * d * J_ref with d drawn from a zero-mean Gaussian of
-width 1/(2 sqrt 3)) and diagonal (the same perturbation lands on each
-on-site energy). The scale J_ref is the global energy unit, not a per-chain
-peak coupling, so retuned networks see the same absolute error level.
+coupling picks up E * d with d drawn from a zero-mean Gaussian of width
+GAUSSIAN_WIDTH = 1/(2 sqrt 3)) and diagonal (the same perturbation lands on
+each on-site energy). A disorder setting is its kind and its strength E,
+nothing else: the error is relative to J_max = 1, the global energy unit,
+not to a per-chain peak coupling, so retuned networks see the same
+absolute error level.
 
 Reproducibility: every realization is addressed by (master seed, stream
 index). The same address always yields the same graph, bit for bit, no
@@ -184,18 +186,12 @@ class DisorderSpec:
 
     kind: str = "none"
     strength: float = 0.0
-    width: float = GAUSSIAN_WIDTH
-    j_max_ref: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown disorder kind {self.kind!r}, expected one of {KINDS}")
-        for name in ("strength", "width"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"disorder {name} must be finite and >= 0, "
-                                 f"got {getattr(self, name)}")
-        if not math.isfinite(self.j_max_ref):
-            raise ValueError(f"disorder j_max_ref must be finite, got {self.j_max_ref}")
+        if not 0 <= self.strength < math.inf:
+            raise ValueError(f"disorder strength must be finite and >= 0, got {self.strength}")
 
     @property
     def clean(self) -> bool:
@@ -226,7 +222,7 @@ def stream_draws(graph: CouplingGraph, spec: DisorderSpec, master_seed: int,
 
     Off-diagonal disorder draws one value per existing edge, in edge order,
     for its coupling; diagonal disorder one value per site, for its on-site
-    energy. Each value is E * J_ref * d with d ~ N(0, width^2), drawn from
+    energy. Each value is E * d with d ~ N(0, GAUSSIAN_WIDTH^2), drawn from
     the stream's own generator state.
     """
     size = len(graph.values) if spec.kind == "off_diagonal" else graph.n_sites
@@ -234,9 +230,9 @@ def stream_draws(graph: CouplingGraph, spec: DisorderSpec, master_seed: int,
     for row, generator in zip(draws, _stream_generators(master_seed, streams)):
         generator.standard_normal(out=row)
     # numpy's normal(0.0, width) is 0.0 + width * z: the zero turns a -0.0 into +0.0
-    draws *= spec.width
+    draws *= GAUSSIAN_WIDTH
     draws += 0.0
-    draws *= spec.strength * spec.j_max_ref
+    draws *= spec.strength
     return draws
 
 

@@ -144,7 +144,8 @@ def pair_eofs(amplitudes: np.ndarray, i: int, j: int) -> np.ndarray:
 
 @dataclass
 class EnsembleAccumulator:
-    """Per-realization observable values with order-independent reduction."""
+    """Per-realization observable values with order-independent reduction;
+    each statistic is one of :func:`ensemble_average`."""
 
     values: list[float] = field(default_factory=list)
 
@@ -160,30 +161,28 @@ class EnsembleAccumulator:
 
     @property
     def mean(self) -> float:
-        if not self.values:
-            raise ValueError("no values accumulated")
-        return math.fsum(self.values) / len(self.values)
+        return ensemble_average(self.values)[0]
 
     @property
     def std(self) -> float:
-        """Sample standard deviation (0 for a single realization)."""
-        k = len(self.values)
-        if k == 0:
-            raise ValueError("no values accumulated")
-        first = self.values[0]
-        if k == 1 or all(v == first for v in self.values):
-            return 0.0
-        m = self.mean
-        return math.sqrt(math.fsum((v - m) ** 2 for v in self.values) / (k - 1))
+        return ensemble_average(self.values)[1]
 
     @property
     def std_of_mean(self) -> float:
-        return self.std / math.sqrt(len(self.values))
+        return ensemble_average(self.values)[2]
 
 
 def ensemble_average(values: Sequence[float]) -> tuple[float, float, float]:
-    """(mean, sample std, std of the mean) of per-realization observables."""
-    acc = EnsembleAccumulator()
-    acc.extend(values)
-    return acc.mean, acc.std, acc.std_of_mean
-
+    """(mean, sample std, std of the mean) of per-realization observables,
+    from one exactly-rounded sum each; the std is 0 for a single realization
+    or equal values."""
+    k = len(values)
+    if k == 0:
+        raise ValueError("no values accumulated")
+    mean = math.fsum(values) / k
+    first = values[0]
+    if k == 1 or all(v == first for v in values):
+        std = 0.0
+    else:
+        std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (k - 1))
+    return mean, std, std / math.sqrt(k)

@@ -37,7 +37,7 @@ from .disorder import DisorderSpec, perturb, stream_draws
 from .dynamics import check_norms, propagate, schedule_kicks
 from .linalg import BLOCK_ENTRIES, BandOperator, band_operator, chebyshev_evolve, eigh
 from .network import CouplingGraph
-from .observables import EnsembleAccumulator, fidelities, pair_eofs
+from .observables import EnsembleAccumulator, ensemble_average, fidelities, pair_eofs
 from .protocols import (FigureOfMerit, ProtocolResult, build_protocol, probe_estimates,
                         unwrap_to_branch)
 
@@ -106,7 +106,7 @@ def ensemble_merit(
     plan = split_plan(start, kicks, t, merit_sites(merit))
     if plan is not None and not plan.saves:  # a tie keeps the forward plan
         plan = None
-    acc = EnsembleAccumulator()
+    merits: list[float] = []
     for streams, values, onsite in hamiltonian_blocks(graph, disorder_spec, realizations,
                                                       master_seed, stream_base, 2 * n):
         operator = band_operator(graph.rows, graph.cols, values, onsite)
@@ -117,10 +117,10 @@ def ensemble_merit(
             check_norms(amplitudes, streams, t)
         else:
             amplitudes = plan.amplitudes(operator, streams)
-        acc.extend(merit_values(amplitudes, merit).tolist())
+        merits += merit_values(amplitudes, merit).tolist()
     if disorder_spec.clean:
-        acc.extend(acc.values * (realizations - 1))
-    return acc
+        merits *= realizations
+    return EnsembleAccumulator(merits)
 
 
 def merit_sites(merit: FigureOfMerit) -> tuple[int, ...]:
@@ -270,26 +270,20 @@ class SweepCell:
         result = build_protocol(self.protocol_name, dict(self.params, **{self.axis: self.size}))
         return result, resolve_merit(result, self.observable, self.eof_pair, self.observe)
 
-    def fingerprint(self) -> dict[str, Any]:
-        """Everything the cell's numbers depend on, as its checkpoint stores it."""
-        spec = self.disorder
-        fields = dict(asdict(self), width=spec.width, j_max_ref=spec.j_max_ref,
-                      version=__version__)
-        return json.loads(json.dumps(fields))  # tuples become lists, as when read back
-
     def run(self) -> dict[str, Any]:
         """Evaluate the cell; returns a plain dict so it survives any transport."""
         result, merit = self.protocol()
         acc = ensemble_merit(result, self.disorder, self.realizations, self.master_seed,
                              stream_base=self.stream_base, merit=merit)
+        mean, std, std_of_mean = ensemble_average(acc.values)
         return {
             "index": self.index,
             "size": self.size,
             "e": self.e,
             "kind": self.kind,
-            "mean": acc.mean,
-            "std": acc.std,
-            "std_of_mean": acc.std_of_mean,
+            "mean": mean,
+            "std": std,
+            "std_of_mean": std_of_mean,
             "k": acc.count,
             "stream_base": self.stream_base,
         }
@@ -328,6 +322,12 @@ def sweep_cells(
     return cells
 
 
+def fingerprint(cell: SweepCell | PhaseScanCell) -> dict[str, Any]:
+    """Everything the cell's numbers depend on, as its checkpoint stores it:
+    its fields and the spinnet version."""
+    return json.loads(json.dumps(dict(asdict(cell), version=__version__)))  # tuples as lists
+
+
 def run_cell(cell: SweepCell | PhaseScanCell) -> dict[str, Any]:
     """The one runner of :func:`run_cells`, in process and on the pool (which
     pickles it by name)."""
@@ -347,7 +347,7 @@ def run_cells(
     discarded with a warning on stderr and the cell is computed again.
     """
     rows: dict[int, dict[str, Any]] = {}
-    fingerprints = {cell.index: cell.fingerprint() for cell in cells}
+    fingerprints = {cell.index: fingerprint(cell) for cell in cells}
     pending = []
     stems = {cell.index: cell.checkpoint_stem for cell in cells}
     for cell in cells:
@@ -446,9 +446,9 @@ def phase_scan_setting(
                 slot.append(unwrap_to_branch(est, theta))
     if disorder_spec.clean:
         for slot in per_angle:  # every clean realization is identical
-            slot.extend(slot * (realizations - 1))
-    accs = [EnsembleAccumulator(values) for values in per_angle]
-    return [(acc.mean % 360.0, acc.std, acc.std_of_mean) for acc in accs]
+            slot *= realizations
+    stats = [ensemble_average(values) for values in per_angle]
+    return [(mean % 360.0, std, std_of_mean) for mean, std, std_of_mean in stats]
 
 
 @dataclass(frozen=True)
@@ -462,19 +462,13 @@ class PhaseScanCell:
     thetas_deg: tuple[float, ...]
     kind: str
     strength: float
-    width: float
-    j_max_ref: float
     realizations: int  # 1 for a clean setting
     master_seed: int
     stream_base: int
 
     @property
     def disorder(self) -> DisorderSpec:
-        return DisorderSpec(self.kind, self.strength, self.width, self.j_max_ref)
-
-    def fingerprint(self) -> dict[str, Any]:
-        """Everything the cell's numbers depend on, as its checkpoint stores it."""
-        return json.loads(json.dumps(dict(asdict(self), version=__version__)))
+        return DisorderSpec(self.kind, self.strength)
 
     def run(self) -> dict[str, Any]:
         """Evaluate the setting; its stats are [mean, std, std of mean] per angle,
@@ -500,8 +494,6 @@ def phase_scan_cells(scan: PhaseScanConfig, master_seed: int) -> list[PhaseScanC
             thetas_deg=scan.thetas_deg,
             kind=spec.kind,
             strength=spec.strength,
-            width=spec.width,
-            j_max_ref=spec.j_max_ref,
             realizations=1 if spec.clean else scan.realizations,
             master_seed=master_seed,
             stream_base=index * scan.realizations,

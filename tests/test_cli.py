@@ -11,7 +11,7 @@ import spinnet.cli as cli
 import spinnet.sweep as sweep
 from spinnet import InvariantViolation
 from spinnet.config import (MAX_REALIZATIONS, MAX_RUN_AMPLITUDES, MAX_RUN_SAMPLES,
-                            MAX_SCAN_ANGLES, MAX_SIZE, parse_config)
+                            MAX_SCAN_ANGLES, MAX_SIZE, ConfigError, parse_config)
 from spinnet.network import CouplingGraph
 
 
@@ -264,12 +264,14 @@ def test_sweep_rejects_a_zero_denominator_in_observe(tmp_path, capsys):
     assert_config_error_writes_nothing(tmp_path, capsys, "sweep", data, "division by zero")
 
 
+# a setting is its kind and strength: the Gaussian's width and J_max are fixed
 BAD_DISORDER = [
-    ({"width": -1}, "width must be finite and >= 0"),
+    ({"width": 0.5}, "unknown key 'width'; allowed: ['kind', 'strength']"),
     ({"strength": math.nan}, "strength must be finite and >= 0"),
     ({"strength": math.inf}, "strength must be finite and >= 0"),
-    ({"width": math.nan}, "width must be finite and >= 0"),
-    ({"j_max_ref": math.inf}, "j_max_ref must be finite"),
+    ({"width": math.nan}, "unknown key 'width'; allowed: ['kind', 'strength']"),
+    ({"j_max_ref": 1.0}, "unknown key 'j_max_ref'; allowed: ['kind', 'strength']"),
+    ({"strength": -0.1}, "strength must be finite and >= 0"),
 ]
 
 
@@ -536,6 +538,18 @@ def test_replay_rejects_bad_record(tmp_path):
     assert run_cli("replay", bad, "--out", tmp_path / "o") == 2
 
 
+def test_replay_takes_no_seed(tmp_path, capsys):
+    cfg = write_config(tmp_path, SWEEP_CONFIG)
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:  # argparse: the record's seed is the only one
+        run_cli("replay", out / "meta.json", "--out", tmp_path / "replayed", "--seed", 999)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --seed 999" in capsys.readouterr().err
+    assert not (tmp_path / "replayed").exists()
+
+
 # --- phase scan ----------------------------------------------------------------
 
 def test_phase_scan_clean_and_disordered(tmp_path):
@@ -640,8 +654,8 @@ def test_phase_scan_resumes_from_checkpoints(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command, data, discarded", [
-    ("phase-scan", scan_config(width=0.5), 1),
-    ("phase-scan", scan_config(j_max_ref=2.0), 1),
+    ("phase-scan", scan_config(strength=0.2), 1),
+    ("phase-scan", scan_config(kind="diagonal"), 1),
     ("phase-scan", {**POOLED_SCAN_CONFIG, "phase_scan": dict(POOLED_SCAN_CONFIG["phase_scan"],
                                                              thetas_deg=[0.0, 135.0])}, 3),
     ("sweep", SWEEP_CONFIG, 0),  # a sweep's cells 0-2 in the same --out keep their own names
@@ -706,6 +720,23 @@ def test_a_seed_of_2_to_the_64_is_a_config_error(tmp_path, capsys, command, data
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, data", [
+    ("build", {"network": {"chains": [{"length": 3}]}}), ("run", RUN_CONFIG),
+    ("sweep", SWEEP_CONFIG), ("phase-scan", SCAN_CONFIG), ("replay", RUN_CONFIG),
+])
+def test_a_worker_count_below_one_is_a_config_error(tmp_path, capsys, command, data):
+    cfg = write_config(tmp_path, data)
+    args = ("--config", cfg)
+    if command == "replay":  # of a recorded run, which replay would run with one worker
+        assert run_cli("run", *args, "--out", tmp_path / "recorded") == 0
+        args = (tmp_path / "recorded" / "meta.json",)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli(command, *args, "--out", out, "--workers", 0) == 2
+    assert "config error: --workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_the_largest_u64_seed_runs(tmp_path):
     # two 32-bit seed words: the stream takes the last two of the four
     cfg = write_config(tmp_path, dict(RUN_CONFIG, seed=2**64 - 1))
@@ -727,10 +758,11 @@ def test_the_largest_u64_seed_runs(tmp_path):
     ("phase-scan", {"phase_scan": dict(SCAN_CONFIG["phase_scan"],
                                        realizations=MAX_REALIZATIONS + 1)},
      f"phase_scan.realizations: need 1 to {MAX_REALIZATIONS}"),
-    ("phase-scan", {"phase_scan": {"n": 6, "theta_step": 1e-9}},
-     f"asks for about 3.6e+11 angles; at most {MAX_SCAN_ANGLES}"),
-    ("phase-scan", {"phase_scan": {"n": 6, "theta_step": 5e-324}},
-     f"asks for about inf angles; at most {MAX_SCAN_ANGLES}"),
+    # thetas_deg is the one angle grid
+    ("phase-scan", {"phase_scan": {"n": 6, "theta_step": 1e-9}}, "unknown key 'theta_step'; "
+     "allowed: ['n', 'realizations', 'settings', 'thetas_deg']"),
+    ("phase-scan", {"phase_scan": {"n": 6, "theta_start": 0.0, "theta_stop": 360.0}},
+     "unknown key 'theta_start'"),
     ("phase-scan", {"phase_scan": {"n": 6, "thetas_deg": [1.0] * (MAX_SCAN_ANGLES + 1)}},
      f"at most {MAX_SCAN_ANGLES} angles"),
 ])
@@ -798,10 +830,11 @@ def test_a_trajectory_above_its_amplitude_bound_fails_before_the_eigensolve(
 
 
 def test_a_scan_of_max_angles_is_accepted():
-    step = 360.0 / MAX_SCAN_ANGLES
-    scan = parse_config({"phase_scan": {"n": 6, "theta_step": step}}).phase_scan
-    assert len(scan.thetas_deg) == MAX_SCAN_ANGLES
-    assert scan.thetas_deg[1] == step
+    thetas = [k / 10 for k in range(MAX_SCAN_ANGLES)]
+    scan = parse_config({"phase_scan": {"n": 6, "thetas_deg": thetas}}).phase_scan
+    assert scan.thetas_deg == tuple(thetas)
+    with pytest.raises(ConfigError, match=f"at most {MAX_SCAN_ANGLES} angles"):
+        parse_config({"phase_scan": {"n": 6, "thetas_deg": thetas + [0.0]}})
 
 
 @pytest.mark.parametrize("command, data, key", [

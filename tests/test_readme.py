@@ -2,6 +2,9 @@ import pathlib
 import re
 
 import pytest
+import yaml
+
+from spinnet.config import DEFAULT_THETAS_DEG, parse_config
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -9,6 +12,20 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 def python_blocks():
     return re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
                       re.MULTILINE | re.DOTALL)
+
+
+def schema_block():
+    """The YAML block that follows "The full schema:"."""
+    text = README.read_text(encoding="utf-8")
+    return re.search(r"The full schema:\n\n```yaml\n(.*?)^```", text,
+                     re.MULTILINE | re.DOTALL).group(1)
+
+
+def test_readme_schema_parses():
+    cfg = parse_config(yaml.safe_load(schema_block()), where="README schema")
+    assert None not in (cfg.network, cfg.protocol, cfg.sweep, cfg.phase_scan)  # every section
+    assert cfg.disorder.kind == "diagonal" and cfg.disorder.strength == 0.05
+    assert cfg.phase_scan.thetas_deg == DEFAULT_THETAS_DEG  # the list shown is the default
 
 
 def test_readme_has_the_quick_start_and_the_custom_schedule():

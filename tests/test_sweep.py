@@ -20,6 +20,7 @@ from spinnet.protocols import (
 )
 from spinnet.sweep import (
     ensemble_merit,
+    fingerprint,
     merit_sites,
     merit_values,
     phase_scan_cells,
@@ -378,11 +379,11 @@ def test_phase_scan_matches_the_per_device_loop(n, kind, e, k, base):
 
 def test_a_phase_scan_cell_is_one_setting():
     scan = PhaseScanConfig(n=20, thetas_deg=(0.0, 135.0, 315.0), realizations=12, settings=(
-        DisorderSpec(), DisorderSpec("diagonal", 0.05, width=0.5, j_max_ref=2.0)))
+        DisorderSpec(), DisorderSpec("diagonal", 0.05)))
     clean, disordered = phase_scan_cells(scan, SEED)
     assert (clean.realizations, clean.stream_base) == (1, 0)
     assert (disordered.realizations, disordered.stream_base) == (12, 12)
-    assert disordered.disorder == scan.settings[1]  # a setting's width and j_max_ref too
+    assert disordered.disorder == scan.settings[1]
     row = disordered.run()
     assert row["stats"] == [list(stats) for stats in phase_scan_setting(
         20, scan.thetas_deg, scan.settings[1], 12, SEED, stream_base=12)]
@@ -390,13 +391,13 @@ def test_a_phase_scan_cell_is_one_setting():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("width", 0.5), ("j_max_ref", 2.0), ("thetas_deg", (0.0, 90.0)), ("strength", 0.06),
-    ("master_seed", SEED + 1), ("realizations", 13), ("n", 22),
+    ("strength", 0.06), ("master_seed", SEED + 1), ("thetas_deg", (0.0, 90.0)),
+    ("realizations", 13), ("n", 22), ("kind", "off_diagonal"),
 ])
 def test_a_phase_scan_fingerprint_covers_every_field(field, value):
     scan = PhaseScanConfig(n=20, thetas_deg=(0.0, 135.0), realizations=12,
                            settings=(DisorderSpec("diagonal", 0.05),))
     cell = phase_scan_cells(scan, SEED)[0]
     other = dataclasses.replace(cell, **{field: value})
-    assert other.fingerprint() != cell.fingerprint()
-    assert cell.fingerprint()["thetas_deg"] == [0.0, 135.0]  # as JSON reads it back
+    assert fingerprint(other) != fingerprint(cell)
+    assert fingerprint(cell)["thetas_deg"] == [0.0, 135.0]  # as JSON reads it back
