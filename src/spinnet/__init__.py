@@ -51,7 +51,6 @@ from .protocols import (
     mws_9,
     mws_12,
     mws_transfer_15,
-    phase_sense_estimate,
     router_two_chain,
     unequal_entangle,
     unequal_router,
@@ -93,7 +92,6 @@ __all__ = [
     "mws_transfer_15",
     "network_graph",
     "phase_kick",
-    "phase_sense_estimate",
     "pst_couplings",
     "read_edge_list",
     "reduce_two_sites",

@@ -20,6 +20,7 @@ import os
 import sys
 from typing import Any, Sequence
 
+import numpy as np
 import yaml
 
 from . import __version__
@@ -33,7 +34,7 @@ from .config import (
     parse_time_expression,
 )
 from .disorder import SEED_LIMIT, SeededRng, sample_disorder
-from .dynamics import replace_samples, run_decomposed, uniform_samples
+from .dynamics import replace_samples, run_decomposed
 from .linalg import InvariantViolation, eigh
 from .network import network_graph, write_edge_list
 from .observables import fidelity
@@ -177,7 +178,7 @@ def cmd_run(args) -> int:
     duration = result.protocol.duration
     if cfg.run.duration is not None:
         duration = parse_time_expression(cfg.run.duration, tokens)
-    render = replace_samples(result.protocol, uniform_samples(duration, cfg.run.samples))
+    render = replace_samples(result.protocol, np.linspace(0.0, duration, cfg.run.samples))
     decomp = eigh(graph.to_matrix())  # the run's one eigensolve, shared by every step below
     trajectory = run_decomposed(decomp, render)
     traj_path = os.path.join(out, "trajectory.csv")
@@ -333,6 +334,8 @@ def cmd_replay(args) -> int:
             meta = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read meta record {args.meta}: {exc}")
+    if not isinstance(meta, dict):
+        raise ConfigError(f"meta record {args.meta} is not a JSON object")
     for key in ("command", "config", "master_seed"):
         if key not in meta:
             raise ConfigError(f"meta record is missing {key!r}")
@@ -343,11 +346,18 @@ def cmd_replay(args) -> int:
         "sweep": cmd_sweep,
         "phase-scan": cmd_phase_scan,
     }
-    if command not in handlers:
+    if not isinstance(command, str) or command not in handlers:
         raise ConfigError(f"cannot replay command {command!r}")
-    # materialise the recorded config and dispatch with the recorded seed
-    parse_config(meta["config"], where=args.meta)  # validate before writing anything
-    workers = _workers(args.workers, meta.get("workers", 1))
+    # validate the record before writing anything; JSON booleans are not integers
+    seed, recorded_workers = meta["master_seed"], meta.get("workers", 1)
+    if type(seed) is not int or not 0 <= seed < SEED_LIMIT:
+        raise ConfigError(f"meta record master_seed must be an integer in [0, 2^64), "
+                          f"got {seed!r}")
+    if type(recorded_workers) is not int or recorded_workers < 1:
+        raise ConfigError(f"meta record workers must be an integer >= 1, "
+                          f"got {recorded_workers!r}")
+    parse_config(meta["config"], where=args.meta)
+    workers = _workers(args.workers, recorded_workers)
     os.makedirs(args.out, exist_ok=True)
     config_path = os.path.join(args.out, "replayed_config.yaml")
     with open(config_path, "w", encoding="utf-8") as fh:
@@ -355,7 +365,7 @@ def cmd_replay(args) -> int:
     replay_args = argparse.Namespace(
         config=config_path,
         out=args.out,
-        seed=int(meta["master_seed"]),
+        seed=seed,
         workers=workers,
     )
     return handlers[command](replay_args)

@@ -133,10 +133,6 @@ _PROTOCOL_PARAMS: dict[str, dict[str, type | tuple]] = {
 }
 
 
-def protocol_names() -> list[str]:
-    return sorted(_PROTOCOL_PARAMS)
-
-
 def parse_protocol(data: Any, where: str = "protocol") -> ProtocolConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a mapping with a 'name'")
@@ -145,7 +141,8 @@ def parse_protocol(data: Any, where: str = "protocol") -> ProtocolConfig:
         raise ConfigError(f"{where}.name: protocol name required")
     if name not in _PROTOCOL_PARAMS:
         raise ConfigError(
-            f"{where}.name: unknown protocol {name!r}; available: {', '.join(protocol_names())}"
+            f"{where}.name: unknown protocol {name!r}; "
+            f"available: {', '.join(sorted(_PROTOCOL_PARAMS))}"
         )
     allowed: dict[str, type | tuple] = {"name": str}
     allowed.update(_PROTOCOL_PARAMS[name])
@@ -251,6 +248,9 @@ def parse_sweep(data: Any, where: str = "sweep") -> SweepConfig:
     if pair is not None:
         if len(pair) != 2 or not all(_is(v, int) and v >= 1 for v in pair):
             raise ConfigError(f"{where}.eof_pair: expected two 1-based site labels")
+        if observable != "eof":  # auto and fidelity would drop it without a word
+            raise ConfigError(f"{where}.eof_pair: only observable: eof reads a site pair, "
+                              f"got observable: {observable}")
         pair = (pair[0], pair[1])
     return SweepConfig(
         sizes=tuple(sizes),

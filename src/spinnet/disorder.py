@@ -19,8 +19,8 @@ sets one generator to each state of the block in turn and draws straight
 into the block; :meth:`SeededRng.generator` is a block of one.
 
 One rule applies the draws: :func:`perturb` adds the :func:`stream_draws`
-of a block of streams (``sweep.hamiltonian_blocks``) or the
-:func:`disorder_draws` of one (:func:`sample_disorder`) to the graph's
+of a block of streams (``sweep.hamiltonian_blocks``) or of one
+(:func:`sample_disorder`) to the graph's
 edge or on-site arrays.
 """
 
@@ -236,16 +236,11 @@ def stream_draws(graph: CouplingGraph, spec: DisorderSpec, master_seed: int,
     return draws
 
 
-def disorder_draws(graph: CouplingGraph, spec: DisorderSpec, rng: SeededRng) -> np.ndarray:
-    """:func:`stream_draws` of the one stream ``rng``."""
-    return stream_draws(graph, spec, rng.master_seed, (rng.stream,))[0]
-
-
 def perturb(graph: CouplingGraph, spec: DisorderSpec,
             draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(couplings, on-site energies) of ``graph`` with ``draws`` added to the
-    one that ``spec.kind`` perturbs; ``draws`` holds one stream's
-    :func:`disorder_draws` or a stack of them along leading axes."""
+    one that ``spec.kind`` perturbs; ``draws`` holds one stream's row of
+    :func:`stream_draws` or a stack of them along leading axes."""
     if spec.kind == "off_diagonal":
         return graph.values + draws, graph.onsite
     return graph.values, graph.onsite + draws
@@ -260,5 +255,6 @@ def sample_disorder(graph: CouplingGraph, spec: DisorderSpec, rng: SeededRng) ->
     """
     if spec.clean:
         return graph
-    values, onsite = perturb(graph, spec, disorder_draws(graph, spec, rng))
+    draws = stream_draws(graph, spec, rng.master_seed, (rng.stream,))[0]
+    values, onsite = perturb(graph, spec, draws)
     return replace(graph, values=values, onsite=onsite)

@@ -141,29 +141,27 @@ class Protocol:
             raise ValueError("sample times must lie within [0, duration]")
 
 
-def uniform_samples(duration: float, count: int = 400) -> tuple[float, ...]:
-    """Uniform recording grid over [0, duration], endpoints included."""
-    return tuple(np.linspace(0.0, duration, count))
-
-
 def propagate(
     operator: SpectralDecomposition | BandOperator,
     amplitudes: np.ndarray,
     t_start: float,
-    kicks: Sequence[tuple[float, int, float]],
+    kicks: Sequence[tuple[float, int, float | Sequence[float]]],
     t_end: float,
 ) -> np.ndarray:
     """Evolve amplitudes held at ``t_start`` to ``t_end``, kicking on the way.
 
     ``kicks`` are time-sorted (time, 0-based site, angle) triples within
     [t_start, t_end]; each multiplies its site by e^{i angle} before any
-    evolution past its time. Evolution runs from stop to stop, so the
-    segments are the same whatever the caller records in between. The
-    operator is a spectral decomposition (:func:`~spinnet.linalg.evolve`) or
-    a band operator (:func:`~spinnet.linalg.chebyshev_evolve`); a stacked
-    one propagates one state per matrix, along the leading axes of
-    ``amplitudes``. The input array is never modified; each kick is
-    :func:`kick_site` on a copy.
+    evolution past its time. An angle may also be one angle per entry of
+    the leading axis of ``amplitudes``, as for the probes of a phase scan.
+    Evolution runs from stop to stop, so the segments are the same whatever
+    the caller records in between. The operator is a spectral decomposition
+    (:func:`~spinnet.linalg.evolve`) or a band operator
+    (:func:`~spinnet.linalg.chebyshev_evolve`); a stacked one propagates one
+    state per matrix, along the leading axes of ``amplitudes``, and axes in
+    front of those broadcast over it. The input array is never modified;
+    each kick is :func:`kick_site` on a C-ordered copy, so a broadcast input
+    evolves to the bits of its materialised stack.
     """
     advance = chebyshev_evolve if isinstance(operator, BandOperator) else evolve
     t_now = t_start
@@ -171,25 +169,32 @@ def propagate(
         if t_kick > t_now:
             amplitudes = advance(operator, amplitudes, t_kick - t_now)
             t_now = t_kick
-        amplitudes = np.array(amplitudes)
+        amplitudes = np.array(amplitudes, order="C")
         kick_site(amplitudes, site, angle)
     if t_end > t_now:
         amplitudes = advance(operator, amplitudes, t_end - t_now)
     return amplitudes
 
 
-def kick_site(amplitudes: np.ndarray, site: int, angle: float) -> None:
+def kick_site(amplitudes: np.ndarray, site: int, angle: float | Sequence[float]) -> None:
     """Multiply the 0-based ``site`` of every state in ``amplitudes`` by
-    e^{i angle}, in place: the one kick of :func:`propagate` and of the
-    phase probe.
+    e^{i angle}, in place: the one kick of :func:`propagate`. ``angle`` is
+    one angle, or one angle per entry of the leading axis.
 
     One scalar Python complex product per state: numpy's vector loop rounds
     differently for a strided column of two or more states than for one,
     which would tie a state's last bits to the size of its stack.
     """
-    phase = complex(math.cos(angle), math.sin(angle))
     column = amplitudes[..., site]
-    column.flat = [a * phase for a in column.reshape(-1).tolist()]
+    angles = np.atleast_1d(angle)
+    if np.ndim(angle) == 0:
+        column = column[np.newaxis]
+    elif column.shape[:1] != angles.shape:
+        raise ValueError(f"{len(angles)} kick angles for the leading axis of {amplitudes.shape}")
+    for k, a in enumerate(angles.tolist()):
+        phase = complex(math.cos(a), math.sin(a))
+        part = column[k, ...]  # a view even when it holds one state
+        part.flat = [z * phase for z in part.reshape(-1).tolist()]
 
 
 @dataclass(frozen=True)

@@ -99,20 +99,21 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-def eigh(h: np.ndarray, atol: float = HERMITICITY_ATOL) -> SpectralDecomposition:
+def eigh(h: np.ndarray) -> SpectralDecomposition:
     """Decompose a dense Hermitian matrix, or a stack of them.
 
     The decomposition keeps the input's kind: real symmetric input gives a
     real one, complex input a complex one. Rejects input whose worst
-    asymmetry over the stack exceeds ``atol``, reporting that magnitude.
+    asymmetry over the stack exceeds ``HERMITICITY_ATOL``, reporting that
+    magnitude.
     """
     h = np.asarray(h)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {h.shape}")
     defect = hermiticity_defect(h)
-    if defect > atol:
+    if defect > HERMITICITY_ATOL:
         raise InvariantViolation(
-            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {atol:.1e}"
+            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {HERMITICITY_ATOL:.1e}"
         )
     w, v = np.linalg.eigh(h)
     return SpectralDecomposition(frozen_array(w), frozen_array(v))
@@ -125,9 +126,11 @@ def evolve(decomp: SpectralDecomposition, psi0: np.ndarray, t: float) -> np.ndar
     same leading axes. Axes in front of those broadcast over the
     decomposition: a (A, B, N) stack over a (B, N, N) one, or (A, N) over
     one matrix, gives what A separate calls give, bit for bit, with V† and
-    the phases computed once.
+    the phases computed once. The matmul's rounding depends on the memory
+    layout of its operand, so ``psi0`` is taken C-ordered: any layout of a
+    stack evolves to the bits of its C-ordered copy.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
+    psi0 = np.ascontiguousarray(psi0, dtype=complex)
     shape = decomp.eigenvalues.shape
     if psi0.ndim < len(shape) or psi0.shape[psi0.ndim - len(shape):] != shape:
         raise ValueError(

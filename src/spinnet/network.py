@@ -198,13 +198,6 @@ def hadamard_join(spec: NetworkSpec) -> CouplingGraph:
     """
     if len(spec.chains) < 2:
         raise ValueError("fusing needs at least two chains")
-    pairs = spec.junction_pairs
-    used: set[int] = set()
-    for (p, q) in pairs:
-        if p in used or q in used:
-            raise ValueError(f"junction pair ({p}, {q}) overlaps a previous junction")
-        used.update((p, q))
-
     h = block_graph(spec).to_matrix().real
     u = join_unitary(spec)
     h2 = u @ h @ u.T

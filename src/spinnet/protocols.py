@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import PureState, Protocol, check_norms, kick_site, phase_kick
-from .linalg import BLOCK_ENTRIES, SpectralDecomposition, eigh, evolve
+from .dynamics import PureState, Protocol, check_norms, phase_kick, propagate, schedule_kicks
+from .linalg import BLOCK_ENTRIES, SpectralDecomposition, eigh
 from .network import ChainSpec, CouplingGraph, NetworkSpec, network_graph, retune_jmax
 
 SQRT2 = math.sqrt(2.0)
@@ -363,25 +363,26 @@ def probe_estimates(
 ) -> list[list[float]]:
     """Estimate each unknown kick angle on every device of a decomposed stack.
 
-    Per angle, run A reads P1 = (1 + cos theta)/2 at 2 t_m; run B adds a
-    known quarter turn to the unknown phase and reads P1' = (1 - sin
-    theta)/2. atan2(1 - 2 P1', 2 P1 - 1) then recovers the full circle; on
-    a clean network the estimate is exact. One evolve call takes every
-    device to t_m; each probe (two per angle) is a copy of that stack,
-    kicked by :func:`~spinnet.dynamics.kick_site`, and the probes of a chunk
-    of at most BLOCK_ENTRIES state entries share one broadcast evolve call
-    to 2 t_m. Each device gets its estimates as scalars: one list per
-    device, the same bit for bit as for that device alone, probe by probe
-    through :func:`~spinnet.dynamics.propagate`. Every evolved stack passes
+    Per angle, two probes run the phase-sense protocol
+    (:func:`two_chain_phase_protocol`) through
+    :func:`~spinnet.dynamics.propagate`. Run A kicks by theta and reads P1 =
+    (1 + cos theta)/2 at its end; run B adds a known quarter turn and reads
+    P1' = (1 - sin theta)/2. atan2(1 - 2 P1', 2 P1 - 1) then recovers the
+    full circle; on a clean network the estimate is exact. One propagation
+    takes every device to the kick; the probes of a chunk of at most
+    BLOCK_ENTRIES state entries are copies of that stack, each with its own
+    angle, and share one propagation to the end. Each device gets its
+    estimates as scalars: one list per device, the same bit for bit as for
+    that device alone, probe by probe. Every evolved stack passes
     :func:`~spinnet.dynamics.check_norms`, which names a failing device by
     its disorder stream when ``streams`` gives them.
     """
-    t_m = ChainSpec(n_total // 2).mirror_time
-    kick_index = n_total // 2  # 0-based index of site N/2 + 1
-    start = np.zeros(decomp.eigenvalues.shape, dtype=complex)
-    start[..., 0] = 1.0
-    halfway = evolve(decomp, start, t_m)
-    check_norms(halfway, streams, t_m)
+    _, protocol = two_chain_phase_protocol(n_total, 0.0)
+    start, [(t_kick, site, _)] = schedule_kicks(protocol, n_total)
+    devices = np.zeros(decomp.eigenvalues.shape, dtype=complex)
+    devices[..., start] = 1.0
+    halfway = propagate(decomp, devices, 0.0, [], t_kick)
+    check_norms(halfway, streams, t_kick)
 
     angles = []  # direct, then quadrature, per unknown angle
     for theta_deg in thetas_deg:
@@ -391,17 +392,13 @@ def probe_estimates(
     per_chunk = max(1, BLOCK_ENTRIES // halfway.size)
     for first in range(0, len(angles), per_chunk):
         chunk = angles[first:first + per_chunk]
-        probes = np.empty((len(chunk),) + halfway.shape, dtype=complex)
-        probes[...] = halfway
-        for probe, angle in zip(probes, chunk):
-            kick_site(probe, kick_index, angle)
-        # from t_m to 2 t_m: 2 t_m - t_m is t_m exactly
-        evolved = evolve(decomp, probes, t_m)
-        check_norms(evolved, streams, 2 * t_m)
-        arrived = evolved[..., 0].reshape(len(chunk), -1)
+        probes = np.broadcast_to(halfway, (len(chunk),) + halfway.shape)
+        evolved = propagate(decomp, probes, t_kick, [(t_kick, site, chunk)], protocol.duration)
+        check_norms(evolved, streams, protocol.duration)
+        arrived = evolved[..., start].reshape(len(chunk), -1)
         populations += [[abs(a) ** 2 for a in probe] for probe in arrived.tolist()]
 
-    estimates: list[list[float]] = [[] for _ in range(halfway[..., 0].size)]
+    estimates: list[list[float]] = [[] for _ in range(halfway[..., start].size)]
     for direct, quadrature in zip(populations[::2], populations[1::2]):
         for device, p_direct, p_quad in zip(estimates, direct, quadrature):
             est = math.degrees(math.atan2(1.0 - 2.0 * p_quad, 2.0 * p_direct - 1.0))
@@ -414,12 +411,6 @@ def phase_probe_estimates(
 ) -> list[float]:
     """:func:`probe_estimates` of one device, decomposed once."""
     return probe_estimates(eigh(graph.to_matrix()), n_total, thetas_deg)[0]
-
-
-def phase_sense_estimate(n_total: int, theta_deg: float) -> float:
-    """Clean-network phase retrieval; returns the angle in [0, 360) degrees."""
-    spec = _two_chain_spec(n_total)
-    return phase_probe_estimates(network_graph(spec), n_total, [theta_deg])[0]
 
 
 def unwrap_to_branch(estimate_deg: float, reference_deg: float) -> float:

@@ -28,7 +28,7 @@ from spinnet import (
 )
 from spinnet.dynamics import Protocol, phase_kick, replace_samples, run_schedule, state_at
 from spinnet.observables import ensemble_average
-from spinnet.protocols import gamma_factor, phi_factor
+from spinnet.protocols import gamma_factor, phase_probe_estimates, phi_factor
 from spinnet.sweep import ensemble_merit, phase_scan_setting, run_cells, sweep_cells
 from spinnet.config import SweepConfig
 
@@ -277,11 +277,8 @@ def test_criterion_15_larger_network_robustness():
 
 def test_criterion_16_phase_scan():
     thetas = tuple(float(t) for t in np.arange(0.0, 360.0, 15.0))
-    clean_err = max(
-        min(abs(sn.phase_sense_estimate(20, t) - t),
-            360.0 - abs(sn.phase_sense_estimate(20, t) - t))
-        for t in thetas
-    )
+    clean = phase_probe_estimates(sn.build_protocol("phase-sense", {"n": 20}).graph(), 20, thetas)
+    clean_err = max(min(abs(est - t), 360.0 - abs(est - t)) for est, t in zip(clean, thetas))
 
     def rms_deviation(n, kind, e, base):
         stats = phase_scan_setting(n, thetas, DisorderSpec(kind, e), K, SEED, base)

@@ -12,7 +12,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from spinnet import InvariantViolation, linalg, sweep
-from spinnet.disorder import DisorderSpec, SeededRng, disorder_draws, perturb
+from spinnet.disorder import DisorderSpec, perturb, stream_draws
 from spinnet.dynamics import propagate, schedule_kicks
 from spinnet.linalg import (CHEBYSHEV_CUTOFF, band_operator, bessel_coefficients,
                             chebyshev_evolve, eigh)
@@ -26,8 +26,7 @@ KINDS = ("diagonal", "off_diagonal")
 
 def disordered_stack(graph, kind, streams, strength=0.2):
     spec = DisorderSpec(kind, strength)
-    draws = np.array([disorder_draws(graph, spec, SeededRng(SEED, s)) for s in streams])
-    return perturb(graph, spec, draws)
+    return perturb(graph, spec, stream_draws(graph, spec, SEED, streams))
 
 
 def both_propagators(graph, values, onsite, start, kicks, t_end):

@@ -481,6 +481,23 @@ def test_sweep_rejects_an_eof_pair_that_does_not_fit_every_size(
     assert not (out / "checkpoints").exists()
 
 
+@pytest.mark.parametrize("observable", [None, "auto", "fidelity"])
+def test_sweep_rejects_an_eof_pair_that_its_observable_would_ignore(
+    tmp_path, capsys, observable
+):
+    sweep = {"n_values": [8], "e_values": [0.1], "realizations": 2, "eof_pair": [2, 7]}
+    if observable is not None:
+        sweep["observable"] = observable
+    cfg = write_config(tmp_path, {"protocol": {"name": "ent-phase", "n": 8}, "sweep": sweep})
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert (f"config error: sweep.eof_pair: only observable: eof reads a site pair, "
+            f"got observable: {observable or 'auto'}") in captured.err
+    assert captured.out == ""  # no cell ran
+    assert not (out / "checkpoints").exists()
+
+
 def test_sweep_contour_crosses_threshold(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -536,6 +553,42 @@ def test_replay_rejects_bad_record(tmp_path):
     bad = tmp_path / "meta.json"
     bad.write_text(json.dumps({"command": "sweep"}))
     assert run_cli("replay", bad, "--out", tmp_path / "o") == 2
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("command", "teleport", "cannot replay command 'teleport'"),
+    ("command", ["run"], "cannot replay command ['run']"),
+    ("master_seed", "x", "master_seed must be an integer in [0, 2^64), got 'x'"),
+    ("master_seed", True, "master_seed must be an integer in [0, 2^64), got True"),
+    ("master_seed", 1.0, "master_seed must be an integer in [0, 2^64), got 1.0"),
+    ("master_seed", -1, "master_seed must be an integer in [0, 2^64), got -1"),
+    ("master_seed", 2**64, f"master_seed must be an integer in [0, 2^64), got {2**64}"),
+    ("workers", "2", "workers must be an integer >= 1, got '2'"),
+    ("workers", True, "workers must be an integer >= 1, got True"),
+    ("workers", 0, "workers must be an integer >= 1, got 0"),
+])
+def test_replay_checks_the_record_before_writing(tmp_path, capsys, key, value, message):
+    cfg = write_config(tmp_path, {"protocol": {"name": "ent-phase", "n": 8},
+                                  "run": {"samples": 5}})
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    meta[key] = value
+    (out / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    replayed = tmp_path / "replayed"
+    assert run_cli("replay", out / "meta.json", "--out", replayed) == 2
+    assert message in capsys.readouterr().err
+    assert not replayed.exists()
+
+
+@pytest.mark.parametrize("record", [5, "run", ["command", "config", "master_seed"]])
+def test_replay_rejects_a_record_that_is_not_an_object(tmp_path, capsys, record):
+    bad = tmp_path / "meta.json"
+    bad.write_text(json.dumps(record))
+    assert run_cli("replay", bad, "--out", tmp_path / "replayed") == 2
+    assert "is not a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "replayed").exists()
 
 
 def test_replay_takes_no_seed(tmp_path, capsys):

@@ -24,7 +24,7 @@ from spinnet import (
     sample_disorder,
     state_at,
 )
-from spinnet.dynamics import propagate, replace_samples, uniform_samples
+from spinnet.dynamics import propagate, replace_samples
 from spinnet.protocols import phase_probe_estimates
 
 from conftest import random_single_excitation_state
@@ -291,6 +291,42 @@ def test_kernel_runs_back_to_the_start(run):
     assert np.allclose(amp, start, atol=1e-9)
 
 
+@st.composite
+def probe_runs(draw):
+    """A decomposed stack of 1 to 3 devices (or one matrix, unstacked), a
+    start site, a run with one kick inside it, and 1 to 8 probe angles."""
+    lengths = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+    graph = network_graph(NetworkSpec([ChainSpec(n) for n in lengths]))
+    n = graph.n_sites
+    devices = draw(st.integers(0, 3))
+    h = graph.to_matrix().real
+    if devices:
+        h = np.array([h + np.diag(np.linspace(0.0, 0.05 * k, n)) for k in range(devices)])
+    start = np.zeros(h.shape[:-1], dtype=complex)
+    start[..., draw(st.integers(0, n - 1))] = 1.0
+    t_end = draw(st.floats(0.0, 25.0))
+    t_kick = draw(st.floats(0.0, 1.0)) * t_end
+    site = draw(st.integers(0, n - 1))
+    angles = draw(st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=1, max_size=8))
+    return eigh(h), start, (t_kick, site), angles, t_end
+
+
+@KERNEL_SETTINGS
+@given(probe_runs())
+def test_one_angle_per_probe_matches_one_call_per_probe(run):
+    decomp, start, (t_kick, site), angles, t_end = run
+    probes = np.broadcast_to(start, (len(angles),) + start.shape)
+    together = propagate(decomp, probes, 0.0, [(t_kick, site, angles)], t_end)
+    for probe, angle in zip(together, angles):
+        alone = propagate(decomp, start, 0.0, [(t_kick, site, angle)], t_end)
+        assert probe.tobytes() == alone.tobytes()
+
+
+def test_a_kick_needs_one_angle_per_probe():
+    with pytest.raises(ValueError, match="2 kick angles"):
+        propagate(eigh(np.eye(3)), np.eye(3, dtype=complex), 0.0, [(0.0, 1, [0.1, 0.2])], 1.0)
+
+
 @KERNEL_SETTINGS
 @given(kicked_runs(), st.integers(0, 6))
 def test_kernel_split_at_a_kick_matches_one_call(run, split):
@@ -306,7 +342,7 @@ def test_kernel_split_at_a_kick_matches_one_call(run, split):
 
 def test_trajectory_rows_and_header():
     g = chain_graph(ChainSpec(3))
-    protocol = Protocol(1, [], 2.0, uniform_samples(2.0, 5))
+    protocol = Protocol(1, [], 2.0, np.linspace(0.0, 2.0, 5))
     traj = run_schedule(g, protocol)
     assert traj.populations().shape == (5, 3)
     assert np.allclose(traj.populations().sum(axis=1), 1.0, atol=1e-10)

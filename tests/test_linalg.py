@@ -200,6 +200,21 @@ def test_a_stack_of_states_broadcasts_over_one_matrix(rng, kind):
         assert np.array_equal(probe, evolve(decomp, state, 0.7))
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_evolve_does_not_depend_on_the_memory_layout(rng, kind):
+    # the matmul rounds differently for a strided operand, so the state stack
+    # is taken C-ordered: the probes of a phase scan are a broadcast copy
+    stack = random_symmetric_stack(rng, 6, 50)
+    if kind == "complex":
+        stack = np.array([random_hermitian(rng, 50) for _ in range(6)])
+    decomp = eigh(stack)
+    states = rng.normal(size=(6, 50)) + 1j * rng.normal(size=(6, 50))
+    probes = np.array(np.broadcast_to(states, (7, 6, 50)))  # numpy's K order
+    expected = evolve(decomp, np.ascontiguousarray(probes), 1.3).tobytes()
+    assert evolve(decomp, probes, 1.3).tobytes() == expected
+    assert evolve(decomp, np.asfortranarray(probes), 1.3).tobytes() == expected
+
+
 @pytest.mark.parametrize("shape", [(3, 5, 8), (3, 4, 9), (9,), (5,), (2, 4)])
 def test_a_mismatched_trailing_shape_is_rejected(rng, shape):
     decomp = eigh(random_symmetric_stack(rng, 5, 9))

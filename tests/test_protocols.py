@@ -12,10 +12,9 @@ from spinnet import (
     eof_pair,
     fidelity,
     network_graph,
-    phase_sense_estimate,
     sample_disorder,
 )
-from spinnet import protocols
+from spinnet import dynamics, protocols
 from spinnet.disorder import perturb, stream_draws
 from spinnet.dynamics import (Protocol, phase_kick, propagate, replace_samples,
                               run_schedule, state_at)
@@ -412,7 +411,8 @@ def test_phase_sense_quadrature_populations():
 
 def test_phase_sense_exact_on_clean_network():
     for theta in (0.0, 45.0, 90.0, 135.0, 180.0, 271.5, 359.0):
-        estimate = phase_sense_estimate(12, theta)
+        estimate = phase_probe_estimates(build_protocol("phase-sense", {"n": 12}).graph(), 12,
+                                         [theta])[0]
         error = abs(estimate - theta)
         assert min(error, 360.0 - error) < 1e-6
 
@@ -492,7 +492,7 @@ def test_probe_estimates_do_not_depend_on_the_chunk_size(monkeypatch):
     thetas = tuple(15.0 * k for k in range(24))
     whole = probe_estimates(decomp, 50, thetas)
     calls = []
-    monkeypatch.setattr(protocols, "evolve",
+    monkeypatch.setattr(dynamics, "evolve",
                         lambda d, psi, t: calls.append(np.shape(psi)) or evolve(d, psi, t))
     monkeypatch.setattr(protocols, "BLOCK_ENTRIES", 7 * 6 * 50)  # 7 probes a chunk
     assert probe_estimates(decomp, 50, thetas) == whole
@@ -502,7 +502,7 @@ def test_probe_estimates_do_not_depend_on_the_chunk_size(monkeypatch):
 @pytest.mark.parametrize("n", [32, 50])
 def test_probe_memory_is_bounded_by_the_chunk(monkeypatch, n):
     calls = []
-    monkeypatch.setattr(protocols, "evolve",
+    monkeypatch.setattr(dynamics, "evolve",
                         lambda d, psi, t: calls.append(np.shape(psi)) or evolve(d, psi, t))
     thetas = [k * 0.1 for k in range(3600)]
     estimates = phase_probe_estimates(build_protocol("phase-sense", {"n": n}).graph(), n, thetas)

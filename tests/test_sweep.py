@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from spinnet import InvariantViolation, dynamics, linalg, protocols, sweep
+from spinnet import InvariantViolation, dynamics, linalg, sweep
 from spinnet.config import PhaseScanConfig, SweepConfig
 from spinnet.disorder import DisorderSpec, SeededRng, sample_disorder
 from spinnet.dynamics import check_norms, propagate, replace_samples, run_schedule, schedule_kicks
@@ -324,7 +324,7 @@ def test_phase_scan_norm_check_names_the_stream_time_and_defect(monkeypatch, lea
             psi[..., 3, :] *= 1.01  # not unitary: scales device 3 of the block
         return psi
 
-    monkeypatch.setattr(protocols, "evolve", leaky_evolve)
+    monkeypatch.setattr(dynamics, "evolve", leaky_evolve)
     with pytest.raises(InvariantViolation) as excinfo:
         phase_scan_setting(6, (30.0, 200.0), DisorderSpec("diagonal", 0.1), 8, SEED,
                            stream_base=200)
