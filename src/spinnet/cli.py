@@ -21,7 +21,6 @@ import sys
 from typing import Any, Sequence
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .config import (
@@ -39,7 +38,7 @@ from .linalg import InvariantViolation, eigh
 from .network import network_graph, write_edge_list
 from .observables import fidelity
 from .protocols import build_protocol, probe_estimates
-from .sweep import merit_values, phase_scan_cells, run_cells, sweep_cells, threshold_contour
+from .sweep import phase_scan_cells, run_cells, sweep_cells, threshold_contour
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,10 +50,11 @@ CONTOUR_LEVEL = 0.9
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        if args.command == "replay":
+            return cmd_replay(args.meta, args.out, args.workers)
+        return COMMANDS[args.command](*_prepare(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -67,26 +67,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spinnet", description=__doc__)
     sub = parser.add_subparsers(required=True)
 
-    def add(name: str, handler, needs_config: bool = True):
+    for name in (*COMMANDS, "replay"):
         p = sub.add_parser(name)
-        if needs_config:  # replay takes its config and seed from the record
+        if name == "replay":  # replay takes its config and seed from the record
+            p.add_argument("meta", help="meta.json of the run to reproduce")
+        else:
             p.add_argument("--config", required=True, help="YAML config file")
             p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--workers", type=int, default=None, help="worker processes")
-        p.set_defaults(handler=handler)
-        return p
-
-    add("build", cmd_build)
-    add("run", cmd_run)
-    add("sweep", cmd_sweep)
-    add("phase-scan", cmd_phase_scan)
-    replay = add("replay", cmd_replay, needs_config=False)
-    replay.add_argument("meta", help="meta.json of the run to reproduce")
+        p.set_defaults(command=name)
     return parser
 
 
-def _prepare(args) -> tuple[Config, str, int, int]:
+def _prepare(args: argparse.Namespace) -> tuple[Config, str, int, int]:
+    """A command's (config, out, seed, workers) from its command line."""
     cfg = load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
     if not 0 <= seed < SEED_LIMIT:
@@ -129,8 +124,7 @@ def _write_meta(out: str, command: str, cfg: Config, seed: int, workers: int,
 
 # --- build -----------------------------------------------------------------
 
-def cmd_build(args) -> int:
-    cfg, out, seed, workers = _prepare(args)
+def cmd_build(cfg: Config, out: str, seed: int, workers: int) -> int:
     if cfg.network is None:
         raise ConfigError("build needs a 'network' section")
     graph = network_graph(cfg.network)
@@ -159,8 +153,7 @@ def cmd_build(args) -> int:
 
 # --- run ---------------------------------------------------------------------
 
-def cmd_run(args) -> int:
-    cfg, out, seed, workers = _prepare(args)
+def cmd_run(cfg: Config, out: str, seed: int, workers: int) -> int:
     if cfg.protocol is None:
         raise ConfigError("run needs a 'protocol' section")
     try:
@@ -203,7 +196,7 @@ def cmd_run(args) -> int:
         else:
             print(f"t = {t:.9g}: fidelity vs clean target = "
                   f"{fidelity(state, expected):.6f} (disordered run)")
-    value = float(merit_values(states[-1].amplitudes, result.merit)[0])
+    value = float(result.merit.values(states[-1].amplitudes)[0])
     print(f"figure of merit ({result.merit.kind}) at t = {result.merit.time:.9g}: {value:.9f}")
     missed = ["clean run missed an analytic target state"] if failed else []
 
@@ -217,7 +210,7 @@ def cmd_run(args) -> int:
     }
     if result.name == "phase-sense":
         theta = float(cfg.protocol.params.get("theta_deg", 0.0)) % 360.0
-        estimate = probe_estimates(decomp, result.network.n_sites, [theta])[0][0]
+        estimate = probe_estimates(decomp, [theta])[0][0]
         error = abs(estimate - theta)
         error = min(error, 360.0 - error)
         print(f"true angle {theta:.6f} deg, retrieved {estimate:.6f} deg "
@@ -235,8 +228,7 @@ def cmd_run(args) -> int:
 
 # --- sweep -------------------------------------------------------------------
 
-def cmd_sweep(args) -> int:
-    cfg, out, seed, workers = _prepare(args)
+def cmd_sweep(cfg: Config, out: str, seed: int, workers: int) -> int:
     if cfg.sweep is None or cfg.protocol is None:
         raise ConfigError("sweep needs 'protocol' and 'sweep' sections")
     if cfg.protocol.name == "phase-sense":
@@ -273,8 +265,8 @@ def cmd_sweep(args) -> int:
         fh.write("kind,size_1,e_1,size_2,e_2\n")
         for kind in cfg.sweep.kinds:
             grid = {(row["size"], row["e"]): row["mean"] for row in rows if row["kind"] == kind}
-            xs = list(cfg.sweep.sizes)
-            ys = list(cfg.sweep.e_values)
+            xs = sorted(cfg.sweep.sizes)  # the contour walks the grid in axis order
+            ys = sorted(cfg.sweep.e_values)
             values = [[grid[(x, y)] for x in xs] for y in ys]
             for x1, y1, x2, y2 in threshold_contour(xs, ys, values, CONTOUR_LEVEL):
                 fh.write(f"{kind},{x1:.12g},{y1:.12g},{x2:.12g},{y2:.12g}\n")
@@ -293,8 +285,7 @@ def cmd_sweep(args) -> int:
 
 # --- phase scan --------------------------------------------------------------
 
-def cmd_phase_scan(args) -> int:
-    cfg, out, seed, workers = _prepare(args)
+def cmd_phase_scan(cfg: Config, out: str, seed: int, workers: int) -> int:
     if cfg.phase_scan is None:
         raise ConfigError("phase-scan needs a 'phase_scan' section")
     thetas = cfg.phase_scan.thetas_deg
@@ -328,25 +319,30 @@ def cmd_phase_scan(args) -> int:
 
 # --- replay --------------------------------------------------------------------
 
-def cmd_replay(args) -> int:
+# every command that takes a config, by its name on the command line and in meta.json
+COMMANDS = {
+    "build": cmd_build,
+    "run": cmd_run,
+    "sweep": cmd_sweep,
+    "phase-scan": cmd_phase_scan,
+}
+
+
+def cmd_replay(meta_path: str, out: str, workers: int | None) -> int:
+    """Run the command of a meta.json record again with its config and seed;
+    ``workers``, when given, overrides the recorded count."""
     try:
-        with open(args.meta, "r", encoding="utf-8") as fh:
+        with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read meta record {args.meta}: {exc}")
+        raise ConfigError(f"cannot read meta record {meta_path}: {exc}")
     if not isinstance(meta, dict):
-        raise ConfigError(f"meta record {args.meta} is not a JSON object")
+        raise ConfigError(f"meta record {meta_path} is not a JSON object")
     for key in ("command", "config", "master_seed"):
         if key not in meta:
             raise ConfigError(f"meta record is missing {key!r}")
     command = meta["command"]
-    handlers = {
-        "build": cmd_build,
-        "run": cmd_run,
-        "sweep": cmd_sweep,
-        "phase-scan": cmd_phase_scan,
-    }
-    if not isinstance(command, str) or command not in handlers:
+    if not isinstance(command, str) or command not in COMMANDS:
         raise ConfigError(f"cannot replay command {command!r}")
     # validate the record before writing anything; JSON booleans are not integers
     seed, recorded_workers = meta["master_seed"], meta.get("workers", 1)
@@ -356,19 +352,10 @@ def cmd_replay(args) -> int:
     if type(recorded_workers) is not int or recorded_workers < 1:
         raise ConfigError(f"meta record workers must be an integer >= 1, "
                           f"got {recorded_workers!r}")
-    parse_config(meta["config"], where=args.meta)
-    workers = _workers(args.workers, recorded_workers)
-    os.makedirs(args.out, exist_ok=True)
-    config_path = os.path.join(args.out, "replayed_config.yaml")
-    with open(config_path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(meta["config"], fh, sort_keys=True)
-    replay_args = argparse.Namespace(
-        config=config_path,
-        out=args.out,
-        seed=seed,
-        workers=workers,
-    )
-    return handlers[command](replay_args)
+    cfg = parse_config(meta["config"], where=meta_path)
+    workers = _workers(workers, recorded_workers)
+    os.makedirs(out, exist_ok=True)
+    return COMMANDS[command](cfg, out, seed, workers)
 
 
 # --- generated plot scripts -----------------------------------------------------

@@ -46,7 +46,8 @@ DEFAULT_THETAS_DEG = tuple(float(t) for t in range(0, 360, 15))
 MAX_SIZE = 1000
 
 
-def load_yaml(path: str) -> dict:
+def load_yaml(path: str) -> Any:
+    """The YAML document at ``path``; an empty file is an empty mapping."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
@@ -54,11 +55,7 @@ def load_yaml(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}")
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}")
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
-    return data
+    return {} if data is None else data
 
 
 def _check_keys(data: dict, allowed: dict[str, type | tuple], where: str) -> None:
@@ -240,6 +237,8 @@ def parse_sweep(data: Any, where: str = "sweep") -> SweepConfig:
     for kind in kinds:
         if kind not in ("diagonal", "off_diagonal"):
             raise ConfigError(f"{where}.kinds: {kind!r} is not a disorder kind")
+    for key, values in ((f"{axis}_values", sizes), ("e_values", e_values), ("kinds", kinds)):
+        _check_distinct(values, f"{where}.{key}")
     realizations = _realizations(data, where)
     observable = data.get("observable", "auto")
     if observable not in ("auto", "fidelity", "eof"):
@@ -262,6 +261,15 @@ def parse_sweep(data: Any, where: str = "sweep") -> SweepConfig:
         eof_pair=pair,
         observe=data.get("observe"),
     )
+
+
+def _check_distinct(values: Any, where: str) -> None:
+    """A sweep axis is one grid line per value, so it lists each value once."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ConfigError(f"{where}: {value!r} is listed twice")
+        seen.add(value)
 
 
 @dataclass(frozen=True)
@@ -327,7 +335,9 @@ _TOP_KEYS = {
 }
 
 
-def parse_config(data: dict, where: str = "config") -> Config:
+def parse_config(data: Any, where: str = "config") -> Config:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: top level must be a mapping")
     _check_keys(data, _TOP_KEYS, where)
     seed = data.get("seed", 0)
     if not 0 <= seed < SEED_LIMIT:

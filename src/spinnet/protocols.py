@@ -25,9 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import PureState, Protocol, check_norms, phase_kick, propagate, schedule_kicks
+from .dynamics import PureState, Protocol, phase_kick, propagate, schedule_kicks
 from .linalg import BLOCK_ENTRIES, SpectralDecomposition, eigh
 from .network import ChainSpec, CouplingGraph, NetworkSpec, network_graph, retune_jmax
+from .observables import fidelities, pair_eofs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -77,6 +78,20 @@ class FigureOfMerit:
             raise ValueError("eof merit needs a site pair")
         if self.kind not in ("fidelity", "eof"):
             raise ValueError(f"unknown merit kind {self.kind!r}")
+
+    @property
+    def sites(self) -> tuple[int, ...]:
+        """The 0-based sites the merit reads: the target's nonzero sites, or the EOF pair."""
+        if self.kind == "fidelity":
+            return tuple(np.flatnonzero(self.target.amplitudes).tolist())
+        return tuple(site - 1 for site in self.pair)
+
+    def values(self, amplitudes: np.ndarray) -> np.ndarray:
+        """The merit of every row of ``amplitudes``, a 2-D stack of states:
+        the one merit path of sweeps and of ``spinnet run``."""
+        if self.kind == "fidelity":
+            return fidelities(amplitudes, self.target)
+        return pair_eofs(amplitudes, *self.pair)
 
 
 @dataclass(frozen=True)
@@ -358,7 +373,7 @@ def mws_transfer_15() -> ProtocolResult:
 # --- phase sensing -------------------------------------------------------
 
 def probe_estimates(
-    decomp: SpectralDecomposition, n_total: int, thetas_deg: Sequence[float],
+    decomp: SpectralDecomposition, thetas_deg: Sequence[float],
     streams: Sequence[int] | None = None,
 ) -> list[list[float]]:
     """Estimate each unknown kick angle on every device of a decomposed stack.
@@ -373,16 +388,15 @@ def probe_estimates(
     BLOCK_ENTRIES state entries are copies of that stack, each with its own
     angle, and share one propagation to the end. Each device gets its
     estimates as scalars: one list per device, the same bit for bit as for
-    that device alone, probe by probe. Every evolved stack passes
-    :func:`~spinnet.dynamics.check_norms`, which names a failing device by
-    its disorder stream when ``streams`` gives them.
+    that device alone, probe by probe. N is the size of the decomposition;
+    ``streams`` name a device whose norm drifts (:func:`propagate`).
     """
+    n_total = decomp.eigenvalues.shape[-1]
     _, protocol = two_chain_phase_protocol(n_total, 0.0)
     start, [(t_kick, site, _)] = schedule_kicks(protocol, n_total)
     devices = np.zeros(decomp.eigenvalues.shape, dtype=complex)
     devices[..., start] = 1.0
-    halfway = propagate(decomp, devices, 0.0, [], t_kick)
-    check_norms(halfway, streams, t_kick)
+    halfway = propagate(decomp, devices, 0.0, [], t_kick, streams)
 
     angles = []  # direct, then quadrature, per unknown angle
     for theta_deg in thetas_deg:
@@ -393,8 +407,8 @@ def probe_estimates(
     for first in range(0, len(angles), per_chunk):
         chunk = angles[first:first + per_chunk]
         probes = np.broadcast_to(halfway, (len(chunk),) + halfway.shape)
-        evolved = propagate(decomp, probes, t_kick, [(t_kick, site, chunk)], protocol.duration)
-        check_norms(evolved, streams, protocol.duration)
+        evolved = propagate(decomp, probes, t_kick, [(t_kick, site, chunk)], protocol.duration,
+                            streams)
         arrived = evolved[..., start].reshape(len(chunk), -1)
         populations += [[abs(a) ** 2 for a in probe] for probe in arrived.tolist()]
 
@@ -409,8 +423,10 @@ def probe_estimates(
 def phase_probe_estimates(
     graph: CouplingGraph, n_total: int, thetas_deg: Sequence[float]
 ) -> list[float]:
-    """:func:`probe_estimates` of one device, decomposed once."""
-    return probe_estimates(eigh(graph.to_matrix()), n_total, thetas_deg)[0]
+    """:func:`probe_estimates` of one device of ``n_total`` sites, decomposed once."""
+    if n_total != graph.n_sites:
+        raise ValueError(f"a probe of {n_total} sites on a graph of {graph.n_sites}")
+    return probe_estimates(eigh(graph.to_matrix()), thetas_deg)[0]
 
 
 def unwrap_to_branch(estimate_deg: float, reference_deg: float) -> float:

@@ -34,10 +34,10 @@ from . import __version__
 from .config import (ConfigError, PhaseScanConfig, SweepConfig, mirror_tokens,
                      parse_time_expression)
 from .disorder import DisorderSpec, perturb, stream_draws
-from .dynamics import check_norms, propagate, schedule_kicks
-from .linalg import BLOCK_ENTRIES, BandOperator, band_operator, chebyshev_evolve, eigh
+from .dynamics import propagate, schedule_kicks
+from .linalg import BLOCK_ENTRIES, BandOperator, band_operator, eigh
 from .network import CouplingGraph
-from .observables import EnsembleAccumulator, ensemble_average, fidelities, pair_eofs
+from .observables import EnsembleAccumulator, ensemble_average
 from .protocols import (FigureOfMerit, ProtocolResult, build_protocol, probe_estimates,
                         unwrap_to_branch)
 
@@ -71,14 +71,6 @@ def hamiltonian_blocks(
         yield streams, values, onsite
 
 
-def merit_values(amplitudes: np.ndarray, merit: FigureOfMerit) -> np.ndarray:
-    """The figure of merit of every row of ``amplitudes``, a 2-D stack of
-    states: the one merit path of sweeps and of ``spinnet run``."""
-    if merit.kind == "fidelity":
-        return fidelities(amplitudes, merit.target)
-    return pair_eofs(amplitudes, *merit.pair)
-
-
 def ensemble_merit(
     result: ProtocolResult,
     disorder_spec: DisorderSpec,
@@ -103,7 +95,7 @@ def ensemble_merit(
     n = graph.n_sites
     start, kicks = schedule_kicks(result.protocol, n)
     kicks = [kick for kick in kicks if kick[0] <= t]
-    plan = split_plan(start, kicks, t, merit_sites(merit))
+    plan = split_plan(start, kicks, t, merit.sites)
     if plan is not None and not plan.saves:  # a tie keeps the forward plan
         plan = None
     merits: list[float] = []
@@ -113,21 +105,13 @@ def ensemble_merit(
         if plan is None:
             amplitudes = np.zeros((len(streams), n), dtype=complex)
             amplitudes[:, start] = 1.0
-            amplitudes = propagate(operator, amplitudes, 0.0, kicks, t)
-            check_norms(amplitudes, streams, t)
+            amplitudes = propagate(operator, amplitudes, 0.0, kicks, t, streams)
         else:
             amplitudes = plan.amplitudes(operator, streams)
-        merits += merit_values(amplitudes, merit).tolist()
+        merits += merit.values(amplitudes).tolist()
     if disorder_spec.clean:
         merits *= realizations
     return EnsembleAccumulator(merits)
-
-
-def merit_sites(merit: FigureOfMerit) -> tuple[int, ...]:
-    """The 0-based sites a merit reads: the target's nonzero sites, or the EOF pair."""
-    if merit.kind == "fidelity":
-        return tuple(np.flatnonzero(merit.target.amplitudes).tolist())
-    return tuple(site - 1 for site in merit.pair)
 
 
 @dataclass(frozen=True)
@@ -164,23 +148,20 @@ class SplitPlan:
         """The (B, N) stack of the amplitudes of ``sites`` at ``t``, zero
         elsewhere, for every matrix of ``operator``.
 
-        :func:`~spinnet.dynamics.check_norms` checks psi at t_L and every
-        phi at t - t_L, as no full final state exists.
+        As no full final state exists, :func:`~spinnet.dynamics.propagate`
+        checks every phi at t - t_L and psi at t_L.
         """
         b, n = operator.lower.shape[0], operator.bands.shape[-1]
         t_first, t_last = self.kicks[0][0], self.kicks[-1][0]
+        phi_sites = (self.start,) + self.own if self.joined else self.own
+        phis = propagate(operator, _basis_stack(phi_sites, b, n), 0.0, [], self.t - t_last,
+                         streams)
         if self.joined:
-            phi_sites = (self.start,) + self.own
-            phis = chebyshev_evolve(operator, _basis_stack(phi_sites, b, n), t_first)
-            psi = propagate(operator, phis[0], t_first, self.kicks, t_last)
+            psi = propagate(operator, phis[0], t_first, self.kicks, t_last, streams)
         else:
-            phi_sites = self.own
-            phis = chebyshev_evolve(operator, _basis_stack(phi_sites, b, n), self.t - t_last)
             psi = np.zeros((b, n), dtype=complex)
             psi[:, self.start] = 1.0
-            psi = propagate(operator, psi, 0.0, self.kicks, t_last)
-        check_norms(psi, streams, t_last)  # kicked at t_L, which keeps the norm
-        check_norms(phis, streams, self.t - t_last)
+            psi = propagate(operator, psi, 0.0, self.kicks, t_last, streams)
         reads = dict(zip(phi_sites, phis))
         out = np.zeros_like(psi)
         for site in self.sites:
@@ -441,7 +422,7 @@ def phase_scan_setting(
         # (and bench/reference/ its rows): a device on the unwrap branch cut
         # (README, "Reproducibility") flips sides on a last-bit change
         h = graph.assemble(values, onsite).astype(complex)
-        for estimates in probe_estimates(eigh(h), n_total, thetas_deg, streams):
+        for estimates in probe_estimates(eigh(h), thetas_deg, streams):
             for slot, theta, est in zip(per_angle, thetas_deg, estimates):
                 slot.append(unwrap_to_branch(est, theta))
     if disorder_spec.clean:

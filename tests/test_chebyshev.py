@@ -18,7 +18,7 @@ from spinnet.linalg import (CHEBYSHEV_CUTOFF, band_operator, bessel_coefficients
                             chebyshev_evolve, eigh)
 from spinnet.network import CouplingGraph, mirror_time, read_edge_list
 from spinnet.protocols import build_protocol
-from spinnet.sweep import ensemble_merit, merit_sites, split_plan
+from spinnet.sweep import ensemble_merit, split_plan
 
 SEED = 20230724
 KINDS = ("diagonal", "off_diagonal")
@@ -168,7 +168,7 @@ def test_the_junction_diagonal_of_a_router_spans_its_two_junction_rows():
         (0, 11), (1, 9))
     n, merit = graph.n_sites, result.merit
     start, kicks = schedule_kicks(result.protocol, n)
-    plan = split_plan(start, kicks, merit.time, merit_sites(merit))
+    plan = split_plan(start, kicks, merit.time, merit.sites)
     assert plan is not None and plan.saves
     for kind in KINDS:
         values, onsite = disordered_stack(graph, kind, range(5, 11))

@@ -194,7 +194,7 @@ def test_run_phase_sense_shares_the_run_path(tmp_path, capsys, monkeypatch):
         {"protocol": protocol, "disorder": {"kind": "off_diagonal", "strength": 0.3}},
         name="disordered.yaml",
     )
-    monkeypatch.setattr(cli, "probe_estimates", lambda decomp, n, thetas: [[41.0]])
+    monkeypatch.setattr(cli, "probe_estimates", lambda decomp, thetas: [[41.0]])
     assert run_cli("run", "--config", disordered, "--out", tmp_path / "dis") == 0
     assert run_cli("run", "--config", cfg, "--out", tmp_path / "miss") == 3
     assert "missed the true angle" in capsys.readouterr().err
@@ -521,6 +521,38 @@ def test_sweep_contour_crosses_threshold(tmp_path):
     assert len(contour) >= 1
 
 
+def test_sweep_contour_walks_the_axes_in_order(tmp_path):
+    data = {"protocol": {"name": "router", "n": 6}, "seed": 7,
+            "sweep": {"n_values": [10, 6, 8], "e_values": [1.0, 0.0, 0.5], "realizations": 20}}
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", write_config(tmp_path, data), "--out", out) == 0
+    rows = read_csv(out / "heatmap.csv")
+    assert [(int(r["size"]), float(r["e"])) for r in rows[:3]] == [(10, 1.0), (10, 0.0),
+                                                                     (10, 0.5)]  # config order
+    grid = {(int(r["size"]), float(r["e"])): float(r["mean"]) for r in rows}
+    xs, ys = [6, 8, 10], [0.0, 0.5, 1.0]
+    expected = sweep.threshold_contour(xs, ys, [[grid[(x, y)] for x in xs] for y in ys],
+                                       cli.CONTOUR_LEVEL)
+    assert expected  # the level crosses the grid
+    contour = [tuple(float(r[k]) for k in ("size_1", "e_1", "size_2", "e_2"))
+               for r in read_csv(out / "contour.csv")]
+    assert contour == expected
+
+
+@pytest.mark.parametrize("key, values", [
+    ("n_values", [6, 6]), ("e_values", [0.5, 0.0, 0.5]), ("kinds", ["diagonal", "diagonal"]),
+])
+def test_sweep_rejects_a_repeated_axis_value(tmp_path, capsys, key, values):
+    data = {"protocol": {"name": "router", "n": 6},
+            "sweep": dict({"n_values": [6], "e_values": [0.5], "realizations": 5}, **{key: values})}
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", write_config(tmp_path, data), "--out", out) == 2
+    captured = capsys.readouterr()
+    assert f"sweep.{key}: " in captured.err and "is listed twice" in captured.err
+    assert captured.out == ""  # no cell ran
+    assert not out.exists()
+
+
 # --- replay ------------------------------------------------------------------
 
 def test_replay_reproduces_sweep(tmp_path):
@@ -589,6 +621,34 @@ def test_replay_rejects_a_record_that_is_not_an_object(tmp_path, capsys, record)
     assert run_cli("replay", bad, "--out", tmp_path / "replayed") == 2
     assert "is not a JSON object" in capsys.readouterr().err
     assert not (tmp_path / "replayed").exists()
+
+
+@pytest.mark.parametrize("config", [None, 5, "x", [1]])
+def test_replay_rejects_a_config_that_is_not_a_mapping(tmp_path, capsys, config):
+    bad = tmp_path / "meta.json"
+    bad.write_text(json.dumps({"command": "run", "config": config, "master_seed": 1}))
+    assert run_cli("replay", bad, "--out", tmp_path / "replayed") == 2
+    assert f"config error: {bad}: top level must be a mapping" in capsys.readouterr().err
+    assert not (tmp_path / "replayed").exists()
+
+
+def tree(root):
+    """Every file under ``root``, relative to it."""
+    return sorted(os.path.relpath(os.path.join(path, name), root)
+                  for path, _, names in os.walk(root) for name in names)
+
+
+@pytest.mark.parametrize("command, data", [
+    ("build", {"network": {"chains": [{"length": 5}, {"length": 4}, {"length": 6}]}}),
+    ("run", {"protocol": {"name": "router", "n": 6}, "run": {"samples": 5}}),
+    ("sweep", SWEEP_CONFIG),
+    ("phase-scan", {"phase_scan": {"n": 6, "thetas_deg": [0.0, 90.0], "realizations": 3}}),
+])
+def test_replay_writes_no_file_of_its_own(tmp_path, command, data):
+    out, replayed = tmp_path / "out", tmp_path / "replayed"
+    assert run_cli(command, "--config", write_config(tmp_path, data), "--out", out) == 0
+    assert run_cli("replay", out / "meta.json", "--out", replayed) == 0
+    assert tree(replayed) == tree(out)
 
 
 def test_replay_takes_no_seed(tmp_path, capsys):

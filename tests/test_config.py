@@ -87,6 +87,22 @@ def test_sweep_validates_kinds_and_values():
         parse_sweep({"n_values": [4], "e_values": [0.0], "realizations": 0})
 
 
+@pytest.mark.parametrize("key, values, repeated", [
+    ("n_values", [6, 8, 6], "6"), ("e_values", [0.0, 0.1, 0], "0"),
+    ("kinds", ["diagonal", "off_diagonal", "diagonal"], "'diagonal'"),
+])
+def test_sweep_lists_each_axis_value_once(key, values, repeated):
+    data = dict({"n_values": [4], "e_values": [0.0]}, **{key: values})
+    with pytest.raises(ConfigError, match=re.escape(f"sweep.{key}: {repeated} is listed twice")):
+        parse_sweep(data)
+
+
+@pytest.mark.parametrize("data", [None, 5, "x", [1]])
+def test_a_config_must_be_a_mapping(data):
+    with pytest.raises(ConfigError, match="record: top level must be a mapping"):
+        parse_config(data, where="record")
+
+
 def test_booleans_are_not_numbers():
     sweep = {"n_values": [4], "e_values": [0.1]}
     for key, bad in [("realizations", True), ("n_values", [True, 4]), ("e_values", [False]),

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from spinnet import (
     sample_disorder,
     state_at,
 )
+from spinnet import dynamics
 from spinnet.dynamics import propagate, replace_samples
 from spinnet.protocols import phase_probe_estimates
 
@@ -320,6 +322,23 @@ def test_one_angle_per_probe_matches_one_call_per_probe(run):
     for probe, angle in zip(together, angles):
         alone = propagate(decomp, start, 0.0, [(t_kick, site, angle)], t_end)
         assert probe.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("kicks", [[], [(0.4, 2, 1.0)]])
+def test_kernel_checks_the_norm_of_every_stack_it_returns(monkeypatch, kicks):
+    def drifting_evolve(decomp, psi0, t):
+        psi = evolve(decomp, psi0, t)
+        psi[2] *= 1.01  # not unitary: scales state 2 of the stack
+        return psi
+
+    monkeypatch.setattr(dynamics, "evolve", drifting_evolve)
+    decomp = eigh(network_graph(NetworkSpec([ChainSpec(3), ChainSpec(3)])).to_matrix())
+    start = np.zeros((4, 6), dtype=complex)
+    start[:, 0] = 1.0
+    with pytest.raises(InvariantViolation, match=r"state from stream 12 .* at t = 1\.5$") as exc:
+        propagate(decomp, start, 0.0, kicks, 1.5, streams=range(10, 14))
+    defect = float(re.search(r"drifted by (\S+)", str(exc.value)).group(1))
+    assert defect == pytest.approx(1.01 ** (1 + len(kicks)) - 1.0, rel=1e-3)  # once per segment
 
 
 def test_a_kick_needs_one_angle_per_probe():

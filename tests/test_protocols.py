@@ -107,10 +107,8 @@ def test_checkpoints_reached_including_global_phase(result):
 
 @pytest.mark.parametrize("result", ALL_PROTOCOLS, ids=lambda r: f"{r.name}-{r.network.n_sites}")
 def test_merit_is_perfect_on_clean_network(result):
-    from spinnet.sweep import merit_values
-
     state = state_at(result.graph(), result.protocol, result.merit.time)
-    assert merit_values(state.amplitudes[np.newaxis], result.merit)[0] == pytest.approx(
+    assert result.merit.values(state.amplitudes[np.newaxis])[0] == pytest.approx(
         1.0, abs=1e-9)
 
 
@@ -422,6 +420,13 @@ def test_phase_sense_realization_on_given_graph():
     assert abs(phase_probe_estimates(g, 20, [123.0])[0] - 123.0) < 1e-6
 
 
+@pytest.mark.parametrize("n_total", [10, 40])
+def test_the_probe_size_must_be_the_graph_size(n_total):
+    graph = build_protocol("phase-sense", {"n": 20}).graph()
+    with pytest.raises(ValueError, match=f"a probe of {n_total} sites on a graph of 20"):
+        phase_probe_estimates(graph, n_total, [30.0, 200.0])
+
+
 def test_probe_over_a_stack_matches_each_device_alone():
     graph = network_graph(NetworkSpec([ChainSpec(10), ChainSpec(10)]))
     devices = [
@@ -430,7 +435,7 @@ def test_probe_over_a_stack_matches_each_device_alone():
     ]
     thetas = [15.0 * k for k in range(24)]
     stack = eigh(np.array([device.to_matrix() for device in devices]))
-    assert probe_estimates(stack, 20, thetas) == [
+    assert probe_estimates(stack, thetas) == [
         phase_probe_estimates(device, 20, thetas) for device in devices
     ]
 
@@ -473,7 +478,7 @@ def tie_block():
 
 def test_probe_keeps_the_bits_of_one_angle_at_a_time():
     _, _, decomp = tie_block()
-    got = probe_estimates(decomp, 50, (135.0, 315.0))
+    got = probe_estimates(decomp, (135.0, 315.0))
     assert got == per_angle_probe(decomp, 50, (135.0, 315.0))
     for device in got[1:]:  # the ties really are on the cut
         assert abs(device[1] - 135.0) < 1e-9
@@ -490,12 +495,12 @@ def test_one_device_probe_keeps_the_bits_of_one_angle_at_a_time():
 def test_probe_estimates_do_not_depend_on_the_chunk_size(monkeypatch):
     _, _, decomp = tie_block()
     thetas = tuple(15.0 * k for k in range(24))
-    whole = probe_estimates(decomp, 50, thetas)
+    whole = probe_estimates(decomp, thetas)
     calls = []
     monkeypatch.setattr(dynamics, "evolve",
                         lambda d, psi, t: calls.append(np.shape(psi)) or evolve(d, psi, t))
     monkeypatch.setattr(protocols, "BLOCK_ENTRIES", 7 * 6 * 50)  # 7 probes a chunk
-    assert probe_estimates(decomp, 50, thetas) == whole
+    assert probe_estimates(decomp, thetas) == whole
     assert calls == [(6, 50)] + [(7, 6, 50)] * 6 + [(6, 6, 50)]
 
 

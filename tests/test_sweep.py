@@ -21,8 +21,6 @@ from spinnet.protocols import (
 from spinnet.sweep import (
     ensemble_merit,
     fingerprint,
-    merit_sites,
-    merit_values,
     phase_scan_cells,
     phase_scan_setting,
     resolve_merit,
@@ -98,12 +96,12 @@ def test_pool_size_is_clamped(monkeypatch, capsys, cores, cells, workers, expect
 # --- block engine ---------------------------------------------------------------
 
 def loop_reference(result, spec, k, base, merit):
-    """One realization at a time through run_schedule and a one-row merit_values."""
+    """One realization at a time through run_schedule and a one-row merit.values."""
     graph = result.graph()
     protocol = replace_samples(result.protocol, (merit.time,))
     return [
-        merit_values(run_schedule(sample_disorder(graph, spec, SeededRng(SEED, base + j)),
-                                  protocol).states[0].amplitudes[np.newaxis], merit)[0]
+        merit.values(run_schedule(sample_disorder(graph, spec, SeededRng(SEED, base + j)),
+                                  protocol).states[0].amplitudes[np.newaxis])[0]
         for j in range(k)
     ]
 
@@ -136,7 +134,7 @@ def plan_of(result, merit):
     """The cell's split_plan, whether or not it saves work."""
     start, kicks = schedule_kicks(result.protocol, result.network.n_sites)
     return split_plan(start, [kick for kick in kicks if kick[0] <= merit.time], merit.time,
-                      merit_sites(merit))
+                      merit.sites)
 
 
 # the protocols whose split needs at most one phi series of its own
@@ -169,7 +167,7 @@ def test_the_split_matches_a_direct_propagate(case, kind):
     direct = propagate(op, direct, 0.0, [kick for kick in kicks if kick[0] <= merit.time],
                        merit.time)
     engine = ensemble_merit(result, spec, 6, SEED, stream_base=40, merit=merit).values
-    assert np.max(np.abs(np.array(engine) - merit_values(direct, merit))) <= 1e-12
+    assert np.max(np.abs(np.array(engine) - merit.values(direct))) <= 1e-12
     plan = plan_of(result, merit)
     if plan is not None:  # a tie's split too, though the cell runs forward
         split = plan.amplitudes(op, streams)
@@ -192,7 +190,6 @@ def test_a_block_runs_the_series_of_its_plan(monkeypatch, name, params):
         calls.append((psi0.shape, t))
         return chebyshev_evolve(op, psi0, t)
 
-    monkeypatch.setattr(sweep, "chebyshev_evolve", recording)
     monkeypatch.setattr(dynamics, "chebyshev_evolve", recording)
     result = build_protocol(name, params)
     n = result.network.n_sites
@@ -296,19 +293,19 @@ def check_leaky_router(monkeypatch, leaky):
         return psi
 
     # the router's split evolves once: e_1 (psi) and e_N (phi) to t_m in one series
-    monkeypatch.setattr(sweep, "chebyshev_evolve", leaky_evolve)
+    monkeypatch.setattr(dynamics, "chebyshev_evolve", leaky_evolve)
     result = router_two_chain(6)
     with pytest.raises(InvariantViolation) as excinfo:
         ensemble_merit(result, DisorderSpec("diagonal", 0.1), 8, SEED, stream_base=200)
     message = str(excinfo.value)
     assert "stream 203" in message
-    assert f"t = {result.merit.time / 2}" in message  # psi at the kick, phi over the rest
+    assert f"t = {result.merit.time / 2}" in message  # phi over the rest, psi at the kick
     defect = float(re.search(r"drifted by (\S+)", message).group(1))
     assert defect == pytest.approx(0.01, rel=1e-3)  # after one evolution
 
 
 def test_norm_check_names_the_stream_time_and_defect(monkeypatch):
-    check_leaky_router(monkeypatch, np.s_[:])  # psi and phi: psi is checked first
+    check_leaky_router(monkeypatch, np.s_[:])  # psi and phi: phi is checked first
 
 
 def test_norm_check_covers_a_phi_column_alone(monkeypatch):
