@@ -1,7 +1,8 @@
 """Config files: strict YAML schema and observation-time expressions.
 
-Every key is checked against the schema; an unknown key is an error, not a
-silent default, so typos like ``jmax`` for ``j_max`` cannot slip through.
+Every key is checked against the schema; an unknown key, or one given twice
+in a mapping, is an error, not a silent default, so typos like ``jmax`` for
+``j_max`` cannot slip through.
 Times may be given as expressions over the built network's mirror times
 (``t_m``, ``t_m_A``, ``t_m_B``) with rational coefficients, e.g. ``2*t_m``,
 ``3*t_m/2`` or ``t_m_A + t_m_B``.
@@ -46,11 +47,28 @@ DEFAULT_THETAS_DEG = tuple(float(t) for t in range(0, 360, 15))
 MAX_SIZE = 1000
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A safe loader that rejects a key given twice in one mapping; the keys
+    beside a merge (``<<``) still override what it merges."""
+
+    def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict:
+        keys: list = []  # not a set: a key may be unhashable until the base class rejects it
+        for key_node, _ in node.value:
+            if key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node, deep=deep)
+                if key in keys:
+                    mark = key_node.start_mark
+                    raise ConfigError(f"{mark.name}, line {mark.line + 1}: "
+                                      f"key {key!r} is given twice")
+                keys.append(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_yaml(path: str) -> Any:
     """The YAML document at ``path``; an empty file is an empty mapping."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     except yaml.YAMLError as exc:
@@ -234,6 +252,8 @@ def parse_sweep(data: Any, where: str = "sweep") -> SweepConfig:
     if not e_values or not all(_is(v, _NUMBER) and 0 <= v < math.inf for v in e_values):
         raise ConfigError(f"{where}.e_values: need a non-empty list of finite numbers >= 0")
     kinds = tuple(data.get("kinds", ["diagonal"]))
+    if not kinds:
+        raise ConfigError(f"{where}.kinds: need at least one disorder kind")
     for kind in kinds:
         if kind not in ("diagonal", "off_diagonal"):
             raise ConfigError(f"{where}.kinds: {kind!r} is not a disorder kind")
@@ -298,7 +318,9 @@ def parse_phase_scan(data: Any, where: str = "phase_scan") -> PhaseScanConfig:
     thetas = tuple(float(v) for v in thetas)
     if not thetas or not all(0.0 <= t < 360.0 for t in thetas):
         raise ConfigError(f"{where}: angles must lie in [0, 360) degrees")
-    settings_raw = data.get("settings") or [{"kind": "none"}]
+    settings_raw = data.get("settings", [{"kind": "none"}])
+    if not settings_raw:
+        raise ConfigError(f"{where}.settings: need at least one disorder setting")
     settings = tuple(
         parse_disorder(entry, f"{where}.settings[{idx}]")
         for idx, entry in enumerate(settings_raw, start=1)

@@ -223,21 +223,15 @@ class Trajectory:
     def write_csv(self, out: TextIO, amplitudes: bool = False) -> None:
         """Populations per site (`t,site_1,...,site_N`); with ``amplitudes``
         the real/imaginary parts are dumped instead (`t,re_1,im_1,...`)."""
-        n = self.n_sites
-        if amplitudes:
-            header = ",".join(f"re_{i},im_{i}" for i in range(1, n + 1))
-            out.write(f"t,{header}\n")
-            for t, state in zip(self.times, self.states):
-                row = ",".join(
-                    f"{a.real:.12g},{a.imag:.12g}" for a in state.amplitudes
-                )
-                out.write(f"{t:.12g},{row}\n")
+        sites = range(1, self.n_sites + 1)
+        if amplitudes:  # each amplitude as its real and imaginary part, a state at a time
+            columns = [f"re_{i},im_{i}" for i in sites]
+            rows = (state.amplitudes.view(float) for state in self.states)
         else:
-            header = ",".join(f"site_{i}" for i in range(1, n + 1))
-            out.write(f"t,{header}\n")
-            for t, pops in zip(self.times, self.populations()):
-                row = ",".join(f"{p:.12g}" for p in pops)
-                out.write(f"{t:.12g},{row}\n")
+            columns, rows = [f"site_{i}" for i in sites], self.populations()
+        out.write(f"t,{','.join(columns)}\n")
+        for t, row in zip(self.times, rows):
+            out.write(f"{t:.12g}," + ",".join(f"{v:.12g}" for v in row) + "\n")
 
 
 def schedule_kicks(protocol: Protocol, n_sites: int) -> tuple[int, list[tuple[float, int, float]]]:

@@ -21,6 +21,7 @@ and skips it on resume only when that fingerprint matches.
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 import os
@@ -43,7 +44,7 @@ from .protocols import (FigureOfMerit, ProtocolResult, build_protocol, probe_est
 
 def hamiltonian_blocks(
     graph: CouplingGraph, disorder_spec: DisorderSpec, realizations: int, master_seed: int,
-    stream_base: int = 0, footprint: int | None = None,
+    stream_base: int, footprint: int,
 ) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
     """The disorder realizations of ``graph``, as (streams, values, onsite)
     per block.
@@ -52,15 +53,15 @@ def hamiltonian_blocks(
     streams of at most BLOCK_ENTRIES entries at ``footprint`` entries per
     realization: 2N, two real vectors (one complex state, or a split's psi
     and phi), for a sweep's band (585 realizations at N = 14, 58 at
-    N = 140); by default N^2, the dense stack of a phase scan (83 at
-    N = 14, one from N = 91 on).
+    N = 140); N^2, the dense stack of a phase scan (83 at N = 14, one from
+    N = 91 on).
     ``values`` and ``onsite`` are the block's couplings and site energies,
     perturbed as :func:`~spinnet.disorder.sample_disorder` does for one
     stream, bit for bit; the array that the spec leaves alone is the graph's
     own, without a block axis. A clean spec yields one realization, the bare graph.
     """
     runs = min(realizations, 1) if disorder_spec.clean else realizations
-    block = max(1, BLOCK_ENTRIES // (footprint or graph.n_sites ** 2))
+    block = max(1, BLOCK_ENTRIES // footprint)
     for first in range(stream_base, stream_base + runs, block):
         streams = range(first, min(first + block, stream_base + runs))
         if disorder_spec.clean:
@@ -276,31 +277,16 @@ def sweep_cells(
     sweep: SweepConfig,
     master_seed: int,
 ) -> list[SweepCell]:
-    """Enumerate the grid; cell order fixes the seed streams."""
-    cells = []
-    index = 0
-    for kind in sweep.kinds:
-        for size in sweep.sizes:
-            for e in sweep.e_values:
-                cells.append(
-                    SweepCell(
-                        index=index,
-                        size=size,
-                        e=e,
-                        kind=kind,
-                        protocol_name=protocol_name,
-                        params=dict(params),
-                        axis=sweep.axis,
-                        realizations=sweep.realizations,
-                        master_seed=master_seed,
-                        stream_base=index * sweep.realizations,
-                        observable=sweep.observable,
-                        eof_pair=sweep.eof_pair,
-                        observe=sweep.observe,
-                    )
-                )
-                index += 1
-    return cells
+    """Enumerate the grid, kinds outermost and E innermost; cell order fixes
+    the seed streams."""
+    grid = itertools.product(sweep.kinds, sweep.sizes, sweep.e_values)
+    return [
+        SweepCell(index=index, size=size, e=e, kind=kind, protocol_name=protocol_name,
+                  params=dict(params), axis=sweep.axis, realizations=sweep.realizations,
+                  master_seed=master_seed, stream_base=index * sweep.realizations,
+                  observable=sweep.observable, eof_pair=sweep.eof_pair, observe=sweep.observe)
+        for index, (kind, size, e) in enumerate(grid)
+    ]
 
 
 def fingerprint(cell: SweepCell | PhaseScanCell) -> dict[str, Any]:
@@ -412,12 +398,12 @@ def phase_scan_setting(
     run in the blocks of :func:`hamiltonian_blocks`, one eigensolve and one
     probe of all devices per block. Estimates are unwrapped onto the branch
     around the true angle before averaging, so means near 0/360 do not
-    smear across the seam.
+    smear across the seam. A clean spec probes one device.
     """
     graph = build_protocol("phase-sense", {"n": n_total}).graph()
     per_angle: list[list[float]] = [[] for _ in thetas_deg]
     for streams, values, onsite in hamiltonian_blocks(graph, disorder_spec, realizations,
-                                                      master_seed, stream_base):
+                                                      master_seed, stream_base, n_total ** 2):
         # complex, as one device's to_matrix(), so every estimate keeps its bits
         # (and bench/reference/ its rows): a device on the unwrap branch cut
         # (README, "Reproducibility") flips sides on a last-bit change
@@ -425,9 +411,6 @@ def phase_scan_setting(
         for estimates in probe_estimates(eigh(h), thetas_deg, streams):
             for slot, theta, est in zip(per_angle, thetas_deg, estimates):
                 slot.append(unwrap_to_branch(est, theta))
-    if disorder_spec.clean:
-        for slot in per_angle:  # every clean realization is identical
-            slot *= realizations
     stats = [ensemble_average(values) for values in per_angle]
     return [(mean % 360.0, std, std_of_mean) for mean, std, std_of_mean in stats]
 

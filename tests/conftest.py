@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinnet import PureState
+from spinnet.dynamics import PureState
 
 
 @pytest.fixture

@@ -12,26 +12,46 @@ import math
 import numpy as np
 import pytest
 
-import spinnet as sn
-from spinnet import (
+from spinnet.disorder import DisorderSpec, SeededRng, sample_disorder
+from spinnet.linalg import eigh
+from spinnet.network import (
     ChainSpec,
-    DisorderSpec,
     NetworkSpec,
-    PureState,
-    SeededRng,
-    eigh,
-    eof_pair,
-    fidelity,
+    chain_graph,
+    hadamard_join,
     join_unitary,
     network_graph,
-    sample_disorder,
 )
-from spinnet.dynamics import Protocol, phase_kick, replace_samples, run_schedule, state_at
-from spinnet.observables import ensemble_average
-from spinnet.protocols import gamma_factor, phase_probe_estimates, phi_factor
+from spinnet.dynamics import (
+    Protocol,
+    PureState,
+    phase_kick,
+    replace_samples,
+    run_schedule,
+    state_at,
+)
+from spinnet.observables import ensemble_average, eof_pair, fidelity
+from spinnet.protocols import (
+    build_protocol,
+    entangle_center_two_chain,
+    entangle_phase_two_chain,
+    gamma_factor,
+    m_chain_router,
+    max_entangle_12,
+    mws_12,
+    mws_9,
+    mws_transfer_15,
+    phase_probe_estimates,
+    phi_factor,
+    router_two_chain,
+    unequal_entangle,
+    unequal_router,
+    w_state,
+)
 from spinnet.sweep import ensemble_merit, phase_scan_setting, run_cells, sweep_cells
 from spinnet.config import SweepConfig
 
+from oracles import concurrence, reduce_two_sites
 from conftest import random_single_excitation_state
 
 K = 1000            # realizations per Monte-Carlo cell
@@ -65,7 +85,7 @@ def mc_mean(result, kind, e, stream_base=0, merit=None):
 def test_criterion_01_router_and_halfway_states():
     worst = 0.0
     for n in SIZES:
-        worst = max(worst, reached(sn.router_two_chain(n)))
+        worst = max(worst, reached(router_two_chain(n)))
         spec = NetworkSpec([ChainSpec(n // 2)] * 2)
         g = network_graph(spec)
         t_m = spec.chains[0].mirror_time
@@ -82,10 +102,10 @@ def test_criterion_02_entanglement_protocols():
     worst_eof = 1.0
     worst_defect = 0.0
     for n in SIZES:
-        phase = sn.entangle_phase_two_chain(n)
+        phase = entangle_phase_two_chain(n)
         state = state_at(phase.graph(), phase.protocol, phase.merit.time)
         worst_eof = min(worst_eof, eof_pair(state, 1, n))
-        center = sn.entangle_center_two_chain(n)
+        center = entangle_center_two_chain(n)
         states = run_schedule(
             center.graph(),
             replace_samples(center.protocol, [t for t, _ in center.checkpoints]),
@@ -100,8 +120,8 @@ def test_criterion_02_entanglement_protocols():
 
 
 def test_criterion_03_unequal_chains():
-    defect_router = reached(sn.unequal_router(3, 4))
-    defect_ent = reached(sn.unequal_entangle(3, 4))
+    defect_router = reached(unequal_router(3, 4))
+    defect_ent = reached(unequal_entangle(3, 4))
 
     spec = NetworkSpec([ChainSpec(3), ChainSpec(4)])
     t_a = spec.chains[0].mirror_time
@@ -129,17 +149,17 @@ def test_criterion_04_nine_site_network():
     u_expected[5:7, 5:7] = [[s, s], [s, -s]]
     u_ok = np.array_equal(join_unitary(NetworkSpec([ChainSpec(3)] * 3)), u_expected)
 
-    w = sn.w_state(3)
+    w = w_state(3)
     w_state_at_target = state_at(w.graph(), w.protocol, w.merit.time)
     pop_err_w = max(
         abs(w_state_at_target.population(site) - 1 / 3) for site in (1, 6, 7)
     )
 
-    mws = sn.mws_9()
+    mws = mws_9()
     share = state_at(mws.graph(), mws.protocol, mws.merit.time)
     pop_err_mws = max(abs(share.population(site) - 0.25) for site in (3, 4, 6, 7))
 
-    defect_pair = reached(sn.mws_9(with_flips=True))
+    defect_pair = reached(mws_9(with_flips=True))
     ok = u_ok and pop_err_w < EXACT and pop_err_mws < EXACT and defect_pair < EXACT
     report(4, ok, f"9-site: block unitary exact = {u_ok}, W populations off by "
                   f"{pop_err_w:.2e}, four-site share off by {pop_err_mws:.2e}, "
@@ -147,8 +167,8 @@ def test_criterion_04_nine_site_network():
 
 
 def test_criterion_05_twelve_site_half_speed_middle():
-    defect_seq = reached(sn.mws_12())
-    defect_pair = reached(sn.max_entangle_12())
+    defect_seq = reached(mws_12())
+    defect_pair = reached(max_entangle_12())
 
     spec = NetworkSpec([ChainSpec(4)] * 3)
     t_m = spec.chains[0].mirror_time
@@ -161,8 +181,8 @@ def test_criterion_05_twelve_site_half_speed_middle():
 
 
 def test_criterion_06_fifteen_site_network():
-    defect_router = reached(sn.m_chain_router(5))
-    transfer = sn.mws_transfer_15()
+    defect_router = reached(m_chain_router(5))
+    transfer = mws_transfer_15()
     state = state_at(transfer.graph(), transfer.protocol, transfer.merit.time)
     pop_err = max(abs(state.population(site) - 0.25) for site in (3, 4, 12, 13))
     ok = defect_router < EXACT and pop_err < EXACT
@@ -178,9 +198,9 @@ def test_criterion_07_spectrum_preservation():
         spec = NetworkSpec(
             [ChainSpec(int(rng.integers(2, 9))) for _ in range(n_chains)]
         )
-        joined = eigh(sn.hadamard_join(spec).to_matrix()).eigenvalues
+        joined = eigh(hadamard_join(spec).to_matrix()).eigenvalues
         parts = np.sort(np.concatenate(
-            [eigh(sn.chain_graph(c).to_matrix()).eigenvalues for c in spec.chains]
+            [eigh(chain_graph(c).to_matrix()).eigenvalues for c in spec.chains]
         ))
         worst = max(worst, float(np.max(np.abs(joined - parts))))
     report(7, worst < EXACT, f"50 random fusions preserve the spectrum (worst {worst:.2e})")
@@ -193,7 +213,7 @@ def test_criterion_08_concurrence_closed_form():
         n = int(rng.integers(2, 12))
         psi = random_single_excitation_state(rng, n)
         i, j = rng.choice(np.arange(1, n + 1), size=2, replace=False)
-        wootters = sn.concurrence(sn.reduce_two_sites(psi, int(i), int(j)))
+        wootters = concurrence(reduce_two_sites(psi, int(i), int(j)))
         closed = 2.0 * abs(psi.amplitude(int(i))) * abs(psi.amplitude(int(j)))
         worst = max(worst, abs(wootters - closed))
     report(8, worst < EXACT, f"Wootters pipeline vs closed form on 1000 states "
@@ -201,22 +221,22 @@ def test_criterion_08_concurrence_closed_form():
 
 
 def test_criterion_09_router_diagonal_robustness():
-    m1 = mc_mean(sn.router_two_chain(100), "diagonal", 0.05)
-    m2 = mc_mean(sn.router_two_chain(100), "diagonal", 0.10, stream_base=K)
+    m1 = mc_mean(router_two_chain(100), "diagonal", 0.05)
+    m2 = mc_mean(router_two_chain(100), "diagonal", 0.10, stream_base=K)
     ok = m1 > 0.98 - MC_TOL and m2 > 0.92 - MC_TOL
     report(9, ok, f"router N=100 diagonal: E=0.05 -> {m1:.4f} (>0.98), "
                   f"E=0.10 -> {m2:.4f} (>0.92)")
 
 
 def test_criterion_10_router_off_diagonal_robustness():
-    m = mc_mean(sn.router_two_chain(40), "off_diagonal", 0.10)
+    m = mc_mean(router_two_chain(40), "off_diagonal", 0.10)
     report(10, m > 0.90 - MC_TOL, f"router N=40 off-diagonal E=0.10 -> {m:.4f} (>0.90)")
 
 
 def test_criterion_11_entanglement_robustness():
-    m1 = mc_mean(sn.entangle_phase_two_chain(100), "diagonal", 0.05)
-    m2 = mc_mean(sn.entangle_phase_two_chain(50), "diagonal", 0.10, stream_base=K)
-    m3 = mc_mean(sn.entangle_phase_two_chain(20), "off_diagonal", 0.10, stream_base=2 * K)
+    m1 = mc_mean(entangle_phase_two_chain(100), "diagonal", 0.05)
+    m2 = mc_mean(entangle_phase_two_chain(50), "diagonal", 0.10, stream_base=K)
+    m3 = mc_mean(entangle_phase_two_chain(20), "off_diagonal", 0.10, stream_base=2 * K)
     ok = m1 > 0.96 - MC_TOL and m2 > 0.94 - MC_TOL and m3 > 0.92 - MC_TOL
     report(11, ok, f"end-to-end EOF: N=100 diag E=0.05 -> {m1:.4f} (>0.96), "
                    f"N=50 diag E=0.10 -> {m2:.4f} (>0.94), "
@@ -224,8 +244,8 @@ def test_criterion_11_entanglement_robustness():
 
 
 def test_criterion_12_center_injection_is_more_robust():
-    center = sn.entangle_center_two_chain(12)
-    phase = sn.entangle_phase_two_chain(12)
+    center = entangle_center_two_chain(12)
+    phase = entangle_phase_two_chain(12)
     gaps = []
     for idx, e in enumerate((0.125, 0.15, 0.20, 0.25)):
         m_center = mc_mean(center, "off_diagonal", e, stream_base=2 * idx * K)
@@ -237,7 +257,7 @@ def test_criterion_12_center_injection_is_more_robust():
 
 
 def test_criterion_13_unequal_pair_state_robustness():
-    result = sn.unequal_entangle(3, 4)
+    result = unequal_entangle(3, 4)
     m_diag = mc_mean(result, "diagonal", 0.20)
     m_off_05 = mc_mean(result, "off_diagonal", 0.05, stream_base=K)
     m_off_10 = mc_mean(result, "off_diagonal", 0.10, stream_base=2 * K)
@@ -247,11 +267,11 @@ def test_criterion_13_unequal_pair_state_robustness():
 
 
 def test_criterion_14_nine_site_robustness():
-    w = sn.w_state(3)
+    w = w_state(3)
     w_diag_25 = mc_mean(w, "diagonal", 0.25)
     w_diag_05 = mc_mean(w, "diagonal", 0.05, stream_base=K)
     w_off_20 = mc_mean(w, "off_diagonal", 0.20, stream_base=2 * K)
-    pair = sn.mws_9(with_flips=True)
+    pair = mws_9(with_flips=True)
     p_diag_15 = mc_mean(pair, "diagonal", 0.15, stream_base=3 * K)
     p_off_10 = mc_mean(pair, "off_diagonal", 0.10, stream_base=4 * K)
     ok = (w_diag_25 >= 0.97 - MC_TOL and w_diag_05 >= 0.985 - MC_TOL
@@ -264,10 +284,10 @@ def test_criterion_14_nine_site_robustness():
 
 
 def test_criterion_15_larger_network_robustness():
-    w12 = sn.w_state(4)
+    w12 = w_state(4)
     m_diag = mc_mean(w12, "diagonal", 0.15)
     m_off = mc_mean(w12, "off_diagonal", 0.10, stream_base=K)
-    transfer = sn.mws_transfer_15()
+    transfer = mws_transfer_15()
     m_t = mc_mean(transfer, "diagonal", 0.10, stream_base=2 * K)
     ok = m_diag > 0.99 - MC_TOL and m_off > 0.98 - MC_TOL and m_t > 0.99 - MC_TOL
     report(15, ok, f"12-site W: diag E=0.15 -> {m_diag:.4f} (~>0.99), off-diag "
@@ -277,7 +297,7 @@ def test_criterion_15_larger_network_robustness():
 
 def test_criterion_16_phase_scan():
     thetas = tuple(float(t) for t in np.arange(0.0, 360.0, 15.0))
-    clean = phase_probe_estimates(sn.build_protocol("phase-sense", {"n": 20}).graph(), 20, thetas)
+    clean = phase_probe_estimates(build_protocol("phase-sense", {"n": 20}).graph(), 20, thetas)
     clean_err = max(min(abs(est - t), 360.0 - abs(est - t)) for est, t in zip(clean, thetas))
 
     def rms_deviation(n, kind, e, base):
@@ -322,7 +342,7 @@ def test_criterion_17_property_suites():
     parallel_ok = serial == parallel
 
     # seed replay: identical stream addresses give identical ensembles
-    result = sn.router_two_chain(8)
+    result = router_two_chain(8)
     a = ensemble_merit(result, DisorderSpec("off_diagonal", 0.1), 32, SEED, stream_base=5)
     b = ensemble_merit(result, DisorderSpec("off_diagonal", 0.1), 32, SEED, stream_base=5)
     replay_ok = a.values == b.values

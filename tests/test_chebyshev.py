@@ -11,11 +11,11 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from spinnet import InvariantViolation, linalg, sweep
+from spinnet import linalg, sweep
 from spinnet.disorder import DisorderSpec, perturb, stream_draws
 from spinnet.dynamics import propagate, schedule_kicks
-from spinnet.linalg import (CHEBYSHEV_CUTOFF, band_operator, bessel_coefficients,
-                            chebyshev_evolve, eigh)
+from spinnet.linalg import (CHEBYSHEV_CUTOFF, InvariantViolation, band_operator,
+                            bessel_coefficients, chebyshev_evolve, eigh)
 from spinnet.network import CouplingGraph, mirror_time, read_edge_list
 from spinnet.protocols import build_protocol
 from spinnet.sweep import ensemble_merit, split_plan

@@ -9,7 +9,7 @@ import yaml
 
 import spinnet.cli as cli
 import spinnet.sweep as sweep
-from spinnet import InvariantViolation
+from spinnet.linalg import InvariantViolation
 from spinnet.config import (MAX_REALIZATIONS, MAX_RUN_AMPLITUDES, MAX_RUN_SAMPLES,
                             MAX_SCAN_ANGLES, MAX_SIZE, ConfigError, parse_config)
 from spinnet.network import CouplingGraph
@@ -288,6 +288,26 @@ def test_phase_scan_rejects_non_finite_or_negative_disorder(tmp_path, capsys, fi
     data = {"phase_scan": {"n": 6, "thetas_deg": [90.0], "realizations": 2,
                            "settings": [{"kind": "none"}, setting]}}
     assert_config_error_writes_nothing(tmp_path, capsys, "phase-scan", data, message)
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("sweep", {"protocol": {"name": "router", "n": 6},
+               "sweep": {"n_values": [6], "e_values": [0.1], "kinds": []}},
+     "sweep.kinds: need at least one disorder kind"),
+    ("phase-scan", {"phase_scan": {"n": 6, "settings": []}},
+     "phase_scan.settings: need at least one disorder setting"),
+], ids=["sweep-kinds", "phase-scan-settings"])
+def test_an_empty_list_runs_no_cell(tmp_path, capsys, command, data, message):
+    assert_config_error_writes_nothing(tmp_path, capsys, command, data, message)
+
+
+def test_a_key_given_twice_exits_with_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("seed: 1\nprotocol: {name: router, n: 6}\nseed: 2\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", path, "--out", out) == 2
+    assert f"{path}, line 3: key 'seed' is given twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("e", [math.inf, math.nan, -0.1])

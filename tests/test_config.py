@@ -4,11 +4,12 @@ import re
 import pytest
 import yaml
 
-from spinnet import ChainSpec, NetworkSpec
+from spinnet.network import ChainSpec, NetworkSpec
 from spinnet.disorder import DisorderSpec
 from spinnet.config import (
     ConfigError,
     RunConfig,
+    load_config,
     mirror_tokens,
     parse_config,
     parse_network,
@@ -95,6 +96,36 @@ def test_sweep_lists_each_axis_value_once(key, values, repeated):
     data = dict({"n_values": [4], "e_values": [0.0]}, **{key: values})
     with pytest.raises(ConfigError, match=re.escape(f"sweep.{key}: {repeated} is listed twice")):
         parse_sweep(data)
+
+
+def test_an_empty_list_of_kinds_or_settings_is_rejected():
+    with pytest.raises(ConfigError, match=re.escape("sweep.kinds: need at least one")):
+        parse_sweep({"n_values": [6], "e_values": [0.1], "kinds": []})
+    with pytest.raises(ConfigError, match=re.escape("phase_scan.settings: need at least one")):
+        parse_config({"phase_scan": {"n": 8, "settings": []}})
+    # a missing key keeps its default
+    assert parse_sweep({"n_values": [6], "e_values": [0.1]}).kinds == ("diagonal",)
+    assert parse_config({"phase_scan": {"n": 8}}).phase_scan.settings == (DisorderSpec(),)
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("seed: 1\nseed: 2\n", "seed", 2),
+    ("protocol: {name: router, n: 12}\nprotocol: {name: ent-phase, n: 12}\n", "protocol", 2),
+    ("sweep:\n  n_values: [4]\n  e_values: [0.1]\n  n_values: [6]\n", "n_values", 4),
+    ("sweep: {realizations: 5, realizations: 6}\n", "realizations", 1),
+], ids=["top-level", "top-level-section", "nested-block", "flow-mapping"])
+def test_a_key_given_twice_is_rejected(tmp_path, text, key, line):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{path}, line {line}: key {key!r} is given twice")):
+        load_config(str(path))
+
+
+def test_keys_beside_a_merge_override_it(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("protocol:\n  <<: {name: router, n: 12}\n  n: 14\n")
+    assert load_config(str(path)).protocol.params == {"n": 14}
 
 
 @pytest.mark.parametrize("data", [None, 5, "x", [1]])

@@ -4,20 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spinnet import (
-    ChainSpec,
-    CouplingGraph,
-    DisorderSpec,
-    NetworkSpec,
-    SeededRng,
-    chain_graph,
-    hadamard_join,
-    sample_disorder,
-)
+from spinnet.network import ChainSpec, CouplingGraph, NetworkSpec, chain_graph, hadamard_join
 from spinnet.disorder import (
+    DisorderSpec,
     GAUSSIAN_WIDTH,
     SEED_LIMIT,
+    SeededRng,
     pcg64_states,
+    sample_disorder,
     seed_sequence_words,
     stream_draws,
 )

@@ -7,26 +7,19 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from spinnet import (
-    ChainSpec,
-    DisorderSpec,
-    InvariantViolation,
-    NetworkSpec,
+from spinnet import dynamics
+from spinnet.disorder import DisorderSpec, SeededRng, sample_disorder
+from spinnet.linalg import InvariantViolation, eigh, evolve
+from spinnet.network import ChainSpec, NetworkSpec, chain_graph, mirror_time, network_graph
+from spinnet.dynamics import (
     Protocol,
     PureState,
-    SeededRng,
-    chain_graph,
-    evolve,
-    eigh,
-    mirror_time,
-    network_graph,
     phase_kick,
+    propagate,
+    replace_samples,
     run_schedule,
-    sample_disorder,
     state_at,
 )
-from spinnet import dynamics
-from spinnet.dynamics import propagate, replace_samples
 from spinnet.protocols import phase_probe_estimates
 
 from conftest import random_single_excitation_state

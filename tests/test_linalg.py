@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spinnet import InvariantViolation, eigh, evolve
+from spinnet.linalg import InvariantViolation, eigh, evolve
 from spinnet.network import ChainSpec, chain_graph, mirror_time
 
 from conftest import random_hermitian

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinnet import (
+from spinnet.linalg import eigh, evolve
+from spinnet.network import (
     ChainSpec,
     CouplingGraph,
     NetworkSpec,
     chain_graph,
-    eigh,
-    evolve,
     hadamard_join,
     join_unitary,
     mirror_time,

@@ -5,18 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spinnet import (
+from spinnet.dynamics import PureState
+from spinnet.observables import (
     EnsembleAccumulator,
-    PureState,
-    concurrence,
+    binary_entropy,
     ensemble_average,
-    eof,
+    eof_from_concurrence,
     eof_pair,
+    fidelities,
     fidelity,
-    reduce_two_sites,
+    pair_eofs,
 )
-from spinnet.observables import binary_entropy, eof_from_concurrence, fidelities, pair_eofs
 
+from oracles import concurrence, eof, reduce_two_sites
 from conftest import random_single_excitation_state
 
 

@@ -3,20 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from spinnet import (
-    ChainSpec,
-    DisorderSpec,
-    NetworkSpec,
-    PureState,
-    SeededRng,
-    eof_pair,
-    fidelity,
-    network_graph,
-    sample_disorder,
-)
 from spinnet import dynamics, protocols
-from spinnet.disorder import perturb, stream_draws
-from spinnet.dynamics import (Protocol, phase_kick, propagate, replace_samples,
+from spinnet.network import ChainSpec, NetworkSpec, network_graph
+from spinnet.observables import eof_pair, fidelity
+from spinnet.disorder import DisorderSpec, SeededRng, perturb, sample_disorder, stream_draws
+from spinnet.dynamics import (Protocol, PureState, phase_kick, propagate, replace_samples,
                               run_schedule, state_at)
 from spinnet.linalg import eigh, evolve
 from spinnet.protocols import (

@@ -5,11 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from spinnet import InvariantViolation, dynamics, linalg, sweep
+from spinnet import dynamics, linalg, sweep
 from spinnet.config import PhaseScanConfig, SweepConfig
 from spinnet.disorder import DisorderSpec, SeededRng, sample_disorder
 from spinnet.dynamics import check_norms, propagate, replace_samples, run_schedule, schedule_kicks
-from spinnet.linalg import chebyshev_evolve
+from spinnet.linalg import InvariantViolation, chebyshev_evolve
 from spinnet.network import mirror_time
 from spinnet.observables import ensemble_average
 from spinnet.protocols import (
@@ -275,8 +275,8 @@ def test_block_realization_is_the_matrix_of_sample_disorder(kind):
     graph = build_protocol("router", {"n": 12}).graph()
     spec = DisorderSpec(kind, 0.2)
     block = sweep.BLOCK_ENTRIES // 12 ** 2  # 113 realizations per block
-    stacks = [graph.assemble(values, onsite)
-              for _, values, onsite in sweep.hamiltonian_blocks(graph, spec, block + 2, SEED, 40)]
+    stacks = [graph.assemble(values, onsite) for _, values, onsite
+              in sweep.hamiltonian_blocks(graph, spec, block + 2, SEED, 40, 12 ** 2)]
     assert [len(h) for h in stacks] == [block, 2]
     realizations = np.concatenate(stacks)
     for k in (0, block - 1, block, block + 1):  # both sides of the block boundary
@@ -359,7 +359,7 @@ def phase_scan_reference(n, thetas, spec, k, base):
 
 
 @pytest.mark.parametrize("n, kind, e, k, base", [
-    (20, "none", 0.0, 3, 0),
+    (20, "none", 0.0, 1, 0),  # a clean setting probes one device
     (20, "diagonal", 0.05, 12, 1000),
     (20, "off_diagonal", 0.10, 12, 2000),
     # streams 2269 and 2528 estimate 315 degrees as 135 to within 7e-12, on the
