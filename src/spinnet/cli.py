@@ -87,8 +87,16 @@ def _prepare(args: argparse.Namespace) -> tuple[Config, str, int, int]:
     if not 0 <= seed < SEED_LIMIT:
         raise ConfigError(f"--seed must be in [0, 2^64), got {seed}")
     workers = _workers(args.workers, cfg.workers)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args.out)
     return cfg, args.out, seed, workers
+
+
+def _make_out(out: str) -> None:
+    """Create the output directory; a path that cannot be one is a config error."""
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc}")
 
 
 def _workers(requested: int | None, default: int) -> int:
@@ -235,7 +243,9 @@ def cmd_sweep(cfg: Config, out: str, seed: int, workers: int) -> int:
         raise ConfigError("phase-sense cannot be swept; use phase-scan for its disorder curves")
     try:
         cells = sweep_cells(cfg.protocol.name, cfg.protocol.params, cfg.sweep, seed)
-        for cell in cells:  # every size's protocol and merit, before any cell runs
+        # each size's protocol and merit before any cell runs; a cell's size is
+        # the only input of its protocol that varies
+        for cell in {c.size: c for c in cells}.values():
             cell.protocol()
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -265,10 +275,7 @@ def cmd_sweep(cfg: Config, out: str, seed: int, workers: int) -> int:
         fh.write("kind,size_1,e_1,size_2,e_2\n")
         for kind in cfg.sweep.kinds:
             grid = {(row["size"], row["e"]): row["mean"] for row in rows if row["kind"] == kind}
-            xs = sorted(cfg.sweep.sizes)  # the contour walks the grid in axis order
-            ys = sorted(cfg.sweep.e_values)
-            values = [[grid[(x, y)] for x in xs] for y in ys]
-            for x1, y1, x2, y2 in threshold_contour(xs, ys, values, CONTOUR_LEVEL):
+            for x1, y1, x2, y2 in threshold_contour(grid, CONTOUR_LEVEL):
                 fh.write(f"{kind},{x1:.12g},{y1:.12g},{x2:.12g},{y2:.12g}\n")
 
     cell_records = [
@@ -354,7 +361,7 @@ def cmd_replay(meta_path: str, out: str, workers: int | None) -> int:
                           f"got {recorded_workers!r}")
     cfg = parse_config(meta["config"], where=meta_path)
     workers = _workers(workers, recorded_workers)
-    os.makedirs(out, exist_ok=True)
+    _make_out(out)
     return COMMANDS[command](cfg, out, seed, workers)
 
 

@@ -170,8 +170,6 @@ def parse_protocol(data: Any, where: str = "protocol") -> ProtocolConfig:
 
 
 def parse_disorder(data: Any, where: str = "disorder") -> DisorderSpec:
-    if data is None:
-        return DisorderSpec()
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a mapping")
     _check_keys(data, {"kind": str, "strength": _NUMBER}, where)
@@ -192,8 +190,6 @@ class RunConfig:
 
 
 def parse_run(data: Any, where: str = "run") -> RunConfig:
-    if data is None:
-        return RunConfig()
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a mapping")
     _check_keys(data, {"duration": (str, int, float), "samples": int, "amplitudes": bool}, where)
@@ -373,8 +369,9 @@ def parse_config(data: Any, where: str = "config") -> Config:
         workers=workers,
         network=parse_network(data["network"]) if "network" in data else None,
         protocol=parse_protocol(data["protocol"]) if "protocol" in data else None,
-        disorder=parse_disorder(data.get("disorder")),
-        run=parse_run(data.get("run")),
+        # a null section (`disorder: null`) takes its defaults, as a missing one does
+        disorder=parse_disorder(data.get("disorder") or {}),
+        run=parse_run(data.get("run") or {}),
         sweep=parse_sweep(data["sweep"]) if "sweep" in data else None,
         phase_scan=parse_phase_scan(data["phase_scan"]) if "phase_scan" in data else None,
     )

@@ -27,7 +27,7 @@ import multiprocessing
 import os
 import sys
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, ClassVar, Iterator, Sequence
+from typing import Any, Callable, ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -469,55 +469,31 @@ def phase_scan_cells(scan: PhaseScanConfig, master_seed: int) -> list[PhaseScanC
 # --- threshold contour ------------------------------------------------------
 
 def threshold_contour(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    values: Sequence[Sequence[float]],
-    level: float = 0.9,
+    grid: Mapping[tuple[int, float], float], level: float,
 ) -> list[tuple[float, float, float, float]]:
-    """Marching-squares segments of the level set over the cell grid.
+    """Marching-squares segments of the level set over a ``{(size, e): mean}`` grid.
 
-    ``values[iy][ix]`` sits at (xs[ix], ys[iy]). Crossings are placed at
-    edge midpoints - cell resolution, no subcell interpolation. Returns
-    (x1, y1, x2, y2) segments.
+    The grid is walked in sorted axis order; a grid point is hot when its
+    mean is at or above ``level``, and crossings sit at edge midpoints (cell
+    resolution, no subcell interpolation). In each cell a segment runs from
+    every edge where the counterclockwise boundary crosses from cold into hot
+    to the next crossed edge: counterclockwise, or clockwise when the cell
+    mean is at or above the level, so that a saddle joins its two hot corners
+    through a hot centre. Returns (x1, y1, x2, y2) segments.
     """
+    xs = sorted({x for x, _ in grid})
+    ys = sorted({y for _, y in grid})
     segments: list[tuple[float, float, float, float]] = []
-    for iy in range(len(ys) - 1):
-        for ix in range(len(xs) - 1):
-            corners = (
-                values[iy][ix] >= level,        # bottom-left
-                values[iy][ix + 1] >= level,    # bottom-right
-                values[iy + 1][ix + 1] >= level,  # top-right
-                values[iy + 1][ix] >= level,    # top-left
-            )
-            case = sum(1 << k for k, hot in enumerate(corners) if hot)
-            if case in (0, 15):
-                continue
-            x_mid = (xs[ix] + xs[ix + 1]) / 2.0
-            y_mid = (ys[iy] + ys[iy + 1]) / 2.0
-            bottom = (x_mid, ys[iy])
-            right = (xs[ix + 1], y_mid)
-            top = (x_mid, ys[iy + 1])
-            left = (xs[ix], y_mid)
-            edges = {
-                1: (left, bottom), 2: (bottom, right), 3: (left, right),
-                4: (right, top), 6: (bottom, top), 7: (left, top),
-                8: (top, left), 9: (top, bottom), 11: (top, right),
-                12: (right, left), 13: (right, bottom), 14: (bottom, left),
-            }
-            if case in (5, 10):
-                center_hot = (
-                    values[iy][ix] + values[iy][ix + 1]
-                    + values[iy + 1][ix] + values[iy + 1][ix + 1]
-                ) / 4.0 >= level
-                if case == 5:
-                    pairs = [(left, top), (right, bottom)] if center_hot else [
-                        (left, bottom), (right, top)]
-                else:
-                    pairs = [(bottom, right), (top, left)] if center_hot else [
-                        (bottom, left), (top, right)]
-                for a, b in pairs:
-                    segments.append((a[0], a[1], b[0], b[1]))
-            else:
-                a, b = edges[case]
-                segments.append((a[0], a[1], b[0], b[1]))
+    for y0, y1 in zip(ys, ys[1:]):
+        for x0, x1 in zip(xs, xs[1:]):
+            # corners counterclockwise from bottom-left; edge k joins corner k to corner k + 1
+            bl, br, tr, tl = grid[x0, y0], grid[x1, y0], grid[x1, y1], grid[x0, y1]
+            hot = [v >= level for v in (bl, br, tr, tl)]
+            x_mid, y_mid = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+            edges = [(x_mid, y0), (x1, y_mid), (x_mid, y1), (x0, y_mid)]
+            crossed = [k for k in range(4) if hot[k] != hot[(k + 1) % 4]]
+            step = -1 if (bl + br + tl + tr) / 4.0 >= level else 1
+            for i, k in enumerate(crossed):
+                if hot[(k + 1) % 4]:
+                    segments.append((*edges[k], *edges[crossed[(i + step) % len(crossed)]]))
     return segments

@@ -30,6 +30,21 @@ def run_cli(*args):
     return cli.main([str(a) for a in args])
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of every pool a test starts; a real pool of 2 starts on any machine."""
+    sizes = []
+    real_pool = sweep.multiprocessing.Pool
+
+    def pool(processes):
+        sizes.append(processes)
+        return real_pool(processes=processes)
+
+    monkeypatch.setattr(sweep.multiprocessing, "Pool", pool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
+    return sizes
+
+
 # --- build ------------------------------------------------------------------
 
 def test_build_two_chain_network(tmp_path, capsys):
@@ -288,6 +303,13 @@ def test_phase_scan_rejects_non_finite_or_negative_disorder(tmp_path, capsys, fi
     data = {"phase_scan": {"n": 6, "thetas_deg": [90.0], "realizations": 2,
                            "settings": [{"kind": "none"}, setting]}}
     assert_config_error_writes_nothing(tmp_path, capsys, "phase-scan", data, message)
+
+
+def test_a_null_phase_scan_setting_runs_no_cell(tmp_path, capsys):
+    data = {"phase_scan": {"n": 6, "thetas_deg": [90.0], "realizations": 2,
+                           "settings": [None, {"kind": "diagonal", "strength": 0.05}]}}
+    assert_config_error_writes_nothing(tmp_path, capsys, "phase-scan", data,
+                                       "phase_scan.settings[1]: expected a mapping")
 
 
 @pytest.mark.parametrize("command, data, message", [
@@ -550,13 +572,32 @@ def test_sweep_contour_walks_the_axes_in_order(tmp_path):
     assert [(int(r["size"]), float(r["e"])) for r in rows[:3]] == [(10, 1.0), (10, 0.0),
                                                                      (10, 0.5)]  # config order
     grid = {(int(r["size"]), float(r["e"])): float(r["mean"]) for r in rows}
-    xs, ys = [6, 8, 10], [0.0, 0.5, 1.0]
-    expected = sweep.threshold_contour(xs, ys, [[grid[(x, y)] for x in xs] for y in ys],
-                                       cli.CONTOUR_LEVEL)
+    expected = sweep.threshold_contour(grid, cli.CONTOUR_LEVEL)
     assert expected  # the level crosses the grid
     contour = [tuple(float(r[k]) for k in ("size_1", "e_1", "size_2", "e_2"))
                for r in read_csv(out / "contour.csv")]
     assert contour == expected
+
+
+def test_an_m_values_sweep_runs_the_same_on_a_pool(tmp_path, pool_sizes):
+    data = {"protocol": {"name": "router", "m": 2}, "seed": 5,
+            "sweep": {"m_values": [2, 3, 5], "e_values": [0.0, 0.1],
+                      "kinds": ["diagonal", "off_diagonal"], "realizations": 6}}
+    cfg = write_config(tmp_path, data)
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert run_cli("sweep", "--config", cfg, "--out", serial, "--workers", 1) == 0
+    assert run_cli("sweep", "--config", cfg, "--out", pooled, "--workers", 2) == 0
+    assert pool_sizes == [2]
+    for name in ("heatmap.csv", "contour.csv"):
+        assert (pooled / name).read_bytes() == (serial / name).read_bytes()
+    rows = read_csv(serial / "heatmap.csv")
+    assert [(r["kind"], int(r["size"])) for r in rows[::2]] == [
+        (kind, m) for kind in ("diagonal", "off_diagonal") for m in (2, 3, 5)]
+    for row in rows:
+        if float(row["e"]) == 0.0:  # a clean m-chain router routes exactly
+            assert (float(row["mean"]), float(row["std"])) == (1.0, 0.0)
+        else:
+            assert 0.0 < float(row["mean"]) < 1.0
 
 
 @pytest.mark.parametrize("key, values", [
@@ -652,6 +693,22 @@ def test_replay_rejects_a_config_that_is_not_a_mapping(tmp_path, capsys, config)
     assert not (tmp_path / "replayed").exists()
 
 
+@pytest.mark.parametrize("under_it", [False, True])
+def test_an_out_that_cannot_be_a_directory_is_a_config_error(tmp_path, capsys, under_it):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("kept\n")
+    out = blocker / "out" if under_it else blocker
+    cfg = write_config(tmp_path, {"network": {"chains": [{"length": 3}]}})
+    assert run_cli("build", "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err.startswith(f"config error: --out {out}: ")
+    recorded = tmp_path / "recorded"
+    assert run_cli("build", "--config", cfg, "--out", recorded) == 0
+    capsys.readouterr()
+    assert run_cli("replay", recorded / "meta.json", "--out", out) == 2
+    assert capsys.readouterr().err.startswith(f"config error: --out {out}: ")
+    assert blocker.read_text() == "kept\n"
+
+
 def tree(root):
     """Every file under ``root``, relative to it."""
     return sorted(os.path.relpath(os.path.join(path, name), root)
@@ -738,21 +795,12 @@ def scan_config(**settings_2):
     return dict(POOLED_SCAN_CONFIG, phase_scan=scan)
 
 
-def test_phase_scan_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys):
-    sizes = []
-    real_pool = sweep.multiprocessing.Pool
-
-    def pool(processes):
-        sizes.append(processes)
-        return real_pool(processes=processes)
-
-    monkeypatch.setattr(sweep.multiprocessing, "Pool", pool)
-    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)  # a real pool of 2 on any machine
+def test_phase_scan_does_not_depend_on_the_worker_count(tmp_path, pool_sizes, capsys):
     cfg = write_config(tmp_path, POOLED_SCAN_CONFIG)
     serial, pooled = tmp_path / "serial", tmp_path / "pooled"
     assert run_cli("phase-scan", "--config", cfg, "--out", serial, "--workers", 1) == 0
     assert run_cli("phase-scan", "--config", cfg, "--out", pooled, "--workers", 2) == 0
-    assert sizes == [2]
+    assert pool_sizes == [2]
     assert (pooled / "phase_scan.csv").read_bytes() == (serial / "phase_scan.csv").read_bytes()
     for name in ("setting_00000.json", "setting_00001.json", "setting_00002.json"):
         assert ((pooled / "checkpoints" / name).read_bytes()

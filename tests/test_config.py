@@ -174,6 +174,13 @@ def test_null_sections_take_their_defaults():
         parse_config({"sweep": None})
 
 
+@pytest.mark.parametrize("entry", [None, "diagonal", 0.05, ["diagonal", 0.05]])
+def test_a_phase_scan_setting_is_a_mapping(entry):
+    settings = [{"kind": "diagonal", "strength": 0.05}, entry]
+    with pytest.raises(ConfigError, match=re.escape("phase_scan.settings[2]: expected a mapping")):
+        parse_config({"phase_scan": {"n": 8, "settings": settings}})
+
+
 def test_disorder_validation():
     with pytest.raises(ConfigError, match="kind"):
         parse_config({"disorder": {"kind": "white-noise"}})

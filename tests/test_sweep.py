@@ -27,6 +27,7 @@ from spinnet.sweep import (
     run_cells,
     split_plan,
     sweep_cells,
+    threshold_contour,
 )
 
 from test_protocols import ALL_PROTOCOLS
@@ -398,3 +399,75 @@ def test_a_phase_scan_fingerprint_covers_every_field(field, value):
     other = dataclasses.replace(cell, **{field: value})
     assert fingerprint(other) != fingerprint(cell)
     assert fingerprint(cell)["thetas_deg"] == [0.0, 135.0]  # as JSON reads it back
+
+
+# --- threshold contour -----------------------------------------------------------
+
+# one cell over sizes (0, 2) and E (0, 2): the edge midpoints where a crossing sits
+BOTTOM, RIGHT, TOP, LEFT = (1.0, 0.0), (2.0, 1.0), (1.0, 2.0), (0.0, 1.0)
+
+
+def one_cell(hot, values=(0.0, 1.0)):
+    """The grid of one cell whose hot corners (BL, BR, TR, TL) are ``hot``."""
+    cold_value, hot_value = values
+    corners = ((0, 0.0), (2, 0.0), (2, 2.0), (0, 2.0))
+    return {corner: hot_value if is_hot else cold_value for corner, is_hot in zip(corners, hot)}
+
+
+def segments(*pairs):
+    return [(*a, *b) for a, b in pairs]
+
+
+@pytest.mark.parametrize("hot, expected", [
+    ((0, 0, 0, 0), []),
+    ((1, 0, 0, 0), [(LEFT, BOTTOM)]),
+    ((0, 1, 0, 0), [(BOTTOM, RIGHT)]),
+    ((1, 1, 0, 0), [(LEFT, RIGHT)]),
+    ((0, 0, 1, 0), [(RIGHT, TOP)]),
+    ((1, 0, 1, 0), [(RIGHT, TOP), (LEFT, BOTTOM)]),  # saddle, cold centre: two hot corners
+    ((0, 1, 1, 0), [(BOTTOM, TOP)]),
+    ((1, 1, 1, 0), [(LEFT, TOP)]),
+    ((0, 0, 0, 1), [(TOP, LEFT)]),
+    ((1, 0, 0, 1), [(TOP, BOTTOM)]),
+    ((0, 1, 0, 1), [(BOTTOM, RIGHT), (TOP, LEFT)]),  # saddle, cold centre: two hot corners
+    ((1, 1, 0, 1), [(TOP, RIGHT)]),
+    ((0, 0, 1, 1), [(RIGHT, LEFT)]),
+    ((1, 0, 1, 1), [(RIGHT, BOTTOM)]),
+    ((0, 1, 1, 1), [(BOTTOM, LEFT)]),
+    ((1, 1, 1, 1), []),
+])
+def test_each_corner_pattern_of_one_cell(hot, expected):
+    assert threshold_contour(one_cell(hot), 0.9) == segments(*expected)
+
+
+@pytest.mark.parametrize("hot, cold_centre, hot_centre", [
+    pytest.param((1, 0, 1, 0), [(RIGHT, TOP), (LEFT, BOTTOM)], [(RIGHT, BOTTOM), (LEFT, TOP)],
+                 id="bottom-left-and-top-right"),
+    pytest.param((0, 1, 0, 1), [(BOTTOM, RIGHT), (TOP, LEFT)], [(BOTTOM, LEFT), (TOP, RIGHT)],
+                 id="bottom-right-and-top-left"),
+])
+def test_a_saddle_joins_its_hot_corners_only_through_a_hot_centre(hot, cold_centre,
+                                                                  hot_centre):
+    # the cell mean is 0.875 and 0.925: the same corner pattern either side of the level
+    assert threshold_contour(one_cell(hot, (0.8, 0.95)), 0.9) == segments(*cold_centre)
+    assert threshold_contour(one_cell(hot, (0.85, 1.0)), 0.9) == segments(*hot_centre)
+
+
+def test_a_corner_at_the_level_is_hot():
+    assert threshold_contour(one_cell((1, 0, 0, 0), (0.0, 0.9)), 0.9) == segments(
+        (LEFT, BOTTOM))
+    assert threshold_contour(one_cell((1, 1, 1, 1), (0.0, 0.9)), 0.9) == []
+
+
+def test_the_contour_walks_an_unsorted_grid_in_axis_order():
+    # hot where both the size and E are small; listed in neither axis order
+    means = {(10, 1.0): 0.0, (6, 0.0): 1.0, (8, 1.0): 0.0, (10, 0.0): 0.0, (6, 1.0): 1.0,
+             (8, 0.0): 1.0}
+    expected = [(7.0, 1.0, 8, 0.5), (8, 0.5, 9.0, 0.0)]
+    assert threshold_contour(means, 0.9) == expected
+    assert threshold_contour(dict(sorted(means.items())), 0.9) == expected
+
+
+def test_a_grid_of_one_row_or_column_has_no_contour():
+    assert threshold_contour({(6, 0.0): 1.0, (8, 0.0): 0.0, (10, 0.0): 1.0}, 0.9) == []
+    assert threshold_contour({(6, 0.0): 1.0, (6, 0.5): 0.0}, 0.9) == []
