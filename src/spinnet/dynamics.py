@@ -184,20 +184,25 @@ def kick_site(amplitudes: np.ndarray, site: int, angle: float | Sequence[float])
     e^{i angle}, in place: the one kick of :func:`propagate`. ``angle`` is
     one angle, or one angle per entry of the leading axis.
 
-    One scalar Python complex product per state: numpy's vector loop rounds
-    differently for a strided column of two or more states than for one,
-    which would tie a state's last bits to the size of its stack.
+    The product is spelled out in real multiplies and adds, each rounded
+    once, as Python's scalar complex product rounds it: numpy's complex
+    multiply rounds differently for a strided column of two or more states
+    than for one, which would tie a state's last bits to the size of its
+    stack. The phase comes from ``math.cos`` and ``math.sin`` of each angle.
     """
     column = amplitudes[..., site]
-    angles = np.atleast_1d(angle)
     if np.ndim(angle) == 0:
-        column = column[np.newaxis]
-    elif column.shape[:1] != angles.shape:
-        raise ValueError(f"{len(angles)} kick angles for the leading axis of {amplitudes.shape}")
-    for k, a in enumerate(angles.tolist()):
-        phase = complex(math.cos(a), math.sin(a))
-        part = column[k, ...]  # a view even when it holds one state
-        part.flat = [z * phase for z in part.reshape(-1).tolist()]
+        cos, sin = math.cos(angle), math.sin(angle)
+    else:
+        angles = np.asarray(angle, dtype=float).tolist()
+        if column.shape[:1] != (len(angles),):
+            raise ValueError(f"{len(angles)} kick angles for the leading axis of "
+                             f"{amplitudes.shape}")
+        shape = (len(angles),) + (1,) * (column.ndim - 1)
+        cos = np.array([math.cos(a) for a in angles]).reshape(shape)
+        sin = np.array([math.sin(a) for a in angles]).reshape(shape)
+    re, im = column.real, column.imag
+    column.real, column.imag = re * cos - im * sin, re * sin + im * cos
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ Two operators evolve states, and ``dynamics.propagate`` takes either:
   decompose once, then :func:`evolve` to any time at O(N^2) per state. A
   stack along leading axes is decomposed in one call, and many states per
   matrix evolve in one call too. The decomposition itself costs O(N^3), and
-  its rounding depends on the LAPACK build. ``spinnet run`` and the phase
-  scan propagate this way, on the complex matrix of ``to_matrix()``.
+  its rounding depends on the LAPACK build. Its arrays are LAPACK's own,
+  frozen in place, and V† is formed once per decomposition, not per call.
+  ``spinnet run`` and the phase scan propagate this way, on the complex
+  matrix of ``to_matrix()``.
 - :class:`BandOperator` from :func:`band_operator`, a stack of real
   symmetric Hamiltonians held as their nonzero diagonals, each with its own
   Gershgorin spectral interval. :func:`chebyshev_evolve` expands
@@ -33,6 +35,7 @@ bits at any alignment and SIMD width.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass
@@ -41,12 +44,22 @@ import numpy as np
 
 HERMITICITY_ATOL = 1e-12
 
-# Array entries per block of work: the states of a sweep's band block, the
-# matrices of a phase scan's dense stack, or the states of one phase-probe
-# evolve call. 2^14 entries are 128 KiB real, 256 KiB complex, so a block
-# stays within a few percent of a worker's peak memory whatever the size of
-# the run.
+# Array entries per block of work: the 2N per realization of a disorder draw
+# block and of a sweep's band states, the N^2 per matrix of a phase scan's
+# dense stack, or the states of one phase-probe evolve call. 2^14 entries are
+# 128 KiB real, 256 KiB complex, so a block stays within a few percent of a
+# worker's peak memory whatever the size of the run.
 BLOCK_ENTRIES = 1 << 14
+
+# glibc's malloc hands a freed chunk above its mmap threshold back to the
+# kernel, and trims the top of the heap once more than its trim threshold
+# is free there; both thresholds start at 128 KiB. A block's work arrays are
+# about that size, so every block would unmap or trim them and fault them in
+# again, page by page. Chunks up to 16 complex blocks stay on the heap, and
+# the heap keeps up to 16 times that free at its top.
+MMAP_THRESHOLD = 16 * BLOCK_ENTRIES * 16  # 4 MiB
+TRIM_THRESHOLD = 16 * MMAP_THRESHOLD  # 64 MiB
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
 
 # A Chebyshev coefficient 2 J_k below the unit roundoff no longer changes a
 # unit-norm state; the series stops at the last order above it.
@@ -64,6 +77,23 @@ class InvariantViolation(RuntimeError):
     """A numerical invariant (hermiticity, norm conservation, ...) was broken."""
 
 
+@functools.lru_cache(maxsize=1)
+def keep_heap() -> bool:
+    """Raise glibc's trim and mmap thresholds to TRIM_THRESHOLD and
+    MMAP_THRESHOLD for this process, once; True when both took effect.
+
+    Without ``mallopt`` in the process's C library (as on macOS or Windows)
+    this does nothing and returns False.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt  # the symbols the process has loaded
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+                & mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD))
+
+
 def frozen_array(a: np.ndarray) -> np.ndarray:
     """A contiguous, read-only array with the values of ``a``.
 
@@ -78,10 +108,12 @@ def frozen_array(a: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(h: np.ndarray) -> float:
-    """Largest absolute entry of h - h† over every matrix of a stack."""
+    """Largest absolute entry of h - h† over every matrix of a stack; nan
+    or inf when an entry is not finite."""
     if h.size == 0:
         return 0.0
-    return float(np.max(np.abs(h - np.swapaxes(h, -1, -2).conj())))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return float(np.max(np.abs(h - np.swapaxes(h, -1, -2).conj())))
 
 
 @dataclass(frozen=True)
@@ -98,6 +130,13 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    @functools.cached_property
+    def adjoint(self) -> np.ndarray:
+        """V†, formed once. It keeps the layout of
+        ``eigenvectors.swapaxes(-1, -2).conj()``, a transposed view or its
+        Fortran-ordered copy, on which :func:`evolve`'s rounding depends."""
+        return self.eigenvectors.swapaxes(-1, -2).conj()
+
 
 def eigh(h: np.ndarray) -> SpectralDecomposition:
     """Decompose a dense Hermitian matrix, or a stack of them.
@@ -105,18 +144,26 @@ def eigh(h: np.ndarray) -> SpectralDecomposition:
     The decomposition keeps the input's kind: real symmetric input gives a
     real one, complex input a complex one. Rejects input whose worst
     asymmetry over the stack exceeds ``HERMITICITY_ATOL``, reporting that
-    magnitude.
+    magnitude, and input with an entry that is not finite, naming it. The
+    arrays are LAPACK's own, frozen in place.
     """
     h = np.asarray(h)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {h.shape}")
     defect = hermiticity_defect(h)
-    if defect > HERMITICITY_ATOL:
+    if not defect <= HERMITICITY_ATOL:  # a nan defect, from a nan or inf entry, fails too
+        bad = np.argwhere(~np.isfinite(h))
+        if len(bad):
+            index = tuple(bad[0].tolist())
+            raise InvariantViolation(f"matrix entry {index} is {h[index]}, not finite")
         raise InvariantViolation(
             f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {HERMITICITY_ATOL:.1e}"
         )
     w, v = np.linalg.eigh(h)
-    return SpectralDecomposition(frozen_array(w), frozen_array(v))
+    v = np.ascontiguousarray(v)  # evolve's rounding expects C order, numpy's own
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return SpectralDecomposition(w, v)
 
 
 def evolve(decomp: SpectralDecomposition, psi0: np.ndarray, t: float) -> np.ndarray:
@@ -136,10 +183,9 @@ def evolve(decomp: SpectralDecomposition, psi0: np.ndarray, t: float) -> np.ndar
         raise ValueError(
             f"state has shape {psi0.shape}, expected {shape} after any leading axes"
         )
-    v = decomp.eigenvectors
     phases = np.exp(-1j * decomp.eigenvalues * t)
-    coefficients = (v.swapaxes(-1, -2).conj() @ psi0[..., None])[..., 0]
-    return (v @ (phases * coefficients)[..., None])[..., 0]
+    coefficients = (decomp.adjoint @ psi0[..., None])[..., 0]
+    return (decomp.eigenvectors @ (phases * coefficients)[..., None])[..., 0]
 
 
 @dataclass(frozen=True)

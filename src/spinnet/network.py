@@ -135,6 +135,15 @@ class CouplingGraph:
             raise ValueError(f"edges need 0 <= row < col < {n}")
         if np.any(np.diff(rows * n + cols) <= 0):
             raise ValueError("edges must be distinct and sorted by site pair")
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"coupling of edge ({rows[k] + 1}, {cols[k] + 1}) is "
+                             f"{self.values[k]}, not finite")
+        bad = np.flatnonzero(~np.isfinite(self.onsite))
+        if bad.size:
+            raise ValueError(f"on-site energy of site {bad[0] + 1} is {self.onsite[bad[0]]}, "
+                             "not finite")
 
     def coupling(self, i: int, j: int) -> float:
         if i == j:

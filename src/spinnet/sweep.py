@@ -6,14 +6,15 @@ at every scanned angle. Realization k of cell c draws from the stream
 (master seed, c * K + k), so the numbers cannot depend on how cells are
 distributed over workers. Both kinds of cell draw their realizations from
 one block generator, :func:`hamiltonian_blocks`, one stack of edge arrays
-per block, sized by what the consumer keeps per realization. A sweep holds
+per block, sized at the 2N entries of a state per realization. A sweep holds
 its stack as band diagonals and propagates it by a Chebyshev series, at
 O(N) per term and diagonal and in elementwise real arithmetic, so its
 numbers do not depend on the BLAS/LAPACK build. Where it saves series, it
 propagates only the amplitudes its merit reads, through the last kick
 (:class:`SplitPlan`), instead of the whole state. A phase scan assembles
-and decomposes its stack as complex. A realization's value does not depend on
-the block it lands in either. :func:`run_cells` runs either kind of cell,
+and decomposes its block as complex, in dense stacks of at most
+BLOCK_ENTRIES entries at N^2 per device. A realization's value does not
+depend on the block or stack it lands in either. :func:`run_cells` runs either kind of cell,
 in process or on a clamped pool, checkpoints each completed cell to disk
 (write-temp-then-rename) together with a fingerprint of its configuration,
 and skips it on resume only when that fingerprint matches.
@@ -36,7 +37,7 @@ from .config import (ConfigError, PhaseScanConfig, SweepConfig, mirror_tokens,
                      parse_time_expression)
 from .disorder import DisorderSpec, perturb, stream_draws
 from .dynamics import propagate, schedule_kicks
-from .linalg import BLOCK_ENTRIES, BandOperator, band_operator, eigh
+from .linalg import BLOCK_ENTRIES, BandOperator, band_operator, eigh, keep_heap
 from .network import CouplingGraph
 from .observables import EnsembleAccumulator, ensemble_average
 from .protocols import (FigureOfMerit, ProtocolResult, build_protocol, probe_estimates,
@@ -44,24 +45,22 @@ from .protocols import (FigureOfMerit, ProtocolResult, build_protocol, probe_est
 
 def hamiltonian_blocks(
     graph: CouplingGraph, disorder_spec: DisorderSpec, realizations: int, master_seed: int,
-    stream_base: int, footprint: int,
+    stream_base: int,
 ) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
     """The disorder realizations of ``graph``, as (streams, values, onsite)
     per block.
 
     Realization k draws from stream ``stream_base + k``. A block holds the
-    streams of at most BLOCK_ENTRIES entries at ``footprint`` entries per
-    realization: 2N, two real vectors (one complex state, or a split's psi
-    and phi), for a sweep's band (585 realizations at N = 14, 58 at
-    N = 140); N^2, the dense stack of a phase scan (83 at N = 14, one from
-    N = 91 on).
+    streams of at most BLOCK_ENTRIES entries at 2N entries per realization,
+    two real vectors (one complex state, or a split's psi and phi): 585
+    realizations at N = 14, 163 at N = 50, 58 at N = 140.
     ``values`` and ``onsite`` are the block's couplings and site energies,
     perturbed as :func:`~spinnet.disorder.sample_disorder` does for one
     stream, bit for bit; the array that the spec leaves alone is the graph's
     own, without a block axis. A clean spec yields one realization, the bare graph.
     """
     runs = min(realizations, 1) if disorder_spec.clean else realizations
-    block = max(1, BLOCK_ENTRIES // footprint)
+    block = max(1, BLOCK_ENTRIES // (2 * graph.n_sites))
     for first in range(stream_base, stream_base + runs, block):
         streams = range(first, min(first + block, stream_base + runs))
         if disorder_spec.clean:
@@ -101,7 +100,7 @@ def ensemble_merit(
         plan = None
     merits: list[float] = []
     for streams, values, onsite in hamiltonian_blocks(graph, disorder_spec, realizations,
-                                                      master_seed, stream_base, 2 * n):
+                                                      master_seed, stream_base):
         operator = band_operator(graph.rows, graph.cols, values, onsite)
         if plan is None:
             amplitudes = np.zeros((len(streams), n), dtype=complex)
@@ -297,7 +296,10 @@ def fingerprint(cell: SweepCell | PhaseScanCell) -> dict[str, Any]:
 
 def run_cell(cell: SweepCell | PhaseScanCell) -> dict[str, Any]:
     """The one runner of :func:`run_cells`, in process and on the pool (which
-    pickles it by name)."""
+    pickles it by name). It first keeps freed block arrays on the process's
+    heap (:func:`~spinnet.linalg.keep_heap`), once per process, however the
+    pool starts its workers."""
+    keep_heap()
     return cell.run()
 
 
@@ -394,23 +396,31 @@ def phase_scan_setting(
 ) -> list[tuple[float, float, float]]:
     """(mean, std, std of mean) of the estimate per scanned angle.
 
-    One disorder realization is one device, probed at every angle. Devices
-    run in the blocks of :func:`hamiltonian_blocks`, one eigensolve and one
-    probe of all devices per block. Estimates are unwrapped onto the branch
-    around the true angle before averaging, so means near 0/360 do not
-    smear across the seam. A clean spec probes one device.
+    One disorder realization is one device, probed at every angle. Each
+    block of :func:`hamiltonian_blocks` runs as dense stacks of at most
+    BLOCK_ENTRIES // N^2 devices (6 at N = 50, one from N = 91 on), one
+    eigensolve and one probe of all devices per stack. Estimates are
+    unwrapped onto the branch around the true angle before averaging, so
+    means near 0/360 do not smear across the seam. A clean spec probes one
+    device.
     """
     graph = build_protocol("phase-sense", {"n": n_total}).graph()
     per_angle: list[list[float]] = [[] for _ in thetas_deg]
+    per_stack = max(1, BLOCK_ENTRIES // n_total ** 2)
     for streams, values, onsite in hamiltonian_blocks(graph, disorder_spec, realizations,
-                                                      master_seed, stream_base, n_total ** 2):
-        # complex, as one device's to_matrix(), so every estimate keeps its bits
-        # (and bench/reference/ its rows): a device on the unwrap branch cut
-        # (README, "Reproducibility") flips sides on a last-bit change
-        h = graph.assemble(values, onsite).astype(complex)
-        for estimates in probe_estimates(eigh(h), thetas_deg, streams):
-            for slot, theta, est in zip(per_angle, thetas_deg, estimates):
-                slot.append(unwrap_to_branch(est, theta))
+                                                      master_seed, stream_base):
+        # the array the spec leaves alone has no block axis until it is given one
+        values, onsite = (np.broadcast_to(a, (len(streams), a.shape[-1]))
+                          for a in (values, onsite))
+        for first in range(0, len(streams), per_stack):
+            stack = slice(first, first + per_stack)
+            # complex, as one device's to_matrix(), so every estimate keeps its bits
+            # (and bench/reference/ its rows): a device on the unwrap branch cut
+            # (README, "Reproducibility") flips sides on a last-bit change
+            h = graph.assemble(values[stack], onsite[stack]).astype(complex)
+            for estimates in probe_estimates(eigh(h), thetas_deg, streams[stack]):
+                for slot, theta, est in zip(per_angle, thetas_deg, estimates):
+                    slot.append(unwrap_to_branch(est, theta))
     stats = [ensemble_average(values) for values in per_angle]
     return [(mean % 360.0, std, std_of_mean) for mean, std, std_of_mean in stats]
 

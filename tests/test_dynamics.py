@@ -14,6 +14,7 @@ from spinnet.network import ChainSpec, NetworkSpec, chain_graph, mirror_time, ne
 from spinnet.dynamics import (
     Protocol,
     PureState,
+    kick_site,
     phase_kick,
     propagate,
     replace_samples,
@@ -85,6 +86,38 @@ def test_kick_only_touches_one_site(rng):
             assert out[index] == psi.amplitudes[index]
     assert abs(np.linalg.norm(out) - np.linalg.norm(psi.amplitudes)) < 1e-15
     assert np.array_equal(psi.amplitudes, before)  # the input is left alone
+
+
+@st.composite
+def kicked_columns(draw):
+    """A C-ordered complex stack, (n,) or (probes, devices, n), whose column
+    at a site is strided, with one kick angle, or one per probe."""
+    n = draw(st.integers(1, 7))
+    shape = draw(st.sampled_from([(), (1, 1), (draw(st.integers(1, 6)), draw(st.integers(1, 4)))]))
+    parts = st.floats(-2.0, 2.0, allow_subnormal=True)  # amplitudes are at most 1 in modulus
+    size = 2 * math.prod(shape) * n
+    amplitudes = np.array(draw(st.lists(parts, min_size=size, max_size=size)))
+    amplitudes = amplitudes.view(complex).reshape(shape + (n,))
+    angle = st.floats(-4.0 * math.pi, 4.0 * math.pi)
+    many = bool(shape) and draw(st.booleans())
+    angles = draw(st.lists(angle, min_size=shape[0], max_size=shape[0])) if many else draw(angle)
+    return amplitudes, draw(st.integers(0, n - 1)), angles
+
+
+@settings(max_examples=200, deadline=None)
+@given(kicked_columns())
+def test_a_kick_rounds_as_the_scalar_complex_product(kicked):
+    """The vectorised kick gives each state the bits of Python's scalar
+    z * complex(cos a, sin a), whatever the stack around it."""
+    amplitudes, site, angles = kicked
+    before = amplitudes.copy()
+    kick_site(amplitudes, site, angles)
+    expected = before.copy()
+    for index in np.ndindex(amplitudes.shape[:-1]):
+        a = angles[index[0]] if isinstance(angles, list) else angles
+        expected[index + (site,)] = complex(before[index + (site,)]) * complex(math.cos(a),
+                                                                                math.sin(a))
+    assert amplitudes.tobytes() == expected.tobytes()
 
 
 # --- schedule validation --------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,27 @@ def test_non_hermitian_rejected_with_diagnostic():
     bad = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]])
     with pytest.raises(InvariantViolation, match="asymmetry"):
         eigh(bad)
+
+
+@pytest.mark.parametrize("h, entry, bad", [
+    ([[np.nan, 1.0], [1.0, 0.0]], "(0, 0)", "nan"),  # passed the gate, as nan > atol is False
+    ([[0.0, np.inf], [np.inf, 0.0]], "(0, 1)", "inf"),  # symmetric: inf - inf is nan
+    ([[0.0, 1.0], [-np.inf, 0.0]], "(1, 0)", "-inf"),
+    ([[[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, np.nan + 0j]]], "(1, 1, 1)", r"\(nan\+0j\)"),
+])
+def test_a_non_finite_entry_is_rejected_and_named(h, entry, bad):
+    with pytest.raises(InvariantViolation, match=rf"entry {re.escape(entry)} is {bad}, not finite"):
+        eigh(np.array(h))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_eigh_returns_read_only_c_ordered_arrays(rng, kind):
+    h = random_symmetric_stack(rng, 3, 6) if kind == "real" else random_hermitian(rng, 6)
+    decomp = eigh(h)
+    for array in (decomp.eigenvalues, decomp.eigenvectors):
+        assert array.flags.c_contiguous and not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0.0
 
 
 def test_non_square_rejected():
@@ -220,3 +242,29 @@ def test_a_mismatched_trailing_shape_is_rejected(rng, shape):
     decomp = eigh(random_symmetric_stack(rng, 5, 9))
     with pytest.raises(ValueError, match="expected \\(5, 9\\)"):
         evolve(decomp, np.zeros(shape), 1.0)
+
+
+def inline_evolve(decomp, psi0, t):
+    """:func:`evolve` with V† formed inline on every call, as before the
+    decomposition cached it: the reference for its bits."""
+    psi0 = np.ascontiguousarray(psi0, dtype=complex)
+    v = decomp.eigenvectors
+    phases = np.exp(-1j * decomp.eigenvalues * t)
+    coefficients = (v.swapaxes(-1, -2).conj() @ psi0[..., None])[..., 0]
+    return (v @ (phases * coefficients)[..., None])[..., 0]
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("devices", [(), (6,)])
+@pytest.mark.parametrize("lead", [(), (7,), (3, 2)])
+def test_evolve_through_the_cached_adjoint_keeps_the_inline_bits(rng, kind, devices, lead):
+    n = 50  # large enough for the matmul to run on BLAS
+    if kind == "real":
+        h = random_symmetric_stack(rng, 6, n)
+    else:
+        h = np.array([random_hermitian(rng, n) for _ in range(6)])
+    decomp = eigh(h if devices else h[0])
+    states = rng.normal(size=lead + devices + (n,)) + 1j * rng.normal(size=lead + devices + (n,))
+    for t in (0.9, 2.3):  # the second call reuses the adjoint the first formed
+        assert evolve(decomp, states, t).tobytes() == inline_evolve(decomp, states, t).tobytes()
+    assert decomp.adjoint is decomp.adjoint

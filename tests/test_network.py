@@ -208,6 +208,16 @@ def test_coupling_graph_rejects_malformed_edge_arrays(rows, cols, values, proble
         CouplingGraph(3, rows, cols, values, np.zeros(3))
 
 
+@pytest.mark.parametrize("values, onsite, problem", [
+    ([1.0, np.nan], [0.0, 0.0, 0.0], r"coupling of edge \(2, 3\) is nan"),
+    ([-np.inf, 1.0], [0.0, 0.0, 0.0], r"coupling of edge \(1, 2\) is -inf"),
+    ([1.0, 1.0], [0.0, 0.0, np.inf], "on-site energy of site 3 is inf"),
+])
+def test_coupling_graph_rejects_a_non_finite_entry(values, onsite, problem):
+    with pytest.raises(ValueError, match=problem):
+        CouplingGraph(3, [0, 1], [1, 2], values, onsite)
+
+
 def test_coupling_graph_arrays_are_read_only():
     graph = chain_graph(ChainSpec(4))
     for array in (graph.rows, graph.cols, graph.values, graph.onsite):
@@ -277,6 +287,15 @@ def test_edge_list_keeps_an_explicit_zero_coupling():
 def test_edge_list_rejects_a_repeated_pair():
     with pytest.raises(ValueError, match="distinct"):
         read_edge_list(io.StringIO("1 2 0.5\n2 1 0.5\n"))
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("1 2 nan\n", r"edge \(1, 2\) is nan"),
+    ("1 2 0.5\nsite 2 -inf\n", "site 2 is -inf"),
+])
+def test_edge_list_rejects_a_non_finite_value(text, problem):
+    with pytest.raises(ValueError, match=problem):
+        read_edge_list(io.StringIO(text))
 
 
 def test_edge_list_parse_error_reports_line():

@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -94,6 +98,43 @@ def test_pool_size_is_clamped(monkeypatch, capsys, cores, cells, workers, expect
             assert err == ""
 
 
+FAULT_PROBE = """
+import json, resource
+from spinnet import linalg, sweep
+thetas = tuple(float(t) for t in range(0, 360, 15))
+cells = {
+    "phase-scan": sweep.PhaseScanCell(2, 50, thetas, "off_diagonal", 0.1, 1000, 20230724, 2000),
+    "sweep-large": sweep.SweepCell(0, 140, 0.1, "diagonal", "router", {"n": 140}, "n", 1000,
+                                   20230724, 0, "auto", None, None),
+}
+faults = {"kept": linalg.keep_heap()}  # the call run_cell makes, cached
+for name, cell in cells.items():
+    sweep.run_cell(cell)  # the warm-up grows the heap to what the cell needs
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    sweep.run_cell(cell)
+    faults[name] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the heap thresholds are glibc's")
+def test_a_warm_cell_keeps_its_pages():
+    """run_cell keeps freed block arrays on the heap: run again, a benchmark
+    cell faults in few pages (about 45,000 and 4,700 with glibc's default
+    thresholds). A fresh interpreter, as the pytest process's own heap is
+    not the CLI's."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sweep.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    faults = json.loads(run.stdout.splitlines()[-1])
+    assert faults["kept"] is True
+    assert faults["phase-scan"] < 1000, faults
+    assert faults["sweep-large"] < 200, faults
+
+
 # --- block engine ---------------------------------------------------------------
 
 def loop_reference(result, spec, k, base, merit):
@@ -160,7 +201,7 @@ def test_the_split_matches_a_direct_propagate(case, kind):
     graph = result.graph()
     n = graph.n_sites
     spec = DisorderSpec(kind, 0.15)
-    [(streams, values, onsite)] = sweep.hamiltonian_blocks(graph, spec, 6, SEED, 40, 2 * n)
+    [(streams, values, onsite)] = sweep.hamiltonian_blocks(graph, spec, 6, SEED, 40)
     op = linalg.band_operator(graph.rows, graph.cols, values, onsite)
     start, kicks = schedule_kicks(result.protocol, n)
     direct = np.zeros((6, n), dtype=complex)
@@ -222,7 +263,7 @@ def test_clean_cell_repeats_one_realization(kind):
 @pytest.mark.parametrize("name, params, k", [
     ("ent-phase", {"n": 14}, 100),
     ("w-state", {"chain_length": 4}, 150),  # N = 12, a kick by arccos(-1/3)
-    ("phase-scan", {"n": 20}, 45),  # phase_scan_setting: 40, then 5
+    ("phase-scan", {"n": 20}, 45),  # phase_scan_setting: dense stacks of 40, then 5
 ])
 def test_values_do_not_depend_on_the_block_size(monkeypatch, kind, name, params, k):
     spec = DisorderSpec(kind, 0.2)
@@ -238,7 +279,7 @@ def test_values_do_not_depend_on_the_block_size(monkeypatch, kind, name, params,
         def values():
             return ensemble_merit(result, spec, k, SEED, stream_base=3).values
     default = values()
-    # one per block, an uneven split, all in one (a band block takes 2n per realization)
+    # one per block, an uneven split, all in one (a block takes 2n per realization)
     for entries in (1, 7 * n * n, k * n * n):
         monkeypatch.setattr(sweep, "BLOCK_ENTRIES", entries)
         assert values() == default
@@ -275,9 +316,9 @@ def test_a_sweep_decomposes_no_matrix(monkeypatch, kind, name, params):
 def test_block_realization_is_the_matrix_of_sample_disorder(kind):
     graph = build_protocol("router", {"n": 12}).graph()
     spec = DisorderSpec(kind, 0.2)
-    block = sweep.BLOCK_ENTRIES // 12 ** 2  # 113 realizations per block
+    block = sweep.BLOCK_ENTRIES // (2 * 12)  # 682 realizations per block
     stacks = [graph.assemble(values, onsite) for _, values, onsite
-              in sweep.hamiltonian_blocks(graph, spec, block + 2, SEED, 40, 12 ** 2)]
+              in sweep.hamiltonian_blocks(graph, spec, block + 2, SEED, 40)]
     assert [len(h) for h in stacks] == [block, 2]
     realizations = np.concatenate(stacks)
     for k in (0, block - 1, block, block + 1):  # both sides of the block boundary
@@ -373,6 +414,37 @@ def test_phase_scan_matches_the_per_device_loop(n, kind, e, k, base):
     spec = DisorderSpec(kind, e)
     assert (phase_scan_setting(n, thetas, spec, k, SEED, stream_base=base)
             == phase_scan_reference(n, thetas, spec, k, base))
+
+
+@pytest.mark.parametrize("kind, stacks", [
+    ("none", [1]),
+    # draw blocks of 16384 // 40 = 409 and 11 devices, dense stacks of at most 40
+    ("diagonal", [40] * 10 + [9, 11]),
+    ("off_diagonal", [40] * 10 + [9, 11]),
+])
+def test_every_phase_scan_device_lands_in_one_dense_stack(monkeypatch, kind, stacks):
+    n, k, base = 20, 420, 7
+    graph = build_protocol("phase-sense", {"n": n}).graph()
+    spec = DisorderSpec(kind, 0.0 if kind == "none" else 0.1)
+    matrices, streams = [], []
+
+    def recording_eigh(h):
+        matrices.append(h)
+        return linalg.eigh(h)
+
+    def recording_probe(decomp, thetas, stack_streams):
+        streams.append(list(stack_streams))
+        return [[0.0] * len(thetas) for _ in stack_streams]
+
+    monkeypatch.setattr(sweep, "eigh", recording_eigh)
+    monkeypatch.setattr(sweep, "probe_estimates", recording_probe)
+    phase_scan_setting(n, (0.0, 90.0), spec, k, SEED, stream_base=base)
+    assert [len(h) for h in matrices] == [len(s) for s in streams] == stacks
+    devices = [stream for stack in streams for stream in stack]
+    assert devices == list(range(base, base + len(devices)))
+    for stream, h in zip(devices, np.concatenate(matrices)):
+        device = sample_disorder(graph, spec, SeededRng(SEED, stream))
+        assert h.tobytes() == device.to_matrix().tobytes()
 
 
 def test_a_phase_scan_cell_is_one_setting():
