@@ -37,7 +37,7 @@ from .dynamics import replace_samples, run_decomposed
 from .linalg import InvariantViolation, eigh
 from .network import network_graph, write_edge_list
 from .observables import fidelity
-from .protocols import build_protocol, probe_estimates
+from .protocols import angle_offset, build_protocol, probe_estimates
 from .sweep import phase_scan_cells, run_cells, sweep_cells, threshold_contour
 
 EXIT_OK = 0
@@ -219,8 +219,7 @@ def cmd_run(cfg: Config, out: str, seed: int, workers: int) -> int:
     if result.name == "phase-sense":
         theta = float(cfg.protocol.params.get("theta_deg", 0.0)) % 360.0
         estimate = probe_estimates(decomp, [theta])[0][0]
-        error = abs(estimate - theta)
-        error = min(error, 360.0 - error)
+        error = abs(angle_offset(estimate, theta))
         print(f"true angle {theta:.6f} deg, retrieved {estimate:.6f} deg "
               f"(|error| = {error:.2e} deg)")
         extra.update(theta_true_deg=theta, theta_estimate_deg=estimate)
@@ -302,7 +301,7 @@ def cmd_phase_scan(cfg: Config, out: str, seed: int, workers: int) -> int:
     def progress(row: dict[str, Any]) -> None:
         nonlocal done
         done += 1
-        worst = max(abs((mean - theta + 180.0) % 360.0 - 180.0)
+        worst = max(abs(angle_offset(mean, theta))
                     for theta, (mean, _, _) in zip(thetas, row["stats"]))
         print(f"[{done}/{len(cells)}] {row['kind']} E={row['e']:g}: "
               f"max |mean - theta|={worst:.6f} deg", flush=True)

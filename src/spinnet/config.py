@@ -19,6 +19,7 @@ import yaml
 
 from .disorder import KINDS, SEED_LIMIT, DisorderSpec
 from .network import ChainSpec, NetworkSpec
+from .protocols import PROTOCOLS
 
 
 class ConfigError(Exception):
@@ -45,6 +46,9 @@ DEFAULT_THETAS_DEG = tuple(float(t) for t in range(0, 360, 15))
 # N = 200. `spinnet run` decomposes a dense complex N x N matrix: 16 MB at
 # N = 1000, and 144 MB for the 3000 sites of the largest m-chain router.
 MAX_SIZE = 1000
+# A sweep's `observe` is at most this many protocol durations: a draw block's
+# Bessel table grows with the time, and at this bound is 10-12 MB at N = 4 and 12.
+MAX_OBSERVE_DURATIONS = 100
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
@@ -134,33 +138,19 @@ class ProtocolConfig:
     params: dict[str, Any] = field(default_factory=dict)
 
 
-_PROTOCOL_PARAMS: dict[str, dict[str, type | tuple]] = {
-    "router": {"n": int, "m": int},
-    "ent-phase": {"n": int},
-    "ent-center": {"n": int},
-    "phase-sense": {"n": int, "theta_deg": _NUMBER},
-    "unequal-router": {"n_a": int, "n_b": int},
-    "unequal-ent": {"n_a": int, "n_b": int},
-    "w-state": {"chain_length": int},
-    "mws": {"chain_length": int, "with_flips": bool},
-    "mws-transfer": {},
-    "max-ent": {},
-}
-
-
 def parse_protocol(data: Any, where: str = "protocol") -> ProtocolConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a mapping with a 'name'")
     name = data.get("name")
     if not isinstance(name, str):
         raise ConfigError(f"{where}.name: protocol name required")
-    if name not in _PROTOCOL_PARAMS:
+    if name not in PROTOCOLS:
         raise ConfigError(
             f"{where}.name: unknown protocol {name!r}; "
-            f"available: {', '.join(sorted(_PROTOCOL_PARAMS))}"
+            f"available: {', '.join(sorted(PROTOCOLS))}"
         )
     allowed: dict[str, type | tuple] = {"name": str}
-    allowed.update(_PROTOCOL_PARAMS[name])
+    allowed.update(PROTOCOLS[name][1])
     _check_keys(data, allowed, where)
     params = {k: v for k, v in data.items() if k != "name"}
     for key, value in params.items():
@@ -280,7 +270,8 @@ def parse_sweep(data: Any, where: str = "sweep") -> SweepConfig:
 
 
 def _check_distinct(values: Any, where: str) -> None:
-    """A sweep axis is one grid line per value, so it lists each value once."""
+    """A sweep axis is one grid line per value, and a phase scan one curve
+    point per angle, so each lists a value once."""
     seen = set()
     for value in values:
         if value in seen:
@@ -307,13 +298,16 @@ def parse_phase_scan(data: Any, where: str = "phase_scan") -> PhaseScanConfig:
     if n > MAX_SIZE:
         raise ConfigError(f"{where}.n: at most {MAX_SIZE}, got {n}")
     thetas = data.get("thetas_deg", DEFAULT_THETAS_DEG)
+    if not thetas:
+        raise ConfigError(f"{where}.thetas_deg: need at least one angle")
     if not all(_is(v, _NUMBER) for v in thetas):
         raise ConfigError(f"{where}.thetas_deg: need a list of numbers")
     if len(thetas) > MAX_SCAN_ANGLES:
         raise ConfigError(f"{where}.thetas_deg: at most {MAX_SCAN_ANGLES} angles are allowed")
     thetas = tuple(float(v) for v in thetas)
-    if not thetas or not all(0.0 <= t < 360.0 for t in thetas):
+    if not all(0.0 <= t < 360.0 for t in thetas):
         raise ConfigError(f"{where}: angles must lie in [0, 360) degrees")
+    _check_distinct(thetas, f"{where}.thetas_deg")
     settings_raw = data.get("settings", [{"kind": "none"}])
     if not settings_raw:
         raise ConfigError(f"{where}.settings: need at least one disorder setting")

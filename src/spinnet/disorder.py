@@ -16,7 +16,7 @@ states are computed for a whole block of streams at once, in uint64 array
 arithmetic: :func:`seed_sequence_words` mixes the SeedSequence pool and
 :func:`pcg64_states` takes PCG64's two seeding steps. :func:`stream_draws`
 sets one generator to each state of the block in turn and draws straight
-into the block; :meth:`SeededRng.generator` is a block of one.
+into the block.
 
 One rule applies the draws: :func:`perturb` adds the :func:`stream_draws`
 of a block of streams (``sweep.hamiltonian_blocks``) or of one
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -164,22 +164,6 @@ def pcg64_states(words: np.ndarray) -> np.ndarray:
     return np.stack([high, low, inc_high, inc_low], axis=1)
 
 
-def _stream_generators(master_seed: int, streams: Sequence[int]) -> Iterator[np.random.Generator]:
-    """One generator, set to the start of each of ``streams`` in turn; its
-    own seed is never drawn from."""
-    generator = np.random.Generator(np.random.PCG64())
-    bit_generator = generator.bit_generator
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    # one row's Python ints at a time: a whole block's list of them, 1000
-    # streams, raised a sweep's peak RSS by 0.45 MiB
-    for row in pcg64_states(seed_sequence_words(master_seed, streams)):
-        state_high, state_low, inc_high, inc_low = row.tolist()
-        pcg["state"], pcg["inc"] = state_high << 64 | state_low, inc_high << 64 | inc_low
-        bit_generator.state = state
-        yield generator
-
-
 @dataclass(frozen=True)
 class DisorderSpec:
     """Disorder kind and dimensionless strength E."""
@@ -210,10 +194,6 @@ class SeededRng:
         if not (0 <= self.master_seed < SEED_LIMIT and 0 <= self.stream < SEED_LIMIT):
             raise ValueError("seed and stream index must be in [0, 2^64)")
 
-    def generator(self) -> np.random.Generator:
-        """A new generator at the start of this stream."""
-        return next(_stream_generators(self.master_seed, (self.stream,)))
-
 
 def stream_draws(graph: CouplingGraph, spec: DisorderSpec, master_seed: int,
                  streams: Sequence[int]) -> np.ndarray:
@@ -227,7 +207,17 @@ def stream_draws(graph: CouplingGraph, spec: DisorderSpec, master_seed: int,
     """
     size = len(graph.values) if spec.kind == "off_diagonal" else graph.n_sites
     draws = np.empty((len(streams), size))
-    for row, generator in zip(draws, _stream_generators(master_seed, streams)):
+    # one generator, set to the start of each stream in turn; its own seed
+    # is never drawn from
+    generator = np.random.Generator(np.random.PCG64())
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    # one row's Python ints at a time: a whole block's list of them, 1000
+    # streams, raised a sweep's peak RSS by 0.45 MiB
+    for row, words in zip(draws, pcg64_states(seed_sequence_words(master_seed, streams))):
+        state_high, state_low, inc_high, inc_low = words.tolist()
+        pcg["state"], pcg["inc"] = state_high << 64 | state_low, inc_high << 64 | inc_low
+        generator.bit_generator.state = state
         generator.standard_normal(out=row)
     # numpy's normal(0.0, width) is 0.0 + width * z: the zero turns a -0.0 into +0.0
     draws *= GAUSSIAN_WIDTH

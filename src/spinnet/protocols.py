@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -429,47 +429,56 @@ def phase_probe_estimates(
     return probe_estimates(eigh(graph.to_matrix()), thetas_deg)[0]
 
 
+def angle_offset(a_deg: float, b_deg: float) -> float:
+    """The signed angle from ``b_deg`` to ``a_deg``, within 180 degrees either way."""
+    return (a_deg - b_deg + 180.0) % 360.0 - 180.0
+
+
 def unwrap_to_branch(estimate_deg: float, reference_deg: float) -> float:
     """Move an angle onto the branch within 180 degrees of the reference."""
-    return reference_deg + ((estimate_deg - reference_deg + 180.0) % 360.0 - 180.0)
+    return reference_deg + angle_offset(estimate_deg, reference_deg)
 
 
 # --- name-based dispatch (CLI surface) ------------------------------------
+
+def _mws(p: dict) -> ProtocolResult:
+    chain_length = p.pop("chain_length", 3)
+    if chain_length == 3:
+        return mws_9(with_flips=p.pop("with_flips", False))
+    if chain_length == 4:
+        return mws_12()
+    raise ValueError(f"mws supports chain lengths 3 and 4, got {chain_length}")
+
+
+# Each protocol by its CLI name: a builder that pops the parameters it uses
+# from a dict, and the config type of each parameter (every int is a size).
+PROTOCOLS: dict[str, tuple[Callable[[dict], ProtocolResult], dict[str, type | tuple]]] = {
+    "router": (lambda p: m_chain_router(p.pop("m")) if "m" in p else router_two_chain(p.pop("n")),
+               {"n": int, "m": int}),
+    "ent-phase": (lambda p: entangle_phase_two_chain(p.pop("n")), {"n": int}),
+    "ent-center": (lambda p: entangle_center_two_chain(p.pop("n")), {"n": int}),
+    "phase-sense": (lambda p: phase_sense_two_chain(p.pop("n"), p.pop("theta_deg", 0.0)),
+                    {"n": int, "theta_deg": (int, float)}),
+    "unequal-router": (lambda p: unequal_router(p.pop("n_a"), p.pop("n_b")),
+                       {"n_a": int, "n_b": int}),
+    "unequal-ent": (lambda p: unequal_entangle(p.pop("n_a"), p.pop("n_b")),
+                    {"n_a": int, "n_b": int}),
+    "w-state": (lambda p: w_state(p.pop("chain_length")), {"chain_length": int}),
+    "mws": (_mws, {"chain_length": int, "with_flips": bool}),
+    "mws-transfer": (lambda p: mws_transfer_15(), {}),
+    "max-ent": (lambda p: max_entangle_12(), {}),
+}
+
 
 def build_protocol(name: str, params: dict) -> ProtocolResult:
     """Build a protocol from its CLI name and validated parameters. A
     parameter the chosen protocol does not use (``n`` beside ``m`` for the
     router, ``with_flips`` for the 12-site mws) is an error, not dropped."""
+    if name not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {name!r}")
     p = dict(params)
     try:
-        if name == "router":
-            result = m_chain_router(p.pop("m")) if "m" in p else router_two_chain(p.pop("n"))
-        elif name == "ent-phase":
-            result = entangle_phase_two_chain(p.pop("n"))
-        elif name == "phase-sense":
-            result = phase_sense_two_chain(p.pop("n"), p.pop("theta_deg", 0.0))
-        elif name == "ent-center":
-            result = entangle_center_two_chain(p.pop("n"))
-        elif name == "unequal-router":
-            result = unequal_router(p.pop("n_a"), p.pop("n_b"))
-        elif name == "unequal-ent":
-            result = unequal_entangle(p.pop("n_a"), p.pop("n_b"))
-        elif name == "w-state":
-            result = w_state(p.pop("chain_length"))
-        elif name == "mws":
-            chain_length = p.pop("chain_length", 3)
-            if chain_length == 3:
-                result = mws_9(with_flips=p.pop("with_flips", False))
-            elif chain_length == 4:
-                result = mws_12()
-            else:
-                raise ValueError(f"mws supports chain lengths 3 and 4, got {chain_length}")
-        elif name == "max-ent":
-            result = max_entangle_12()
-        elif name == "mws-transfer":
-            result = mws_transfer_15()
-        else:
-            raise ValueError(f"unknown protocol {name!r}")
+        result = PROTOCOLS[name][0](p)
     except KeyError as exc:
         raise ValueError(f"protocol {name!r} is missing parameter {exc.args[0]!r}")
     if p:

@@ -33,8 +33,8 @@ from typing import Any, Callable, ClassVar, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, PhaseScanConfig, SweepConfig, mirror_tokens,
-                     parse_time_expression)
+from .config import (MAX_OBSERVE_DURATIONS, ConfigError, PhaseScanConfig, SweepConfig,
+                     mirror_tokens, parse_time_expression)
 from .disorder import DisorderSpec, perturb, stream_draws
 from .dynamics import propagate, schedule_kicks
 from .linalg import BLOCK_ENTRIES, BandOperator, band_operator, eigh, keep_heap
@@ -216,6 +216,11 @@ def resolve_merit(
         raise ConfigError(f"unknown observable {observable!r}")
     if observe is not None:
         t = parse_time_expression(observe, mirror_tokens(result.network))
+        # relative to 1e-12, as mirror_tokens compares times: 900*t_m rounds
+        # above 100 times the 9*t_m of a 9-chain router
+        if t > MAX_OBSERVE_DURATIONS * result.protocol.duration * (1.0 + 1e-12):
+            raise ConfigError(f"sweep.observe: {observe!r} at N = {result.network.n_sites} is past "
+                              f"{MAX_OBSERVE_DURATIONS} times the protocol's duration")
         merit = FigureOfMerit(merit.kind, t, target=merit.target, pair=merit.pair)
     return merit
 

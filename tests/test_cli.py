@@ -279,6 +279,22 @@ def test_sweep_rejects_a_zero_denominator_in_observe(tmp_path, capsys):
     assert_config_error_writes_nothing(tmp_path, capsys, "sweep", data, "division by zero")
 
 
+@pytest.mark.parametrize("observe, code", [("200*t_m", 0), ("2000000*t_m", 2)])
+def test_sweep_observe_is_bounded(tmp_path, capsys, observe, code):
+    # a 12-site router lasts 2*t_m; 2000000*t_m once asked numpy for 1.43 GiB at K = 10
+    data = {"protocol": {"name": "router", "n": 12},
+            "sweep": {"n_values": [12], "e_values": [0.1], "realizations": 10,
+                      "observe": observe}}
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", write_config(tmp_path, data), "--out", out) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert (out / "heatmap.csv").exists()
+    else:
+        assert err.startswith("config error: sweep.observe:") and "Traceback" not in err
+        assert not (out / "heatmap.csv").exists()
+
+
 # a setting is its kind and strength: the Gaussian's width and J_max are fixed
 BAD_DISORDER = [
     ({"width": 0.5}, "unknown key 'width'; allowed: ['kind', 'strength']"),
@@ -318,7 +334,9 @@ def test_a_null_phase_scan_setting_runs_no_cell(tmp_path, capsys):
      "sweep.kinds: need at least one disorder kind"),
     ("phase-scan", {"phase_scan": {"n": 6, "settings": []}},
      "phase_scan.settings: need at least one disorder setting"),
-], ids=["sweep-kinds", "phase-scan-settings"])
+    ("phase-scan", {"phase_scan": {"n": 6, "thetas_deg": []}},
+     "phase_scan.thetas_deg: need at least one angle"),
+], ids=["sweep-kinds", "phase-scan-settings", "phase-scan-angles"])
 def test_an_empty_list_runs_no_cell(tmp_path, capsys, command, data, message):
     assert_config_error_writes_nothing(tmp_path, capsys, command, data, message)
 

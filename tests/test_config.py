@@ -273,6 +273,11 @@ def test_phase_scan_rejects_out_of_range_angles():
         parse_config({"phase_scan": {"n": 7, "thetas_deg": [0.0]}})
 
 
+def test_phase_scan_rejects_a_repeated_angle():
+    with pytest.raises(ConfigError, match=re.escape("phase_scan.thetas_deg: 90.0 is listed twice")):
+        parse_config({"phase_scan": {"n": 8, "thetas_deg": [0, 90, 45.5, 90.0]}})
+
+
 @pytest.mark.parametrize("scan", [
     {"thetas_deg": [math.nan]},
     {"thetas_deg": [math.inf]},

@@ -239,21 +239,6 @@ def test_block_across_two_to_the_32_draws_numpys_bits(seed, kind):
     assert block.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("seed, stream", [(0, 0), (42, 7), (5, 2**32 + 1), (SEED_LIMIT - 1, 3)])
-def test_seeded_rng_generator_draws_numpys_bits(seed, stream):
-    ours, theirs = SeededRng(seed, stream).generator(), numpy_generator(seed, stream)
-    assert ours.bit_generator.state == theirs.bit_generator.state
-    assert ours.normal(size=50).tobytes() == theirs.normal(size=50).tobytes()
-    assert ours.integers(0, 2**63, size=5).tobytes() == theirs.integers(0, 2**63, size=5).tobytes()
-
-
-def test_seeded_rng_generators_are_independent():
-    a, b = SeededRng(1, 2).generator(), SeededRng(1, 2).generator()
-    first = a.normal(size=3)
-    assert b.normal(size=3).tobytes() == first.tobytes()
-    assert a.normal(size=3).tobytes() != first.tobytes()
-
-
 @pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1), (SEED_LIMIT, 0), (0, SEED_LIMIT)])
 def test_seed_and_stream_must_fit_in_u64(seed, stream):
     with pytest.raises(ValueError, match="2\\^64"):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from spinnet import dynamics, protocols
+from spinnet.config import ConfigError, parse_protocol
 from spinnet.network import ChainSpec, NetworkSpec, network_graph
 from spinnet.observables import eof_pair, fidelity
 from spinnet.disorder import DisorderSpec, SeededRng, perturb, sample_disorder, stream_draws
@@ -12,7 +14,9 @@ from spinnet.dynamics import (Protocol, PureState, phase_kick, propagate, replac
 from spinnet.linalg import eigh, evolve
 from spinnet.protocols import (
     FLIP,
+    PROTOCOLS,
     alpha_factor,
+    angle_offset,
     build_protocol,
     delta_factor,
     entangle_center_two_chain,
@@ -32,6 +36,7 @@ from spinnet.protocols import (
     two_chain_phase_protocol,
     unequal_entangle,
     unequal_router,
+    unwrap_to_branch,
     w_state,
 )
 
@@ -511,6 +516,19 @@ def test_probe_memory_is_bounded_by_the_chunk(monkeypatch, n):
                for est, theta in zip(estimates, thetas))
 
 
+ANGLE = st.floats(0.0, 360.0, exclude_max=True)
+
+
+@given(estimate=ANGLE, reference=ANGLE)
+# a sum just below 0 wraps to 360: the offset is +180
+@example(estimate=0.0, reference=180.00000000000003)
+def test_angle_offset_keeps_the_bits_of_the_branch_rule(estimate, reference):
+    # the operations the phase scan's bench reference rows were written with
+    offset = (estimate - reference + 180.0) % 360.0 - 180.0
+    assert angle_offset(estimate, reference) == offset and abs(offset) <= 180.0
+    assert unwrap_to_branch(estimate, reference) == reference + offset
+
+
 # --- dispatch ----------------------------------------------------------------------
 
 def test_build_protocol_dispatch():
@@ -539,3 +557,25 @@ def test_build_protocol_rejects_unused_parameters(name, params, unused):
 def test_build_protocol_missing_parameter():
     with pytest.raises(ValueError, match="missing parameter"):
         build_protocol("router", {})
+
+
+# the smallest parameters each protocol builds at
+SMALLEST_PARAMS = {
+    "router": {"n": 4}, "ent-phase": {"n": 4}, "ent-center": {"n": 4}, "phase-sense": {"n": 4},
+    "unequal-router": {"n_a": 2, "n_b": 2}, "unequal-ent": {"n_a": 2, "n_b": 2},
+    "w-state": {"chain_length": 3}, "mws": {}, "max-ent": {}, "mws-transfer": {},
+}
+# a config value of each parameter type
+VALUE_OF_TYPE = {int: 4, bool: True, (int, float): 22.5}
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_protocol_table_parses_builds_and_rejects_a_foreign_key(name):
+    _, types = PROTOCOLS[name]
+    data = dict({"name": name}, **{key: VALUE_OF_TYPE[t] for key, t in types.items()})
+    assert parse_protocol(data).params.keys() == types.keys()
+    assert build_protocol(name, SMALLEST_PARAMS[name]).name == name
+    with pytest.raises(ConfigError, match="unknown key 'j_max_b'"):
+        parse_protocol({"name": name, "j_max_b": 0.5})
+    with pytest.raises(ValueError, match="does not use parameter 'j_max_b'"):
+        build_protocol(name, dict(SMALLEST_PARAMS[name], j_max_b=0.5))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spinnet import dynamics, linalg, sweep
-from spinnet.config import PhaseScanConfig, SweepConfig
+from spinnet.config import MAX_OBSERVE_DURATIONS, ConfigError, PhaseScanConfig, SweepConfig
 from spinnet.disorder import DisorderSpec, SeededRng, sample_disorder
 from spinnet.dynamics import check_norms, propagate, replace_samples, run_schedule, schedule_kicks
 from spinnet.linalg import InvariantViolation, chebyshev_evolve
@@ -168,6 +168,20 @@ def test_engine_matches_the_loop_reference(case, kind):
     acc = ensemble_merit(result, spec, 6, SEED, stream_base=40, merit=merit)
     assert acc.count == 6
     assert np.max(np.abs(np.array(acc.values) - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("name, params, durations_in_t_m", [
+    ("router", {"n": 12}, 2), ("router", {"m": 3}, 3), ("ent-center", {"n": 4}, 2),
+    ("mws", {"chain_length": 3}, 1),
+    ("router", {"m": 9}, 9),  # 900*t_m is one ulp above 100 * (9*t_m)
+])
+def test_observe_is_bounded_by_the_protocol_duration(name, params, durations_in_t_m):
+    result = build_protocol(name, params)
+    bound = MAX_OBSERVE_DURATIONS * durations_in_t_m
+    merit = resolve_merit(result, observe=f"{bound}*t_m")
+    assert merit.time == pytest.approx(MAX_OBSERVE_DURATIONS * result.protocol.duration, rel=1e-15)
+    with pytest.raises(ConfigError, match=f"past {MAX_OBSERVE_DURATIONS} times"):
+        resolve_merit(result, observe=f"{bound}.001*t_m")
 
 
 # --- the split: only the amplitudes a merit reads -----------------------------------
