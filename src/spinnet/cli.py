@@ -27,12 +27,14 @@ from .config import (
     MAX_RUN_AMPLITUDES,
     Config,
     ConfigError,
+    check_seed,
+    check_workers,
     load_config,
     mirror_tokens,
     parse_config,
     parse_time_expression,
 )
-from .disorder import SEED_LIMIT, SeededRng, sample_disorder
+from .disorder import SeededRng, sample_disorder
 from .dynamics import replace_samples, run_decomposed
 from .linalg import InvariantViolation, eigh
 from .network import network_graph, write_edge_list
@@ -53,8 +55,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "replay":
-            return cmd_replay(args.meta, args.out, args.workers)
-        return COMMANDS[args.command](*_prepare(args))
+            command, cfg, seed, workers = _read_record(args.meta)
+        else:
+            command, cfg = args.command, load_config(args.config)
+            seed = cfg.seed if args.seed is None else check_seed(args.seed, "--seed")
+            workers = cfg.workers
+        if args.workers is not None:  # over the config's or the record's count
+            workers = check_workers(args.workers, "--workers")
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:  # a path that cannot be a directory
+            raise ConfigError(f"--out {args.out}: {exc}")
+        return COMMANDS[command](cfg, args.out, seed, workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -80,31 +92,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _prepare(args: argparse.Namespace) -> tuple[Config, str, int, int]:
-    """A command's (config, out, seed, workers) from its command line."""
-    cfg = load_config(args.config)
-    seed = cfg.seed if args.seed is None else args.seed
-    if not 0 <= seed < SEED_LIMIT:
-        raise ConfigError(f"--seed must be in [0, 2^64), got {seed}")
-    workers = _workers(args.workers, cfg.workers)
-    _make_out(args.out)
-    return cfg, args.out, seed, workers
-
-
-def _make_out(out: str) -> None:
-    """Create the output directory; a path that cannot be one is a config error."""
+def _say(line: str) -> None:
+    """Print one report line. A reader that closed stdout (``| head -n 1``)
+    ends the report, not the run."""
     try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"--out {out}: {exc}")
-
-
-def _workers(requested: int | None, default: int) -> int:
-    """The worker count: ``--workers`` when given, else ``default``."""
-    workers = default if requested is None else requested
-    if workers < 1:
-        raise ConfigError("--workers must be >= 1")
-    return workers
+        print(line, flush=True)
+    except BrokenPipeError:  # later lines and the flush at exit go to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _write_meta(out: str, command: str, cfg: Config, seed: int, workers: int,
@@ -149,11 +145,11 @@ def cmd_build(cfg: Config, out: str, seed: int, workers: int) -> int:
             fh.write(f"{idx},{ev:.12g}\n")
 
     for k, chain in enumerate(cfg.network.chains, start=1):
-        print(f"chain {k}: length {chain.length}, j_max {chain.j_max:g}, "
-              f"mirror time {chain.mirror_time:.12g}")
+        _say(f"chain {k}: length {chain.length}, j_max {chain.j_max:g}, "
+             f"mirror time {chain.mirror_time:.12g}")
     negatives = sum(1 for _, _, j in graph.edges() if j < 0)
-    print(f"{graph.n_sites} sites, {len(graph.values)} couplings "
-          f"({negatives} negative), wrote {edges_path}")
+    _say(f"{graph.n_sites} sites, {len(graph.values)} couplings "
+         f"({negatives} negative), wrote {edges_path}")
 
     _write_meta(out, "build", cfg, seed, workers, ["edges.txt", "spectrum.csv"])
     return EXIT_OK
@@ -199,13 +195,13 @@ def cmd_run(cfg: Config, out: str, seed: int, workers: int) -> int:
         report_rows.append((t, defect, ok))
         if clean:
             status = "pass" if ok else "FAIL"
-            print(f"t = {t:.9g}: |<expected|state> - 1| = {defect:.3e}  [{status}]")
+            _say(f"t = {t:.9g}: |<expected|state> - 1| = {defect:.3e}  [{status}]")
             failed = failed or not ok
         else:
-            print(f"t = {t:.9g}: fidelity vs clean target = "
-                  f"{fidelity(state, expected):.6f} (disordered run)")
+            _say(f"t = {t:.9g}: fidelity vs clean target = "
+                 f"{fidelity(state, expected):.6f} (disordered run)")
     value = float(result.merit.values(states[-1].amplitudes)[0])
-    print(f"figure of merit ({result.merit.kind}) at t = {result.merit.time:.9g}: {value:.9f}")
+    _say(f"figure of merit ({result.merit.kind}) at t = {result.merit.time:.9g}: {value:.9f}")
     missed = ["clean run missed an analytic target state"] if failed else []
 
     extra = {
@@ -218,10 +214,10 @@ def cmd_run(cfg: Config, out: str, seed: int, workers: int) -> int:
     }
     if result.name == "phase-sense":
         theta = float(cfg.protocol.params.get("theta_deg", 0.0)) % 360.0
-        estimate = probe_estimates(decomp, [theta])[0][0]
+        [[estimate]] = probe_estimates(decomp, [theta])
         error = abs(angle_offset(estimate, theta))
-        print(f"true angle {theta:.6f} deg, retrieved {estimate:.6f} deg "
-              f"(|error| = {error:.2e} deg)")
+        _say(f"true angle {theta:.6f} deg, retrieved {estimate:.6f} deg "
+             f"(|error| = {error:.2e} deg)")
         extra.update(theta_true_deg=theta, theta_estimate_deg=estimate)
         if clean and error > CLEAN_ANGLE_ATOL_DEG:
             missed.append(f"clean phase retrieval missed the true angle by {error:.3e} degrees")
@@ -255,8 +251,8 @@ def cmd_sweep(cfg: Config, out: str, seed: int, workers: int) -> int:
     def progress(row: dict[str, Any]) -> None:
         nonlocal done
         done += 1
-        print(f"[{done}/{len(cells)}] {row['kind']} size={row['size']} "
-              f"E={row['e']:g}: mean={row['mean']:.6f}", flush=True)
+        _say(f"[{done}/{len(cells)}] {row['kind']} size={row['size']} "
+             f"E={row['e']:g}: mean={row['mean']:.6f}")
 
     rows = run_cells(cells, workers=workers, checkpoint_dir=checkpoint_dir, on_cell=progress)
 
@@ -285,7 +281,7 @@ def cmd_sweep(cfg: Config, out: str, seed: int, workers: int) -> int:
     _write_meta(out, "sweep", cfg, seed, workers,
                 ["heatmap.csv", "contour.csv"], extra={"cells": cell_records})
     _write_heatmap_plot_script(out, cfg.sweep.axis)
-    print(f"wrote {heatmap_path} and {contour_path}")
+    _say(f"wrote {heatmap_path} and {contour_path}")
     return EXIT_OK
 
 
@@ -303,8 +299,8 @@ def cmd_phase_scan(cfg: Config, out: str, seed: int, workers: int) -> int:
         done += 1
         worst = max(abs(angle_offset(mean, theta))
                     for theta, (mean, _, _) in zip(thetas, row["stats"]))
-        print(f"[{done}/{len(cells)}] {row['kind']} E={row['e']:g}: "
-              f"max |mean - theta|={worst:.6f} deg", flush=True)
+        _say(f"[{done}/{len(cells)}] {row['kind']} E={row['e']:g}: "
+             f"max |mean - theta|={worst:.6f} deg")
 
     rows = run_cells(cells, workers=workers, checkpoint_dir=os.path.join(out, "checkpoints"),
                      on_cell=progress)
@@ -319,7 +315,7 @@ def cmd_phase_scan(cfg: Config, out: str, seed: int, workers: int) -> int:
                 )
     _write_meta(out, "phase-scan", cfg, seed, workers, ["phase_scan.csv"])
     _write_phase_plot_script(out)
-    print(f"wrote {path}")
+    _say(f"wrote {path}")
     return EXIT_OK
 
 
@@ -334,9 +330,9 @@ COMMANDS = {
 }
 
 
-def cmd_replay(meta_path: str, out: str, workers: int | None) -> int:
-    """Run the command of a meta.json record again with its config and seed;
-    ``workers``, when given, overrides the recorded count."""
+def _read_record(meta_path: str) -> tuple[str, Config, int, int]:
+    """The (command, config, seed, workers) of a meta.json record, checked
+    before anything is written."""
     try:
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -350,18 +346,9 @@ def cmd_replay(meta_path: str, out: str, workers: int | None) -> int:
     command = meta["command"]
     if not isinstance(command, str) or command not in COMMANDS:
         raise ConfigError(f"cannot replay command {command!r}")
-    # validate the record before writing anything; JSON booleans are not integers
-    seed, recorded_workers = meta["master_seed"], meta.get("workers", 1)
-    if type(seed) is not int or not 0 <= seed < SEED_LIMIT:
-        raise ConfigError(f"meta record master_seed must be an integer in [0, 2^64), "
-                          f"got {seed!r}")
-    if type(recorded_workers) is not int or recorded_workers < 1:
-        raise ConfigError(f"meta record workers must be an integer >= 1, "
-                          f"got {recorded_workers!r}")
-    cfg = parse_config(meta["config"], where=meta_path)
-    workers = _workers(workers, recorded_workers)
-    _make_out(out)
-    return COMMANDS[command](cfg, out, seed, workers)
+    seed = check_seed(meta["master_seed"], f"{meta_path}.master_seed")
+    workers = check_workers(meta.get("workers", 1), f"{meta_path}.workers")
+    return command, parse_config(meta["config"], where=meta_path), seed, workers
 
 
 # --- generated plot scripts -----------------------------------------------------

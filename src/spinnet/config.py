@@ -10,8 +10,8 @@ Times may be given as expressions over the built network's mirror times
 
 from __future__ import annotations
 
-import math
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -80,7 +80,7 @@ def load_yaml(path: str) -> Any:
     return {} if data is None else data
 
 
-def _check_keys(data: dict, allowed: dict[str, type | tuple], where: str) -> None:
+def _check_keys(data: dict, allowed: dict[str, type | tuple | None], where: str) -> None:
     for key in data:
         if key not in allowed:
             hint = ""
@@ -89,7 +89,7 @@ def _check_keys(data: dict, allowed: dict[str, type | tuple], where: str) -> Non
                 hint = f" (did you mean {close[0]!r}?)"
             raise ConfigError(f"{where}: unknown key {key!r}{hint}; allowed: {sorted(allowed)}")
     for key, types in allowed.items():
-        if key not in data or (data[key] is None and types is dict):
+        if key not in data or types is None or (data[key] is None and types is dict):
             continue  # an empty section (`run: null`) takes its defaults
         if not _is(data[key], types):
             got = "null" if data[key] is None else type(data[key]).__name__
@@ -104,6 +104,20 @@ def _is(value: Any, types: type | tuple) -> bool:
     if isinstance(value, bool):
         return bool in (types if isinstance(types, tuple) else (types,))
     return isinstance(value, types)
+
+
+def check_seed(value: Any, where: str) -> int:
+    """A master seed from ``where`` (a flag, a config key or a replayed record)."""
+    if not _is(value, int) or not 0 <= value < SEED_LIMIT:
+        raise ConfigError(f"{where} must be an integer in [0, 2^64), got {value!r}")
+    return value
+
+
+def check_workers(value: Any, where: str) -> int:
+    """A worker count from ``where`` (a flag, a config key or a replayed record)."""
+    if not _is(value, int) or value < 1:
+        raise ConfigError(f"{where} must be an integer >= 1, got {value!r}")
+    return value
 
 
 def parse_network(data: Any, where: str = "network") -> NetworkSpec:
@@ -127,7 +141,7 @@ def parse_network(data: Any, where: str = "network") -> NetworkSpec:
             raise ConfigError(f"{where}: the chains have more than {MAX_SIZE} sites")
         try:
             chains.append(ChainSpec(entry["length"], float(entry.get("j_max", 1.0))))
-        except ValueError as exc:
+        except (OverflowError, ValueError) as exc:  # an integer beyond a float's range
             raise ConfigError(f"{w}: {exc}")
     return NetworkSpec(chains)
 
@@ -163,12 +177,9 @@ def parse_disorder(data: Any, where: str = "disorder") -> DisorderSpec:
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a mapping")
     _check_keys(data, {"kind": str, "strength": _NUMBER}, where)
-    kind = data.get("kind", "none")
-    if kind not in KINDS:
-        raise ConfigError(f"{where}.kind: unknown kind {kind!r}; allowed: {KINDS}")
     try:
-        return DisorderSpec(kind, float(data.get("strength", 0.0)))
-    except ValueError as exc:
+        return DisorderSpec(data.get("kind", "none"), float(data.get("strength", 0.0)))
+    except (OverflowError, ValueError) as exc:  # an integer beyond a float's range
         raise ConfigError(f"{where}: {exc}")
 
 
@@ -235,14 +246,16 @@ def parse_sweep(data: Any, where: str = "sweep") -> SweepConfig:
     if max(sizes) > MAX_SIZE:
         raise ConfigError(f"{where}.{axis}_values: at most {MAX_SIZE}, got {max(sizes)}")
     e_values = data.get("e_values")
-    if not e_values or not all(_is(v, _NUMBER) and 0 <= v < math.inf for v in e_values):
-        raise ConfigError(f"{where}.e_values: need a non-empty list of finite numbers >= 0")
+    if not e_values or not all(_is(v, _NUMBER) for v in e_values):
+        raise ConfigError(f"{where}.e_values: need a non-empty list of numbers")
     kinds = tuple(data.get("kinds", ["diagonal"]))
     if not kinds:
         raise ConfigError(f"{where}.kinds: need at least one disorder kind")
     for kind in kinds:
-        if kind not in ("diagonal", "off_diagonal"):
-            raise ConfigError(f"{where}.kinds: {kind!r} is not a disorder kind")
+        for e in e_values:  # every cell's setting
+            parse_disorder({"kind": kind, "strength": e}, where)
+        if kind == KINDS[0]:
+            raise ConfigError(f"{where}.kinds: {kind!r} is not a disorder kind to sweep")
     for key, values in ((f"{axis}_values", sizes), ("e_values", e_values), ("kinds", kinds)):
         _check_distinct(values, f"{where}.{key}")
     realizations = _realizations(data, where)
@@ -304,9 +317,9 @@ def parse_phase_scan(data: Any, where: str = "phase_scan") -> PhaseScanConfig:
         raise ConfigError(f"{where}.thetas_deg: need a list of numbers")
     if len(thetas) > MAX_SCAN_ANGLES:
         raise ConfigError(f"{where}.thetas_deg: at most {MAX_SCAN_ANGLES} angles are allowed")
-    thetas = tuple(float(v) for v in thetas)
     if not all(0.0 <= t < 360.0 for t in thetas):
         raise ConfigError(f"{where}: angles must lie in [0, 360) degrees")
+    thetas = tuple(float(v) for v in thetas)  # in range, so no integer overflows a float
     _check_distinct(thetas, f"{where}.thetas_deg")
     settings_raw = data.get("settings", [{"kind": "none"}])
     if not settings_raw:
@@ -336,8 +349,8 @@ class Config:
 
 
 _TOP_KEYS = {
-    "seed": int,
-    "workers": int,
+    "seed": None,  # None: a value with its own check, check_seed
+    "workers": None,  # check_workers
     "network": dict,
     "protocol": dict,
     "disorder": dict,
@@ -351,16 +364,10 @@ def parse_config(data: Any, where: str = "config") -> Config:
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: top level must be a mapping")
     _check_keys(data, _TOP_KEYS, where)
-    seed = data.get("seed", 0)
-    if not 0 <= seed < SEED_LIMIT:
-        raise ConfigError(f"{where}.seed: must be in [0, 2^64), got {seed}")
-    workers = data.get("workers", 1)
-    if workers < 1:
-        raise ConfigError(f"{where}.workers: must be >= 1")
     return Config(
         raw=data,
-        seed=seed,
-        workers=workers,
+        seed=check_seed(data.get("seed", 0), f"{where}.seed"),
+        workers=check_workers(data.get("workers", 1), f"{where}.workers"),
         network=parse_network(data["network"]) if "network" in data else None,
         protocol=parse_protocol(data["protocol"]) if "protocol" in data else None,
         # a null section (`disorder: null`) takes its defaults, as a missing one does
@@ -406,7 +413,7 @@ def parse_time_expression(expr: str | float | int, tokens: dict[str, float]) -> 
     ``3/2*t_m`` and sums such as ``t_m_A + t_m_B``.
     """
     if isinstance(expr, (int, float)):
-        if not 0 <= expr < math.inf:
+        if not 0 <= expr <= sys.float_info.max:  # and no integer overflows a float
             raise ConfigError(f"times must be finite and non-negative, got {expr}")
         return float(expr)
     total = 0.0

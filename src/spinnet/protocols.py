@@ -386,9 +386,9 @@ def probe_estimates(
     full circle; on a clean network the estimate is exact. One propagation
     takes every device to the kick; the probes of a chunk of at most
     BLOCK_ENTRIES state entries are copies of that stack, each with its own
-    angle, and share one propagation to the end. Each device gets its
-    estimates as scalars: one list per device, the same bit for bit as for
-    that device alone, probe by probe. N is the size of the decomposition;
+    angle, and share one propagation to the end. The estimates are scalars,
+    one list per angle of one per device, each the same bit for bit as for
+    its device alone, probe by probe. N is the size of the decomposition;
     ``streams`` name a device whose norm drifts (:func:`propagate`).
     """
     n_total = decomp.eigenvalues.shape[-1]
@@ -412,21 +412,19 @@ def probe_estimates(
         arrived = evolved[..., start].reshape(len(chunk), -1)
         populations += [[abs(a) ** 2 for a in probe] for probe in arrived.tolist()]
 
-    estimates: list[list[float]] = [[] for _ in range(halfway[..., start].size)]
-    for direct, quadrature in zip(populations[::2], populations[1::2]):
-        for device, p_direct, p_quad in zip(estimates, direct, quadrature):
-            est = math.degrees(math.atan2(1.0 - 2.0 * p_quad, 2.0 * p_direct - 1.0))
-            device.append(est % 360.0)
-    return estimates
+    return [[math.degrees(math.atan2(1.0 - 2.0 * p_quad, 2.0 * p_direct - 1.0)) % 360.0
+             for p_direct, p_quad in zip(direct, quadrature)]
+            for direct, quadrature in zip(populations[::2], populations[1::2])]
 
 
 def phase_probe_estimates(
     graph: CouplingGraph, n_total: int, thetas_deg: Sequence[float]
 ) -> list[float]:
-    """:func:`probe_estimates` of one device of ``n_total`` sites, decomposed once."""
+    """:func:`probe_estimates` of one device of ``n_total`` sites, decomposed
+    once: its estimate at each angle."""
     if n_total != graph.n_sites:
         raise ValueError(f"a probe of {n_total} sites on a graph of {graph.n_sites}")
-    return probe_estimates(eigh(graph.to_matrix()), thetas_deg)[0]
+    return [per_device[0] for per_device in probe_estimates(eigh(graph.to_matrix()), thetas_deg)]
 
 
 def angle_offset(a_deg: float, b_deg: float) -> float:

@@ -423,9 +423,9 @@ def phase_scan_setting(
             # (and bench/reference/ its rows): a device on the unwrap branch cut
             # (README, "Reproducibility") flips sides on a last-bit change
             h = graph.assemble(values[stack], onsite[stack]).astype(complex)
-            for estimates in probe_estimates(eigh(h), thetas_deg, streams[stack]):
-                for slot, theta, est in zip(per_angle, thetas_deg, estimates):
-                    slot.append(unwrap_to_branch(est, theta))
+            estimates = probe_estimates(eigh(h), thetas_deg, streams[stack])
+            for slot, theta, per_device in zip(per_angle, thetas_deg, estimates):
+                slot.extend(unwrap_to_branch(est, theta) for est in per_device)
     stats = [ensemble_average(values) for values in per_angle]
     return [(mean % 360.0, std, std_of_mean) for mean, std, std_of_mean in stats]
 

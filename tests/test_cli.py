@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -268,6 +269,7 @@ def assert_config_error_writes_nothing(tmp_path, capsys, command, data, message)
     ("t_m + 1/0.0*t_m", "division by zero"),
     (math.inf, "finite"),
     (math.nan, "finite"),
+    (10**400, "finite"),  # an integer beyond a float's range
 ])
 def test_run_rejects_an_undefined_duration(tmp_path, capsys, duration, message):
     data = {"protocol": {"name": "router", "n": 6}, "run": {"duration": duration}}
@@ -303,6 +305,9 @@ BAD_DISORDER = [
     ({"width": math.nan}, "unknown key 'width'; allowed: ['kind', 'strength']"),
     ({"j_max_ref": 1.0}, "unknown key 'j_max_ref'; allowed: ['kind', 'strength']"),
     ({"strength": -0.1}, "strength must be finite and >= 0"),
+    # above J_max: the series' Bessel table grows with E
+    ({"strength": 1.5}, "strength must be finite and >= 0 and at most 1, got 1.5"),
+    ({"strength": 10**400}, "int too large to convert to float"),
 ]
 
 
@@ -350,11 +355,12 @@ def test_a_key_given_twice_exits_with_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("e", [math.inf, math.nan, -0.1])
+@pytest.mark.parametrize("e", [math.inf, math.nan, -0.1, 1.5])
 def test_sweep_rejects_non_finite_e_values(tmp_path, capsys, e):
     data = dict(SWEEP_CONFIG, sweep=dict(SWEEP_CONFIG["sweep"], e_values=[0.1, e]))
     assert_config_error_writes_nothing(tmp_path, capsys, "sweep", data,
-                                       "need a non-empty list of finite numbers >= 0")
+                                       f"sweep: disorder strength must be finite and >= 0 "
+                                       f"and at most 1, got {e}")
 
 
 @pytest.mark.parametrize("j_max", [math.inf, math.nan, 0.0])
@@ -911,11 +917,11 @@ SCAN_CONFIG = {"phase_scan": {"n": 6, "thetas_deg": [90.0], "realizations": 2}}
 ])
 def test_a_seed_of_2_to_the_64_is_a_config_error(tmp_path, capsys, command, data):
     assert_config_error_writes_nothing(tmp_path, capsys, command, dict(data, seed=2**64),
-                                       "seed: must be in [0, 2^64)")
+                                       "seed must be an integer in [0, 2^64)")
     cfg = write_config(tmp_path, data)
     out = tmp_path / "flag"
     assert run_cli(command, "--config", cfg, "--out", out, "--seed", 2**64) == 2
-    assert "--seed must be in [0, 2^64)" in capsys.readouterr().err
+    assert "--seed must be an integer in [0, 2^64)" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -932,7 +938,43 @@ def test_a_worker_count_below_one_is_a_config_error(tmp_path, capsys, command, d
     capsys.readouterr()
     out = tmp_path / "out"
     assert run_cli(command, *args, "--out", out, "--workers", 0) == 2
-    assert "config error: --workers must be >= 1" in capsys.readouterr().err
+    assert "config error: --workers must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# one rule each, whichever source gives the value: a flag, a config key or a
+# replayed record (whose seed is its master_seed); argparse takes only
+# integers from a flag
+RULES = {"seed": "must be an integer in [0, 2^64)", "workers": "must be an integer >= 1"}
+OUT_OF_RANGE = [("seed", -1), ("seed", 2**64), ("workers", 0)]
+NOT_INTEGERS = [(key, value) for key in RULES for value in (True, 1.0, "x", None)]
+
+
+@pytest.mark.parametrize("source, key, value", [
+    *((source, key, value) for source in ("flag", "config", "record")
+      for key, value in OUT_OF_RANGE),
+    *((source, key, value) for source in ("config", "record") for key, value in NOT_INTEGERS),
+])
+def test_a_seed_or_worker_count_has_one_rule_from_every_source(tmp_path, capsys, source, key,
+                                                                value):
+    data = dict(RUN_CONFIG, run={"samples": 5})
+    args = ("run", "--config", write_config(tmp_path, data))
+    if source == "flag":
+        args, where = args + (f"--{key}", value), f"--{key}"
+    elif source == "config":
+        cfg = write_config(tmp_path, dict(data, **{key: value}), name="bad.yaml")
+        args, where = ("run", "--config", cfg), f"{cfg}.{key}"
+    else:
+        assert run_cli(*args, "--out", tmp_path / "recorded") == 0
+        meta_path = tmp_path / "recorded" / "meta.json"
+        field = "master_seed" if key == "seed" else key
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps(dict(meta, **{field: value})))
+        args, where = ("replay", meta_path), f"{meta_path}.{field}"
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli(*args, "--out", out) == 2
+    assert capsys.readouterr().err == f"config error: {where} {RULES[key]}, got {value!r}\n"
     assert not out.exists()
 
 
@@ -1046,6 +1088,40 @@ def test_a_scan_of_max_angles_is_accepted():
      "phase_scan.realizations"),
 ])
 def test_a_null_number_is_a_config_error(tmp_path, capsys, command, data, key):
-    assert_config_error_writes_nothing(tmp_path, capsys, command, data,
-                                       f"{key}: expected <class 'int'>, got null")
+    message = f"{key}: expected <class 'int'>, got null"
+    if key in RULES:  # a seed and a worker count state their own rule
+        message = f"{key} {RULES[key]}, got None"
+    assert_config_error_writes_nothing(tmp_path, capsys, command, data, message)
 
+
+# --- a closed stdout --------------------------------------------------------------
+
+def written_files(out):
+    return sorted(path.relative_to(out) for path in out.rglob("*") if path.is_file())
+
+
+@pytest.mark.parametrize("command, data", [
+    ("build", {"network": {"chains": [{"length": 3}, {"length": 4}]}}),
+    ("run", {"protocol": {"name": "phase-sense", "n": 8, "theta_deg": 45.0},
+             "run": {"samples": 5}}),
+    ("sweep", SWEEP_CONFIG),
+    ("phase-scan", SCAN_CONFIG),
+])
+def test_a_closed_stdout_ends_the_report_not_the_run(tmp_path, monkeypatch, command, data):
+    cfg = write_config(tmp_path, data)
+    assert run_cli(command, "--config", cfg, "--out", tmp_path / "open") == 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone, as after `| head -n 1`: writes raise EPIPE
+    with open(write_end, "w", encoding="utf-8") as closed, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", closed)
+        assert run_cli(command, "--config", cfg, "--out", tmp_path / "closed") == 0
+    opened, closed = tmp_path / "open", tmp_path / "closed"
+    assert written_files(closed) == written_files(opened)
+    for name in written_files(opened):
+        first, second = (out / name for out in (opened, closed))
+        if name.name == "meta.json":  # the same record, made at another time
+            first, second = (dict(json.loads(p.read_text()), created_utc=None)
+                             for p in (first, second))
+            assert first == second
+        else:
+            assert first.read_bytes() == second.read_bytes()

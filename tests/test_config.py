@@ -3,9 +3,11 @@ import re
 
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from spinnet.network import ChainSpec, NetworkSpec
-from spinnet.disorder import DisorderSpec
+from spinnet.disorder import KINDS, DisorderSpec
+from spinnet.protocols import PROTOCOLS
 from spinnet.config import (
     ConfigError,
     RunConfig,
@@ -17,6 +19,38 @@ from spinnet.config import (
     parse_sweep,
     parse_time_expression,
 )
+
+
+# every key of the schema (README, "Config format"), so that generated
+# documents reach past the unknown-key check into each section's own rules
+SCHEMA_KEYS = sorted({
+    "seed", "workers", "network", "protocol", "disorder", "run", "sweep", "phase_scan",
+    "chains", "length", "j_max", "name", "kind", "strength", "duration", "samples",
+    "amplitudes", "n_values", "m_values", "e_values", "kinds", "realizations", "observable",
+    "eof_pair", "observe", "n", "thetas_deg", "settings",
+    *(key for _, params in PROTOCOLS.values() for key in params),
+})
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+                    st.sampled_from([*PROTOCOLS, *KINDS, "auto", "eof", "2*t_m"]))
+DOCUMENTS = st.dictionaries(st.sampled_from(SCHEMA_KEYS), st.recursive(
+    SCALARS, lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                     st.dictionaries(st.sampled_from(SCHEMA_KEYS), inner,
+                                                     max_size=4)),
+    max_leaves=10), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)  # about 2 s
+@given(DOCUMENTS)
+# an integer beyond a float's range once escaped as an OverflowError
+@example({"disorder": {"kind": "diagonal", "strength": 10**400}})
+@example({"sweep": {"n_values": [4], "e_values": [10**400]}})
+@example({"phase_scan": {"n": 4, "thetas_deg": [10**400]}})
+@example({"network": {"chains": [{"length": 3, "j_max": 10**400}]}})
+def test_a_config_is_parsed_or_is_a_config_error(data):
+    try:
+        parse_config(data)
+    except ConfigError:
+        pass
 
 
 def test_network_parse_and_round_trip():
@@ -82,7 +116,7 @@ def test_sweep_requires_exactly_one_axis():
 def test_sweep_validates_kinds_and_values():
     with pytest.raises(ConfigError, match="disorder kind"):
         parse_sweep({"n_values": [4], "e_values": [0.0], "kinds": ["none"]})
-    with pytest.raises(ConfigError, match="e_values"):
+    with pytest.raises(ConfigError, match="disorder strength"):
         parse_sweep({"n_values": [4], "e_values": [-0.1]})
     with pytest.raises(ConfigError, match="realizations"):
         parse_sweep({"n_values": [4], "e_values": [0.0], "realizations": 0})
@@ -163,7 +197,10 @@ def test_booleans_are_not_numbers():
     ({"network": {"chains": [{"length": 3, "j_max": None}]}}, "network.chains[1].j_max"),
 ])
 def test_null_is_not_a_value(data, key):
-    with pytest.raises(ConfigError, match=re.escape(f"{key}: expected ") + ".*, got null"):
+    message = re.escape(f"{key}: expected ") + ".*, got null"
+    if key == "config.seed":  # check_seed states the seed's own rule
+        message = re.escape(f"{key} must be an integer in [0, 2^64), got None")
+    with pytest.raises(ConfigError, match=message):
         parse_config(data)
 
 

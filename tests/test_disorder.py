@@ -8,6 +8,7 @@ from spinnet.network import ChainSpec, CouplingGraph, NetworkSpec, chain_graph, 
 from spinnet.disorder import (
     DisorderSpec,
     GAUSSIAN_WIDTH,
+    MAX_STRENGTH,
     SEED_LIMIT,
     SeededRng,
     pcg64_states,
@@ -76,6 +77,12 @@ def test_base_graph_never_mutated():
 def test_negative_strength_rejected():
     with pytest.raises(ValueError):
         DisorderSpec("diagonal", -0.1)
+
+
+def test_strength_is_bounded_by_max_strength():
+    assert DisorderSpec("off_diagonal", MAX_STRENGTH).strength == MAX_STRENGTH
+    with pytest.raises(ValueError, match="at most 1, got 1.0000000000000002"):
+        DisorderSpec("off_diagonal", math.nextafter(MAX_STRENGTH, math.inf))
 
 
 def test_unknown_kind_rejected():
@@ -199,8 +206,7 @@ def line_graph(size, kind):
 
 
 NEAR_TOP = st.integers(SEED_LIMIT - 2**16, SEED_LIMIT - 1)
-STRENGTH = st.one_of(st.sampled_from([0.0, 1.0]),
-                     st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False))
+STRENGTH = st.one_of(st.sampled_from([0.0, MAX_STRENGTH]), st.floats(0.0, MAX_STRENGTH))
 
 
 def numpy_draws(spec, seed, streams, size):

@@ -431,9 +431,9 @@ def test_probe_over_a_stack_matches_each_device_alone():
     ]
     thetas = [15.0 * k for k in range(24)]
     stack = eigh(np.array([device.to_matrix() for device in devices]))
-    assert probe_estimates(stack, thetas) == [
-        phase_probe_estimates(device, 20, thetas) for device in devices
-    ]
+    alone = [phase_probe_estimates(device, 20, thetas) for device in devices]
+    # angle-major: one list per angle, one estimate per device
+    assert probe_estimates(stack, thetas) == [list(angle) for angle in zip(*alone)]
 
 
 # the five devices of the N = 50 bench phase scan (off-diagonal E = 0.10, seed
@@ -443,7 +443,8 @@ TIE_STREAMS = (2269, 2528, 2548, 2856, 2915)
 
 
 def per_angle_probe(decomp, n_total, thetas_deg):
-    """The probe one angle at a time, each run through propagate."""
+    """The probe one angle at a time, each run through propagate; one list of
+    device estimates per angle."""
     t_m = ChainSpec(n_total // 2).mirror_time
     start = np.zeros(decomp.eigenvalues.shape, dtype=complex)
     start[..., 0] = 1.0
@@ -453,13 +454,15 @@ def per_angle_probe(decomp, n_total, thetas_deg):
         kicked = propagate(decomp, halfway, t_m, ((t_m, n_total // 2, angle),), 2 * t_m)
         return [float(abs(a) ** 2) for a in kicked[..., 0].reshape(-1)]
 
-    estimates = [[] for _ in range(halfway[..., 0].size)]
+    estimates = []
     for theta_deg in thetas_deg:
         theta = math.radians(theta_deg)
         direct, quadrature = populations(theta), populations(theta + math.pi / 2.0)
-        for device, p_direct, p_quad in zip(estimates, direct, quadrature):
+        per_device = []
+        for p_direct, p_quad in zip(direct, quadrature):
             est = math.degrees(math.atan2(1.0 - 2.0 * p_quad, 2.0 * p_direct - 1.0))
-            device.append(est % 360.0)
+            per_device.append(est % 360.0)
+        estimates.append(per_device)
     return estimates
 
 
@@ -476,8 +479,8 @@ def test_probe_keeps_the_bits_of_one_angle_at_a_time():
     _, _, decomp = tie_block()
     got = probe_estimates(decomp, (135.0, 315.0))
     assert got == per_angle_probe(decomp, 50, (135.0, 315.0))
-    for device in got[1:]:  # the ties really are on the cut
-        assert abs(device[1] - 135.0) < 1e-9
+    for estimate in got[1][1:]:  # the ties at 315 degrees really are on the cut
+        assert abs(estimate - 135.0) < 1e-9
 
 
 def test_one_device_probe_keeps_the_bits_of_one_angle_at_a_time():
@@ -485,7 +488,7 @@ def test_one_device_probe_keeps_the_bits_of_one_angle_at_a_time():
     device = sample_disorder(graph, spec, SeededRng(20230724, TIE_STREAMS[0]))
     thetas = (135.0, 315.0) + tuple(15.0 * k for k in range(24))
     expected = per_angle_probe(eigh(device.to_matrix()), 50, thetas)
-    assert phase_probe_estimates(device, 50, thetas) == expected[0]
+    assert phase_probe_estimates(device, 50, thetas) == [angle[0] for angle in expected]
 
 
 def test_probe_estimates_do_not_depend_on_the_chunk_size(monkeypatch):

@@ -448,7 +448,7 @@ def test_every_phase_scan_device_lands_in_one_dense_stack(monkeypatch, kind, sta
 
     def recording_probe(decomp, thetas, stack_streams):
         streams.append(list(stack_streams))
-        return [[0.0] * len(thetas) for _ in stack_streams]
+        return [[0.0] * len(stack_streams) for _ in thetas]
 
     monkeypatch.setattr(sweep, "eigh", recording_eigh)
     monkeypatch.setattr(sweep, "probe_estimates", recording_probe)
