@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 from typing import Any, Sequence
@@ -213,8 +214,9 @@ def cmd_run(cfg: Config, out: str, seed: int, workers: int) -> int:
         ],
     }
     if result.name == "phase-sense":
-        theta = float(cfg.protocol.params.get("theta_deg", 0.0)) % 360.0
-        [[estimate]] = probe_estimates(decomp, [theta])
+        [kick] = result.protocol.events
+        theta = math.degrees(kick.angle)  # the builder's angle, wrapped to [0, 360)
+        [[estimate]] = probe_estimates(decomp, [theta]).tolist()
         error = abs(angle_offset(estimate, theta))
         _say(f"true angle {theta:.6f} deg, retrieved {estimate:.6f} deg "
              f"(|error| = {error:.2e} deg)")

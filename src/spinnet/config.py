@@ -19,7 +19,7 @@ import yaml
 
 from .disorder import KINDS, SEED_LIMIT, DisorderSpec
 from .network import ChainSpec, NetworkSpec
-from .protocols import PROTOCOLS
+from .protocols import MAX_SIZE, PROTOCOLS, SIZE, Parameter
 
 
 class ConfigError(Exception):
@@ -28,24 +28,21 @@ class ConfigError(Exception):
 
 # Bounds on what a config may ask for, so that no input exhausts the
 # machine: `spinnet run` keeps every sample's state, and sweeps and phase
-# scans keep every realization's value (a Python float each, about 32 bytes).
-# With at most MAX_REALIZATIONS per cell or setting, a stream index
-# c * K + k stays below 2^64 for any grid of fewer than 1.8e13 cells, more
-# than a config file can list.
+# scans keep every realization's value, 8 bytes each in one float64 array
+# per cell or setting. With at most MAX_REALIZATIONS per cell or setting, a
+# stream index c * K + k stays below 2^64 for any grid of fewer than 1.8e13
+# cells, more than a config file can list. Network sizes are at most
+# protocols.MAX_SIZE.
 MAX_RUN_SAMPLES = 100_000
 # `spinnet run` keeps its whole trajectory, run.samples states of one complex
 # amplitude per site: 10^7 amplitudes are 160 MB.
 MAX_RUN_AMPLITUDES = 10**7
 MAX_REALIZATIONS = 1_000_000
 MAX_SCAN_ANGLES = 3600
+# A phase-scan setting keeps realizations x angles estimates: 10^8 are 0.8 GB.
+MAX_SCAN_VALUES = 10**8
 # the angles a phase scan probes when its config lists none: 0, 15, ..., 345
 DEFAULT_THETAS_DEG = tuple(float(t) for t in range(0, 360, 15))
-# Every network size a config gives (a protocol's n, m, n_a, n_b and
-# chain_length, a sweep's n_values or m_values, phase_scan.n, the sites of a
-# network's chains) is at most MAX_SIZE, five times the paper's largest
-# N = 200. `spinnet run` decomposes a dense complex N x N matrix: 16 MB at
-# N = 1000, and 144 MB for the 3000 sites of the largest m-chain router.
-MAX_SIZE = 1000
 # A sweep's `observe` is at most this many protocol durations: a draw block's
 # Bessel table grows with the time, and at this bound is 10-12 MB at N = 4 and 12.
 MAX_OBSERVE_DURATIONS = 100
@@ -120,6 +117,13 @@ def check_workers(value: Any, where: str) -> int:
     return value
 
 
+def _check_parameter(parameter: Parameter, value: Any, where: str) -> None:
+    """A value of ``parameter``'s type from ``where`` lies in its range. Every
+    network size a config gives is a :data:`~spinnet.protocols.SIZE`."""
+    if not parameter.accepts(value):  # False for nan, too
+        raise ConfigError(f"{where}: {parameter.rule}, got {value}")
+
+
 def parse_network(data: Any, where: str = "network") -> NetworkSpec:
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a mapping with a 'chains' list")
@@ -137,7 +141,7 @@ def parse_network(data: Any, where: str = "network") -> NetworkSpec:
         if "length" not in entry:
             raise ConfigError(f"{w}: missing 'length'")
         sites += entry["length"]
-        if sites > MAX_SIZE:
+        if not SIZE.accepts(sites):  # before a chain of a huge length is built
             raise ConfigError(f"{where}: the chains have more than {MAX_SIZE} sites")
         try:
             chains.append(ChainSpec(entry["length"], float(entry.get("j_max", 1.0))))
@@ -163,13 +167,13 @@ def parse_protocol(data: Any, where: str = "protocol") -> ProtocolConfig:
             f"{where}.name: unknown protocol {name!r}; "
             f"available: {', '.join(sorted(PROTOCOLS))}"
         )
+    parameters = PROTOCOLS[name][1]
     allowed: dict[str, type | tuple] = {"name": str}
-    allowed.update(PROTOCOLS[name][1])
+    allowed.update((key, parameter.types) for key, parameter in parameters.items())
     _check_keys(data, allowed, where)
     params = {k: v for k, v in data.items() if k != "name"}
     for key, value in params.items():
-        if allowed[key] is int and value > MAX_SIZE:  # every integer parameter is a size
-            raise ConfigError(f"{where}.{key}: at most {MAX_SIZE}, got {value}")
+        _check_parameter(parameters[key], value, f"{where}.{key}")
     return ProtocolConfig(name, params)
 
 
@@ -243,8 +247,7 @@ def parse_sweep(data: Any, where: str = "sweep") -> SweepConfig:
     sizes = data.get("n_values") or data.get("m_values")
     if not sizes or not all(_is(v, int) and v > 0 for v in sizes):
         raise ConfigError(f"{where}.{axis}_values: need a non-empty list of positive integers")
-    if max(sizes) > MAX_SIZE:
-        raise ConfigError(f"{where}.{axis}_values: at most {MAX_SIZE}, got {max(sizes)}")
+    _check_parameter(SIZE, max(sizes), f"{where}.{axis}_values")
     e_values = data.get("e_values")
     if not e_values or not all(_is(v, _NUMBER) for v in e_values):
         raise ConfigError(f"{where}.e_values: need a non-empty list of numbers")
@@ -308,8 +311,7 @@ def parse_phase_scan(data: Any, where: str = "phase_scan") -> PhaseScanConfig:
     n = data.get("n")
     if not isinstance(n, int) or n < 4 or n % 2:
         raise ConfigError(f"{where}.n: need an even network size >= 4")
-    if n > MAX_SIZE:
-        raise ConfigError(f"{where}.n: at most {MAX_SIZE}, got {n}")
+    _check_parameter(SIZE, n, f"{where}.n")
     thetas = data.get("thetas_deg", DEFAULT_THETAS_DEG)
     if not thetas:
         raise ConfigError(f"{where}.thetas_deg: need at least one angle")
@@ -329,6 +331,9 @@ def parse_phase_scan(data: Any, where: str = "phase_scan") -> PhaseScanConfig:
         for idx, entry in enumerate(settings_raw, start=1)
     )
     realizations = _realizations(data, where)
+    if realizations * len(thetas) > MAX_SCAN_VALUES:
+        raise ConfigError(f"{where}: {realizations} realizations x {len(thetas)} angles are "
+                          f"more than {MAX_SCAN_VALUES:,} estimates")
     return PhaseScanConfig(n, thetas, settings, realizations)
 
 

@@ -83,7 +83,9 @@ def pair_eofs(amplitudes: np.ndarray, i: int, j: int) -> np.ndarray:
 @dataclass
 class EnsembleAccumulator:
     """Per-realization observable values with order-independent reduction;
-    each statistic is one of :func:`ensemble_average`."""
+    each statistic is one of :func:`ensemble_average`. The ensembles of
+    :mod:`spinnet.sweep` keep their values in float64 arrays instead; the
+    bench's one-device replay collects with this."""
 
     values: list[float] = field(default_factory=list)
 

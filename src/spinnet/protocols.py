@@ -20,8 +20,9 @@ stack of them; the disorder scans over it run in :mod:`spinnet.sweep`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -375,7 +376,7 @@ def mws_transfer_15() -> ProtocolResult:
 def probe_estimates(
     decomp: SpectralDecomposition, thetas_deg: Sequence[float],
     streams: Sequence[int] | None = None,
-) -> list[list[float]]:
+) -> np.ndarray:
     """Estimate each unknown kick angle on every device of a decomposed stack.
 
     Per angle, two probes run the phase-sense protocol
@@ -384,11 +385,13 @@ def probe_estimates(
     (1 + cos theta)/2 at its end; run B adds a known quarter turn and reads
     P1' = (1 - sin theta)/2. atan2(1 - 2 P1', 2 P1 - 1) then recovers the
     full circle; on a clean network the estimate is exact. One propagation
-    takes every device to the kick; the probes of a chunk of at most
-    BLOCK_ENTRIES state entries are copies of that stack, each with its own
-    angle, and share one propagation to the end. The estimates are scalars,
-    one list per angle of one per device, each the same bit for bit as for
-    its device alone, probe by probe. N is the size of the decomposition;
+    takes every device to the kick; a chunk of angles, at most BLOCK_ENTRIES
+    state entries of probes, is copies of that stack, each with its own
+    probe angle, and shares one propagation to the end. The estimates are
+    the float64 (angles, devices) array, each the same bit for bit as for
+    its device alone, probe by probe: ``abs``, ``atan2``, ``degrees`` and
+    the wrap to [0, 360) run per estimate on Python scalars, which numpy's
+    SIMD loops may round differently. N is the size of the decomposition;
     ``streams`` name a device whose norm drifts (:func:`propagate`).
     """
     n_total = decomp.eigenvalues.shape[-1]
@@ -398,23 +401,21 @@ def probe_estimates(
     devices[..., start] = 1.0
     halfway = propagate(decomp, devices, 0.0, [], t_kick, streams)
 
-    angles = []  # direct, then quadrature, per unknown angle
-    for theta_deg in thetas_deg:
-        theta = math.radians(theta_deg)
-        angles += [theta, theta + math.pi / 2.0]
-    populations: list[list[float]] = []  # P1 of every device, per probe
-    per_chunk = max(1, BLOCK_ENTRIES // halfway.size)
-    for first in range(0, len(angles), per_chunk):
-        chunk = angles[first:first + per_chunk]
-        probes = np.broadcast_to(halfway, (len(chunk),) + halfway.shape)
-        evolved = propagate(decomp, probes, t_kick, [(t_kick, site, chunk)], protocol.duration,
+    estimates = np.empty((len(thetas_deg), halfway.size // n_total))
+    per_chunk = max(1, BLOCK_ENTRIES // (2 * halfway.size))  # angles, of two probes each
+    for first in range(0, len(thetas_deg), per_chunk):
+        chunk = [math.radians(theta_deg) for theta_deg in thetas_deg[first:first + per_chunk]]
+        # the direct and the quadrature probe of each angle
+        angles = [a for theta in chunk for a in (theta, theta + math.pi / 2.0)]
+        probes = np.broadcast_to(halfway, (len(angles),) + halfway.shape)
+        evolved = propagate(decomp, probes, t_kick, [(t_kick, site, angles)], protocol.duration,
                             streams)
-        arrived = evolved[..., start].reshape(len(chunk), -1)
-        populations += [[abs(a) ** 2 for a in probe] for probe in arrived.tolist()]
-
-    return [[math.degrees(math.atan2(1.0 - 2.0 * p_quad, 2.0 * p_direct - 1.0)) % 360.0
-             for p_direct, p_quad in zip(direct, quadrature)]
-            for direct, quadrature in zip(populations[::2], populations[1::2])]
+        arrived = evolved[..., start].reshape(len(chunk), 2, -1).tolist()
+        estimates[first:first + len(chunk)] = [
+            [math.degrees(math.atan2(1.0 - 2.0 * abs(quad) ** 2, 2.0 * abs(direct) ** 2 - 1.0))
+             % 360.0 for direct, quad in zip(*pair)]
+            for pair in arrived]
+    return estimates
 
 
 def phase_probe_estimates(
@@ -424,16 +425,23 @@ def phase_probe_estimates(
     once: its estimate at each angle."""
     if n_total != graph.n_sites:
         raise ValueError(f"a probe of {n_total} sites on a graph of {graph.n_sites}")
-    return [per_device[0] for per_device in probe_estimates(eigh(graph.to_matrix()), thetas_deg)]
+    return probe_estimates(eigh(graph.to_matrix()), thetas_deg)[:, 0].tolist()
 
 
-def angle_offset(a_deg: float, b_deg: float) -> float:
-    """The signed angle from ``b_deg`` to ``a_deg``, within 180 degrees either way."""
+def angle_offset(a_deg: float | np.ndarray, b_deg: float | np.ndarray) -> float | np.ndarray:
+    """The signed angle from ``b_deg`` to ``a_deg``, within 180 degrees either way.
+
+    Floats or float64 arrays, elementwise and broadcast: numpy's remainder
+    takes Python's float ``%`` step for step (fmod, then the divisor's
+    sign), so an array's offsets are the scalar offsets bit for bit.
+    """
     return (a_deg - b_deg + 180.0) % 360.0 - 180.0
 
 
-def unwrap_to_branch(estimate_deg: float, reference_deg: float) -> float:
-    """Move an angle onto the branch within 180 degrees of the reference."""
+def unwrap_to_branch(estimate_deg: float | np.ndarray,
+                     reference_deg: float | np.ndarray) -> float | np.ndarray:
+    """Move an angle onto the branch within 180 degrees of the reference;
+    elementwise over arrays, bit for bit as on scalars (:func:`angle_offset`)."""
     return reference_deg + angle_offset(estimate_deg, reference_deg)
 
 
@@ -448,21 +456,45 @@ def _mws(p: dict) -> ProtocolResult:
     raise ValueError(f"mws supports chain lengths 3 and 4, got {chain_length}")
 
 
+# Every network size a config gives (a protocol's n, m, n_a, n_b and
+# chain_length, a sweep's n_values or m_values, phase_scan.n, the sites of a
+# network's chains) is at most MAX_SIZE, five times the paper's largest
+# N = 200. `spinnet run` decomposes a dense complex N x N matrix: 16 MB at
+# N = 1000, and 144 MB for the 3000 sites of the largest m-chain router.
+MAX_SIZE = 1000
+
+
+@dataclass(frozen=True)
+class Parameter:
+    """A parameter as a config gives it: its YAML types, and the range its
+    value must lie in, checked once when the config is read."""
+
+    types: type | tuple
+    rule: str = ""  # the range, as a config error states it
+    accepts: Callable[[Any], bool] = lambda value: True
+
+
+SIZE = Parameter(int, f"at most {MAX_SIZE}", lambda value: value <= MAX_SIZE)
+# an integer beyond a float's range would overflow the builder's float arithmetic
+ANGLE = Parameter((int, float), "need a finite angle in degrees",
+                  lambda value: abs(value) <= sys.float_info.max)
+FLAG = Parameter(bool)
+
 # Each protocol by its CLI name: a builder that pops the parameters it uses
-# from a dict, and the config type of each parameter (every int is a size).
-PROTOCOLS: dict[str, tuple[Callable[[dict], ProtocolResult], dict[str, type | tuple]]] = {
+# from a dict, and each parameter's config type and range.
+PROTOCOLS: dict[str, tuple[Callable[[dict], ProtocolResult], dict[str, Parameter]]] = {
     "router": (lambda p: m_chain_router(p.pop("m")) if "m" in p else router_two_chain(p.pop("n")),
-               {"n": int, "m": int}),
-    "ent-phase": (lambda p: entangle_phase_two_chain(p.pop("n")), {"n": int}),
-    "ent-center": (lambda p: entangle_center_two_chain(p.pop("n")), {"n": int}),
+               {"n": SIZE, "m": SIZE}),
+    "ent-phase": (lambda p: entangle_phase_two_chain(p.pop("n")), {"n": SIZE}),
+    "ent-center": (lambda p: entangle_center_two_chain(p.pop("n")), {"n": SIZE}),
     "phase-sense": (lambda p: phase_sense_two_chain(p.pop("n"), p.pop("theta_deg", 0.0)),
-                    {"n": int, "theta_deg": (int, float)}),
+                    {"n": SIZE, "theta_deg": ANGLE}),
     "unequal-router": (lambda p: unequal_router(p.pop("n_a"), p.pop("n_b")),
-                       {"n_a": int, "n_b": int}),
+                       {"n_a": SIZE, "n_b": SIZE}),
     "unequal-ent": (lambda p: unequal_entangle(p.pop("n_a"), p.pop("n_b")),
-                    {"n_a": int, "n_b": int}),
-    "w-state": (lambda p: w_state(p.pop("chain_length")), {"chain_length": int}),
-    "mws": (_mws, {"chain_length": int, "with_flips": bool}),
+                    {"n_a": SIZE, "n_b": SIZE}),
+    "w-state": (lambda p: w_state(p.pop("chain_length")), {"chain_length": SIZE}),
+    "mws": (_mws, {"chain_length": SIZE, "with_flips": FLAG}),
     "mws-transfer": (lambda p: mws_transfer_15(), {}),
     "max-ent": (lambda p: max_entangle_12(), {}),
 }

@@ -14,10 +14,13 @@ propagates only the amplitudes its merit reads, through the last kick
 (:class:`SplitPlan`), instead of the whole state. A phase scan assembles
 and decomposes its block as complex, in dense stacks of at most
 BLOCK_ENTRIES entries at N^2 per device. A realization's value does not
-depend on the block or stack it lands in either. :func:`run_cells` runs either kind of cell,
-in process or on a clamped pool, checkpoints each completed cell to disk
-(write-temp-then-rename) together with a fingerprint of its configuration,
-and skips it on resume only when that fingerprint matches.
+depend on the block or stack it lands in either. Values go from their
+block straight into one float64 array per cell: K merits for a sweep
+cell, (angles, K) estimates for a phase-scan setting, 8 bytes each.
+:func:`run_cells` runs either kind of cell, in process or on a clamped
+pool, checkpoints each completed cell to disk (write-temp-then-rename)
+together with a fingerprint of its configuration, and skips it on resume
+only when that fingerprint matches.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .disorder import DisorderSpec, perturb, stream_draws
 from .dynamics import propagate, schedule_kicks
 from .linalg import BLOCK_ENTRIES, BandOperator, band_operator, eigh, keep_heap
 from .network import CouplingGraph
-from .observables import EnsembleAccumulator, ensemble_average
+from .observables import ensemble_average
 from .protocols import (FigureOfMerit, ProtocolResult, build_protocol, probe_estimates,
                         unwrap_to_branch)
 
@@ -59,7 +62,7 @@ def hamiltonian_blocks(
     stream, bit for bit; the array that the spec leaves alone is the graph's
     own, without a block axis. A clean spec yields one realization, the bare graph.
     """
-    runs = min(realizations, 1) if disorder_spec.clean else realizations
+    runs = _runs(disorder_spec, realizations)
     block = max(1, BLOCK_ENTRIES // (2 * graph.n_sites))
     for first in range(stream_base, stream_base + runs, block):
         streams = range(first, min(first + block, stream_base + runs))
@@ -71,6 +74,11 @@ def hamiltonian_blocks(
         yield streams, values, onsite
 
 
+def _runs(disorder_spec: DisorderSpec, realizations: int) -> int:
+    """The realizations a cell computes: a clean spec's are all one."""
+    return min(realizations, 1) if disorder_spec.clean else realizations
+
+
 def ensemble_merit(
     result: ProtocolResult,
     disorder_spec: DisorderSpec,
@@ -78,8 +86,9 @@ def ensemble_merit(
     master_seed: int,
     stream_base: int = 0,
     merit: FigureOfMerit | None = None,
-) -> EnsembleAccumulator:
-    """Run one protocol K times under fresh disorder and collect its merit.
+) -> np.ndarray:
+    """Run one protocol K times under fresh disorder: its K merits, as one
+    float64 array.
 
     Realization k draws from stream ``stream_base + k``. Each block of
     :func:`hamiltonian_blocks` becomes one band operator and one vectorised
@@ -98,7 +107,7 @@ def ensemble_merit(
     plan = split_plan(start, kicks, t, merit.sites)
     if plan is not None and not plan.saves:  # a tie keeps the forward plan
         plan = None
-    merits: list[float] = []
+    merits = np.empty(_runs(disorder_spec, realizations))
     for streams, values, onsite in hamiltonian_blocks(graph, disorder_spec, realizations,
                                                       master_seed, stream_base):
         operator = band_operator(graph.rows, graph.cols, values, onsite)
@@ -108,10 +117,8 @@ def ensemble_merit(
             amplitudes = propagate(operator, amplitudes, 0.0, kicks, t, streams)
         else:
             amplitudes = plan.amplitudes(operator, streams)
-        merits += merit.values(amplitudes).tolist()
-    if disorder_spec.clean:
-        merits *= realizations
-    return EnsembleAccumulator(merits)
+        merits[streams.start - stream_base:streams.stop - stream_base] = merit.values(amplitudes)
+    return np.repeat(merits, realizations) if disorder_spec.clean else merits
 
 
 @dataclass(frozen=True)
@@ -201,7 +208,7 @@ def resolve_merit(
         merit = result.merit
     elif observable == "fidelity":
         merit = FigureOfMerit("fidelity", result.expected_time, target=result.expected_state)
-    elif observable == "eof":
+    else:  # "eof", the one other observable config.parse_sweep accepts
         pair = eof_pair or result.merit.pair
         if pair is None:
             raise ConfigError(
@@ -212,8 +219,6 @@ def resolve_merit(
             raise ConfigError(f"sweep.eof_pair {list(pair)} needs two distinct sites in "
                               f"1..{n} ({result.name!r} has {n} sites)")
         merit = FigureOfMerit("eof", result.merit.time, pair=pair)
-    else:
-        raise ConfigError(f"unknown observable {observable!r}")
     if observe is not None:
         t = parse_time_expression(observe, mirror_tokens(result.network))
         # relative to 1e-12, as mirror_tokens compares times: 900*t_m rounds
@@ -259,9 +264,9 @@ class SweepCell:
     def run(self) -> dict[str, Any]:
         """Evaluate the cell; returns a plain dict so it survives any transport."""
         result, merit = self.protocol()
-        acc = ensemble_merit(result, self.disorder, self.realizations, self.master_seed,
-                             stream_base=self.stream_base, merit=merit)
-        mean, std, std_of_mean = ensemble_average(acc.values)
+        merits = ensemble_merit(result, self.disorder, self.realizations, self.master_seed,
+                                stream_base=self.stream_base, merit=merit)
+        mean, std, std_of_mean = ensemble_average(merits.tolist())
         return {
             "index": self.index,
             "size": self.size,
@@ -270,7 +275,7 @@ class SweepCell:
             "mean": mean,
             "std": std,
             "std_of_mean": std_of_mean,
-            "k": acc.count,
+            "k": len(merits),
             "stream_base": self.stream_base,
         }
 
@@ -404,13 +409,14 @@ def phase_scan_setting(
     One disorder realization is one device, probed at every angle. Each
     block of :func:`hamiltonian_blocks` runs as dense stacks of at most
     BLOCK_ENTRIES // N^2 devices (6 at N = 50, one from N = 91 on), one
-    eigensolve and one probe of all devices per stack. Estimates are
-    unwrapped onto the branch around the true angle before averaging, so
-    means near 0/360 do not smear across the seam. A clean spec probes one
-    device.
+    eigensolve and one probe of all devices per stack. A stack's estimates
+    are unwrapped onto the branch around the true angle, so means near 0/360
+    do not smear across the seam, and go straight into one float64 (angles,
+    K) array: 8 bytes per estimate. A clean spec probes one device.
     """
     graph = build_protocol("phase-sense", {"n": n_total}).graph()
-    per_angle: list[list[float]] = [[] for _ in thetas_deg]
+    references = np.array(thetas_deg)[:, np.newaxis]
+    estimates = np.empty((len(thetas_deg), _runs(disorder_spec, realizations)))
     per_stack = max(1, BLOCK_ENTRIES // n_total ** 2)
     for streams, values, onsite in hamiltonian_blocks(graph, disorder_spec, realizations,
                                                       master_seed, stream_base):
@@ -418,15 +424,16 @@ def phase_scan_setting(
         values, onsite = (np.broadcast_to(a, (len(streams), a.shape[-1]))
                           for a in (values, onsite))
         for first in range(0, len(streams), per_stack):
-            stack = slice(first, first + per_stack)
+            rows = slice(first, first + per_stack)
+            stack = streams[rows]
             # complex, as one device's to_matrix(), so every estimate keeps its bits
             # (and bench/reference/ its rows): a device on the unwrap branch cut
             # (README, "Reproducibility") flips sides on a last-bit change
-            h = graph.assemble(values[stack], onsite[stack]).astype(complex)
-            estimates = probe_estimates(eigh(h), thetas_deg, streams[stack])
-            for slot, theta, per_device in zip(per_angle, thetas_deg, estimates):
-                slot.extend(unwrap_to_branch(est, theta) for est in per_device)
-    stats = [ensemble_average(values) for values in per_angle]
+            h = graph.assemble(values[rows], onsite[rows]).astype(complex)
+            columns = slice(stack.start - stream_base, stack.stop - stream_base)
+            estimates[:, columns] = unwrap_to_branch(probe_estimates(eigh(h), thetas_deg, stack),
+                                                     references)
+    stats = [ensemble_average(row.tolist()) for row in estimates]
     return [(mean % 360.0, std, std_of_mean) for mean, std, std_of_mean in stats]
 
 

@@ -12,7 +12,8 @@ import spinnet.cli as cli
 import spinnet.sweep as sweep
 from spinnet.linalg import InvariantViolation
 from spinnet.config import (MAX_REALIZATIONS, MAX_RUN_AMPLITUDES, MAX_RUN_SAMPLES,
-                            MAX_SCAN_ANGLES, MAX_SIZE, ConfigError, parse_config)
+                            MAX_SCAN_ANGLES, MAX_SCAN_VALUES, MAX_SIZE, ConfigError,
+                            parse_config)
 from spinnet.network import CouplingGraph
 
 
@@ -210,7 +211,7 @@ def test_run_phase_sense_shares_the_run_path(tmp_path, capsys, monkeypatch):
         {"protocol": protocol, "disorder": {"kind": "off_diagonal", "strength": 0.3}},
         name="disordered.yaml",
     )
-    monkeypatch.setattr(cli, "probe_estimates", lambda decomp, thetas: [[41.0]])
+    monkeypatch.setattr(cli, "probe_estimates", lambda decomp, thetas: np.array([[41.0]]))
     assert run_cli("run", "--config", disordered, "--out", tmp_path / "dis") == 0
     assert run_cli("run", "--config", cfg, "--out", tmp_path / "miss") == 3
     assert "missed the true angle" in capsys.readouterr().err
@@ -1042,6 +1043,15 @@ def test_sizes_above_their_bound_fail_before_any_network_is_built(
     assert_config_error_writes_nothing(tmp_path, capsys, command, data, message)
 
 
+@pytest.mark.parametrize("theta", [10**400, -10**400, math.inf, math.nan],
+                         ids=["400 digits", "-400 digits", "inf", "nan"])
+def test_a_protocol_angle_beyond_a_float_is_a_config_error(tmp_path, capsys, theta):
+    # the 400-digit angle once ended `spinnet run` in an OverflowError traceback
+    data = dict(RUN_CONFIG, protocol={"name": "phase-sense", "n": 20, "theta_deg": theta})
+    assert_config_error_writes_nothing(tmp_path, capsys, "run", data,
+                                       "protocol.theta_deg: need a finite angle in degrees")
+
+
 def test_sizes_at_their_bound_are_accepted():
     cfg = parse_config({
         "protocol": {"name": "router", "n": MAX_SIZE},
@@ -1068,6 +1078,29 @@ def test_a_trajectory_above_its_amplitude_bound_fails_before_the_eigensolve(
         tmp_path, capsys, "run", data,
         f"run.samples: {MAX_RUN_SAMPLES} samples of {MAX_SIZE} sites are more than "
         f"{MAX_RUN_AMPLITUDES:,} amplitudes")
+
+
+# 114 angles x 877,193 devices: the nearest product above the bound that
+# realizations <= 10^6 and angles <= 3600 can reach, 2 over it
+OVER_SCAN_VALUES = (114, MAX_SCAN_VALUES // 114 + 1)
+
+
+def test_a_scan_of_more_estimates_than_its_bound_is_a_config_error(tmp_path, capsys):
+    angles, realizations = OVER_SCAN_VALUES
+    assert angles * realizations == MAX_SCAN_VALUES + 2 and realizations <= MAX_REALIZATIONS
+    data = {"phase_scan": {"n": 6, "thetas_deg": [k / 10 for k in range(angles)],
+                           "realizations": realizations}}
+    assert_config_error_writes_nothing(
+        tmp_path, capsys, "phase-scan", data,
+        f"phase_scan: {realizations} realizations x {angles} angles are more than "
+        f"{MAX_SCAN_VALUES:,} estimates")
+
+
+def test_a_scan_of_as_many_estimates_as_its_bound_is_accepted():
+    thetas = [k / 10 for k in range(100)]
+    scan = parse_config({"phase_scan": {"n": 6, "thetas_deg": thetas,
+                                        "realizations": MAX_REALIZATIONS}}).phase_scan
+    assert scan.realizations * len(scan.thetas_deg) == MAX_SCAN_VALUES
 
 
 def test_a_scan_of_max_angles_is_accepted():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from spinnet.network import ChainSpec, NetworkSpec
 from spinnet.disorder import KINDS, DisorderSpec
-from spinnet.protocols import PROTOCOLS
+from spinnet.protocols import PROTOCOLS, build_protocol
 from spinnet.config import (
     ConfigError,
     RunConfig,
@@ -32,25 +32,43 @@ SCHEMA_KEYS = sorted({
 })
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
                     st.sampled_from([*PROTOCOLS, *KINDS, "auto", "eof", "2*t_m"]))
-DOCUMENTS = st.dictionaries(st.sampled_from(SCHEMA_KEYS), st.recursive(
+ANY_DOCUMENTS = st.dictionaries(st.sampled_from(SCHEMA_KEYS), st.recursive(
     SCALARS, lambda inner: st.one_of(st.lists(inner, max_size=4),
                                      st.dictionaries(st.sampled_from(SCHEMA_KEYS), inner,
                                                      max_size=4)),
     max_leaves=10), max_size=5)
+# a protocol section of known keys, so that generated documents reach the builders
+PARAMETER_VALUES = st.one_of(SCALARS, st.integers(-10, 1010), st.sampled_from([-10**400, 10**400]))
+PROTOCOL_SECTIONS = st.sampled_from(sorted(PROTOCOLS)).flatmap(
+    lambda name: st.fixed_dictionaries(
+        {"name": st.just(name)}, optional=dict.fromkeys(PROTOCOLS[name][1], PARAMETER_VALUES)))
+DOCUMENTS = st.one_of(ANY_DOCUMENTS, st.builds(lambda data, section: dict(data, protocol=section),
+                                               ANY_DOCUMENTS, PROTOCOL_SECTIONS))
 
 
-@settings(max_examples=200, deadline=None)  # about 2 s
+@settings(max_examples=300, deadline=None)  # about 3 s
 @given(DOCUMENTS)
 # an integer beyond a float's range once escaped as an OverflowError
 @example({"disorder": {"kind": "diagonal", "strength": 10**400}})
 @example({"sweep": {"n_values": [4], "e_values": [10**400]}})
 @example({"phase_scan": {"n": 4, "thetas_deg": [10**400]}})
 @example({"network": {"chains": [{"length": 3, "j_max": 10**400}]}})
+@example({"protocol": {"name": "phase-sense", "n": 20, "theta_deg": 10**400}})  # once exit 1
+@example({"protocol": {"name": "phase-sense", "n": 20, "theta_deg": -math.inf}})
+@example({"protocol": {"name": "unequal-ent", "n_a": -10**400, "n_b": 3}})
 def test_a_config_is_parsed_or_is_a_config_error(data):
+    """A document is a config or a config error; an accepted protocol section
+    builds, or fails with the ValueError that `run` and `sweep` report as a
+    config error."""
     try:
-        parse_config(data)
+        cfg = parse_config(data)
     except ConfigError:
-        pass
+        return
+    if cfg.protocol is not None:
+        try:
+            build_protocol(cfg.protocol.name, cfg.protocol.params)
+        except ValueError:
+            pass
 
 
 def test_network_parse_and_round_trip():

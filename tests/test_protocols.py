@@ -433,7 +433,7 @@ def test_probe_over_a_stack_matches_each_device_alone():
     stack = eigh(np.array([device.to_matrix() for device in devices]))
     alone = [phase_probe_estimates(device, 20, thetas) for device in devices]
     # angle-major: one list per angle, one estimate per device
-    assert probe_estimates(stack, thetas) == [list(angle) for angle in zip(*alone)]
+    assert probe_estimates(stack, thetas).tolist() == [list(angle) for angle in zip(*alone)]
 
 
 # the five devices of the N = 50 bench phase scan (off-diagonal E = 0.10, seed
@@ -478,7 +478,7 @@ def tie_block():
 def test_probe_keeps_the_bits_of_one_angle_at_a_time():
     _, _, decomp = tie_block()
     got = probe_estimates(decomp, (135.0, 315.0))
-    assert got == per_angle_probe(decomp, 50, (135.0, 315.0))
+    assert got.tolist() == per_angle_probe(decomp, 50, (135.0, 315.0))
     for estimate in got[1][1:]:  # the ties at 315 degrees really are on the cut
         assert abs(estimate - 135.0) < 1e-9
 
@@ -498,9 +498,9 @@ def test_probe_estimates_do_not_depend_on_the_chunk_size(monkeypatch):
     calls = []
     monkeypatch.setattr(dynamics, "evolve",
                         lambda d, psi, t: calls.append(np.shape(psi)) or evolve(d, psi, t))
-    monkeypatch.setattr(protocols, "BLOCK_ENTRIES", 7 * 6 * 50)  # 7 probes a chunk
-    assert probe_estimates(decomp, thetas) == whole
-    assert calls == [(6, 50)] + [(7, 6, 50)] * 6 + [(6, 6, 50)]
+    monkeypatch.setattr(protocols, "BLOCK_ENTRIES", 7 * 2 * 6 * 50)  # 7 angles a chunk
+    assert probe_estimates(decomp, thetas).tolist() == whole.tolist()
+    assert calls == [(6, 50)] + [(14, 6, 50)] * 3 + [(6, 6, 50)]
 
 
 @pytest.mark.parametrize("n", [32, 50])
@@ -510,8 +510,8 @@ def test_probe_memory_is_bounded_by_the_chunk(monkeypatch, n):
                         lambda d, psi, t: calls.append(np.shape(psi)) or evolve(d, psi, t))
     thetas = [k * 0.1 for k in range(3600)]
     estimates = phase_probe_estimates(build_protocol("phase-sense", {"n": n}).graph(), n, thetas)
-    per_chunk = 2 ** 14 // n
-    assert len(calls) == 1 + math.ceil(7200 / per_chunk)
+    per_chunk = 2 ** 14 // (2 * n)  # angles, of two probes each
+    assert len(calls) == 1 + math.ceil(3600 / per_chunk)
     if n == 32:  # a state size dividing 2^14 fills every chunk
         assert len(calls) == 1 + math.ceil(7200 * n / 2 ** 14)
     assert max(math.prod(shape) for shape in calls) <= 2 ** 14
@@ -530,6 +530,26 @@ def test_angle_offset_keeps_the_bits_of_the_branch_rule(estimate, reference):
     offset = (estimate - reference + 180.0) % 360.0 - 180.0
     assert angle_offset(estimate, reference) == offset and abs(offset) <= 180.0
     assert unwrap_to_branch(estimate, reference) == reference + offset
+
+
+BELOW_360 = math.nextafter(360.0, 0.0)
+# any finite angle, and the edges of the rule: 0, just below 360, half turns
+ANY_ANGLE = st.one_of(st.floats(-720.0, 720.0), st.sampled_from([0.0, BELOW_360, 180.0, -180.0]))
+
+
+@given(estimates=st.lists(ANY_ANGLE, min_size=1, max_size=8),
+       references=st.lists(ANY_ANGLE, min_size=1, max_size=8))
+@example(estimates=[BELOW_360, 0.0], references=[BELOW_360, 0.0])
+@example(estimates=[315.0, 135.0, 45.0], references=[135.0, 315.0, 225.0])  # exactly 180 away
+@example(estimates=[10.0, 350.0], references=[350.0, 10.0])  # offsets of -20 and +20
+def test_the_angle_rule_on_arrays_is_the_scalar_rule(estimates, references):
+    """The phase scan unwraps a stack's (angles, devices) estimates against a
+    column of references; each element has the bits of the scalar rule."""
+    grid = np.array(estimates)[np.newaxis, :]
+    column = np.array(references)[:, np.newaxis]
+    for rule in (angle_offset, unwrap_to_branch):
+        scalars = np.array([[rule(e, r) for e in estimates] for r in references])
+        assert rule(grid, column).tobytes() == scalars.tobytes()
 
 
 # --- dispatch ----------------------------------------------------------------------
@@ -574,9 +594,9 @@ VALUE_OF_TYPE = {int: 4, bool: True, (int, float): 22.5}
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
 def test_protocol_table_parses_builds_and_rejects_a_foreign_key(name):
-    _, types = PROTOCOLS[name]
-    data = dict({"name": name}, **{key: VALUE_OF_TYPE[t] for key, t in types.items()})
-    assert parse_protocol(data).params.keys() == types.keys()
+    _, parameters = PROTOCOLS[name]
+    data = dict({"name": name}, **{key: VALUE_OF_TYPE[p.types] for key, p in parameters.items()})
+    assert parse_protocol(data).params.keys() == parameters.keys()
     assert build_protocol(name, SMALLEST_PARAMS[name]).name == name
     with pytest.raises(ConfigError, match="unknown key 'j_max_b'"):
         parse_protocol({"name": name, "j_max_b": 0.5})

@@ -124,15 +124,44 @@ def test_a_warm_cell_keeps_its_pages():
     cell faults in few pages (about 45,000 and 4,700 with glibc's default
     thresholds). A fresh interpreter, as the pytest process's own heap is
     not the CLI's."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sweep.__file__)))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True,
-                         text=True, timeout=300, check=True)
-    faults = json.loads(run.stdout.splitlines()[-1])
+    faults = json.loads(fresh_interpreter(FAULT_PROBE))
     assert faults["kept"] is True
     assert faults["phase-scan"] < 1000, faults
     assert faults["sweep-large"] < 200, faults
+
+
+def fresh_interpreter(code, *args):
+    """The last line that ``code`` prints, run with ``args`` in a new
+    interpreter on this package and one BLAS thread."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sweep.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    return run.stdout.splitlines()[-1]
+
+
+PEAK_PROBE = """
+import resource, sys
+from spinnet import linalg, sweep
+from spinnet.disorder import DisorderSpec
+linalg.keep_heap()  # as run_cell
+thetas = tuple(float(t) for t in range(360))
+sweep.phase_scan_setting(4, thetas, DisorderSpec("diagonal", 0.1), int(sys.argv[1]), 20230724)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)  # KiB
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_a_phase_scan_keeps_about_8_bytes_per_estimate():
+    """Estimates go from their probe straight into one float64 array: peak
+    memory grows by about 8 bytes per estimate, not the 40 or so of a Python
+    float in a list. Both K are whole draw blocks at N = 4, so the
+    transients of a block cancel from the difference."""
+    block = sweep.BLOCK_ENTRIES // (2 * 4)  # 2048 devices
+    low, high = (int(fresh_interpreter(PEAK_PROBE, k)) * 1024 for k in (block, 3 * block))
+    per_estimate = (high - low) / (2 * block * 360)
+    assert per_estimate <= 10.0, per_estimate
 
 
 # --- block engine ---------------------------------------------------------------
@@ -165,9 +194,9 @@ def test_engine_matches_the_loop_reference(case, kind):
     _, result, merit = case
     spec = DisorderSpec(kind, 0.15)
     reference = loop_reference(result, spec, 6, 40, merit)
-    acc = ensemble_merit(result, spec, 6, SEED, stream_base=40, merit=merit)
-    assert acc.count == 6
-    assert np.max(np.abs(np.array(acc.values) - reference)) <= 1e-12
+    merits = ensemble_merit(result, spec, 6, SEED, stream_base=40, merit=merit)
+    assert merits.shape == (6,) and merits.dtype == np.float64
+    assert np.max(np.abs(merits - reference)) <= 1e-12
 
 
 @pytest.mark.parametrize("name, params, durations_in_t_m", [
@@ -222,8 +251,8 @@ def test_the_split_matches_a_direct_propagate(case, kind):
     direct[:, start] = 1.0
     direct = propagate(op, direct, 0.0, [kick for kick in kicks if kick[0] <= merit.time],
                        merit.time)
-    engine = ensemble_merit(result, spec, 6, SEED, stream_base=40, merit=merit).values
-    assert np.max(np.abs(np.array(engine) - merit.values(direct))) <= 1e-12
+    engine = ensemble_merit(result, spec, 6, SEED, stream_base=40, merit=merit)
+    assert np.max(np.abs(engine - merit.values(direct))) <= 1e-12
     plan = plan_of(result, merit)
     if plan is not None:  # a tie's split too, though the cell runs forward
         split = plan.amplitudes(op, streams)
@@ -268,9 +297,9 @@ def test_a_block_runs_the_series_of_its_plan(monkeypatch, name, params):
 @pytest.mark.parametrize("kind", ["none", "diagonal"])
 def test_clean_cell_repeats_one_realization(kind):
     result = build_protocol("ent-phase", {"n": 8})
-    acc = ensemble_merit(result, DisorderSpec(kind, 0.0), 5, SEED)
-    assert acc.values == [acc.values[0]] * 5
-    assert acc.values[0] == pytest.approx(1.0, abs=1e-12)
+    merits = ensemble_merit(result, DisorderSpec(kind, 0.0), 5, SEED)
+    assert merits.tolist() == [merits[0]] * 5
+    assert merits[0] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -291,7 +320,7 @@ def test_values_do_not_depend_on_the_block_size(monkeypatch, kind, name, params,
         n = result.network.n_sites
 
         def values():
-            return ensemble_merit(result, spec, k, SEED, stream_base=3).values
+            return ensemble_merit(result, spec, k, SEED, stream_base=3).tolist()
     default = values()
     # one per block, an uneven split, all in one (a block takes 2n per realization)
     for entries in (1, 7 * n * n, k * n * n):
@@ -304,8 +333,8 @@ def test_values_do_not_depend_on_the_block_size(monkeypatch, kind, name, params,
 def test_realization_k_of_a_block_is_its_own_stream(kind, name, params):
     result = build_protocol(name, params)  # mws-transfer: a target with four terms
     spec = DisorderSpec(kind, 0.2)
-    block = ensemble_merit(result, spec, 9, SEED, stream_base=500).values
-    singles = [ensemble_merit(result, spec, 1, SEED, stream_base=500 + k).values[0]
+    block = ensemble_merit(result, spec, 9, SEED, stream_base=500).tolist()
+    singles = [ensemble_merit(result, spec, 1, SEED, stream_base=500 + k)[0]
                for k in range(9)]
     assert block == singles
 
@@ -322,8 +351,8 @@ def test_a_sweep_decomposes_no_matrix(monkeypatch, kind, name, params):
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     monkeypatch.setattr(linalg, "eigh", no_eigh)
-    acc = ensemble_merit(result, DisorderSpec(kind, 0.0 if kind == "none" else 0.1), 5, SEED)
-    assert acc.count == 5
+    merits = ensemble_merit(result, DisorderSpec(kind, 0.0 if kind == "none" else 0.1), 5, SEED)
+    assert len(merits) == 5
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -448,7 +477,7 @@ def test_every_phase_scan_device_lands_in_one_dense_stack(monkeypatch, kind, sta
 
     def recording_probe(decomp, thetas, stack_streams):
         streams.append(list(stack_streams))
-        return [[0.0] * len(stack_streams) for _ in thetas]
+        return np.zeros((len(thetas), len(stack_streams)))
 
     monkeypatch.setattr(sweep, "eigh", recording_eigh)
     monkeypatch.setattr(sweep, "probe_estimates", recording_probe)
