@@ -247,7 +247,6 @@ def cmd_sweep(cfg: Config, out: str, seed: int, workers: int) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    checkpoint_dir = os.path.join(out, "checkpoints")
     done = 0
 
     def progress(row: dict[str, Any]) -> None:
@@ -256,7 +255,8 @@ def cmd_sweep(cfg: Config, out: str, seed: int, workers: int) -> int:
         _say(f"[{done}/{len(cells)}] {row['kind']} size={row['size']} "
              f"E={row['e']:g}: mean={row['mean']:.6f}")
 
-    rows = run_cells(cells, workers=workers, checkpoint_dir=checkpoint_dir, on_cell=progress)
+    rows = run_cells(cells, workers=workers, journal=os.path.join(out, "sweep.jsonl"),
+                     on_cell=progress)
 
     heatmap_path = os.path.join(out, "heatmap.csv")
     with open(heatmap_path, "w", encoding="utf-8") as fh:
@@ -304,7 +304,7 @@ def cmd_phase_scan(cfg: Config, out: str, seed: int, workers: int) -> int:
         _say(f"[{done}/{len(cells)}] {row['kind']} E={row['e']:g}: "
              f"max |mean - theta|={worst:.6f} deg")
 
-    rows = run_cells(cells, workers=workers, checkpoint_dir=os.path.join(out, "checkpoints"),
+    rows = run_cells(cells, workers=workers, journal=os.path.join(out, "phase_scan.jsonl"),
                      on_cell=progress)
     path = os.path.join(out, "phase_scan.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -338,7 +338,7 @@ def _read_record(meta_path: str) -> tuple[str, Config, int, int]:
     try:
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, an int of 4300+ digits
         raise ConfigError(f"cannot read meta record {meta_path}: {exc}")
     if not isinstance(meta, dict):
         raise ConfigError(f"meta record {meta_path} is not a JSON object")

@@ -72,7 +72,7 @@ def load_yaml(path: str) -> Any:
             data = yaml.load(fh, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: bad UTF-8, a 4300+ digit int
         raise ConfigError(f"invalid YAML in {path}: {exc}")
     return {} if data is None else data
 

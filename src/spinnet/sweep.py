@@ -18,9 +18,9 @@ depend on the block or stack it lands in either. Values go from their
 block straight into one float64 array per cell: K merits for a sweep
 cell, (angles, K) estimates for a phase-scan setting, 8 bytes each.
 :func:`run_cells` runs either kind of cell, in process or on a clamped
-pool, checkpoints each completed cell to disk (write-temp-then-rename)
-together with a fingerprint of its configuration, and skips it on resume
-only when that fingerprint matches.
+pool. The parent appends each finished cell to one journal per command, a
+line of JSON holding its row and a fingerprint of its configuration, and on
+resume skips a cell only when a line with that fingerprint holds it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import multiprocessing
 import os
 import sys
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, ClassVar, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -234,10 +234,6 @@ def resolve_merit(
 class SweepCell:
     """One grid cell: identity, addressing, and its task payload."""
 
-    # checkpoints/cell_00003.json; a phase-scan setting's is setting_00003.json,
-    # so a sweep and a phase scan in one --out keep their checkpoints apart
-    checkpoint_stem: ClassVar[str] = "cell"
-
     index: int
     size: int
     e: float
@@ -299,9 +295,10 @@ def sweep_cells(
 
 
 def fingerprint(cell: SweepCell | PhaseScanCell) -> dict[str, Any]:
-    """Everything the cell's numbers depend on, as its checkpoint stores it:
-    its fields and the spinnet version."""
-    return json.loads(json.dumps(dict(asdict(cell), version=__version__)))  # tuples as lists
+    """Everything the cell's numbers depend on, as its journal line stores
+    it: its fields and the spinnet and numpy versions."""
+    return json.loads(json.dumps(dict(asdict(cell), version=__version__,
+                                      numpy=np.__version__)))  # tuples as lists
 
 
 def run_cell(cell: SweepCell | PhaseScanCell) -> dict[str, Any]:
@@ -316,32 +313,23 @@ def run_cell(cell: SweepCell | PhaseScanCell) -> dict[str, Any]:
 def run_cells(
     cells: Sequence[SweepCell | PhaseScanCell],
     workers: int = 1,
-    checkpoint_dir: str | None = None,
+    journal: str | None = None,
     on_cell: Callable[[dict[str, Any]], None] | None = None,
 ) -> list[dict[str, Any]]:
-    """Evaluate cells, resuming from and writing per-cell checkpoints.
+    """Evaluate cells, resuming from and appending to ``journal``.
 
-    A checkpoint is used only when its fingerprint matches the cell; one
-    written for another configuration, or one that cannot be read, is
-    discarded with a warning on stderr and the cell is computed again.
+    The parent process appends one line per finished cell, in the order the
+    cells finish. See :func:`_read_journal` for the lines a resumed run uses.
     """
-    rows: dict[int, dict[str, Any]] = {}
     fingerprints = {cell.index: fingerprint(cell) for cell in cells}
-    pending = []
-    stems = {cell.index: cell.checkpoint_stem for cell in cells}
-    for cell in cells:
-        cached = _load_checkpoint(checkpoint_dir, cell.index, fingerprints[cell.index],
-                                  cell.checkpoint_stem)
-        if cached is not None:
-            rows[cell.index] = cached
-        else:
-            pending.append(cell)
+    rows = _read_journal(journal, fingerprints) if journal is not None else {}
+    pending = [cell for cell in cells if cell.index not in rows]
 
     def record(row: dict[str, Any]) -> None:
         index = row["index"]
         rows[index] = row
-        _write_checkpoint(checkpoint_dir, dict(row, fingerprint=fingerprints[index]),
-                          stems[index])
+        if journal is not None:
+            _write_checkpoint(journal, dict(row, fingerprint=fingerprints[index]))
         if on_cell is not None:
             on_cell(row)
 
@@ -360,42 +348,47 @@ def run_cells(
     return [rows[cell.index] for cell in cells]
 
 
-def _checkpoint_path(checkpoint_dir: str, index: int, stem: str) -> str:
-    return os.path.join(checkpoint_dir, f"{stem}_{index:05d}.json")
+def _read_journal(journal: str,
+                  fingerprints: dict[int, dict[str, Any]]) -> dict[int, dict[str, Any]]:
+    """The rows of ``journal`` whose fingerprint matches their cell, by index.
+
+    The last such line of a cell counts. Any other line (cut off by a killed
+    run, not a cell's row, or written for another configuration) is dropped
+    with a warning on stderr, and the journal is rewritten with the kept
+    lines (write-temp-then-rename), so a new line never follows a cut one.
+    """
+    rows: dict[int, dict[str, Any]] = {}
+    if not os.path.exists(journal):
+        return rows
+    kept: dict[int, bytes] = {}
+    with open(journal, "rb") as fh:
+        for number, line in enumerate(fh, start=1):
+            try:
+                row = json.loads(line)
+            except ValueError as exc:  # ValueError covers bad JSON and bad UTF-8
+                problem = f"cannot be read ({exc})"
+            else:
+                index = row.get("index") if isinstance(row, dict) else None
+                if not isinstance(index, int):
+                    problem = "is not the row of a cell"
+                elif index in fingerprints and row.pop("fingerprint", None) == fingerprints[index]:
+                    rows[index], kept[index] = row, line.rstrip()
+                    continue
+                else:
+                    problem = "was written for another configuration"
+            print(f"warning: discarding checkpoint {journal}:{number}: it {problem}; "
+                  "computing the cell again", file=sys.stderr)
+    tmp = journal + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.writelines(line + b"\n" for line in kept.values())
+    os.replace(tmp, journal)
+    return rows
 
 
-def _load_checkpoint(
-    checkpoint_dir: str | None, index: int, fingerprint: dict[str, Any], stem: str
-) -> dict[str, Any] | None:
-    """The checkpointed row of cell ``index``, or None when it must be computed."""
-    if checkpoint_dir is None:
-        return None
-    path = _checkpoint_path(checkpoint_dir, index, stem)
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            row = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
-        problem = f"cannot be read ({exc})"
-    else:
-        if isinstance(row, dict) and row.pop("fingerprint", None) == fingerprint:
-            return row
-        problem = "was written for another configuration"
-    print(f"warning: discarding checkpoint {path}: it {problem}; computing the cell again",
-          file=sys.stderr)
-    return None
-
-
-def _write_checkpoint(checkpoint_dir: str | None, row: dict[str, Any], stem: str = "cell") -> None:
-    if checkpoint_dir is None:
-        return
-    os.makedirs(checkpoint_dir, exist_ok=True)
-    path = _checkpoint_path(checkpoint_dir, row["index"], stem)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(row, fh, sort_keys=True)
-    os.replace(tmp, path)
+def _write_checkpoint(journal: str, row: dict[str, Any]) -> None:
+    """Append ``row`` to ``journal`` as one line of JSON."""
+    with open(journal, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 # --- phase scan ------------------------------------------------------------
@@ -440,8 +433,6 @@ def phase_scan_setting(
 @dataclass(frozen=True)
 class PhaseScanCell:
     """One phase-scan disorder setting, probed at every scanned angle."""
-
-    checkpoint_stem: ClassVar[str] = "setting"  # see SweepCell.checkpoint_stem
 
     index: int
     n: int

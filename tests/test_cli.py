@@ -1,12 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import pathlib
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import spinnet.cli as cli
 import spinnet.sweep as sweep
@@ -439,21 +444,32 @@ def test_sweep_rejects_a_boolean_realization_count(tmp_path, capsys):
     assert not (out / "heatmap.csv").exists()
 
 
+def journal_lines(path):
+    """The lines of a journal, each read back as its dict."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def write_journal(path, lines):
+    path.write_text("".join(json.dumps(line, sort_keys=True) + "\n" for line in lines))
+
+
 def test_sweep_resumes_from_checkpoints(tmp_path):
     cfg = write_config(tmp_path, SWEEP_CONFIG)
     out = tmp_path / "out"
     assert run_cli("sweep", "--config", cfg, "--out", out) == 0
     first = (out / "heatmap.csv").read_bytes()
-    assert len(list((out / "checkpoints").glob("*.json"))) == 8
+    journal = out / "sweep.jsonl"
+    lines = journal_lines(journal)
+    assert [line["index"] for line in lines] == list(range(8))  # in process: in cell order
+    assert not (out / "checkpoints").exists()
     (out / "heatmap.csv").unlink()
-    # tamper with one checkpoint to prove resumed cells are read, not rerun
-    marker = out / "checkpoints" / "cell_00000.json"
-    row = json.loads(marker.read_text())
-    row["mean"] = 0.123456
-    marker.write_text(json.dumps(row))
+    # tamper with one line to prove resumed cells are read, not rerun
+    lines[0]["mean"] = 0.123456
+    write_journal(journal, lines)
     assert run_cli("sweep", "--config", cfg, "--out", out) == 0
     rows = read_csv(out / "heatmap.csv")
     assert float(rows[0]["mean"]) == 0.123456
+    assert journal_lines(journal) == lines  # nothing appended
     # a fresh directory reproduces the original bytes
     out3 = tmp_path / "fresh"
     assert run_cli("sweep", "--config", cfg, "--out", out3) == 0
@@ -474,7 +490,9 @@ def test_sweep_discards_checkpoints_of_another_configuration(tmp_path, capsys):
     assert seed_7 != seed_1
     assert (out / "heatmap.csv").read_bytes() == seed_7
     assert json.loads((out / "meta.json").read_text())["master_seed"] == 7
-    # the rewritten checkpoints now match seed 7 and are reused silently
+    # the journal keeps only the seed-7 lines, which are reused silently
+    assert [line["fingerprint"]["master_seed"] for line in journal_lines(out / "sweep.jsonl")] \
+        == [7] * 8
     assert run_cli("sweep", "--config", cfg, "--out", out, "--seed", 7) == 0
     assert "warning" not in capsys.readouterr().err
     assert (out / "heatmap.csv").read_bytes() == seed_7
@@ -485,15 +503,103 @@ def test_sweep_recomputes_an_unreadable_checkpoint(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("sweep", "--config", cfg, "--out", out) == 0
     first = (out / "heatmap.csv").read_bytes()
-    truncated = out / "checkpoints" / "cell_00003.json"
-    truncated.write_bytes(truncated.read_bytes()[:20])
+    journal = out / "sweep.jsonl"
+    lines = journal.read_bytes().splitlines(keepends=True)
+    lines[3] = lines[3][:20] + b"\n"  # cell 3's line, cut off
+    journal.write_bytes(b"".join(lines))
     capsys.readouterr()
     assert run_cli("sweep", "--config", cfg, "--out", out) == 0
     err = capsys.readouterr().err
     assert err.count("warning: discarding checkpoint") == 1
-    assert "cell_00003.json" in err and "cannot be read" in err
+    assert f"{journal}:4: it cannot be read" in err
     assert (out / "heatmap.csv").read_bytes() == first
-    assert json.loads(truncated.read_text())["index"] == 3
+    assert [line["index"] for line in journal_lines(journal)] == [0, 1, 2, 4, 5, 6, 7, 3]
+
+
+@pytest.mark.parametrize("line", [
+    "[3, 0.5]", '"row"', "null", '{"mean": 0.5}', '{"index": [3]}', '{"index": "3"}',
+])
+def test_sweep_discards_a_journal_line_that_is_not_a_row(tmp_path, capsys, line):
+    cfg = write_config(tmp_path, SWEEP_CONFIG)
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+    first = (out / "heatmap.csv").read_bytes()
+    journal = out / "sweep.jsonl"
+    kept = journal.read_text()
+    journal.write_text(kept + line + "\n")
+    capsys.readouterr()
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+    err = capsys.readouterr().err
+    assert err.count("warning: discarding checkpoint") == 1
+    assert f"{journal}:9: it is not the row of a cell" in err
+    assert (out / "heatmap.csv").read_bytes() == first
+    assert journal.read_text() == kept
+
+
+def test_sweep_recomputes_the_cells_of_another_numpy(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, SWEEP_CONFIG)
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sweep.np, "__version__", "0.0.0")  # as after an upgrade
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+    assert capsys.readouterr().err.count("written for another configuration") == 8
+    assert {line["fingerprint"]["numpy"] for line in journal_lines(out / "sweep.jsonl")} \
+        == {"0.0.0"}
+
+
+def test_an_old_checkpoints_directory_is_ignored_and_kept(tmp_path, capsys):
+    cfg = write_config(tmp_path, SWEEP_CONFIG)
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert run_cli("sweep", "--config", cfg, "--out", fresh) == 0
+    old = out / "checkpoints" / "cell_00000.json"
+    old.parent.mkdir(parents=True)
+    row = dict(journal_lines(fresh / "sweep.jsonl")[0], mean=0.123456)
+    old.write_text(json.dumps(row, sort_keys=True))
+    capsys.readouterr()
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert (out / "heatmap.csv").read_bytes() == (fresh / "heatmap.csv").read_bytes()
+    assert os.listdir(out / "checkpoints") == ["cell_00000.json"]
+    assert json.loads(old.read_text()) == row
+
+
+CUT_SWEEP_CONFIG = {
+    "protocol": {"name": "router", "n": 4},
+    "seed": 3,
+    "sweep": {"n_values": [4, 6], "e_values": [0.0, 0.1], "kinds": ["diagonal"],
+              "realizations": 3},
+}
+
+
+@pytest.fixture(scope="module")
+def uncut_sweep(tmp_path_factory):
+    """The config, heatmap and journal of one uninterrupted small sweep."""
+    root = tmp_path_factory.mktemp("uncut")
+    cfg = write_config(root, CUT_SWEEP_CONFIG)
+    assert run_cli("sweep", "--config", cfg, "--out", root / "out") == 0
+    return cfg, (root / "out" / "heatmap.csv").read_bytes(), (root / "out" / "sweep.jsonl")
+
+
+@settings(max_examples=30, deadline=None)  # about 1 s
+@given(data=st.data())
+def test_a_sweep_resumed_from_a_journal_cut_anywhere_writes_the_uncut_heatmap(uncut_sweep, data):
+    cfg, heatmap, uncut = uncut_sweep
+    whole = uncut.read_bytes()
+    cut = data.draw(st.integers(0, len(whole)), label="cut")
+    # a line cut between its brace and its newline is whole; any other cut line is not
+    cut_mid_line = 0 < cut < len(whole) and b"\n" not in whole[cut - 1:cut + 1]
+    with tempfile.TemporaryDirectory() as root:
+        out = pathlib.Path(root)
+        (out / "sweep.jsonl").write_bytes(whole[:cut])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+        assert err.getvalue().count("warning") == cut_mid_line
+        assert cut_mid_line == ("cannot be read" in err.getvalue())
+        assert (out / "heatmap.csv").read_bytes() == heatmap
+        assert sorted((out / "sweep.jsonl").read_bytes().splitlines()) \
+            == sorted(whole.splitlines())
 
 
 def test_sweep_eof_observable(tmp_path):
@@ -545,7 +651,7 @@ def test_sweep_rejects_an_eof_pair_that_does_not_fit_every_size(
     message = f"config error: sweep.eof_pair {pair} needs two distinct sites in 1..{sites}"
     assert message in captured.err
     assert captured.out == ""  # no cell ran
-    assert not (out / "checkpoints").exists()
+    assert not (out / "sweep.jsonl").exists()
 
 
 @pytest.mark.parametrize("observable", [None, "auto", "fidelity"])
@@ -562,7 +668,7 @@ def test_sweep_rejects_an_eof_pair_that_its_observable_would_ignore(
     assert (f"config error: sweep.eof_pair: only observable: eof reads a site pair, "
             f"got observable: {observable or 'auto'}") in captured.err
     assert captured.out == ""  # no cell ran
-    assert not (out / "checkpoints").exists()
+    assert not (out / "sweep.jsonl").exists()
 
 
 def test_sweep_contour_crosses_threshold(tmp_path):
@@ -718,6 +824,27 @@ def test_replay_rejects_a_config_that_is_not_a_mapping(tmp_path, capsys, config)
     assert not (tmp_path / "replayed").exists()
 
 
+@pytest.mark.parametrize("value, message", [
+    (b"9" * 5000, "Exceeds the limit (4300 digits)"),
+    (b'"\xff"', "can't decode byte 0xff"),
+], ids=["huge integer", "bad byte"])
+@pytest.mark.parametrize("source", ["config", "record"])
+def test_a_value_python_cannot_read_is_a_config_error(tmp_path, capsys, source, value, message):
+    if source == "config":
+        path = tmp_path / "config.yaml"
+        path.write_bytes(b"seed: " + value + b"\n")
+        args = ("run", "--config", path)
+    else:
+        path = tmp_path / "meta.json"
+        path.write_bytes(b'{"command": "run", "config": {}, "master_seed": ' + value + b"}")
+        args = ("replay", path)
+    out = tmp_path / "out"
+    assert run_cli(*args, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("under_it", [False, True])
 def test_an_out_that_cannot_be_a_directory_is_a_config_error(tmp_path, capsys, under_it):
     blocker = tmp_path / "a-file"
@@ -827,12 +954,20 @@ def test_phase_scan_does_not_depend_on_the_worker_count(tmp_path, pool_sizes, ca
     assert run_cli("phase-scan", "--config", cfg, "--out", pooled, "--workers", 2) == 0
     assert pool_sizes == [2]
     assert (pooled / "phase_scan.csv").read_bytes() == (serial / "phase_scan.csv").read_bytes()
-    for name in ("setting_00000.json", "setting_00001.json", "setting_00002.json"):
-        assert ((pooled / "checkpoints" / name).read_bytes()
-                == (serial / "checkpoints" / name).read_bytes())
+    lines = {}
+    for name in ("serial", "pooled"):
+        journal = (tmp_path / name / "phase_scan.jsonl").read_text().splitlines()
+        lines[name] = {json.loads(line)["index"]: line for line in journal}
+        assert len(lines[name]) == len(journal) == 3
+    assert lines["pooled"] == lines["serial"]
     out = capsys.readouterr().out
     assert all(f"[{done}/3] " in out for done in (1, 2, 3))
     assert "diagonal E=0.05: max |mean - theta|=" in out
+    # each run appends its lines as its settings finish, in the order it reports them
+    reports = [line.split("] ")[1].split(":")[0] for line in out.splitlines() if line[0] == "["]
+    for name, run in (("serial", reports[:3]), ("pooled", reports[3:6])):
+        journal = journal_lines(tmp_path / name / "phase_scan.jsonl")
+        assert [f"{line['kind']} E={line['e']:g}" for line in journal] == run
 
 
 def test_phase_scan_resumes_from_checkpoints(tmp_path, monkeypatch):
@@ -840,9 +975,11 @@ def test_phase_scan_resumes_from_checkpoints(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert run_cli("phase-scan", "--config", cfg, "--out", out) == 0
     first = (out / "phase_scan.csv").read_bytes()
-    # an interrupted run: the CSV and one setting's checkpoint were never written
+    # an interrupted run: the CSV and one setting's line were never written
     (out / "phase_scan.csv").unlink()
-    (out / "checkpoints" / "setting_00001.json").unlink()
+    journal = out / "phase_scan.jsonl"
+    whole = journal_lines(journal)
+    write_journal(journal, whole[:1] + whole[2:])
     ran = []
     run = sweep.PhaseScanCell.run
 
@@ -853,6 +990,7 @@ def test_phase_scan_resumes_from_checkpoints(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep.PhaseScanCell, "run", spy)
     assert run_cli("phase-scan", "--config", cfg, "--out", out) == 0
     assert ran == [1]
+    assert journal_lines(journal) == whole[:1] + whole[2:] + whole[1:2]
     assert (out / "phase_scan.csv").read_bytes() == first
     replayed = tmp_path / "replayed"
     assert run_cli("replay", out / "meta.json", "--out", replayed) == 0
@@ -864,7 +1002,7 @@ def test_phase_scan_resumes_from_checkpoints(tmp_path, monkeypatch):
     ("phase-scan", scan_config(kind="diagonal"), 1),
     ("phase-scan", {**POOLED_SCAN_CONFIG, "phase_scan": dict(POOLED_SCAN_CONFIG["phase_scan"],
                                                              thetas_deg=[0.0, 135.0])}, 3),
-    ("sweep", SWEEP_CONFIG, 0),  # a sweep's cells 0-2 in the same --out keep their own names
+    ("sweep", SWEEP_CONFIG, 0),  # a sweep's cells 0-2 in the same --out keep their own journal
 ])
 def test_phase_scan_discards_checkpoints_of_another_configuration(
     tmp_path, capsys, command, data, discarded
@@ -879,6 +1017,9 @@ def test_phase_scan_discards_checkpoints_of_another_configuration(
     assert err.count("written for another configuration; computing the cell again") == discarded
     assert run_cli("phase-scan", "--config", cfg, "--out", fresh) == 0
     assert (out / "phase_scan.csv").read_bytes() == (fresh / "phase_scan.csv").read_bytes()
+    # the discarded lines are gone: the journal holds the lines of a fresh run
+    assert (sorted((out / "phase_scan.jsonl").read_text().splitlines())
+            == sorted((fresh / "phase_scan.jsonl").read_text().splitlines()))
 
 
 def test_a_sweep_and_a_phase_scan_share_one_out(tmp_path, capsys, monkeypatch):
@@ -889,9 +1030,9 @@ def test_a_sweep_and_a_phase_scan_share_one_out(tmp_path, capsys, monkeypatch):
     heatmap = (out / "heatmap.csv").read_bytes()
     assert run_cli("phase-scan", "--config", scan_cfg, "--out", out) == 0
     scan = (out / "phase_scan.csv").read_bytes()
-    names = sorted(path.name for path in (out / "checkpoints").glob("*.json"))
-    assert names == ([f"cell_{i:05d}.json" for i in range(8)]
-                     + [f"setting_{i:05d}.json" for i in range(3)])
+    assert [line["index"] for line in journal_lines(out / "sweep.jsonl")] == list(range(8))
+    assert [line["index"] for line in journal_lines(out / "phase_scan.jsonl")] == list(range(3))
+    assert not (out / "checkpoints").exists()
     assert "warning" not in capsys.readouterr().err
 
     def never(cell):
