@@ -3,10 +3,11 @@
 A sweep cell is one (size, E, kind) combination evaluated over K disorder
 realizations; a phase-scan cell is one disorder setting, every device probed
 at every scanned angle. Realization k of cell c draws from the stream
-(master seed, c * K + k), so the numbers cannot depend on how cells are
-distributed over workers. Both kinds of cell draw their realizations from
-one block generator, :func:`hamiltonian_blocks`, one stack of edge arrays
-per block, sized at the 2N entries of a state per realization. A sweep holds
+(master seed, c * K + k), so the numbers cannot depend on how cells, or
+the realizations of a cell, are distributed over workers. Both kinds of
+cell draw their realizations from one block generator,
+:func:`hamiltonian_blocks`, one stack of edge arrays per block, sized at
+the 2N entries of a state per realization. A sweep holds
 its stack as band diagonals and propagates it by a Chebyshev series, at
 O(N) per term and diagonal and in elementwise real arithmetic, so its
 numbers do not depend on the BLAS/LAPACK build. Where it saves series, it
@@ -18,13 +19,18 @@ depend on the block or stack it lands in either. Values go from their
 block straight into one float64 array per cell: K merits for a sweep
 cell, (angles, K) estimates for a phase-scan setting, 8 bytes each.
 :func:`run_cells` runs either kind of cell, in process or on a clamped
-pool. The parent appends each finished cell to one journal per command, a
-line of JSON holding its row and a fingerprint of its configuration, and on
-resume skips a cell only when a line with that fingerprint holds it.
+pool. On a pool it cuts the disordered cells into parts, contiguous ranges
+of realizations (:func:`split_cells`), so that a few slow cells share every
+worker: a whole cell's row comes back from its worker, a cut cell's values
+go into one array in the parent, which computes the row from it. The
+parent appends each finished cell to one journal per command, a line of
+JSON holding its row and a fingerprint of its configuration, and on resume
+skips a cell only when a line with that fingerprint holds it.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import multiprocessing
@@ -257,11 +263,15 @@ class SweepCell:
         result = build_protocol(self.protocol_name, dict(self.params, **{self.axis: self.size}))
         return result, resolve_merit(result, self.observable, self.eof_pair, self.observe)
 
-    def run(self) -> dict[str, Any]:
-        """Evaluate the cell; returns a plain dict so it survives any transport."""
+    def values(self, first: int, stop: int) -> np.ndarray:
+        """The merits of realizations [first, stop) of the cell."""
         result, merit = self.protocol()
-        merits = ensemble_merit(result, self.disorder, self.realizations, self.master_seed,
-                                stream_base=self.stream_base, merit=merit)
+        return ensemble_merit(result, self.disorder, stop - first, self.master_seed,
+                              stream_base=self.stream_base + first, merit=merit)
+
+    def row(self, merits: np.ndarray) -> dict[str, Any]:
+        """The cell's row from all its merits, a plain dict so it survives any
+        transport."""
         mean, std, std_of_mean = ensemble_average(merits.tolist())
         return {
             "index": self.index,
@@ -301,13 +311,48 @@ def fingerprint(cell: SweepCell | PhaseScanCell) -> dict[str, Any]:
                                       numpy=np.__version__)))  # tuples as lists
 
 
-def run_cell(cell: SweepCell | PhaseScanCell) -> dict[str, Any]:
+@dataclass(frozen=True)
+class Part:
+    """Realizations [first, stop) of a cell: the unit of work of :func:`run_cells`."""
+
+    cell: SweepCell | PhaseScanCell
+    first: int
+    stop: int
+
+    @property
+    def whole(self) -> bool:
+        return self.stop - self.first == self.cell.realizations
+
+
+def split_cells(cells: Sequence[SweepCell | PhaseScanCell], processes: int) -> list[Part]:
+    """The parts of ``cells`` for ``processes`` workers, in cell order.
+
+    A cell's load is the realizations it computes, 1 for a clean cell. On
+    P > 1 processes, a cell is cut into contiguous parts whose sizes differ
+    by at most one, each of at most ceil(R / 2P) realizations, R the summed
+    load. A pool of whole cells lasts at least as long as its slowest cell;
+    parts handed out in order end within about R / P plus the largest part
+    (list scheduling). A clean cell, and every cell of one process, is one
+    part.
+    """
+    loads = [_runs(cell.disorder, cell.realizations) for cell in cells]
+    size = -(-sum(loads) // (2 * processes)) if processes > 1 else max(loads, default=1)
+    parts = []
+    for cell, load in zip(cells, loads):
+        count, k = -(-load // size), cell.realizations
+        parts.extend(Part(cell, k * j // count, k * (j + 1) // count) for j in range(count))
+    return parts
+
+
+def run_cell(part: Part) -> tuple[Part, dict[str, Any] | np.ndarray]:
     """The one runner of :func:`run_cells`, in process and on the pool (which
-    pickles it by name). It first keeps freed block arrays on the process's
-    heap (:func:`~spinnet.linalg.keep_heap`), once per process, however the
-    pool starts its workers."""
+    pickles it by name): the part with its cell's row if it is whole, else
+    with its values. It first keeps freed block arrays on the process's heap
+    (:func:`~spinnet.linalg.keep_heap`), once per process, however the pool
+    starts its workers."""
     keep_heap()
-    return cell.run()
+    values = part.cell.values(part.first, part.stop)
+    return part, part.cell.row(values) if part.whole else values
 
 
 def run_cells(
@@ -318,33 +363,52 @@ def run_cells(
 ) -> list[dict[str, Any]]:
     """Evaluate cells, resuming from and appending to ``journal``.
 
-    The parent process appends one line per finished cell, in the order the
-    cells finish. See :func:`_read_journal` for the lines a resumed run uses.
+    The cells still to run are cut into :func:`split_cells`'s parts, which
+    run in process or on a pool of at most one process per part and per
+    core. The parent writes the values of a cut cell's parts into one
+    float64 array, and computes the cell's row once its last part is in. It
+    appends one line per finished cell, in the order the cells finish. See
+    :func:`_read_journal` for the lines a resumed run uses.
     """
     fingerprints = {cell.index: fingerprint(cell) for cell in cells}
-    rows = _read_journal(journal, fingerprints) if journal is not None else {}
+    try:
+        rows = _read_journal(journal, fingerprints) if journal is not None else {}
+    except OSError as exc:  # say, a directory where the journal should be
+        raise ConfigError(f"cannot use journal {journal}: {exc}") from exc
     pending = [cell for cell in cells if cell.index not in rows]
+    cores = os.cpu_count() or 1
+    parts = split_cells(pending, min(workers, cores))
+    left = collections.Counter(part.cell.index for part in parts)
+    values: dict[int, np.ndarray] = {}  # a cut cell's values, from its first part in
 
-    def record(row: dict[str, Any]) -> None:
-        index = row["index"]
-        rows[index] = row
+    def record(part: Part, result: dict[str, Any] | np.ndarray) -> None:
+        cell = part.cell
+        if not part.whole:
+            if cell.index not in values:
+                values[cell.index] = np.empty(result.shape[:-1] + (cell.realizations,))
+            values[cell.index][..., part.first:part.stop] = result
+            left[cell.index] -= 1
+            if left[cell.index]:
+                return
+            result = cell.row(values.pop(cell.index))
+        rows[cell.index] = result
         if journal is not None:
-            _write_checkpoint(journal, dict(row, fingerprint=fingerprints[index]))
+            _write_checkpoint(journal, dict(result, fingerprint=fingerprints[cell.index]))
         if on_cell is not None:
-            on_cell(row)
+            on_cell(result)
 
-    # Pool starts every process up front: never more than there are cells or cores
-    processes = min(workers, len(pending), os.cpu_count() or 1)
+    # Pool starts every process up front: never more than there are parts or cores
+    processes = min(workers, len(parts), cores)
     if 1 <= processes < workers:
-        print(f"using {processes} of {workers} requested worker processes "
-              f"({len(pending)} cells to run, {os.cpu_count()} cores)", file=sys.stderr)
+        print(f"using {processes} of {workers} requested worker processes ({len(pending)} "
+              f"cells in {len(parts)} parts to run, {cores} cores)", file=sys.stderr)
     if processes <= 1:
-        for cell in pending:
-            record(run_cell(cell))
+        for part in parts:
+            record(*run_cell(part))
     else:
         with multiprocessing.Pool(processes=processes) as pool:
-            for row in pool.imap_unordered(run_cell, pending, chunksize=1):
-                record(row)
+            for done in pool.imap_unordered(run_cell, parts, chunksize=1):
+                record(*done)
     return [rows[cell.index] for cell in cells]
 
 
@@ -387,8 +451,11 @@ def _read_journal(journal: str,
 
 def _write_checkpoint(journal: str, row: dict[str, Any]) -> None:
     """Append ``row`` to ``journal`` as one line of JSON."""
-    with open(journal, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(row, sort_keys=True) + "\n")
+    try:
+        with open(journal, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot use journal {journal}: {exc}") from exc
 
 
 # --- phase scan ------------------------------------------------------------
@@ -397,15 +464,32 @@ def phase_scan_setting(
     n_total: int, thetas_deg: tuple[float, ...], disorder_spec: DisorderSpec,
     realizations: int, master_seed: int, stream_base: int = 0,
 ) -> list[tuple[float, float, float]]:
-    """(mean, std, std of mean) of the estimate per scanned angle.
+    """(mean, std, std of mean) of the estimate per scanned angle."""
+    return angle_stats(phase_scan_estimates(n_total, thetas_deg, disorder_spec, realizations,
+                                            master_seed, stream_base))
 
-    One disorder realization is one device, probed at every angle. Each
-    block of :func:`hamiltonian_blocks` runs as dense stacks of at most
+
+def angle_stats(estimates: np.ndarray) -> list[tuple[float, float, float]]:
+    """(mean, std, std of mean) of each angle's row of unwrapped estimates,
+    the mean mapped into [0, 360)."""
+    stats = [ensemble_average(row.tolist()) for row in estimates]
+    return [(mean % 360.0, std, std_of_mean) for mean, std, std_of_mean in stats]
+
+
+def phase_scan_estimates(
+    n_total: int, thetas_deg: tuple[float, ...], disorder_spec: DisorderSpec,
+    realizations: int, master_seed: int, stream_base: int = 0,
+) -> np.ndarray:
+    """The float64 (angles, K) estimates of K devices, 8 bytes each.
+
+    One disorder realization is one device, probed at every angle; device k
+    draws from stream ``stream_base + k``. Each block of
+    :func:`hamiltonian_blocks` runs as dense stacks of at most
     BLOCK_ENTRIES // N^2 devices (6 at N = 50, one from N = 91 on), one
     eigensolve and one probe of all devices per stack. A stack's estimates
     are unwrapped onto the branch around the true angle, so means near 0/360
-    do not smear across the seam, and go straight into one float64 (angles,
-    K) array: 8 bytes per estimate. A clean spec probes one device.
+    do not smear across the seam, and go straight into the array. A clean
+    spec probes one device.
     """
     graph = build_protocol("phase-sense", {"n": n_total}).graph()
     references = np.array(thetas_deg)[:, np.newaxis]
@@ -426,8 +510,7 @@ def phase_scan_setting(
             columns = slice(stack.start - stream_base, stack.stop - stream_base)
             estimates[:, columns] = unwrap_to_branch(probe_estimates(eigh(h), thetas_deg, stack),
                                                      references)
-    stats = [ensemble_average(row.tolist()) for row in estimates]
-    return [(mean % 360.0, std, std_of_mean) for mean, std, std_of_mean in stats]
+    return estimates
 
 
 @dataclass(frozen=True)
@@ -447,18 +530,21 @@ class PhaseScanCell:
     def disorder(self) -> DisorderSpec:
         return DisorderSpec(self.kind, self.strength)
 
-    def run(self) -> dict[str, Any]:
-        """Evaluate the setting; its stats are [mean, std, std of mean] per angle,
-        which JSON stores and reads back bit for bit."""
-        stats = phase_scan_setting(self.n, self.thetas_deg, self.disorder, self.realizations,
-                                   self.master_seed, stream_base=self.stream_base)
+    def values(self, first: int, stop: int) -> np.ndarray:
+        """The (angles, stop - first) estimates of devices [first, stop)."""
+        return phase_scan_estimates(self.n, self.thetas_deg, self.disorder, stop - first,
+                                    self.master_seed, stream_base=self.stream_base + first)
+
+    def row(self, estimates: np.ndarray) -> dict[str, Any]:
+        """The setting's row from all its estimates; its stats are [mean, std,
+        std of mean] per angle, which JSON stores and reads back bit for bit."""
         return {
             "index": self.index,
             "kind": self.kind,
             "e": self.strength,
             "k": self.realizations,
             "stream_base": self.stream_base,
-            "stats": [list(angle) for angle in stats],
+            "stats": [list(angle) for angle in angle_stats(estimates)],
         }
 
 

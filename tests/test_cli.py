@@ -981,15 +981,15 @@ def test_phase_scan_resumes_from_checkpoints(tmp_path, monkeypatch):
     whole = journal_lines(journal)
     write_journal(journal, whole[:1] + whole[2:])
     ran = []
-    run = sweep.PhaseScanCell.run
+    values = sweep.PhaseScanCell.values
 
-    def spy(cell):
-        ran.append(cell.index)
-        return run(cell)
+    def spy(cell, first, stop):
+        ran.append((cell.index, first, stop))
+        return values(cell, first, stop)
 
-    monkeypatch.setattr(sweep.PhaseScanCell, "run", spy)
+    monkeypatch.setattr(sweep.PhaseScanCell, "values", spy)
     assert run_cli("phase-scan", "--config", cfg, "--out", out) == 0
-    assert ran == [1]
+    assert ran == [(1, 0, 6)]
     assert journal_lines(journal) == whole[:1] + whole[2:] + whole[1:2]
     assert (out / "phase_scan.csv").read_bytes() == first
     replayed = tmp_path / "replayed"
@@ -1035,8 +1035,8 @@ def test_a_sweep_and_a_phase_scan_share_one_out(tmp_path, capsys, monkeypatch):
     assert not (out / "checkpoints").exists()
     assert "warning" not in capsys.readouterr().err
 
-    def never(cell):
-        raise AssertionError(f"cell {cell.index} ran again instead of resuming")
+    def never(part):
+        raise AssertionError(f"cell {part.cell.index} ran again instead of resuming")
 
     monkeypatch.setattr(sweep, "run_cell", never)
     for command, cfg, csv_name, first in (("sweep", sweep_cfg, "heatmap.csv", heatmap),
@@ -1045,6 +1045,25 @@ def test_a_sweep_and_a_phase_scan_share_one_out(tmp_path, capsys, monkeypatch):
         assert run_cli(command, "--config", cfg, "--out", out) == 0
         assert "warning" not in capsys.readouterr().err
         assert (out / csv_name).read_bytes() == first
+
+
+@pytest.mark.parametrize("blocked", ["", ".tmp"])  # the journal, or its rewrite
+@pytest.mark.parametrize("command, data, journal", [
+    ("sweep", SWEEP_CONFIG, "sweep.jsonl"),
+    ("phase-scan", POOLED_SCAN_CONFIG, "phase_scan.jsonl"),
+])
+def test_a_journal_that_cannot_be_used_is_a_config_error(tmp_path, capsys, command, data,
+                                                         journal, blocked):
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    (out / (journal + blocked)).mkdir(parents=True)  # a directory in its place
+    if blocked:
+        write_journal(out / journal, [])  # an empty journal, rewritten on start
+    assert run_cli(command, "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot use journal {out / journal}: ")
+    assert str(out / (journal + blocked)) in err
+    assert sorted(path.name for path in out.iterdir()) == sorted({journal, journal + blocked})
 
 
 # --- input bounds ---------------------------------------------------------------

@@ -1,13 +1,16 @@
 import dataclasses
+import functools
 import json
 import os
 import platform
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spinnet import dynamics, linalg, sweep
 from spinnet.config import MAX_OBSERVE_DURATIONS, ConfigError, PhaseScanConfig, SweepConfig
@@ -41,9 +44,12 @@ KINDS = ("diagonal", "off_diagonal")
 
 
 class RecordingPool:
-    """Stands in for multiprocessing.Pool: records its size, starts nothing."""
+    """Stands in for multiprocessing.Pool: records its size and the (cell,
+    first, stop) of its parts, starts nothing, and runs the parts last first,
+    so that a cut cell's parts come in out of order."""
 
     sizes: list[int] = []
+    parts: list[tuple[int, int, int]] = []
 
     def __init__(self, processes):
         RecordingPool.sizes.append(processes)
@@ -54,8 +60,18 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def imap_unordered(self, fn, cells, chunksize=1):
-        return map(fn, cells)
+    def imap_unordered(self, fn, parts, chunksize=1):
+        RecordingPool.parts.extend((part.cell.index, part.first, part.stop) for part in parts)
+        return map(fn, reversed(parts))
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """RecordingPool on a machine of 2 cores."""
+    monkeypatch.setattr(sweep.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+    RecordingPool.sizes, RecordingPool.parts = [], []
+    return RecordingPool
 
 
 def clean_cells(count):
@@ -98,6 +114,137 @@ def test_pool_size_is_clamped(monkeypatch, capsys, cores, cells, workers, expect
             assert err == ""
 
 
+def disordered_cells(count, k=8):
+    grid = SweepConfig(sizes=tuple(range(4, 4 + 2 * count, 2)), axis="n",
+                       e_values=(0.1,), kinds=("diagonal",), realizations=k)
+    return sweep_cells("router", {}, grid, 1)
+
+
+def disordered_phase_scan_cells(count, k=8):
+    scan = PhaseScanConfig(n=4, thetas_deg=(0.0, 90.0), realizations=k,
+                           settings=(DisorderSpec("off_diagonal", 0.1),) * count)
+    return phase_scan_cells(scan, 1)
+
+
+@pytest.mark.parametrize("make_cells", [disordered_cells, disordered_phase_scan_cells])
+def test_one_disordered_cell_is_split_over_the_pool(recording_pool, make_cells):
+    cells = make_cells(1)
+    in_process = run_cells(cells, workers=1)
+    assert recording_pool.sizes == []
+    pooled = run_cells(cells, workers=2)
+    assert recording_pool.sizes == [2]
+    # R = 8 realizations, 2P = 4 parts of at most 2
+    assert recording_pool.parts == [(0, 0, 2), (0, 2, 4), (0, 4, 6), (0, 6, 8)]
+    assert json.dumps(pooled) == json.dumps(in_process)
+
+
+def test_cells_are_cut_by_the_summed_load():
+    scan = PhaseScanConfig(n=50, thetas_deg=(0.0,), realizations=1000, settings=(
+        DisorderSpec(), DisorderSpec("diagonal", 0.05), DisorderSpec("off_diagonal", 0.1)))
+
+    def parts(cells, processes):
+        return [(part.cell.index, part.first, part.stop)
+                for part in sweep.split_cells(cells, processes)]
+
+    cells = phase_scan_cells(scan, SEED)  # the benchmark's phase scan
+    # R = 2001 on 2 processes: parts of at most 501, so two of 500 per disordered setting
+    assert parts(cells, 2) == [(0, 0, 1), (1, 0, 500), (1, 500, 1000),
+                               (2, 0, 500), (2, 500, 1000)]
+    assert parts(cells, 1) == [(0, 0, 1), (1, 0, 1000), (2, 0, 1000)]
+    # equal to one realization: 1000 in parts of at most 334 (R = 2001 on 3)
+    assert parts(cells[1:2], 1) == [(1, 0, 1000)]
+    assert parts(cells, 3)[1:4] == [(1, 0, 333), (1, 333, 666), (1, 666, 1000)]
+    # set-up runs (K = 1) are never cut, nor a clean sweep cell of K realizations
+    assert parts(phase_scan_cells(dataclasses.replace(scan, realizations=1), SEED), 2) == [
+        (0, 0, 1), (1, 0, 1), (2, 0, 1)]
+    small = SweepConfig(sizes=(4, 6, 8, 10, 12, 14), axis="n", e_values=(0.0, 0.1, 0.2),
+                        kinds=KINDS, realizations=1000)  # the benchmark's sweep-small
+    cells = sweep_cells("ent-phase", {}, small, SEED)
+    assert parts(cells, 2) == [(cell.index, 0, 1000) for cell in cells]
+    assert parts([], 2) == []
+
+
+def test_a_cut_cell_is_journaled_once_after_its_last_part(recording_pool, monkeypatch, tmp_path):
+    cells = disordered_cells(3)  # R = 24 on 2 cores: two parts of 4 per cell
+    expected = run_cells(cells, workers=1)
+    finished = []
+    run_cell, write = sweep.run_cell, sweep._write_checkpoint
+
+    def counting(part):
+        finished.append(part.cell.index)
+        return run_cell(part)
+
+    def spy(journal, row):
+        written.append((row["index"], finished.count(row["index"])))
+        write(journal, row)
+
+    monkeypatch.setattr(sweep, "run_cell", counting)
+    monkeypatch.setattr(sweep, "_write_checkpoint", spy)
+    journal = tmp_path / "sweep.jsonl"
+    written = []
+    rows = run_cells(cells, workers=2, journal=str(journal))
+    assert recording_pool.parts == [(c, first, first + 4) for c in range(3) for first in (0, 4)]
+    assert written == [(2, 2), (1, 2), (0, 2)]  # each once, after both its parts
+    assert json.dumps(rows) == json.dumps(expected)
+    lines = journal.read_text().splitlines(keepends=True)
+    assert [json.loads(line)["index"] for line in lines] == [2, 1, 0]
+
+    # resumed without cell 1's line: only cell 1's parts run, now four of 2
+    journal.write_text(lines[0] + lines[2])
+    recording_pool.parts, finished[:], written = [], [], []
+    resumed = run_cells(cells, workers=2, journal=str(journal))
+    assert json.dumps(resumed, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    assert recording_pool.parts == [(1, 0, 2), (1, 2, 4), (1, 4, 6), (1, 6, 8)]
+    assert finished == [1] * 4 and written == [(1, 4)]
+
+
+def test_a_journal_that_cannot_be_appended_to_is_a_config_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    journal = tmp_path / "file" / "sweep.jsonl"  # not a directory: no journal to read
+    with pytest.raises(ConfigError, match=f"cannot use journal {re.escape(str(journal))}"):
+        run_cells(clean_cells(1), journal=str(journal))
+
+
+PART_K = 30  # realizations of a cut cell: blocks of 12, dense stacks of 4 under PART_BLOCK
+PART_BLOCK = 144
+
+
+@functools.cache
+def part_cell(cell_type, kind):
+    if cell_type == "sweep":
+        grid = SweepConfig(sizes=(6,), axis="n", e_values=(0.2,), kinds=(kind,),
+                           realizations=PART_K)
+        return sweep_cells("router", {}, grid, SEED)[0]
+    scan = PhaseScanConfig(n=6, thetas_deg=(0.0, 135.0, 315.0), realizations=PART_K,
+                           settings=(DisorderSpec(kind, 0.2),))
+    return phase_scan_cells(scan, SEED)[0]
+
+
+@functools.cache
+def whole_row(cell_type, kind):
+    cell = part_cell(cell_type, kind)
+    with mock.patch.object(sweep, "BLOCK_ENTRIES", PART_BLOCK):
+        return json.dumps(cell.row(cell.values(0, PART_K)))
+
+
+@settings(max_examples=60, deadline=None)  # under 1 s
+@given(cell_type=st.sampled_from(["sweep", "phase-scan"]), kind=st.sampled_from(KINDS),
+       cuts=st.sets(st.integers(1, PART_K - 1)))
+@example(cell_type="sweep", kind="diagonal", cuts=set(range(1, PART_K)))
+@example(cell_type="phase-scan", kind="off_diagonal", cuts=set(range(1, PART_K)))
+@example(cell_type="phase-scan", kind="diagonal", cuts={5, 6, 13, 24})
+def test_a_cell_cut_anywhere_gives_the_row_of_the_whole_cell(cell_type, kind, cuts):
+    """The parent's array of a cut cell holds the values of the whole cell,
+    bit for bit, whatever its parts' blocks and stacks; single-realization
+    parts included."""
+    cell = part_cell(cell_type, kind)
+    bounds = [0, *sorted(cuts), PART_K]
+    with mock.patch.object(sweep, "BLOCK_ENTRIES", PART_BLOCK):
+        values = np.concatenate([cell.values(first, stop)
+                                 for first, stop in zip(bounds, bounds[1:])], axis=-1)
+    assert json.dumps(cell.row(values)) == whole_row(cell_type, kind)
+
+
 FAULT_PROBE = """
 import json, resource
 from spinnet import linalg, sweep
@@ -109,9 +256,10 @@ cells = {
 }
 faults = {"kept": linalg.keep_heap()}  # the call run_cell makes, cached
 for name, cell in cells.items():
-    sweep.run_cell(cell)  # the warm-up grows the heap to what the cell needs
+    part = sweep.Part(cell, 0, cell.realizations)
+    sweep.run_cell(part)  # the warm-up grows the heap to what the cell needs
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    sweep.run_cell(cell)
+    sweep.run_cell(part)
     faults[name] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 print(json.dumps(faults))
 """
@@ -497,7 +645,7 @@ def test_a_phase_scan_cell_is_one_setting():
     assert (clean.realizations, clean.stream_base) == (1, 0)
     assert (disordered.realizations, disordered.stream_base) == (12, 12)
     assert disordered.disorder == scan.settings[1]
-    row = disordered.run()
+    row = disordered.row(disordered.values(0, 12))
     assert row["stats"] == [list(stats) for stats in phase_scan_setting(
         20, scan.thetas_deg, scan.settings[1], 12, SEED, stream_base=12)]
     assert json.loads(json.dumps(row)) == row  # a checkpoint reads back bit for bit
