@@ -7,7 +7,9 @@ Subcommands
     phase-scan  retrieved vs true angle table for the phase sensor
     replay      re-run any earlier command from its meta.json record
 
-Exit codes: 0 success, 2 config error, 3 numerical-invariant violation
+Every file goes to --out whole, written to ``<name>.tmp`` and renamed.
+Exit codes: 0 success, 2 config error (an --out, a journal or an output
+file that cannot be written is one too), 3 numerical-invariant violation
 (including a clean run missing its analytic target).
 """
 
@@ -41,7 +43,8 @@ from .linalg import InvariantViolation, eigh
 from .network import network_graph, write_edge_list
 from .observables import fidelity
 from .protocols import angle_offset, build_protocol, probe_estimates
-from .sweep import phase_scan_cells, run_cells, sweep_cells, threshold_contour
+from .sweep import (output, phase_scan_cells, run_cells, sweep_cells, threshold_contour,
+                    write_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -105,7 +108,7 @@ def _say(line: str) -> None:
 
 
 def _write_meta(out: str, command: str, cfg: Config, seed: int, workers: int,
-                outputs: list[str], extra: dict[str, Any] | None = None) -> str:
+                outputs: list[str], extra: dict[str, Any] | None = None) -> None:
     meta = {
         "tool": "spinnet",
         "version": __version__,
@@ -118,13 +121,9 @@ def _write_meta(out: str, command: str, cfg: Config, seed: int, workers: int,
     }
     if extra:
         meta.update(extra)
-    path = os.path.join(out, "meta.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with output(out, "meta.json") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
-    return path
 
 
 # --- build -----------------------------------------------------------------
@@ -134,23 +133,17 @@ def cmd_build(cfg: Config, out: str, seed: int, workers: int) -> int:
         raise ConfigError("build needs a 'network' section")
     graph = network_graph(cfg.network)
 
-    edges_path = os.path.join(out, "edges.txt")
-    with open(edges_path, "w", encoding="utf-8") as fh:
+    with output(out, "edges.txt") as fh:
         write_edge_list(graph, fh)
-
-    decomp = eigh(graph.to_matrix())
-    spectrum_path = os.path.join(out, "spectrum.csv")
-    with open(spectrum_path, "w", encoding="utf-8") as fh:
-        fh.write("index,eigenvalue\n")
-        for idx, ev in enumerate(decomp.eigenvalues, start=1):
-            fh.write(f"{idx},{ev:.12g}\n")
+    eigenvalues = eigh(graph.to_matrix()).eigenvalues
+    write_csv(out, "spectrum.csv", ["index", "eigenvalue"], enumerate(eigenvalues, start=1))
 
     for k, chain in enumerate(cfg.network.chains, start=1):
         _say(f"chain {k}: length {chain.length}, j_max {chain.j_max:g}, "
              f"mirror time {chain.mirror_time:.12g}")
     negatives = sum(1 for _, _, j in graph.edges() if j < 0)
     _say(f"{graph.n_sites} sites, {len(graph.values)} couplings "
-         f"({negatives} negative), wrote {edges_path}")
+         f"({negatives} negative), wrote {os.path.join(out, 'edges.txt')}")
 
     _write_meta(out, "build", cfg, seed, workers, ["edges.txt", "spectrum.csv"])
     return EXIT_OK
@@ -179,9 +172,13 @@ def cmd_run(cfg: Config, out: str, seed: int, workers: int) -> int:
     render = replace_samples(result.protocol, np.linspace(0.0, duration, cfg.run.samples))
     decomp = eigh(graph.to_matrix())  # the run's one eigensolve, shared by every step below
     trajectory = run_decomposed(decomp, render)
-    traj_path = os.path.join(out, "trajectory.csv")
-    with open(traj_path, "w", encoding="utf-8") as fh:
-        trajectory.write_csv(fh, amplitudes=cfg.run.amplitudes)
+    if cfg.run.amplitudes:  # each amplitude as its real and imaginary part, a state at a time
+        columns = [f"{part}_{i}" for i in range(1, sites + 1) for part in ("re", "im")]
+        values = [state.amplitudes.view(float) for state in trajectory.states]
+    else:
+        columns, values = [f"site_{i}" for i in range(1, sites + 1)], trajectory.populations()
+    write_csv(out, "trajectory.csv", ["t", *columns],
+              ([t, *row] for t, row in zip(trajectory.times, values)))
 
     check_times = [t for t, _ in result.checkpoints]
     states = run_decomposed(
@@ -258,22 +255,13 @@ def cmd_sweep(cfg: Config, out: str, seed: int, workers: int) -> int:
     rows = run_cells(cells, workers=workers, journal=os.path.join(out, "sweep.jsonl"),
                      on_cell=progress)
 
-    heatmap_path = os.path.join(out, "heatmap.csv")
-    with open(heatmap_path, "w", encoding="utf-8") as fh:
-        fh.write("kind,size,e,mean,std,std_of_mean,k,stream_base\n")
-        for row in rows:
-            fh.write(
-                f"{row['kind']},{row['size']},{row['e']:.12g},{row['mean']:.12g},"
-                f"{row['std']:.12g},{row['std_of_mean']:.12g},{row['k']},{row['stream_base']}\n"
-            )
-
-    contour_path = os.path.join(out, "contour.csv")
-    with open(contour_path, "w", encoding="utf-8") as fh:
-        fh.write("kind,size_1,e_1,size_2,e_2\n")
-        for kind in cfg.sweep.kinds:
-            grid = {(row["size"], row["e"]): row["mean"] for row in rows if row["kind"] == kind}
-            for x1, y1, x2, y2 in threshold_contour(grid, CONTOUR_LEVEL):
-                fh.write(f"{kind},{x1:.12g},{y1:.12g},{x2:.12g},{y2:.12g}\n")
+    columns = ["kind", "size", "e", "mean", "std", "std_of_mean", "k", "stream_base"]
+    write_csv(out, "heatmap.csv", columns, ([row[c] for c in columns] for row in rows))
+    segments = []
+    for kind in cfg.sweep.kinds:
+        grid = {(row["size"], row["e"]): row["mean"] for row in rows if row["kind"] == kind}
+        segments += [(kind, *segment) for segment in threshold_contour(grid, CONTOUR_LEVEL)]
+    write_csv(out, "contour.csv", ["kind", "size_1", "e_1", "size_2", "e_2"], segments)
 
     cell_records = [
         {"index": c.index, "size": c.size, "e": c.e, "kind": c.kind,
@@ -283,7 +271,7 @@ def cmd_sweep(cfg: Config, out: str, seed: int, workers: int) -> int:
     _write_meta(out, "sweep", cfg, seed, workers,
                 ["heatmap.csv", "contour.csv"], extra={"cells": cell_records})
     _write_heatmap_plot_script(out, cfg.sweep.axis)
-    _say(f"wrote {heatmap_path} and {contour_path}")
+    _say(f"wrote {os.path.join(out, 'heatmap.csv')} and {os.path.join(out, 'contour.csv')}")
     return EXIT_OK
 
 
@@ -306,18 +294,14 @@ def cmd_phase_scan(cfg: Config, out: str, seed: int, workers: int) -> int:
 
     rows = run_cells(cells, workers=workers, journal=os.path.join(out, "phase_scan.jsonl"),
                      on_cell=progress)
-    path = os.path.join(out, "phase_scan.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("kind,e,theta_deg,theta_mean_deg,std_deg,std_of_mean_deg,k,stream_base\n")
-        for row in rows:
-            for theta, (mean, std, sem) in zip(thetas, row["stats"]):
-                fh.write(
-                    f"{row['kind']},{row['e']:.12g},{theta:.12g},{mean:.12g},{std:.12g},"
-                    f"{sem:.12g},{row['k']},{row['stream_base']}\n"
-                )
+    write_csv(out, "phase_scan.csv",
+              ["kind", "e", "theta_deg", "theta_mean_deg", "std_deg", "std_of_mean_deg", "k",
+               "stream_base"],
+              ([row["kind"], row["e"], theta, *stats, row["k"], row["stream_base"]]
+               for row in rows for theta, stats in zip(thetas, row["stats"])))
     _write_meta(out, "phase-scan", cfg, seed, workers, ["phase_scan.csv"])
     _write_phase_plot_script(out)
-    _say(f"wrote {path}")
+    _say(f"wrote {os.path.join(out, 'phase_scan.csv')}")
     return EXIT_OK
 
 
@@ -359,8 +343,7 @@ _PLOT_HEADER = "#!/usr/bin/env python3\n# generated by spinnet; needs matplotlib
 
 
 def _write_script(out: str, name: str, body: str) -> None:
-    path = os.path.join(out, name)
-    with open(path, "w", encoding="utf-8") as fh:
+    with output(out, name) as fh:
         fh.write(_PLOT_HEADER + body)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -217,26 +217,9 @@ class Trajectory:
         if len(self.states) != self.times.shape[0]:
             raise ValueError("one recorded state per sample time")
 
-    @property
-    def n_sites(self) -> int:
-        return self.states[0].n_sites if self.states else 0
-
     def populations(self) -> np.ndarray:
         """Per-site |amplitude|^2, one row per sample time."""
         return np.array([s.populations() for s in self.states])
-
-    def write_csv(self, out: TextIO, amplitudes: bool = False) -> None:
-        """Populations per site (`t,site_1,...,site_N`); with ``amplitudes``
-        the real/imaginary parts are dumped instead (`t,re_1,im_1,...`)."""
-        sites = range(1, self.n_sites + 1)
-        if amplitudes:  # each amplitude as its real and imaginary part, a state at a time
-            columns = [f"re_{i},im_{i}" for i in sites]
-            rows = (state.amplitudes.view(float) for state in self.states)
-        else:
-            columns, rows = [f"site_{i}" for i in sites], self.populations()
-        out.write(f"t,{','.join(columns)}\n")
-        for t, row in zip(self.times, rows):
-            out.write(f"{t:.12g}," + ",".join(f"{v:.12g}" for v in row) + "\n")
 
 
 def schedule_kicks(protocol: Protocol, n_sites: int) -> tuple[int, list[tuple[float, int, float]]]:

@@ -25,19 +25,22 @@ worker: a whole cell's row comes back from its worker, a cut cell's values
 go into one array in the parent, which computes the row from it. The
 parent appends each finished cell to one journal per command, a line of
 JSON holding its row and a fingerprint of its configuration, and on resume
-skips a cell only when a line with that fingerprint holds it.
+skips a cell only when a line with that fingerprint holds it. Every other
+file a command writes, the journal's rewrite included, goes through one
+writer, :func:`output`, and every table through :func:`write_csv`.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import itertools
 import json
 import multiprocessing
 import os
 import sys
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -419,7 +422,7 @@ def _read_journal(journal: str,
     The last such line of a cell counts. Any other line (cut off by a killed
     run, not a cell's row, or written for another configuration) is dropped
     with a warning on stderr, and the journal is rewritten with the kept
-    lines (write-temp-then-rename), so a new line never follows a cut one.
+    lines (through :func:`output`), so a new line never follows a cut one.
     """
     rows: dict[int, dict[str, Any]] = {}
     if not os.path.exists(journal):
@@ -442,11 +445,36 @@ def _read_journal(journal: str,
                     problem = "was written for another configuration"
             print(f"warning: discarding checkpoint {journal}:{number}: it {problem}; "
                   "computing the cell again", file=sys.stderr)
-    tmp = journal + ".tmp"
-    with open(tmp, "wb") as fh:
+    with output(*os.path.split(journal), mode="wb") as fh:
         fh.writelines(line + b"\n" for line in kept.values())
-    os.replace(tmp, journal)
     return rows
+
+
+@contextlib.contextmanager
+def output(out: str, name: str, mode: str = "w") -> Iterator[IO[Any]]:
+    """Write the file ``name`` in ``out`` whole: the body writes
+    ``<name>.tmp``, which replaces the file once the body has finished, so
+    no reader finds part of a file. An OSError (say, a directory at either
+    path) is a :class:`~spinnet.config.ConfigError`."""
+    path = os.path.join(out, name)
+    try:
+        with open(path + ".tmp", mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(path + ".tmp", path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def write_csv(out: str, name: str, columns: Sequence[str],
+              rows: Iterable[Iterable[Any]]) -> None:
+    """Write a table through :func:`output`, one line per row. A float
+    (numpy's float64 included) prints with 12 significant digits, anything
+    else as ``str()``, so an int prints in full at any size."""
+    with output(out, name) as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
+                     + "\n")
 
 
 def _write_checkpoint(journal: str, row: dict[str, Any]) -> None:

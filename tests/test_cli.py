@@ -169,6 +169,25 @@ def test_run_with_duration_override_and_amplitudes(tmp_path):
     assert header.startswith("t,re_1,im_1")
 
 
+def test_run_writes_trajectory_rows_and_header(tmp_path):
+    """trajectory.csv holds one row per sample, each a unit-norm state: as
+    site populations, or with run.amplitudes as the amplitudes' parts."""
+    sites = [str(i) for i in range(1, 7)]  # a router of n = 6 has six sites
+    for amplitudes, columns in ((False, [f"site_{i}" for i in sites]),
+                                (True, [f"{part}_{i}" for i in sites for part in ("re", "im")])):
+        cfg = write_config(tmp_path, {"protocol": {"name": "router", "n": 6},
+                                      "run": {"samples": 5, "amplitudes": amplitudes}})
+        out = tmp_path / f"amplitudes-{amplitudes}"
+        assert run_cli("run", "--config", cfg, "--out", out) == 0
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert lines[0] == ",".join(["t", *columns])
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert table.shape == (5, 1 + len(columns))
+        assert table[0, 0] == 0.0 and np.all(np.diff(table[:, 0]) > 0)
+        populations = table[:, 1:] ** 2 if amplitudes else table[:, 1:]
+        assert np.allclose(populations.sum(axis=1), 1.0, atol=1e-10)
+
+
 def test_run_disordered_reports_but_does_not_gate(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -1061,7 +1080,8 @@ def test_a_journal_that_cannot_be_used_is_a_config_error(tmp_path, capsys, comma
         write_journal(out / journal, [])  # an empty journal, rewritten on start
     assert run_cli(command, "--config", cfg, "--out", out) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: cannot use journal {out / journal}: ")
+    problem = "cannot write" if blocked else "cannot use journal"  # the rewrite is an output
+    assert err.startswith(f"config error: {problem} {out / journal}: ")
     assert str(out / (journal + blocked)) in err
     assert sorted(path.name for path in out.iterdir()) == sorted({journal, journal + blocked})
 
@@ -1318,3 +1338,59 @@ def test_a_closed_stdout_ends_the_report_not_the_run(tmp_path, monkeypatch, comm
             assert first == second
         else:
             assert first.read_bytes() == second.read_bytes()
+
+
+# --- output files ---------------------------------------------------------------
+
+OUTPUTS = {  # every file each command writes, with a config it runs
+    "build": ({"network": {"chains": [{"length": 3}, {"length": 4}]}},
+              ["edges.txt", "spectrum.csv", "meta.json"]),
+    "run": (RUN_CONFIG, ["trajectory.csv", "meta.json", "plot_trajectory.py"]),
+    "sweep": (SWEEP_CONFIG, ["heatmap.csv", "contour.csv", "meta.json", "plot_heatmap.py"]),
+    "phase-scan": (SCAN_CONFIG, ["phase_scan.csv", "meta.json", "plot_angles.py"]),
+}
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, name) for command, (_, names) in OUTPUTS.items() for name in names
+])
+def test_an_output_that_cannot_be_written_is_a_config_error(tmp_path, capsys, command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)  # a directory in the file's place
+    assert run_cli(command, "--config", write_config(tmp_path, OUTPUTS[command][0]),
+                   "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / name}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_a_finished_command_leaves_no_temporary_file(tmp_path, command):
+    data, names = OUTPUTS[command]
+    cfg, out = write_config(tmp_path, data), tmp_path / "out"
+    for _ in range(2):  # a fresh --out, then the same one rewritten (and its journal resumed)
+        assert run_cli(command, "--config", cfg, "--out", out) == 0
+        assert set(names) <= {path.name for path in out.iterdir()}
+        assert not list(out.glob("*.tmp"))
+
+
+def test_a_sweep_whose_heatmap_is_blocked_resumes_from_its_journal(tmp_path, capsys,
+                                                                   monkeypatch):
+    cfg = write_config(tmp_path, SWEEP_CONFIG)
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg, "--out", fresh) == 0
+    (out / "heatmap.csv").mkdir(parents=True)
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 2
+    assert len(journal_lines(out / "sweep.jsonl")) == 8  # every cell ran before the write
+    (out / "heatmap.csv").rmdir()
+    capsys.readouterr()
+
+    def never(part):
+        raise AssertionError(f"cell {part.cell.index} ran again")
+
+    monkeypatch.setattr(sweep, "run_cell", never)
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("heatmap.csv", "contour.csv"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+    assert not list(out.glob("*.tmp"))  # the blocked run's heatmap.csv.tmp was written again

@@ -1,4 +1,3 @@
-import io
 import math
 import re
 
@@ -384,24 +383,6 @@ def test_kernel_split_at_a_kick_matches_one_call(run, split):
 
 
 # --- trajectories -----------------------------------------------------------------
-
-def test_trajectory_rows_and_header():
-    g = chain_graph(ChainSpec(3))
-    protocol = Protocol(1, [], 2.0, np.linspace(0.0, 2.0, 5))
-    traj = run_schedule(g, protocol)
-    assert traj.populations().shape == (5, 3)
-    assert np.allclose(traj.populations().sum(axis=1), 1.0, atol=1e-10)
-
-    buffer = io.StringIO()
-    traj.write_csv(buffer)
-    lines = buffer.getvalue().strip().splitlines()
-    assert lines[0] == "t,site_1,site_2,site_3"
-    assert len(lines) == 6
-
-    buffer = io.StringIO()
-    traj.write_csv(buffer, amplitudes=True)
-    assert buffer.getvalue().splitlines()[0] == "t,re_1,im_1,re_2,im_2,re_3,im_3"
-
 
 def test_unsorted_sample_times_are_returned_in_given_order():
     g = chain_graph(ChainSpec(2))

@@ -205,6 +205,29 @@ def test_a_journal_that_cannot_be_appended_to_is_a_config_error(tmp_path):
         run_cells(clean_cells(1), journal=str(journal))
 
 
+# a value with the spelling every table has always given it: 12 significant
+# digits for a float, numpy's float64 included, and str() for anything else
+SPELLED_VALUES = st.one_of(
+    st.text(st.characters(exclude_categories=("Cs",), exclude_characters=",\r\n"))
+    .map(lambda v: (v, f"{v}")),
+    st.integers(-2**63, 2**63).map(lambda v: (v, f"{v}")),
+    st.floats().map(lambda v: (v, f"{v:.12g}")),
+    st.floats().map(lambda v: (np.float64(v), f"{v:.12g}")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(SPELLED_VALUES, min_size=1, max_size=6), max_size=5))
+@example(rows=[[(10**12 + 1, "1000000000001"), (np.float64(1 / 3), "0.333333333333")]])
+def test_write_csv_spells_floats_to_12_digits_and_the_rest_in_full(tmp_path_factory, rows):
+    out = tmp_path_factory.mktemp("table")
+    sweep.write_csv(str(out), "table.csv", ["a", "b"], ([v for v, _ in row] for row in rows))
+    with open(out / "table.csv", encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    assert lines == ["a,b", *(",".join(spelled for _, spelled in row) for row in rows), ""]
+    assert os.listdir(out) == ["table.csv"]
+
+
 PART_K = 30  # realizations of a cut cell: blocks of 12, dense stacks of 4 under PART_BLOCK
 PART_BLOCK = 144
 
