@@ -8,6 +8,8 @@ Subcommands
     replay      re-run any earlier command from its meta.json record
 
 Every file goes to --out whole, written to ``<name>.tmp`` and renamed.
+meta.json marks a finished run: a command removes it before it runs and
+writes it last, so a failed run leaves none.
 Exit codes: 0 success, 2 config error (an --out, a journal or an output
 file that cannot be written is one too), 3 numerical-invariant violation
 (including a clean run missing its analytic target).
@@ -20,6 +22,7 @@ import datetime
 import json
 import math
 import os
+import platform
 import sys
 from typing import Any, Sequence
 
@@ -70,6 +73,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:  # a path that cannot be a directory
             raise ConfigError(f"--out {args.out}: {exc}")
+        _remove_meta(args.out)
         return COMMANDS[command](cfg, args.out, seed, workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -107,8 +111,41 @@ def _say(line: str) -> None:
         os.close(devnull)
 
 
+def _remove_meta(out: str) -> None:
+    """Remove the record of an earlier run from ``out``: from here until
+    :func:`_write_meta`, its files are not a finished run's."""
+    path = os.path.join(out, "meta.json")
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:  # a directory in its place, or an --out that is read-only
+        raise ConfigError(f"cannot write {path}: {exc}")
+
+
+def _environment() -> dict[str, Any]:
+    """The interpreter, numpy, its BLAS and LAPACK, and the thread settings
+    of the run; no output and no replay reads them."""
+    try:
+        deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+        libraries = {key: {"name": deps.get(key, {}).get("name"),
+                           "version": deps.get(key, {}).get("version")}
+                     for key in ("blas", "lapack")}
+    except TypeError:  # numpy < 1.25 has no dict mode
+        libraries = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        **libraries,
+        "threads": {name: os.environ.get(name)
+                    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _write_meta(out: str, command: str, cfg: Config, seed: int, workers: int,
                 outputs: list[str], extra: dict[str, Any] | None = None) -> None:
+    """Write the run's record, the last file of every command."""
     meta = {
         "tool": "spinnet",
         "version": __version__,
@@ -118,6 +155,7 @@ def _write_meta(out: str, command: str, cfg: Config, seed: int, workers: int,
         "workers": workers,
         "config": cfg.raw,
         "outputs": outputs,
+        "environment": _environment(),
     }
     if extra:
         meta.update(extra)
@@ -221,8 +259,8 @@ def cmd_run(cfg: Config, out: str, seed: int, workers: int) -> int:
         if clean and error > CLEAN_ANGLE_ATOL_DEG:
             missed.append(f"clean phase retrieval missed the true angle by {error:.3e} degrees")
 
-    _write_meta(out, "run", cfg, seed, workers, ["trajectory.csv"], extra=extra)
     _write_trajectory_plot_script(out)
+    _write_meta(out, "run", cfg, seed, workers, ["trajectory.csv"], extra=extra)
     if missed:
         raise InvariantViolation("; ".join(missed))
     return EXIT_OK
@@ -268,9 +306,9 @@ def cmd_sweep(cfg: Config, out: str, seed: int, workers: int) -> int:
          "stream_base": c.stream_base, "k": c.realizations}
         for c in cells
     ]
+    _write_heatmap_plot_script(out, cfg.sweep.axis)
     _write_meta(out, "sweep", cfg, seed, workers,
                 ["heatmap.csv", "contour.csv"], extra={"cells": cell_records})
-    _write_heatmap_plot_script(out, cfg.sweep.axis)
     _say(f"wrote {os.path.join(out, 'heatmap.csv')} and {os.path.join(out, 'contour.csv')}")
     return EXIT_OK
 
@@ -299,8 +337,8 @@ def cmd_phase_scan(cfg: Config, out: str, seed: int, workers: int) -> int:
                "stream_base"],
               ([row["kind"], row["e"], theta, *stats, row["k"], row["stream_base"]]
                for row in rows for theta, stats in zip(thetas, row["stats"])))
-    _write_meta(out, "phase-scan", cfg, seed, workers, ["phase_scan.csv"])
     _write_phase_plot_script(out)
+    _write_meta(out, "phase-scan", cfg, seed, workers, ["phase_scan.csv"])
     _say(f"wrote {os.path.join(out, 'phase_scan.csv')}")
     return EXIT_OK
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 
@@ -1394,3 +1395,79 @@ def test_a_sweep_whose_heatmap_is_blocked_resumes_from_its_journal(tmp_path, cap
     for name in ("heatmap.csv", "contour.csv"):
         assert (out / name).read_bytes() == (fresh / name).read_bytes()
     assert not list(out.glob("*.tmp"))  # the blocked run's heatmap.csv.tmp was written again
+
+
+# --- meta.json marks a finished run ---------------------------------------------
+
+@pytest.mark.parametrize("blocked", ["contour.csv.tmp", "plot_heatmap.py.tmp"])
+def test_a_failed_rerun_leaves_no_meta_json(tmp_path, capsys, blocked):
+    """A rerun at another seed that cannot write one of its files exits 2
+    and leaves no record: the tables it wrote are not the earlier run's."""
+    cfg, out = write_config(tmp_path, SWEEP_CONFIG), tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+    assert (out / "meta.json").exists()
+    (out / blocked).mkdir()
+    assert run_cli("sweep", "--config", cfg, "--out", out, "--seed", 7) == 2
+    assert f"config error: cannot write {out / blocked.removesuffix('.tmp')}: " in (
+        capsys.readouterr().err)
+    assert not (out / "meta.json").exists()
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_a_finished_command_writes_its_record_last(tmp_path, monkeypatch, command):
+    """meta.json is the last file a finished run puts in place, and records its seed."""
+    data, names = OUTPUTS[command]
+    cfg, out = write_config(tmp_path, data), tmp_path / "out"
+    replaced = []
+    real_replace = os.replace
+
+    def replace(source, target):
+        replaced.append(os.path.basename(target))
+        real_replace(source, target)
+
+    monkeypatch.setattr(sweep.os, "replace", replace)
+    for seed in (11, 12):  # a fresh --out, then the same one rerun at another seed
+        replaced.clear()
+        assert run_cli(command, "--config", cfg, "--out", out, "--seed", seed) == 0
+        assert json.loads((out / "meta.json").read_text())["master_seed"] == seed
+        assert set(names) <= set(replaced) and replaced[-1] == "meta.json"
+
+
+def test_meta_json_records_the_environment(tmp_path):
+    cfg, out = write_config(tmp_path, RUN_CONFIG), tmp_path / "out"
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    environment = json.loads((out / "meta.json").read_text())["environment"]
+    assert environment["numpy"] == np.__version__
+    assert environment["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert environment["cpu_count"] == os.cpu_count()
+    assert environment["threads"]["OPENBLAS_NUM_THREADS"] == os.environ.get(
+        "OPENBLAS_NUM_THREADS")
+    assert set(environment) - {"blas", "lapack"} == {"python", "numpy", "threads", "cpu_count"}
+
+
+NO_RANDOM_PROBE = """
+import json, sys
+from spinnet.cli import main
+out, configs, loaded = sys.argv[1], sys.argv[2:], {}
+for command, config in zip(("sweep", "phase-scan", "run"), configs):
+    assert main([command, "--config", config, "--out", out + "/" + command]) == 0
+    loaded[command] = [name for name in ("numpy.random", "_hashlib") if name in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_no_command_loads_numpy_random(tmp_path):
+    """The package draws its disorder itself: a disordered sweep, phase scan
+    and run, one after another in a fresh interpreter, never import
+    numpy.random, nor the OpenSSL hashes it pulls in."""
+    scan = {"phase_scan": dict(SCAN_CONFIG["phase_scan"],
+                               settings=[{"kind": "off_diagonal", "strength": 0.1}])}
+    configs = [write_config(tmp_path, data, name=f"{i}.yaml")
+               for i, data in enumerate([SWEEP_CONFIG, scan, RUN_CONFIG])]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", NO_RANDOM_PROBE, str(tmp_path), *configs],
+                         env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == {
+        "sweep": [], "phase-scan": [], "run": []}

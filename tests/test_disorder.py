@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,9 +12,14 @@ from spinnet.disorder import (
     MAX_STRENGTH,
     SEED_LIMIT,
     SeededRng,
+    _FI,
+    _KI,
+    _WI,
+    pcg64_outputs,
     pcg64_states,
     sample_disorder,
     seed_sequence_words,
+    standard_normals,
     stream_draws,
 )
 from spinnet.linalg import hermiticity_defect
@@ -256,3 +262,125 @@ def test_seed_and_stream_must_fit_in_u64(seed, stream):
 def test_empty_block_draws_nothing():
     g = chain_graph(ChainSpec(5))
     assert stream_draws(g, DisorderSpec("diagonal", 0.1), 3, range(0)).shape == (0, 5)
+
+
+# --- draws: numpy's PCG64 outputs and ziggurat, computed per block -------------
+
+# the first stream of a block: anywhere below 2^64, or a block straddling 2^32
+FIRST = st.one_of(st.integers(0, SEED_LIMIT - 32), st.integers(2**32 - 30, 2**32 + 4),
+                  st.integers(SEED_LIMIT - 2**16, SEED_LIMIT - 32))
+
+
+def block_states(seed, streams):
+    return pcg64_states(seed_sequence_words(seed, streams))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=U64, first=FIRST, count=st.integers(1, 24), outputs=st.integers(1, 320))
+@example(seed=SEED_LIMIT - 1, first=2**32 - 12, count=24, outputs=320)
+def test_pcg64_outputs_are_numpys_random_raw(seed, first, count, outputs):
+    streams = range(first, first + count)
+    block = pcg64_outputs(block_states(seed, streams), outputs)
+    expected = [numpy_generator(seed, s).bit_generator.random_raw(outputs) for s in streams]
+    assert block.dtype == np.uint64 and np.array_equal(block, np.array(expected))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.one_of(U64, NEAR_TOP), first=FIRST, count=st.integers(1, 24),
+       size=st.integers(1, 300))
+@example(seed=0, first=0, count=1, size=1)
+@example(seed=SEED_LIMIT - 1, first=SEED_LIMIT - 32, count=24, size=300)
+def test_standard_normals_are_numpys_standard_normal(seed, first, count, size):
+    streams = range(first, first + count)
+    normals = standard_normals(block_states(seed, streams), size)
+    expected = np.array([numpy_generator(seed, s).standard_normal(size) for s in streams])
+    assert normals.shape == (count, size) and normals.tobytes() == expected.tobytes()
+
+
+def ziggurat_walk(outputs, size):
+    """numpy's random_standard_normal draw by draw on 64-bit ``outputs``:
+    the first ``size`` draws, and the path of each, (strip, "fast", "wedge"
+    or "tail"); None when the outputs run out. The wedge path is taken
+    whether it keeps its value or not."""
+    outputs, draws, paths = iter(outputs), [], []
+    uniform = lambda: (next(outputs) >> 11) * 2.0**-53
+    try:
+        while len(draws) < size:
+            r = next(outputs)
+            strip, sign, rabs = r & 0xFF, r >> 8 & 1, r >> 9 & (1 << 52) - 1
+            x = -(rabs * _WI[strip]) if sign else rabs * _WI[strip]
+            if rabs < _KI[strip]:
+                draws.append(x)
+                paths.append((strip, "fast"))
+            elif strip == 0:
+                paths.append((0, "tail"))
+                while True:
+                    xx = -0.27366123732975827203338247596 * math.log1p(-uniform())
+                    yy = -math.log1p(-uniform())
+                    if yy + yy > xx * xx:
+                        r_tail = 3.6541528853610087963519472518
+                        draws.append(-(r_tail + xx) if rabs >> 8 & 1 else r_tail + xx)
+                        break
+            else:
+                paths.append((strip, "wedge"))
+                if (_FI[strip - 1] - _FI[strip]) * uniform() + _FI[strip] < math.exp(-0.5 * x * x):
+                    draws.append(x)
+    except StopIteration:
+        return None
+    return draws, paths
+
+
+def test_a_million_draws_take_every_path_of_numpys_ziggurat():
+    """10^6 draws of one block are numpy's, bit for bit, and take the fast
+    path and the wedge path of every strip and the tail (strip 1 has no fast
+    path: k_1 = 0)."""
+    seed, streams, size = 20230724, range(2000), 500
+    normals = standard_normals(block_states(seed, streams), size)
+    paths = Counter()
+    for stream, row in zip(streams, normals):
+        generator = numpy_generator(seed, stream)
+        walk = ziggurat_walk(generator.bit_generator.random_raw(2 * size).tolist(), size)
+        draws, stream_paths = walk
+        paths.update(stream_paths)
+        expected = numpy_generator(seed, stream).standard_normal(size)
+        assert np.array(draws).tobytes() == expected.tobytes() == row.tobytes()
+    assert _KI[1] == 0 and all(paths[i, "fast"] > 0 for i in range(256) if i != 1)
+    assert all(paths[i, "wedge"] > 0 for i in range(1, 256)) and paths[0, "tail"] > 0
+    assert sum(paths.values()) >= 10**6
+
+
+MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+INCREMENT = 0xDA3E39CB94B95BDB7B1A4B73A35F5C07  # odd, as every PCG64 increment
+
+
+def state_for_output(output):
+    """A PCG64 state whose next output is ``output``: the step lands on a
+    state whose top six bits are 0, so its output is the xor of its halves."""
+    high = 0x0123456789ABCDEF
+    stepped = high << 64 | high ^ output
+    return (stepped - INCREMENT) * pow(MULTIPLIER, -1, 2**128) % 2**128
+
+
+def test_every_ki_and_wi_entry_is_numpys():
+    """Outputs with |r| = k_i - 1 (a fast draw, one output) and |r| = k_i
+    (a slow one) for every strip i and both signs: numpy's draw is the
+    package's, and a fast draw is +-(k_i - 1) w_i."""
+    outputs = [rabs << 9 | sign << 8 | strip for strip in range(256) for sign in (0, 1)
+               for rabs in (int(_KI[strip]) - 1, int(_KI[strip])) if rabs >= 0]
+    states = [state_for_output(output) for output in outputs]
+    rows = [[s >> 64, s & (1 << 64) - 1, INCREMENT >> 64, INCREMENT & (1 << 64) - 1]
+            for s in states]
+    draws = standard_normals(np.array(rows, dtype=np.uint64), 1)[:, 0]
+    for output, state, draw in zip(outputs, states, draws.tolist()):
+        bit_generator = np.random.PCG64()
+        bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                               "state": {"state": state, "inc": INCREMENT}}
+        expected = np.random.Generator(bit_generator).standard_normal()
+        assert math.copysign(1.0, draw) == math.copysign(1.0, expected) and draw == expected
+        # the draw took one output exactly when it was fast
+        one_step = (state * MULTIPLIER + INCREMENT) % 2**128
+        fast = bit_generator.state["state"]["state"] == one_step
+        strip, sign, rabs = output & 0xFF, output >> 8 & 1, output >> 9
+        assert fast == (rabs < _KI[strip])
+        if fast:
+            assert draw == (-1.0) ** sign * (rabs * float(_WI[strip]))

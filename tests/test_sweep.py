@@ -29,6 +29,7 @@ from spinnet.sweep import (
     ensemble_merit,
     fingerprint,
     phase_scan_cells,
+    phase_scan_estimates,
     phase_scan_setting,
     resolve_merit,
     run_cells,
@@ -628,6 +629,21 @@ def test_phase_scan_matches_the_per_device_loop(n, kind, e, k, base):
     spec = DisorderSpec(kind, e)
     assert (phase_scan_setting(n, thetas, spec, k, SEED, stream_base=base)
             == phase_scan_reference(n, thetas, spec, k, base))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.sampled_from(range(4, 21, 2)),
+       strength=st.floats(0.0, 0.1), k=st.integers(1, 24))
+@example(seed=SEED, n=20, strength=0.1, k=24)
+def test_off_diagonal_disorder_keeps_the_probe_ties_on_their_line(seed, n, strength, k):
+    """Under off-diagonal disorder every device estimates 135 and 315 degrees
+    as the angle itself or its antipode, to within 1e-9 degrees: the ties
+    that put a device on either side of the unwrap branch cut."""
+    thetas = (135.0, 315.0)
+    estimates = phase_scan_estimates(n, thetas, DisorderSpec("off_diagonal", strength), k, seed)
+    for theta, row in zip(thetas, estimates):
+        gaps = np.abs(row[:, np.newaxis] - theta - np.array([-180.0, 0.0, 180.0]))
+        assert gaps.min(axis=1).max() < 1e-9, (theta, row)
 
 
 @pytest.mark.parametrize("kind, stacks", [
