@@ -363,23 +363,26 @@ def state_for_output(output):
 
 def test_every_ki_and_wi_entry_is_numpys():
     """Outputs with |r| = k_i - 1 (a fast draw, one output) and |r| = k_i
-    (a slow one) for every strip i and both signs: numpy's draw is the
-    package's, and a fast draw is +-(k_i - 1) w_i."""
+    (a slow one) for every strip i and both signs: numpy's first two draws
+    are the package's, so both take as many outputs, and a fast draw is
+    +-(k_i - 1) w_i."""
     outputs = [rabs << 9 | sign << 8 | strip for strip in range(256) for sign in (0, 1)
                for rabs in (int(_KI[strip]) - 1, int(_KI[strip])) if rabs >= 0]
     states = [state_for_output(output) for output in outputs]
     rows = [[s >> 64, s & (1 << 64) - 1, INCREMENT >> 64, INCREMENT & (1 << 64) - 1]
             for s in states]
-    draws = standard_normals(np.array(rows, dtype=np.uint64), 1)[:, 0]
-    for output, state, draw in zip(outputs, states, draws.tolist()):
+    draws = standard_normals(np.array(rows, dtype=np.uint64), 2)
+    for output, state, (draw, second) in zip(outputs, states, draws.tolist()):
         bit_generator = np.random.PCG64()
         bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                                "state": {"state": state, "inc": INCREMENT}}
-        expected = np.random.Generator(bit_generator).standard_normal()
-        assert math.copysign(1.0, draw) == math.copysign(1.0, expected) and draw == expected
+        generator = np.random.Generator(bit_generator)
+        expected = generator.standard_normal()
         # the draw took one output exactly when it was fast
         one_step = (state * MULTIPLIER + INCREMENT) % 2**128
         fast = bit_generator.state["state"]["state"] == one_step
+        assert np.array([draw, second]).tobytes() == np.array(
+            [expected, generator.standard_normal()]).tobytes()
         strip, sign, rabs = output & 0xFF, output >> 8 & 1, output >> 9
         assert fast == (rabs < _KI[strip])
         if fast:
