@@ -12,7 +12,9 @@ meta.json marks a finished run: a command removes it before it runs and
 writes it last, so a failed run leaves none.
 Exit codes: 0 success, 2 config error (an --out, a journal or an output
 file that cannot be written is one too), 3 numerical-invariant violation
-(including a clean run missing its analytic target).
+(including a clean run missing its analytic target), 130 interrupted
+(Ctrl-C); a rerun of an interrupted sweep or phase scan resumes from its
+journal.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .sweep import (output, phase_scan_cells, run_cells, sweep_cells, threshold_
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+EXIT_INTERRUPTED = 130
 
 CLEAN_CHECK_ATOL = 1e-9
 CLEAN_ANGLE_ATOL_DEG = 1e-6
@@ -60,6 +63,7 @@ CONTOUR_LEVEL = 0.9
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    journal = None
     try:
         if args.command == "replay":
             command, cfg, seed, workers = _read_record(args.meta)
@@ -74,6 +78,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         except OSError as exc:  # a path that cannot be a directory
             raise ConfigError(f"--out {args.out}: {exc}")
         _remove_meta(args.out)
+        journal = JOURNALS.get(command)
         return COMMANDS[command](cfg, args.out, seed, workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -81,6 +86,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except KeyboardInterrupt:  # pool workers ignore it, so only this process reports
+        resume = "" if journal is None else (
+            f"; {os.path.join(args.out, journal)} keeps every finished cell, "
+            "and a rerun resumes from it")
+        print(f"interrupted{resume}", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -290,8 +301,7 @@ def cmd_sweep(cfg: Config, out: str, seed: int, workers: int) -> int:
         _say(f"[{done}/{len(cells)}] {row['kind']} size={row['size']} "
              f"E={row['e']:g}: mean={row['mean']:.6f}")
 
-    rows = run_cells(cells, workers=workers, journal=os.path.join(out, "sweep.jsonl"),
-                     on_cell=progress)
+    rows = run_cells(cells, workers, os.path.join(out, JOURNALS["sweep"]), progress)
 
     columns = ["kind", "size", "e", "mean", "std", "std_of_mean", "k", "stream_base"]
     write_csv(out, "heatmap.csv", columns, ([row[c] for c in columns] for row in rows))
@@ -330,8 +340,7 @@ def cmd_phase_scan(cfg: Config, out: str, seed: int, workers: int) -> int:
         _say(f"[{done}/{len(cells)}] {row['kind']} E={row['e']:g}: "
              f"max |mean - theta|={worst:.6f} deg")
 
-    rows = run_cells(cells, workers=workers, journal=os.path.join(out, "phase_scan.jsonl"),
-                     on_cell=progress)
+    rows = run_cells(cells, workers, os.path.join(out, JOURNALS["phase-scan"]), progress)
     write_csv(out, "phase_scan.csv",
               ["kind", "e", "theta_deg", "theta_mean_deg", "std_deg", "std_of_mean_deg", "k",
                "stream_base"],
@@ -352,6 +361,8 @@ COMMANDS = {
     "sweep": cmd_sweep,
     "phase-scan": cmd_phase_scan,
 }
+# the journal in --out of each command that keeps one
+JOURNALS = {"sweep": "sweep.jsonl", "phase-scan": "phase_scan.jsonl"}
 
 
 def _read_record(meta_path: str) -> tuple[str, Config, int, int]:

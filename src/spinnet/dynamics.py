@@ -105,10 +105,6 @@ class ScheduleEvent:
             raise ValueError("phase angle must be finite")
 
 
-def phase_kick(site: int, angle: float, time: float) -> ScheduleEvent:
-    return ScheduleEvent(time, site, angle)
-
-
 @dataclass(frozen=True)
 class Protocol:
     """The 1-based site injected at t = 0, the time-sorted phase kicks, the

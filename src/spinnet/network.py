@@ -255,37 +255,3 @@ def write_edge_list(graph: CouplingGraph, out: TextIO) -> None:
         out.write(f"{i} {j} {float(value)!r}\n")
     for i in range(1, graph.n_sites + 1):
         out.write(f"site {i} {float(graph.onsite[i - 1])!r}\n")
-
-
-def read_edge_list(source: TextIO) -> CouplingGraph:
-    """Parse the edge-list format written by :func:`write_edge_list`; a zero
-    coupling is still an edge, and a repeated site pair is an error."""
-    edges: list[tuple[int, int, float]] = []
-    onsite: dict[int, float] = {}
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if len(parts) != 3:
-                raise ValueError
-            if parts[0] == "site":
-                site = int(parts[1])
-                if site < 1:
-                    raise ValueError
-                onsite[site] = float(parts[2])
-            else:
-                i, j = sorted((int(parts[0]), int(parts[1])))
-                if i == j:
-                    raise ValueError
-                edges.append((i, j, float(parts[2])))
-        except ValueError:
-            raise ValueError(f"edge list line {lineno}: cannot parse {raw.rstrip()!r}")
-    edges.sort()
-    n = max([j for _, j, _ in edges] + list(onsite) + [1])
-    eps = np.zeros(n)
-    for i, value in onsite.items():
-        eps[i - 1] = value
-    pairs = np.array([(i - 1, j - 1) for i, j, _ in edges], dtype=np.intp).reshape(-1, 2)
-    return CouplingGraph(n, pairs[:, 0], pairs[:, 1], [value for *_, value in edges], eps)

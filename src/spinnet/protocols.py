@@ -26,7 +26,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .dynamics import PureState, Protocol, phase_kick, propagate, schedule_kicks
+from .dynamics import Protocol, PureState, ScheduleEvent, propagate, schedule_kicks
 from .linalg import BLOCK_ENTRIES, SpectralDecomposition, eigh
 from .network import ChainSpec, CouplingGraph, NetworkSpec, network_graph, retune_jmax
 from .observables import fidelities, pair_eofs
@@ -142,7 +142,7 @@ def two_chain_phase_protocol(n_total: int, angle: float) -> tuple[NetworkSpec, P
     """Inject at site 1, kick site N/2+1 by ``angle`` at the mirror time."""
     spec = _two_chain_spec(n_total)
     t_m = spec.chains[0].mirror_time
-    return spec, Protocol(1, [phase_kick(n_total // 2 + 1, angle, t_m)], 2 * t_m)
+    return spec, Protocol(1, [ScheduleEvent(t_m, n_total // 2 + 1, angle)], 2 * t_m)
 
 
 def router_two_chain(n_total: int) -> ProtocolResult:
@@ -203,7 +203,7 @@ def unequal_router(n_a: int, n_b: int) -> ProtocolResult:
     spec = NetworkSpec([ChainSpec(n_a), ChainSpec(n_b)])
     t_a, t_b = spec.mirror_times
     n_total = n_a + n_b
-    protocol = Protocol(1, [phase_kick(n_a + 1, FLIP, t_a)], t_a + t_b)
+    protocol = Protocol(1, [ScheduleEvent(t_a, n_a + 1, FLIP)], t_a + t_b)
     expected = PureState.from_terms(n_total, {n_total: gamma_factor(n_total)})
     return _end_state_result("unequal-router", spec, protocol, expected)
 
@@ -244,7 +244,7 @@ def w_state(chain_len: int) -> ProtocolResult:
     t_m = spec.chains[0].mirror_time
     kick_site = chain_len + 1
     far_a, far_b = 2 * chain_len, 2 * chain_len + 1
-    protocol = Protocol(1, [phase_kick(kick_site, W_STATE_ANGLE, t_m)], 2 * t_m)
+    protocol = Protocol(1, [ScheduleEvent(t_m, kick_site, W_STATE_ANGLE)], 2 * t_m)
     sign = phase_power(2 * (chain_len - 1))  # +1 for odd chains, -1 for even
     z = complex(math.cos(W_STATE_ANGLE), math.sin(W_STATE_ANGLE))
     expected = PureState.from_terms(
@@ -282,7 +282,7 @@ def mws_9(with_flips: bool = False) -> ProtocolResult:
             merit=FigureOfMerit("fidelity", t_m / 2.0, target=mws),
         )
     protocol = Protocol(
-        5, [phase_kick(4, FLIP, t_m / 2.0), phase_kick(7, FLIP, t_m / 2.0)], 1.5 * t_m
+        5, [ScheduleEvent(t_m / 2.0, 4, FLIP), ScheduleEvent(t_m / 2.0, 7, FLIP)], 1.5 * t_m
     )
     paired = PureState.from_terms(n, {1: 1.0j / SQRT2, 9: 1.0j / SQRT2})
     return _end_state_result("mws", spec, protocol, paired, pair=(1, 9))
@@ -330,7 +330,7 @@ def max_entangle_12() -> ProtocolResult:
     """End-to-end pair state on the half-speed-middle 12-site network."""
     spec = HALF_SPEED_MIDDLE
     t_a = spec.chains[0].mirror_time
-    protocol = Protocol(5, [phase_kick(9, FLIP, 2.0 * t_a)], 3.0 * t_a)
+    protocol = Protocol(5, [ScheduleEvent(2.0 * t_a, 9, FLIP)], 3.0 * t_a)
     expected = PureState.from_terms(spec.n_sites, {1: -1.0j / SQRT2, 12: 1.0 / SQRT2})
     return _end_state_result("max-ent", spec, protocol, expected, pair=(1, 12))
 
@@ -346,7 +346,7 @@ def m_chain_router(n_chains: int) -> ProtocolResult:
         raise ValueError(f"need at least two chains, got {n_chains}")
     spec = _equal_chain_network(n_chains, 3)
     t_m = spec.chains[0].mirror_time
-    kicks = [phase_kick(3 * k + 1, FLIP, k * t_m) for k in range(1, n_chains)]
+    kicks = [ScheduleEvent(k * t_m, 3 * k + 1, FLIP) for k in range(1, n_chains)]
     protocol = Protocol(1, kicks, n_chains * t_m)
     sign = 1.0 if n_chains % 2 == 0 else -1.0
     expected = PureState.from_terms(spec.n_sites, {spec.n_sites: sign})
@@ -363,7 +363,7 @@ def mws_transfer_15() -> ProtocolResult:
     spec = _equal_chain_network(5, 3)
     t_m = spec.chains[0].mirror_time
     protocol = Protocol(
-        8, [phase_kick(7, FLIP, t_m / 2.0), phase_kick(10, FLIP, t_m / 2.0)], 1.5 * t_m
+        8, [ScheduleEvent(t_m / 2.0, 7, FLIP), ScheduleEvent(t_m / 2.0, 10, FLIP)], 1.5 * t_m
     )
     expected = PureState.from_terms(
         spec.n_sites, {3: 0.5j, 4: -0.5j, 12: 0.5j, 13: 0.5j}

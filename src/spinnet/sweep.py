@@ -21,24 +21,28 @@ cell, (angles, K) estimates for a phase-scan setting, 8 bytes each.
 :func:`run_cells` runs either kind of cell, in process or on a clamped
 pool. On a pool it cuts the disordered cells into parts, contiguous ranges
 of realizations (:func:`split_cells`), so that a few slow cells share every
-worker: a whole cell's row comes back from its worker, a cut cell's values
-go into one array in the parent, which computes the row from it. The
-parent appends each finished cell to one journal per command, a line of
-JSON holding its row and a fingerprint of its configuration, and on resume
-skips a cell only when a line with that fingerprint holds it. Every other
-file a command writes, the journal's rewrite included, goes through one
-writer, :func:`output`, and every table through :func:`write_csv`.
+worker. A worker returns only a part's values; the parent puts each
+cell's values into one array and makes every row from it, of a whole cell
+or a cut one. The parent appends each finished cell to one journal per
+command, a line of JSON holding its row and a fingerprint of its
+configuration and of the package's code, and on resume skips a cell only
+when a line with that fingerprint holds it. Every other file a command
+writes, the journal's rewrite included, goes through one writer,
+:func:`output`, and every table through :func:`write_csv`.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import itertools
 import json
 import multiprocessing
 import os
+import signal
 import sys
+import zlib
 from dataclasses import asdict, dataclass
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -309,9 +313,24 @@ def sweep_cells(
 
 def fingerprint(cell: SweepCell | PhaseScanCell) -> dict[str, Any]:
     """Everything the cell's numbers depend on, as its journal line stores
-    it: its fields and the spinnet and numpy versions."""
-    return json.loads(json.dumps(dict(asdict(cell), version=__version__,
-                                      numpy=np.__version__)))  # tuples as lists
+    it: its fields, the spinnet and numpy versions, and a digest of the
+    package's code."""
+    return json.loads(json.dumps(dict(asdict(cell), version=__version__, numpy=np.__version__,
+                                      source=_source_digest())))  # tuples as lists
+
+
+@functools.cache
+def _source_digest() -> str:
+    """The CRC-32 of the names and bytes of the package's ``*.py`` files, in
+    name order, once per process: any change of code, even one that keeps
+    ``__version__``, changes every fingerprint."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    crc = 0
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                crc = zlib.crc32(fh.read(), zlib.crc32(name.encode(), crc))
+    return f"{crc:08x}"
 
 
 @dataclass(frozen=True)
@@ -321,10 +340,6 @@ class Part:
     cell: SweepCell | PhaseScanCell
     first: int
     stop: int
-
-    @property
-    def whole(self) -> bool:
-        return self.stop - self.first == self.cell.realizations
 
 
 def split_cells(cells: Sequence[SweepCell | PhaseScanCell], processes: int) -> list[Part]:
@@ -347,58 +362,60 @@ def split_cells(cells: Sequence[SweepCell | PhaseScanCell], processes: int) -> l
     return parts
 
 
-def run_cell(part: Part) -> tuple[Part, dict[str, Any] | np.ndarray]:
+def run_cell(part: Part) -> tuple[Part, np.ndarray]:
     """The one runner of :func:`run_cells`, in process and on the pool (which
-    pickles it by name): the part with its cell's row if it is whole, else
-    with its values. It first keeps freed block arrays on the process's heap
-    (:func:`~spinnet.linalg.keep_heap`), once per process, however the pool
-    starts its workers."""
+    pickles it by name): the part with its values, whose last axis holds its
+    realizations. The parent makes the cell's row. It first keeps freed
+    block arrays on the process's heap (:func:`~spinnet.linalg.keep_heap`),
+    once per process, however the pool starts its workers."""
     keep_heap()
-    values = part.cell.values(part.first, part.stop)
-    return part, part.cell.row(values) if part.whole else values
+    return part, part.cell.values(part.first, part.stop)
+
+
+def _ignore_interrupt() -> None:
+    """A pool worker's initializer: Ctrl-C reaches the parent alone, which
+    ends the pool."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def run_cells(
     cells: Sequence[SweepCell | PhaseScanCell],
-    workers: int = 1,
-    journal: str | None = None,
-    on_cell: Callable[[dict[str, Any]], None] | None = None,
+    workers: int,
+    journal: str,
+    on_cell: Callable[[dict[str, Any]], None],
 ) -> list[dict[str, Any]]:
     """Evaluate cells, resuming from and appending to ``journal``.
 
     The cells still to run are cut into :func:`split_cells`'s parts, which
     run in process or on a pool of at most one process per part and per
-    core. The parent writes the values of a cut cell's parts into one
-    float64 array, and computes the cell's row once its last part is in. It
-    appends one line per finished cell, in the order the cells finish. See
-    :func:`_read_journal` for the lines a resumed run uses.
+    core. The parent writes each part's values into its cell's one float64
+    array, and makes the cell's row once its last part is in. It appends
+    one line per finished cell, in the order the cells finish, and then
+    hands the row to ``on_cell``. See :func:`_read_journal` for the lines a
+    resumed run uses.
     """
     fingerprints = {cell.index: fingerprint(cell) for cell in cells}
     try:
-        rows = _read_journal(journal, fingerprints) if journal is not None else {}
+        rows = _read_journal(journal, fingerprints)
     except OSError as exc:  # say, a directory where the journal should be
         raise ConfigError(f"cannot use journal {journal}: {exc}") from exc
     pending = [cell for cell in cells if cell.index not in rows]
     cores = os.cpu_count() or 1
     parts = split_cells(pending, min(workers, cores))
     left = collections.Counter(part.cell.index for part in parts)
-    values: dict[int, np.ndarray] = {}  # a cut cell's values, from its first part in
+    values: dict[int, np.ndarray] = {}  # a cell's values, from its first part in
 
-    def record(part: Part, result: dict[str, Any] | np.ndarray) -> None:
+    def record(part: Part, result: np.ndarray) -> None:
         cell = part.cell
-        if not part.whole:
-            if cell.index not in values:
-                values[cell.index] = np.empty(result.shape[:-1] + (cell.realizations,))
-            values[cell.index][..., part.first:part.stop] = result
-            left[cell.index] -= 1
-            if left[cell.index]:
-                return
-            result = cell.row(values.pop(cell.index))
-        rows[cell.index] = result
-        if journal is not None:
-            _write_checkpoint(journal, dict(result, fingerprint=fingerprints[cell.index]))
-        if on_cell is not None:
-            on_cell(result)
+        if cell.index not in values:
+            values[cell.index] = np.empty(result.shape[:-1] + (cell.realizations,))
+        values[cell.index][..., part.first:part.stop] = result
+        left[cell.index] -= 1
+        if left[cell.index]:
+            return
+        row = rows[cell.index] = cell.row(values.pop(cell.index))
+        _write_checkpoint(journal, dict(row, fingerprint=fingerprints[cell.index]))
+        on_cell(row)
 
     # Pool starts every process up front: never more than there are parts or cores
     processes = min(workers, len(parts), cores)
@@ -409,7 +426,7 @@ def run_cells(
         for part in parts:
             record(*run_cell(part))
     else:
-        with multiprocessing.Pool(processes=processes) as pool:
+        with multiprocessing.Pool(processes=processes, initializer=_ignore_interrupt) as pool:
             for done in pool.imap_unordered(run_cell, parts, chunksize=1):
                 record(*done)
     return [rows[cell.index] for cell in cells]
@@ -487,15 +504,6 @@ def _write_checkpoint(journal: str, row: dict[str, Any]) -> None:
 
 
 # --- phase scan ------------------------------------------------------------
-
-def phase_scan_setting(
-    n_total: int, thetas_deg: tuple[float, ...], disorder_spec: DisorderSpec,
-    realizations: int, master_seed: int, stream_base: int = 0,
-) -> list[tuple[float, float, float]]:
-    """(mean, std, std of mean) of the estimate per scanned angle."""
-    return angle_stats(phase_scan_estimates(n_total, thetas_deg, disorder_spec, realizations,
-                                            master_seed, stream_base))
-
 
 def angle_stats(estimates: np.ndarray) -> list[tuple[float, float, float]]:
     """(mean, std, std of mean) of each angle's row of unwrapped estimates,

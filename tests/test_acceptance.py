@@ -25,7 +25,7 @@ from spinnet.network import (
 from spinnet.dynamics import (
     Protocol,
     PureState,
-    phase_kick,
+    ScheduleEvent,
     replace_samples,
     run_schedule,
     state_at,
@@ -48,7 +48,8 @@ from spinnet.protocols import (
     unequal_router,
     w_state,
 )
-from spinnet.sweep import ensemble_merit, phase_scan_setting, run_cells, sweep_cells
+from spinnet.sweep import (angle_stats, ensemble_merit, phase_scan_estimates, run_cells,
+                           sweep_cells)
 from spinnet.config import SweepConfig
 
 from oracles import concurrence, reduce_two_sites
@@ -127,7 +128,7 @@ def test_criterion_03_unequal_chains():
     t_a = spec.chains[0].mirror_time
     g = network_graph(spec)
     psi = state_at(
-        g, Protocol(1, [phase_kick(4, math.pi / 2, t_a)], 2 * t_a), 2 * t_a
+        g, Protocol(1, [ScheduleEvent(t_a, 4, math.pi / 2)], 2 * t_a), 2 * t_a
     )
     reference = {
         1: (1 + 1j) / 2, 3: -0.031 + 0.031j, 4: 0.031 - 0.031j,
@@ -301,7 +302,7 @@ def test_criterion_16_phase_scan():
     clean_err = max(min(abs(est - t), 360.0 - abs(est - t)) for est, t in zip(clean, thetas))
 
     def rms_deviation(n, kind, e, base):
-        stats = phase_scan_setting(n, thetas, DisorderSpec(kind, e), K, SEED, base)
+        stats = angle_stats(phase_scan_estimates(n, thetas, DisorderSpec(kind, e), K, SEED, base))
         devs = [((mean - t + 180.0) % 360.0) - 180.0 for (mean, _, _), t in zip(stats, thetas)]
         return math.sqrt(sum(d * d for d in devs) / len(devs))
 
@@ -314,7 +315,7 @@ def test_criterion_16_phase_scan():
                    f"off-diagonal E=0.10 N=20 RMS {rms20_off:.2f} deg (qualitative)")
 
 
-def test_criterion_17_property_suites():
+def test_criterion_17_property_suites(tmp_path):
     rng = np.random.default_rng(SEED + 2)
     # norm conservation on random kicked schedules
     norm_ok = True
@@ -325,8 +326,8 @@ def test_criterion_17_property_suites():
         start = int(rng.integers(1, g.n_sites + 1))
         events = []
         for t in sorted(rng.uniform(0.0, duration, size=3)):
-            events.append(phase_kick(int(rng.integers(1, g.n_sites + 1)),
-                                     float(rng.uniform(0, 2 * math.pi)), float(t)))
+            events.append(ScheduleEvent(float(t), int(rng.integers(1, g.n_sites + 1)),
+                                        float(rng.uniform(0, 2 * math.pi))))
         traj = run_schedule(g, Protocol(start, events, duration,
                                         tuple(rng.uniform(0, duration, 5))))
         norm_ok &= all(
@@ -337,8 +338,8 @@ def test_criterion_17_property_suites():
     sweep = SweepConfig(sizes=(4, 6), axis="n", e_values=(0.0, 0.2),
                         kinds=("diagonal",), realizations=16)
     cells = sweep_cells("router", {}, sweep, SEED)
-    serial = run_cells(cells, workers=1)
-    parallel = run_cells(cells, workers=3)
+    serial = run_cells(cells, 1, str(tmp_path / "serial.jsonl"), lambda row: None)
+    parallel = run_cells(cells, 3, str(tmp_path / "parallel.jsonl"), lambda row: None)
     parallel_ok = serial == parallel
 
     # seed replay: identical stream addresses give identical ensembles

@@ -1,6 +1,5 @@
 """The banded Chebyshev propagator against scipy's Bessel J and dense eigh."""
 
-import io
 import math
 import re
 import sys
@@ -16,7 +15,7 @@ from spinnet.disorder import DisorderSpec, perturb, stream_draws
 from spinnet.dynamics import propagate, schedule_kicks
 from spinnet.linalg import (CHEBYSHEV_CUTOFF, InvariantViolation, band_operator,
                             bessel_coefficients, chebyshev_evolve, eigh)
-from spinnet.network import CouplingGraph, mirror_time, read_edge_list
+from spinnet.network import CouplingGraph, mirror_time
 from spinnet.protocols import build_protocol
 from spinnet.sweep import ensemble_merit, split_plan
 
@@ -182,10 +181,11 @@ def test_the_junction_diagonal_of_a_router_spans_its_two_junction_rows():
 
 
 def test_edge_list_graph_with_site_energies():
-    text = io.StringIO("1 2 0.9\n1 4 -0.3\n2 3 1.1\n2 6 0.45\n3 5 0.2\n4 5 0.8\n"
-                       "5 6 -0.7\n6 7 0.6\n7 8 1.0\n5 8 0.35\n"
-                       "site 1 0.25\nsite 3 -0.4\nsite 6 0.1\nsite 8 0.55\n")
-    graph = read_edge_list(text)
+    # 0-based (row, col, coupling): offsets 1 to 4, and four site energies
+    pairs = [(0, 1, 0.9), (0, 3, -0.3), (1, 2, 1.1), (1, 5, 0.45), (2, 4, 0.2),
+             (3, 4, 0.8), (4, 5, -0.7), (4, 7, 0.35), (5, 6, 0.6), (6, 7, 1.0)]
+    rows, cols, values = zip(*pairs)
+    graph = CouplingGraph(8, rows, cols, values, [0.25, 0.0, -0.4, 0.0, 0.0, 0.1, 0.0, 0.55])
     assert set((graph.cols - graph.rows).tolist()) == {1, 2, 3, 4}
     for kind in KINDS:
         values, onsite = disordered_stack(graph, kind, range(30, 36))

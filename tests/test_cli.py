@@ -5,9 +5,12 @@ import json
 import math
 import os
 import pathlib
+import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -44,9 +47,9 @@ def pool_sizes(monkeypatch):
     sizes = []
     real_pool = sweep.multiprocessing.Pool
 
-    def pool(processes):
+    def pool(processes, initializer=None):
         sizes.append(processes)
-        return real_pool(processes=processes)
+        return real_pool(processes=processes, initializer=initializer)
 
     monkeypatch.setattr(sweep.multiprocessing, "Pool", pool)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
@@ -566,6 +569,96 @@ def test_sweep_recomputes_the_cells_of_another_numpy(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err.count("written for another configuration") == 8
     assert {line["fingerprint"]["numpy"] for line in journal_lines(out / "sweep.jsonl")} \
         == {"0.0.0"}
+
+
+def package_env(path):
+    """The environment of a process that imports spinnet from ``path`` alone,
+    with one BLAS thread."""
+    return dict(os.environ, PYTHONPATH=str(path), OPENBLAS_NUM_THREADS="1")
+
+
+SRC = pathlib.Path(cli.__file__).resolve().parents[1]
+
+
+def test_sweep_recomputes_the_cells_of_changed_code(tmp_path):
+    """The fingerprint holds a digest of the package's sources: a copy of the
+    package whose Gaussian width is doubled, at the same version number,
+    reruns a sweep into the same --out as if it were fresh."""
+    cfg = write_config(tmp_path, SWEEP_CONFIG)
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+    first = (out / "heatmap.csv").read_bytes()
+    changed = tmp_path / "changed"
+    shutil.copytree(SRC / "spinnet", changed / "spinnet",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    disorder = changed / "spinnet" / "disorder.py"
+    width = "GAUSSIAN_WIDTH = 1.0 / (2.0 * math.sqrt(3.0))"
+    assert disorder.read_text().count(width) == 1
+    disorder.write_text(disorder.read_text().replace(width, "GAUSSIAN_WIDTH = 1.0 / 3.0 ** 0.5"))
+
+    def changed_sweep(target):
+        return subprocess.run([sys.executable, "-m", "spinnet.cli", "sweep", "--config", cfg,
+                               "--out", str(target)], env=package_env(changed),
+                              capture_output=True, text=True, timeout=300)
+
+    rerun = changed_sweep(out)
+    assert rerun.returncode == 0, rerun.stderr
+    assert rerun.stderr.count("warning: discarding checkpoint") == 8
+    assert rerun.stderr.count("written for another configuration") == 8
+    assert changed_sweep(fresh).returncode == 0
+    assert (out / "heatmap.csv").read_bytes() == (fresh / "heatmap.csv").read_bytes() != first
+
+
+INTERRUPTED_SWEEP_CONFIG = {
+    # a fast cell at N = 4 is journaled long before the slow cells at N = 200 end
+    "protocol": {"name": "router", "n": 4},
+    "seed": 7,
+    "sweep": {"n_values": [4, 200], "e_values": [0.1], "kinds": ["diagonal", "off_diagonal"],
+              "realizations": 2000},
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg") or (os.cpu_count() or 1) < 2,
+                    reason="needs process groups and a pool of two")
+def test_ctrl_c_ends_a_pooled_sweep_with_one_line_and_exit_130(tmp_path, capsys):
+    """SIGINT to the process group of a sweep on two workers, as Ctrl-C sends
+    it, once the journal holds a line: one line on stderr, exit 130, no
+    process left, and a rerun resumes to the heatmap of an uninterrupted run."""
+    cfg = write_config(tmp_path, INTERRUPTED_SWEEP_CONFIG)
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    journal = out / "sweep.jsonl"
+    run = subprocess.Popen(
+        [sys.executable, "-m", "spinnet.cli", "sweep", "--config", cfg, "--out", str(out),
+         "--workers", "2"],
+        env=package_env(SRC), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+        # a terminal's foreground job takes SIGINT, even where this process ignores it
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        deadline = time.monotonic() + 120
+        while not (journal.exists() and journal.read_bytes().count(b"\n")):
+            assert run.poll() is None, "the sweep ended before its first journal line"
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        os.killpg(run.pid, signal.SIGINT)
+        _, err = run.communicate(timeout=60)
+    finally:
+        if run.poll() is None:
+            os.killpg(run.pid, signal.SIGKILL)
+    assert run.returncode == 130
+    assert err.splitlines() == [
+        f"interrupted; {journal} keeps every finished cell, and a rerun resumes from it"]
+    with pytest.raises(ProcessLookupError):  # the workers went with the parent
+        os.killpg(run.pid, 0)
+    kept = len(journal.read_text().splitlines())
+    assert 1 <= kept < 4
+    capsys.readouterr()
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+    captured = capsys.readouterr()
+    assert sum(line.startswith("[") for line in captured.out.splitlines()) == 4 - kept
+    assert "warning" not in captured.err
+    assert run_cli("sweep", "--config", cfg, "--out", fresh) == 0
+    assert (out / "heatmap.csv").read_bytes() == (fresh / "heatmap.csv").read_bytes()
 
 
 def test_an_old_checkpoints_directory_is_ignored_and_kept(tmp_path, capsys):

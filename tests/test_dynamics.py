@@ -13,8 +13,8 @@ from spinnet.network import ChainSpec, NetworkSpec, chain_graph, mirror_time, ne
 from spinnet.dynamics import (
     Protocol,
     PureState,
+    ScheduleEvent,
     kick_site,
-    phase_kick,
     propagate,
     replace_samples,
     run_schedule,
@@ -123,17 +123,17 @@ def test_a_kick_rounds_as_the_scalar_complex_product(kicked):
 
 def test_events_must_be_sorted():
     with pytest.raises(ValueError, match="sorted"):
-        Protocol(1, [phase_kick(2, 1.0, 0.8), phase_kick(2, 1.0, 0.3)], 1.0)
+        Protocol(1, [ScheduleEvent(0.8, 2, 1.0), ScheduleEvent(0.3, 2, 1.0)], 1.0)
 
 
 def test_event_beyond_duration_rejected():
     with pytest.raises(ValueError):
-        Protocol(1, [phase_kick(2, 1.0, 2.0)], 1.0)
+        Protocol(1, [ScheduleEvent(2.0, 2, 1.0)], 1.0)
 
 
 def test_negative_event_time_rejected():
     with pytest.raises(ValueError):
-        phase_kick(1, 1.0, -0.5)
+        ScheduleEvent(-0.5, 1, 1.0)
 
 
 def test_event_site_out_of_range():
@@ -141,7 +141,7 @@ def test_event_site_out_of_range():
     with pytest.raises(ValueError, match="site"):
         run_schedule(g, Protocol(7, [], 1.0))
     with pytest.raises(ValueError, match="site"):
-        run_schedule(g, Protocol(1, [phase_kick(4, 1.0, 0.5)], 1.0))
+        run_schedule(g, Protocol(1, [ScheduleEvent(0.5, 4, 1.0)], 1.0))
 
 
 # --- evolution ------------------------------------------------------------------
@@ -176,7 +176,7 @@ def test_event_applies_before_recording():
     t_m = mirror_time(4)
     bare = state_at(g, Protocol(1, [], t_m), t_m)
     kicked = state_at(
-        g, Protocol(1, [phase_kick(5, math.pi, t_m)], t_m), t_m
+        g, Protocol(1, [ScheduleEvent(t_m, 5, math.pi)], t_m), t_m
     )
     assert abs(kicked.amplitude(5) + bare.amplitude(5)) < 1e-12
     assert abs(kicked.amplitude(4) - bare.amplitude(4)) < 1e-12
@@ -192,7 +192,8 @@ def test_norm_conserved_on_random_schedules(rng):
         events = []
         for t in sorted(rng.uniform(0.0, duration, size=rng.integers(0, 5))):
             events.append(
-                phase_kick(int(rng.integers(1, g.n_sites + 1)), float(rng.uniform(0, 2 * math.pi)), float(t))
+                ScheduleEvent(float(t), int(rng.integers(1, g.n_sites + 1)),
+                              float(rng.uniform(0, 2 * math.pi)))
             )
         samples = sorted(float(t) for t in rng.uniform(0.0, duration, size=7))
         traj = run_schedule(g, Protocol(start, events, duration, samples))
@@ -252,7 +253,7 @@ def test_kernel_keeps_the_straight_line_arithmetic():
     assert phase_probe_estimates(graph, n, thetas) == expected
 
     for angle in (0.0, math.pi / 2.0, math.pi, math.radians(315.0)):
-        protocol = Protocol(1, [phase_kick(n // 2 + 1, angle, t_m)], 2 * t_m, (2 * t_m,))
+        protocol = Protocol(1, [ScheduleEvent(t_m, n // 2 + 1, angle)], 2 * t_m, (2 * t_m,))
         state = run_schedule(graph, protocol).states[0]
         assert np.array_equal(state.amplitudes, reference(angle))
 

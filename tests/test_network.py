@@ -16,7 +16,6 @@ from spinnet.network import (
     mirror_time,
     network_graph,
     pst_couplings,
-    read_edge_list,
     retune_jmax,
     write_edge_list,
 )
@@ -266,38 +265,21 @@ def test_retune_bad_chain_index():
 # --- edge-list format --------------------------------------------------------
 
 def test_edge_list_round_trip(rng):
+    """One ``i j J`` line per edge, then one ``site i eps`` line per site,
+    each value as its repr, so the lines give the graph back bit for bit."""
     spec = random_network_spec(rng)
     g = hadamard_join(spec)
     buffer = io.StringIO()
     write_edge_list(g, buffer)
-    buffer.seek(0)
-    back = read_edge_list(buffer)
-    assert back.n_sites == g.n_sites
-    assert {(i, j) for i, j, _ in back.edges()} == {(i, j) for i, j, _ in g.edges()}
-    for i, j, value in g.edges():
-        assert math.isclose(back.coupling(i, j), value, rel_tol=0, abs_tol=1e-15)
-    assert np.allclose(back.onsite, g.onsite)
+    lines = [line.split() for line in buffer.getvalue().splitlines()]
+    edges, sites = lines[:len(g.values)], lines[len(g.values):]
+    assert [(int(i), int(j), float(value)) for i, j, value in edges] == g.edges()
+    assert [(word, int(i), float(value)) for word, i, value in sites] == [
+        ("site", i, value) for i, value in enumerate(g.onsite.tolist(), start=1)]
 
 
 def test_edge_list_keeps_an_explicit_zero_coupling():
-    graph = read_edge_list(io.StringIO("3 2 0.5\n1 2 0.0\n"))
-    assert graph.edges() == [(1, 2, 0.0), (2, 3, 0.5)]
-
-
-def test_edge_list_rejects_a_repeated_pair():
-    with pytest.raises(ValueError, match="distinct"):
-        read_edge_list(io.StringIO("1 2 0.5\n2 1 0.5\n"))
-
-
-@pytest.mark.parametrize("text, problem", [
-    ("1 2 nan\n", r"edge \(1, 2\) is nan"),
-    ("1 2 0.5\nsite 2 -inf\n", "site 2 is -inf"),
-])
-def test_edge_list_rejects_a_non_finite_value(text, problem):
-    with pytest.raises(ValueError, match=problem):
-        read_edge_list(io.StringIO(text))
-
-
-def test_edge_list_parse_error_reports_line():
-    with pytest.raises(ValueError, match="line 2"):
-        read_edge_list(io.StringIO("1 2 0.5\nbogus line here\n"))
+    graph = CouplingGraph(3, [0, 1], [1, 2], [0.0, 0.5], np.zeros(3))
+    buffer = io.StringIO()
+    write_edge_list(graph, buffer)
+    assert buffer.getvalue().splitlines()[:2] == ["1 2 0.0", "2 3 0.5"]

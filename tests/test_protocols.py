@@ -9,7 +9,7 @@ from spinnet.config import ConfigError, parse_protocol
 from spinnet.network import ChainSpec, NetworkSpec, network_graph
 from spinnet.observables import eof_pair, fidelity
 from spinnet.disorder import DisorderSpec, SeededRng, perturb, sample_disorder, stream_draws
-from spinnet.dynamics import (Protocol, PureState, phase_kick, propagate, replace_samples,
+from spinnet.dynamics import (Protocol, PureState, ScheduleEvent, propagate, replace_samples,
                               run_schedule, state_at)
 from spinnet.linalg import eigh, evolve
 from spinnet.protocols import (
@@ -224,7 +224,7 @@ def test_unretuned_phase_protocol_coefficients():
     spec = NetworkSpec([ChainSpec(3), ChainSpec(4)])
     t_a = spec.chains[0].mirror_time
     g = network_graph(spec)
-    protocol = Protocol(1, [phase_kick(4, math.pi / 2, t_a)], 2 * t_a)
+    protocol = Protocol(1, [ScheduleEvent(t_a, 4, math.pi / 2)], 2 * t_a)
     psi = state_at(g, protocol, 2 * t_a)
     reference = {
         1: (1 + 1j) / 2,
@@ -245,7 +245,7 @@ def test_unretuned_entanglement_revival_near_eight_mirror_times():
     spec = NetworkSpec([ChainSpec(3), ChainSpec(4)])
     t_a = spec.chains[0].mirror_time
     g = network_graph(spec)
-    protocol = Protocol(1, [phase_kick(4, math.pi / 2, t_a)], 2 * t_a)
+    protocol = Protocol(1, [ScheduleEvent(t_a, 4, math.pi / 2)], 2 * t_a)
     times = np.linspace(7.5 * t_a, 8.5 * t_a, 160)
     traj = run_schedule(g, replace_samples(protocol, times))
     best = max(eof_pair(s, 1, 7) for s in traj.states)
@@ -324,7 +324,7 @@ def test_max_entangle_fails_on_identical_chains():
     spec = NetworkSpec([ChainSpec(4)] * 3)
     t_a = spec.chains[0].mirror_time
     g = network_graph(spec)
-    protocol = Protocol(5, [phase_kick(9, FLIP, 2 * t_a)], 3 * t_a)
+    protocol = Protocol(5, [ScheduleEvent(2 * t_a, 9, FLIP)], 3 * t_a)
     psi = state_at(g, protocol, 3 * t_a)
     target = max_entangle_12().expected_state
     assert fidelity(psi, target) < 0.5
@@ -398,7 +398,7 @@ def test_phase_sense_quadrature_populations():
     g = network_graph(spec)
     t_m = spec.chains[0].mirror_time
     for theta in (0.0, math.pi / 3, math.pi / 2, math.pi, 4.0):
-        protocol = Protocol(1, [phase_kick(7, theta, t_m)], 2 * t_m)
+        protocol = Protocol(1, [ScheduleEvent(t_m, 7, theta)], 2 * t_m)
         p1 = state_at(g, protocol, 2 * t_m).population(1)
         assert p1 == pytest.approx((1 + math.cos(theta)) / 2, abs=1e-10)
 

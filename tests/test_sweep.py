@@ -6,6 +6,7 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -26,11 +27,11 @@ from spinnet.protocols import (
     unwrap_to_branch,
 )
 from spinnet.sweep import (
+    angle_stats,
     ensemble_merit,
     fingerprint,
     phase_scan_cells,
     phase_scan_estimates,
-    phase_scan_setting,
     resolve_merit,
     run_cells,
     split_plan,
@@ -52,7 +53,7 @@ class RecordingPool:
     sizes: list[int] = []
     parts: list[tuple[int, int, int]] = []
 
-    def __init__(self, processes):
+    def __init__(self, processes, initializer=None):
         RecordingPool.sizes.append(processes)
 
     def __enter__(self):
@@ -73,6 +74,12 @@ def recording_pool(monkeypatch):
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
     RecordingPool.sizes, RecordingPool.parts = [], []
     return RecordingPool
+
+
+def run_fresh(cells, workers=1):
+    """:func:`run_cells` into a journal of its own, reporting no cell."""
+    with tempfile.TemporaryDirectory() as out:
+        return run_cells(cells, workers, os.path.join(out, "cells.jsonl"), lambda row: None)
 
 
 def clean_cells(count):
@@ -99,7 +106,7 @@ def test_pool_size_is_clamped(monkeypatch, capsys, cores, cells, workers, expect
     clamped = min(workers, cells, cores)
     for make_cells in (clean_cells, clean_phase_scan_cells):  # one pool for both kinds
         RecordingPool.sizes = []
-        rows = run_cells(make_cells(cells), workers=workers)
+        rows = run_fresh(make_cells(cells), workers=workers)
         assert RecordingPool.sizes == expected
         assert [row["index"] for row in rows] == list(range(cells))
         if make_cells is clean_cells:
@@ -127,15 +134,43 @@ def disordered_phase_scan_cells(count, k=8):
     return phase_scan_cells(scan, 1)
 
 
-@pytest.mark.parametrize("make_cells", [disordered_cells, disordered_phase_scan_cells])
-def test_one_disordered_cell_is_split_over_the_pool(recording_pool, make_cells):
-    cells = make_cells(1)
-    in_process = run_cells(cells, workers=1)
-    assert recording_pool.sizes == []
-    pooled = run_cells(cells, workers=2)
-    assert recording_pool.sizes == [2]
+def mixed_cells():
+    """Clean and disordered cells of 8 realizations at N = 4 and 6."""
+    grid = SweepConfig(sizes=(4, 6), axis="n", e_values=(0.0, 0.1), kinds=("diagonal",),
+                       realizations=8)
+    return sweep_cells("router", {}, grid, 1)
+
+
+def mixed_phase_scan_cells():
+    """A clean setting and two disordered ones, as the benchmark's phase scan."""
+    scan = PhaseScanConfig(n=4, thetas_deg=(0.0, 90.0), realizations=8, settings=(
+        DisorderSpec(), DisorderSpec("diagonal", 0.05), DisorderSpec("off_diagonal", 0.1)))
+    return phase_scan_cells(scan, 1)
+
+
+@pytest.mark.parametrize("make_cells, parts", [
     # R = 8 realizations, 2P = 4 parts of at most 2
-    assert recording_pool.parts == [(0, 0, 2), (0, 2, 4), (0, 4, 6), (0, 6, 8)]
+    pytest.param(functools.partial(disordered_cells, 1),
+                 [(0, 0, 2), (0, 2, 4), (0, 4, 6), (0, 6, 8)], id="disordered_cells"),
+    pytest.param(functools.partial(disordered_phase_scan_cells, 1),
+                 [(0, 0, 2), (0, 2, 4), (0, 4, 6), (0, 6, 8)], id="disordered_phase_scan_cells"),
+    # whole and cut parts in one pool: a clean cell computes 1 realization, so
+    # R = 18 (sweep) and 17 (phase scan), parts of at most 5, and each
+    # disordered cell comes back as two parts of 4
+    pytest.param(mixed_cells, [(0, 0, 8), (1, 0, 4), (1, 4, 8), (2, 0, 8), (3, 0, 4), (3, 4, 8)],
+                 id="mixed_cells"),
+    pytest.param(mixed_phase_scan_cells, [(0, 0, 1), (1, 0, 4), (1, 4, 8), (2, 0, 4), (2, 4, 8)],
+                 id="mixed_phase_scan_cells"),
+])
+def test_one_disordered_cell_is_split_over_the_pool(recording_pool, make_cells, parts):
+    """Rows on a pool equal the rows in process, whether a cell runs whole or
+    cut, and its parts come in out of order."""
+    cells = make_cells()
+    in_process = run_fresh(cells, workers=1)
+    assert recording_pool.sizes == []
+    pooled = run_fresh(cells, workers=2)
+    assert recording_pool.sizes == [2]
+    assert recording_pool.parts == parts
     assert json.dumps(pooled) == json.dumps(in_process)
 
 
@@ -167,7 +202,7 @@ def test_cells_are_cut_by_the_summed_load():
 
 def test_a_cut_cell_is_journaled_once_after_its_last_part(recording_pool, monkeypatch, tmp_path):
     cells = disordered_cells(3)  # R = 24 on 2 cores: two parts of 4 per cell
-    expected = run_cells(cells, workers=1)
+    expected = run_fresh(cells)
     finished = []
     run_cell, write = sweep.run_cell, sweep._write_checkpoint
 
@@ -183,7 +218,7 @@ def test_a_cut_cell_is_journaled_once_after_its_last_part(recording_pool, monkey
     monkeypatch.setattr(sweep, "_write_checkpoint", spy)
     journal = tmp_path / "sweep.jsonl"
     written = []
-    rows = run_cells(cells, workers=2, journal=str(journal))
+    rows = run_cells(cells, 2, str(journal), lambda row: None)
     assert recording_pool.parts == [(c, first, first + 4) for c in range(3) for first in (0, 4)]
     assert written == [(2, 2), (1, 2), (0, 2)]  # each once, after both its parts
     assert json.dumps(rows) == json.dumps(expected)
@@ -193,7 +228,7 @@ def test_a_cut_cell_is_journaled_once_after_its_last_part(recording_pool, monkey
     # resumed without cell 1's line: only cell 1's parts run, now four of 2
     journal.write_text(lines[0] + lines[2])
     recording_pool.parts, finished[:], written = [], [], []
-    resumed = run_cells(cells, workers=2, journal=str(journal))
+    resumed = run_cells(cells, 2, str(journal), lambda row: None)
     assert json.dumps(resumed, sort_keys=True) == json.dumps(expected, sort_keys=True)
     assert recording_pool.parts == [(1, 0, 2), (1, 2, 4), (1, 4, 6), (1, 6, 8)]
     assert finished == [1] * 4 and written == [(1, 4)]
@@ -203,7 +238,7 @@ def test_a_journal_that_cannot_be_appended_to_is_a_config_error(tmp_path):
     (tmp_path / "file").write_text("")
     journal = tmp_path / "file" / "sweep.jsonl"  # not a directory: no journal to read
     with pytest.raises(ConfigError, match=f"cannot use journal {re.escape(str(journal))}"):
-        run_cells(clean_cells(1), journal=str(journal))
+        run_cells(clean_cells(1), 1, str(journal), lambda row: None)
 
 
 # a value with the spelling every table has always given it: 12 significant
@@ -319,7 +354,9 @@ from spinnet import linalg, sweep
 from spinnet.disorder import DisorderSpec
 linalg.keep_heap()  # as run_cell
 thetas = tuple(float(t) for t in range(360))
-sweep.phase_scan_setting(4, thetas, DisorderSpec("diagonal", 0.1), int(sys.argv[1]), 20230724)
+estimates = sweep.phase_scan_estimates(4, thetas, DisorderSpec("diagonal", 0.1),
+                                       int(sys.argv[1]), 20230724)
+sweep.angle_stats(estimates)  # as a setting's row
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)  # KiB
 """
 
@@ -478,7 +515,7 @@ def test_clean_cell_repeats_one_realization(kind):
 @pytest.mark.parametrize("name, params, k", [
     ("ent-phase", {"n": 14}, 100),
     ("w-state", {"chain_length": 4}, 150),  # N = 12, a kick by arccos(-1/3)
-    ("phase-scan", {"n": 20}, 45),  # phase_scan_setting: dense stacks of 40, then 5
+    ("phase-scan", {"n": 20}, 45),  # phase_scan_estimates: dense stacks of 40, then 5
 ])
 def test_values_do_not_depend_on_the_block_size(monkeypatch, kind, name, params, k):
     spec = DisorderSpec(kind, 0.2)
@@ -486,7 +523,8 @@ def test_values_do_not_depend_on_the_block_size(monkeypatch, kind, name, params,
         n = params["n"]
 
         def values():
-            return phase_scan_setting(n, (0.0, 135.0, 315.0), spec, k, SEED, stream_base=3)
+            return phase_scan_estimates(n, (0.0, 135.0, 315.0), spec, k, SEED,
+                                        stream_base=3).tolist()
     else:
         result = build_protocol(name, params)
         n = result.network.n_sites
@@ -580,8 +618,8 @@ def test_phase_scan_norm_check_names_the_stream_time_and_defect(monkeypatch, lea
 
     monkeypatch.setattr(dynamics, "evolve", leaky_evolve)
     with pytest.raises(InvariantViolation) as excinfo:
-        phase_scan_setting(6, (30.0, 200.0), DisorderSpec("diagonal", 0.1), 8, SEED,
-                           stream_base=200)
+        phase_scan_estimates(6, (30.0, 200.0), DisorderSpec("diagonal", 0.1), 8, SEED,
+                             stream_base=200)
     message = str(excinfo.value)
     assert "stream 203" in message
     assert f"t = {t_mirrors * mirror_time(3)}" in message
@@ -627,7 +665,7 @@ def phase_scan_reference(n, thetas, spec, k, base):
 def test_phase_scan_matches_the_per_device_loop(n, kind, e, k, base):
     thetas = tuple(float(t) for t in range(0, 360, 45))
     spec = DisorderSpec(kind, e)
-    assert (phase_scan_setting(n, thetas, spec, k, SEED, stream_base=base)
+    assert (angle_stats(phase_scan_estimates(n, thetas, spec, k, SEED, stream_base=base))
             == phase_scan_reference(n, thetas, spec, k, base))
 
 
@@ -668,7 +706,7 @@ def test_every_phase_scan_device_lands_in_one_dense_stack(monkeypatch, kind, sta
 
     monkeypatch.setattr(sweep, "eigh", recording_eigh)
     monkeypatch.setattr(sweep, "probe_estimates", recording_probe)
-    phase_scan_setting(n, (0.0, 90.0), spec, k, SEED, stream_base=base)
+    phase_scan_estimates(n, (0.0, 90.0), spec, k, SEED, stream_base=base)
     assert [len(h) for h in matrices] == [len(s) for s in streams] == stacks
     devices = [stream for stack in streams for stream in stack]
     assert devices == list(range(base, base + len(devices)))
@@ -685,8 +723,8 @@ def test_a_phase_scan_cell_is_one_setting():
     assert (disordered.realizations, disordered.stream_base) == (12, 12)
     assert disordered.disorder == scan.settings[1]
     row = disordered.row(disordered.values(0, 12))
-    assert row["stats"] == [list(stats) for stats in phase_scan_setting(
-        20, scan.thetas_deg, scan.settings[1], 12, SEED, stream_base=12)]
+    assert row["stats"] == [list(stats) for stats in angle_stats(phase_scan_estimates(
+        20, scan.thetas_deg, scan.settings[1], 12, SEED, stream_base=12))]
     assert json.loads(json.dumps(row)) == row  # a checkpoint reads back bit for bit
 
 
