@@ -12,9 +12,10 @@ meta.json marks a finished run: a command removes it before it runs and
 writes it last, so a failed run leaves none.
 Exit codes: 0 success, 2 config error (an --out, a journal or an output
 file that cannot be written is one too), 3 numerical-invariant violation
-(including a clean run missing its analytic target), 130 interrupted
-(Ctrl-C); a rerun of an interrupted sweep or phase scan resumes from its
-journal.
+(including a clean run missing its analytic target), 4 a pool worker
+ended before the run did (say, killed for memory), 130 interrupted
+(Ctrl-C); a rerun of a sweep or phase scan ended by either resumes from
+its journal.
 """
 
 from __future__ import annotations
@@ -48,12 +49,13 @@ from .linalg import InvariantViolation, eigh
 from .network import network_graph, write_edge_list
 from .observables import fidelity
 from .protocols import angle_offset, build_protocol, probe_estimates
-from .sweep import (output, phase_scan_cells, run_cells, sweep_cells, threshold_contour,
-                    write_csv)
+from .sweep import (WorkerLost, output, phase_scan_cells, run_cells, sweep_cells,
+                    threshold_contour, write_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+EXIT_WORKER_LOST = 4
 EXIT_INTERRUPTED = 130
 
 CLEAN_CHECK_ATOL = 1e-9
@@ -86,6 +88,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except WorkerLost as exc:
+        print(f"worker lost: {exc}", file=sys.stderr)
+        return EXIT_WORKER_LOST
     except KeyboardInterrupt:  # pool workers ignore it, so only this process reports
         resume = "" if journal is None else (
             f"; {os.path.join(args.out, journal)} keeps every finished cell, "
@@ -293,11 +298,7 @@ def cmd_sweep(cfg: Config, out: str, seed: int, workers: int) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    done = 0
-
-    def progress(row: dict[str, Any]) -> None:
-        nonlocal done
-        done += 1
+    def progress(row: dict[str, Any], done: int) -> None:
         _say(f"[{done}/{len(cells)}] {row['kind']} size={row['size']} "
              f"E={row['e']:g}: mean={row['mean']:.6f}")
 
@@ -330,11 +331,8 @@ def cmd_phase_scan(cfg: Config, out: str, seed: int, workers: int) -> int:
         raise ConfigError("phase-scan needs a 'phase_scan' section")
     thetas = cfg.phase_scan.thetas_deg
     cells = phase_scan_cells(cfg.phase_scan, seed)
-    done = 0
 
-    def progress(row: dict[str, Any]) -> None:
-        nonlocal done
-        done += 1
+    def progress(row: dict[str, Any], done: int) -> None:
         worst = max(abs(angle_offset(mean, theta))
                     for theta, (mean, _, _) in zip(thetas, row["stats"]))
         _say(f"[{done}/{len(cells)}] {row['kind']} E={row['e']:g}: "

@@ -418,31 +418,30 @@ def parse_time_expression(expr: str | float | int, tokens: dict[str, float]) -> 
     ``3/2*t_m`` and sums such as ``t_m_A + t_m_B``.
     """
     if isinstance(expr, (int, float)):
-        if not 0 <= expr <= sys.float_info.max:  # and no integer overflows a float
-            raise ConfigError(f"times must be finite and non-negative, got {expr}")
-        return float(expr)
-    total = 0.0
-    for part in str(expr).split("+"):
-        m = _TERM_RE.match(part)
-        if not m or (m.group("num") is None and m.group("token") is None):
-            raise ConfigError(f"cannot parse time term {part.strip()!r} in {expr!r}")
-        if 0.0 in (float(m.group(g) or 1.0) for g in ("den", "div")):
-            raise ConfigError(f"division by zero in time term {part.strip()!r} of {expr!r}")
-        value = 1.0
-        if m.group("num") is not None:
-            value = float(m.group("num"))
-            if m.group("den") is not None:
-                value /= float(m.group("den"))
-        if m.group("token") is not None:
-            token = m.group("token")
-            if token not in tokens:
-                raise ConfigError(
-                    f"unknown time token {token!r} in {expr!r}; available: {sorted(tokens)}"
-                )
-            value *= tokens[token]
-        if m.group("div") is not None:
-            value /= float(m.group("div"))
-        total += value
-    if total < 0:
-        raise ConfigError(f"time expression {expr!r} is negative")
-    return total
+        total = expr
+    else:
+        total = 0.0
+        for part in str(expr).split("+"):
+            m = _TERM_RE.match(part)
+            if not m or (m.group("num") is None and m.group("token") is None):
+                raise ConfigError(f"cannot parse time term {part.strip()!r} in {expr!r}")
+            if 0.0 in (float(m.group(g) or 1.0) for g in ("den", "div")):
+                raise ConfigError(f"division by zero in time term {part.strip()!r} of {expr!r}")
+            value = 1.0
+            if m.group("num") is not None:
+                value = float(m.group("num"))
+                if m.group("den") is not None:
+                    value /= float(m.group("den"))
+            if m.group("token") is not None:
+                token = m.group("token")
+                if token not in tokens:
+                    raise ConfigError(
+                        f"unknown time token {token!r} in {expr!r}; available: {sorted(tokens)}"
+                    )
+                value *= tokens[token]
+            if m.group("div") is not None:
+                value /= float(m.group("div"))
+            total += value
+    if not 0 <= total <= sys.float_info.max:  # nan (inf / inf) fails too
+        raise ConfigError(f"times must be finite and non-negative, got {expr}")
+    return float(total)

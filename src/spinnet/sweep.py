@@ -372,17 +372,15 @@ def run_cell(part: Part) -> tuple[Part, np.ndarray]:
     return part, part.cell.values(part.first, part.stop)
 
 
-def _ignore_interrupt() -> None:
-    """A pool worker's initializer: Ctrl-C reaches the parent alone, which
-    ends the pool."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+class WorkerLost(RuntimeError):
+    """A pool worker ended while its pool ran: its part, if it held one, is lost."""
 
 
 def run_cells(
     cells: Sequence[SweepCell | PhaseScanCell],
     workers: int,
     journal: str,
-    on_cell: Callable[[dict[str, Any]], None],
+    on_cell: Callable[[dict[str, Any], int], None],
 ) -> list[dict[str, Any]]:
     """Evaluate cells, resuming from and appending to ``journal``.
 
@@ -391,8 +389,11 @@ def run_cells(
     core. The parent writes each part's values into its cell's one float64
     array, and makes the cell's row once its last part is in. It appends
     one line per finished cell, in the order the cells finish, and then
-    hands the row to ``on_cell``. See :func:`_read_journal` for the lines a
-    resumed run uses.
+    hands ``on_cell`` the row and the count of finished cells, resumed ones
+    included. See :func:`_read_journal` for the lines a resumed run uses.
+    A pool worker that ends before the last part is in raises
+    :class:`WorkerLost`, naming the unfinished cells; the journal keeps
+    every finished one.
     """
     fingerprints = {cell.index: fingerprint(cell) for cell in cells}
     try:
@@ -415,7 +416,7 @@ def run_cells(
             return
         row = rows[cell.index] = cell.row(values.pop(cell.index))
         _write_checkpoint(journal, dict(row, fingerprint=fingerprints[cell.index]))
-        on_cell(row)
+        on_cell(row, len(rows))
 
     # Pool starts every process up front: never more than there are parts or cores
     processes = min(workers, len(parts), cores)
@@ -426,9 +427,23 @@ def run_cells(
         for part in parts:
             record(*run_cell(part))
     else:
-        with multiprocessing.Pool(processes=processes, initializer=_ignore_interrupt) as pool:
-            for done in pool.imap_unordered(run_cell, parts, chunksize=1):
-                record(*done)
+        # workers ignore Ctrl-C: it reaches the parent alone, which ends the pool
+        with multiprocessing.Pool(processes=processes, initializer=signal.signal,
+                                  initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+            started = multiprocessing.active_children()  # Pool starts every worker here
+            results = pool.imap_unordered(run_cell, parts, chunksize=1)
+            while len(rows) < len(cells):
+                # a dead worker's part never comes back (bpo-22393), so look at the
+                # workers after every wake-up, a result or a second without one
+                with contextlib.suppress(multiprocessing.TimeoutError):
+                    record(*results.next(timeout=1.0))
+                lost = [worker for worker in started if worker.exitcode is not None]
+                if lost:
+                    unfinished = [cell.index for cell in cells if cell.index not in rows]
+                    raise WorkerLost(
+                        f"worker process {lost[0].pid} ended with exit code {lost[0].exitcode}; "
+                        f"cells {unfinished} did not finish; {journal} keeps every finished "
+                        "cell, and a rerun resumes from it")
     return [rows[cell.index] for cell in cells]
 
 
@@ -593,7 +608,7 @@ def phase_scan_cells(scan: PhaseScanConfig, master_seed: int) -> list[PhaseScanC
             thetas_deg=scan.thetas_deg,
             kind=spec.kind,
             strength=spec.strength,
-            realizations=1 if spec.clean else scan.realizations,
+            realizations=_runs(spec, scan.realizations),
             master_seed=master_seed,
             stream_base=index * scan.realizations,
         )

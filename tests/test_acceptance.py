@@ -338,8 +338,8 @@ def test_criterion_17_property_suites(tmp_path):
     sweep = SweepConfig(sizes=(4, 6), axis="n", e_values=(0.0, 0.2),
                         kinds=("diagonal",), realizations=16)
     cells = sweep_cells("router", {}, sweep, SEED)
-    serial = run_cells(cells, 1, str(tmp_path / "serial.jsonl"), lambda row: None)
-    parallel = run_cells(cells, 3, str(tmp_path / "parallel.jsonl"), lambda row: None)
+    serial = run_cells(cells, 1, str(tmp_path / "serial.jsonl"), lambda row, done: None)
+    parallel = run_cells(cells, 3, str(tmp_path / "parallel.jsonl"), lambda row, done: None)
     parallel_ok = serial == parallel
 
     # seed replay: identical stream addresses give identical ensembles

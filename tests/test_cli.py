@@ -3,8 +3,10 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import os
 import pathlib
+import re
 import shutil
 import signal
 import subprocess
@@ -47,9 +49,9 @@ def pool_sizes(monkeypatch):
     sizes = []
     real_pool = sweep.multiprocessing.Pool
 
-    def pool(processes, initializer=None):
+    def pool(processes, initializer=None, initargs=()):
         sizes.append(processes)
-        return real_pool(processes=processes, initializer=initializer)
+        return real_pool(processes=processes, initializer=initializer, initargs=initargs)
 
     monkeypatch.setattr(sweep.multiprocessing, "Pool", pool)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
@@ -292,6 +294,9 @@ def assert_config_error_writes_nothing(tmp_path, capsys, command, data, message)
     assert not out.exists() or not any(out.iterdir())
 
 
+NINES = "9" * 400  # its float() is inf, and NINES / NINES is nan
+
+
 @pytest.mark.parametrize("duration, message", [
     ("t_m/0", "division by zero"),
     ("2/0*t_m", "division by zero"),
@@ -299,10 +304,21 @@ def assert_config_error_writes_nothing(tmp_path, capsys, command, data, message)
     (math.inf, "finite"),
     (math.nan, "finite"),
     (10**400, "finite"),  # an integer beyond a float's range
+    # once a ValueError traceback, and a trajectory at t = nan that exited 0
+    pytest.param(f"{NINES}*t_m", "finite", id="inf-expression"),
+    pytest.param(f"{NINES}/{NINES}*t_m", "finite", id="nan-expression"),
 ])
 def test_run_rejects_an_undefined_duration(tmp_path, capsys, duration, message):
     data = {"protocol": {"name": "router", "n": 6}, "run": {"duration": duration}}
     assert_config_error_writes_nothing(tmp_path, capsys, "run", data, message)
+
+
+def test_sweep_rejects_an_observe_time_past_a_float(tmp_path, capsys):
+    """inf / inf, a nan time that no kick fires before: once a heatmap of
+    zero means, clean cells included, and exit 0."""
+    data = dict(SWEEP_CONFIG, sweep=dict(SWEEP_CONFIG["sweep"], observe=f"{NINES}/{NINES}*t_m"))
+    assert_config_error_writes_nothing(tmp_path, capsys, "sweep", data,
+                                       "times must be finite and non-negative")
 
 
 def test_sweep_rejects_a_zero_denominator_in_observe(tmp_path, capsys):
@@ -657,6 +673,49 @@ def test_ctrl_c_ends_a_pooled_sweep_with_one_line_and_exit_130(tmp_path, capsys)
     captured = capsys.readouterr()
     assert sum(line.startswith("[") for line in captured.out.splitlines()) == 4 - kept
     assert "warning" not in captured.err
+    assert run_cli("sweep", "--config", cfg, "--out", fresh) == 0
+    assert (out / "heatmap.csv").read_bytes() == (fresh / "heatmap.csv").read_bytes()
+
+
+@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                    reason="the patched part reaches the workers only through fork")
+def test_a_killed_pool_worker_ends_the_sweep_with_one_line_and_exit_4(tmp_path, capfd, pool_sizes,
+                                                                      monkeypatch):
+    """A part SIGKILLs its own worker on a real pool of 2, as the OOM killer
+    would: the run ends within 10 s with exit 4 and one stderr line, leaves
+    no process, and a rerun resumes to the heatmap of an uninterrupted run."""
+    cfg = write_config(tmp_path, SWEEP_CONFIG)
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    parent, armed = os.getpid(), [True]
+    values = sweep.SweepCell.values
+
+    def killing(cell, first, stop):
+        if armed[0] and cell.index == 7 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return values(cell, first, stop)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("the sweep was still running 10 s after it started")
+
+    monkeypatch.setattr(sweep.SweepCell, "values", killing)
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        assert run_cli("sweep", "--config", cfg, "--out", out, "--workers", 2) == 4
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert pool_sizes == [2]
+    assert multiprocessing.active_children() == []
+    err = capfd.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert re.fullmatch(
+        r"worker lost: worker process \d+ ended with exit code -9; cells \[(\d+, )*7(, \d+)*\] "
+        rf"did not finish; {re.escape(str(out / 'sweep.jsonl'))} keeps every finished cell, "
+        r"and a rerun resumes from it\n", err)
+    assert 7 not in [line["index"] for line in journal_lines(out / "sweep.jsonl")]
+    armed[0] = False
+    assert run_cli("sweep", "--config", cfg, "--out", out, "--workers", 2) == 0
     assert run_cli("sweep", "--config", cfg, "--out", fresh) == 0
     assert (out / "heatmap.csv").read_bytes() == (fresh / "heatmap.csv").read_bytes()
 
@@ -1108,6 +1167,27 @@ def test_phase_scan_resumes_from_checkpoints(tmp_path, monkeypatch):
     replayed = tmp_path / "replayed"
     assert run_cli("replay", out / "meta.json", "--out", replayed) == 0
     assert (replayed / "phase_scan.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("command, data, journal", [
+    ("sweep", SWEEP_CONFIG, "sweep.jsonl"),
+    ("phase-scan", POOLED_SCAN_CONFIG, "phase_scan.jsonl"),
+], ids=["sweep", "phase-scan"])
+def test_a_resumed_run_counts_its_resumed_cells_in_its_progress(tmp_path, capsys, command, data,
+                                                               journal):
+    """One progress line per computed cell, numbered after the cells read
+    back from the journal, so that the last reads [N/N]."""
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", out) == 0
+    lines = journal_lines(out / journal)
+    write_journal(out / journal, lines[:2])
+    capsys.readouterr()
+    assert run_cli(command, "--config", cfg, "--out", out) == 0
+    progress = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    total = len(lines)
+    assert [line.split("]")[0] for line in progress] == [f"[{done}/{total}" for done in
+                                                         range(3, total + 1)]
 
 
 @pytest.mark.parametrize("command, data, discarded", [

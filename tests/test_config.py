@@ -299,6 +299,33 @@ def test_time_expression_garbage():
         parse_time_expression(-1.0, {"t_m": 1.0})
 
 
+# digit strings up to far past a float, with or without a fraction
+DIGITS = st.integers(0, 10**330).map(str) | st.tuples(
+    st.integers(0, 10**330), st.integers(0, 10**20)).map(lambda p: f"{p[0]}.{p[1]}")
+
+
+@st.composite
+def time_terms(draw):
+    """One term of the expression grammar, its numbers any digit strings."""
+    num, den, div = draw(DIGITS), draw(DIGITS), draw(DIGITS)
+    return draw(st.sampled_from([num, f"{num}/{den}", f"{num}*t_m", f"{num}/{den}*t_m",
+                                 f"t_m/{div}", f"{num}*t_m/{div}", f"{num}/{den}*t_m/{div}"]))
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.lists(time_terms(), min_size=1, max_size=4).map(" + ".join),
+                 st.floats(), st.integers(-10**400, 10**400)))
+@example(f"{'9' * 400}/{'9' * 400}*t_m")  # inf / inf
+@example(f"{'9' * 400}*t_m")
+def test_a_time_is_finite_and_non_negative_or_a_config_error(expr):
+    try:
+        t = parse_time_expression(expr, {"t_m": math.pi / 2})
+    except ConfigError as exc:
+        assert "division by zero" in str(exc) or "times must be finite and non-negative" in str(exc)
+    else:
+        assert type(t) is float and math.isfinite(t) and t >= 0
+
+
 def test_phase_scan_parsing():
     cfg = parse_config(
         {

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 from unittest import mock
 
 import numpy as np
@@ -48,12 +49,13 @@ KINDS = ("diagonal", "off_diagonal")
 class RecordingPool:
     """Stands in for multiprocessing.Pool: records its size and the (cell,
     first, stop) of its parts, starts nothing, and runs the parts last first,
-    so that a cut cell's parts come in out of order."""
+    so that a cut cell's parts come in out of order, each on a ``next(timeout)``
+    as the pool's result iterator hands them out."""
 
     sizes: list[int] = []
     parts: list[tuple[int, int, int]] = []
 
-    def __init__(self, processes, initializer=None):
+    def __init__(self, processes, initializer=None, initargs=()):
         RecordingPool.sizes.append(processes)
 
     def __enter__(self):
@@ -64,7 +66,8 @@ class RecordingPool:
 
     def imap_unordered(self, fn, parts, chunksize=1):
         RecordingPool.parts.extend((part.cell.index, part.first, part.stop) for part in parts)
-        return map(fn, reversed(parts))
+        results = map(fn, reversed(parts))
+        return types.SimpleNamespace(next=lambda timeout: next(results))
 
 
 @pytest.fixture
@@ -79,7 +82,7 @@ def recording_pool(monkeypatch):
 def run_fresh(cells, workers=1):
     """:func:`run_cells` into a journal of its own, reporting no cell."""
     with tempfile.TemporaryDirectory() as out:
-        return run_cells(cells, workers, os.path.join(out, "cells.jsonl"), lambda row: None)
+        return run_cells(cells, workers, os.path.join(out, "cells.jsonl"), lambda row, done: None)
 
 
 def clean_cells(count):
@@ -218,7 +221,7 @@ def test_a_cut_cell_is_journaled_once_after_its_last_part(recording_pool, monkey
     monkeypatch.setattr(sweep, "_write_checkpoint", spy)
     journal = tmp_path / "sweep.jsonl"
     written = []
-    rows = run_cells(cells, 2, str(journal), lambda row: None)
+    rows = run_cells(cells, 2, str(journal), lambda row, done: None)
     assert recording_pool.parts == [(c, first, first + 4) for c in range(3) for first in (0, 4)]
     assert written == [(2, 2), (1, 2), (0, 2)]  # each once, after both its parts
     assert json.dumps(rows) == json.dumps(expected)
@@ -228,7 +231,7 @@ def test_a_cut_cell_is_journaled_once_after_its_last_part(recording_pool, monkey
     # resumed without cell 1's line: only cell 1's parts run, now four of 2
     journal.write_text(lines[0] + lines[2])
     recording_pool.parts, finished[:], written = [], [], []
-    resumed = run_cells(cells, 2, str(journal), lambda row: None)
+    resumed = run_cells(cells, 2, str(journal), lambda row, done: None)
     assert json.dumps(resumed, sort_keys=True) == json.dumps(expected, sort_keys=True)
     assert recording_pool.parts == [(1, 0, 2), (1, 2, 4), (1, 4, 6), (1, 6, 8)]
     assert finished == [1] * 4 and written == [(1, 4)]
@@ -238,7 +241,7 @@ def test_a_journal_that_cannot_be_appended_to_is_a_config_error(tmp_path):
     (tmp_path / "file").write_text("")
     journal = tmp_path / "file" / "sweep.jsonl"  # not a directory: no journal to read
     with pytest.raises(ConfigError, match=f"cannot use journal {re.escape(str(journal))}"):
-        run_cells(clean_cells(1), 1, str(journal), lambda row: None)
+        run_cells(clean_cells(1), 1, str(journal), lambda row, done: None)
 
 
 # a value with the spelling every table has always given it: 12 significant
