@@ -7,9 +7,11 @@ Subcommands
     phase-scan  retrieved vs true angle table for the phase sensor
     replay      re-run any earlier command from its meta.json record
 
-Every file goes to --out whole, written to ``<name>.tmp`` and renamed.
-meta.json marks a finished run: a command removes it before it runs and
-writes it last, so a failed run leaves none.
+A command removes meta.json from --out before it runs, then hands all its
+files to one writer, ``sweep.publish``: every ``<name>.tmp`` is written
+before any is renamed into place, meta.json last. So meta.json marks a
+finished run, and a run that fails before that commit leaves the earlier
+run's files as they were.
 Exit codes: 0 success, 2 config error (an --out, a journal or an output
 file that cannot be written is one too), 3 numerical-invariant violation
 (including a clean run missing its analytic target), 4 a pool worker
@@ -27,7 +29,7 @@ import math
 import os
 import platform
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -46,11 +48,11 @@ from .config import (
 from .disorder import SeededRng, sample_disorder
 from .dynamics import replace_samples, run_decomposed
 from .linalg import InvariantViolation, eigh
-from .network import network_graph, write_edge_list
+from .network import edge_lines, network_graph
 from .observables import fidelity
 from .protocols import angle_offset, build_protocol, probe_estimates
-from .sweep import (WorkerLost, output, phase_scan_cells, run_cells, sweep_cells,
-                    threshold_contour, write_csv)
+from .sweep import (WorkerLost, csv_lines, phase_scan_cells, publish, run_cells, sweep_cells,
+                    threshold_contour)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -129,7 +131,7 @@ def _say(line: str) -> None:
 
 def _remove_meta(out: str) -> None:
     """Remove the record of an earlier run from ``out``: from here until
-    :func:`_write_meta`, its files are not a finished run's."""
+    :func:`_finish`, its files are not a finished run's."""
     path = os.path.join(out, "meta.json")
     try:
         os.remove(path)
@@ -159,9 +161,10 @@ def _environment() -> dict[str, Any]:
     }
 
 
-def _write_meta(out: str, command: str, cfg: Config, seed: int, workers: int,
-                outputs: list[str], extra: dict[str, Any] | None = None) -> None:
-    """Write the run's record, the last file of every command."""
+def _finish(out: str, command: str, cfg: Config, seed: int, workers: int,
+            files: dict[str, Iterable[str]], extra: dict[str, Any] | None = None) -> None:
+    """Publish a run's ``files`` and then its record, meta.json, which lists
+    them: the one commit of every command."""
     meta = {
         "tool": "spinnet",
         "version": __version__,
@@ -170,14 +173,12 @@ def _write_meta(out: str, command: str, cfg: Config, seed: int, workers: int,
         "master_seed": seed,
         "workers": workers,
         "config": cfg.raw,
-        "outputs": outputs,
+        "outputs": list(files),
         "environment": _environment(),
     }
     if extra:
         meta.update(extra)
-    with output(out, "meta.json") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    publish(out, {**files, "meta.json": [json.dumps(meta, indent=2, sort_keys=True) + "\n"]})
 
 
 # --- build -----------------------------------------------------------------
@@ -186,11 +187,11 @@ def cmd_build(cfg: Config, out: str, seed: int, workers: int) -> int:
     if cfg.network is None:
         raise ConfigError("build needs a 'network' section")
     graph = network_graph(cfg.network)
-
-    with output(out, "edges.txt") as fh:
-        write_edge_list(graph, fh)
     eigenvalues = eigh(graph.to_matrix()).eigenvalues
-    write_csv(out, "spectrum.csv", ["index", "eigenvalue"], enumerate(eigenvalues, start=1))
+    _finish(out, "build", cfg, seed, workers, {
+        "edges.txt": edge_lines(graph),
+        "spectrum.csv": csv_lines(["index", "eigenvalue"], enumerate(eigenvalues, start=1)),
+    })
 
     for k, chain in enumerate(cfg.network.chains, start=1):
         _say(f"chain {k}: length {chain.length}, j_max {chain.j_max:g}, "
@@ -198,8 +199,6 @@ def cmd_build(cfg: Config, out: str, seed: int, workers: int) -> int:
     negatives = sum(1 for _, _, j in graph.edges() if j < 0)
     _say(f"{graph.n_sites} sites, {len(graph.values)} couplings "
          f"({negatives} negative), wrote {os.path.join(out, 'edges.txt')}")
-
-    _write_meta(out, "build", cfg, seed, workers, ["edges.txt", "spectrum.csv"])
     return EXIT_OK
 
 
@@ -231,8 +230,7 @@ def cmd_run(cfg: Config, out: str, seed: int, workers: int) -> int:
         values = [state.amplitudes.view(float) for state in trajectory.states]
     else:
         columns, values = [f"site_{i}" for i in range(1, sites + 1)], trajectory.populations()
-    write_csv(out, "trajectory.csv", ["t", *columns],
-              ([t, *row] for t, row in zip(trajectory.times, values)))
+    table = csv_lines(["t", *columns], ([t, *row] for t, row in zip(trajectory.times, values)))
 
     check_times = [t for t, _ in result.checkpoints]
     states = run_decomposed(
@@ -275,8 +273,8 @@ def cmd_run(cfg: Config, out: str, seed: int, workers: int) -> int:
         if clean and error > CLEAN_ANGLE_ATOL_DEG:
             missed.append(f"clean phase retrieval missed the true angle by {error:.3e} degrees")
 
-    _write_trajectory_plot_script(out)
-    _write_meta(out, "run", cfg, seed, workers, ["trajectory.csv"], extra=extra)
+    _finish(out, "run", cfg, seed, workers,
+            {"trajectory.csv": table, "plot_trajectory.py": [TRAJECTORY_PLOT]}, extra)
     if missed:
         raise InvariantViolation("; ".join(missed))
     return EXIT_OK
@@ -305,21 +303,21 @@ def cmd_sweep(cfg: Config, out: str, seed: int, workers: int) -> int:
     rows = run_cells(cells, workers, os.path.join(out, JOURNALS["sweep"]), progress)
 
     columns = ["kind", "size", "e", "mean", "std", "std_of_mean", "k", "stream_base"]
-    write_csv(out, "heatmap.csv", columns, ([row[c] for c in columns] for row in rows))
     segments = []
     for kind in cfg.sweep.kinds:
         grid = {(row["size"], row["e"]): row["mean"] for row in rows if row["kind"] == kind}
         segments += [(kind, *segment) for segment in threshold_contour(grid, CONTOUR_LEVEL)]
-    write_csv(out, "contour.csv", ["kind", "size_1", "e_1", "size_2", "e_2"], segments)
 
     cell_records = [
         {"index": c.index, "size": c.size, "e": c.e, "kind": c.kind,
          "stream_base": c.stream_base, "k": c.realizations}
         for c in cells
     ]
-    _write_heatmap_plot_script(out, cfg.sweep.axis)
-    _write_meta(out, "sweep", cfg, seed, workers,
-                ["heatmap.csv", "contour.csv"], extra={"cells": cell_records})
+    _finish(out, "sweep", cfg, seed, workers, {
+        "heatmap.csv": csv_lines(columns, ([row[c] for c in columns] for row in rows)),
+        "contour.csv": csv_lines(["kind", "size_1", "e_1", "size_2", "e_2"], segments),
+        "plot_heatmap.py": [HEATMAP_PLOT.format(axis=cfg.sweep.axis)],
+    }, {"cells": cell_records})
     _say(f"wrote {os.path.join(out, 'heatmap.csv')} and {os.path.join(out, 'contour.csv')}")
     return EXIT_OK
 
@@ -339,13 +337,13 @@ def cmd_phase_scan(cfg: Config, out: str, seed: int, workers: int) -> int:
              f"max |mean - theta|={worst:.6f} deg")
 
     rows = run_cells(cells, workers, os.path.join(out, JOURNALS["phase-scan"]), progress)
-    write_csv(out, "phase_scan.csv",
-              ["kind", "e", "theta_deg", "theta_mean_deg", "std_deg", "std_of_mean_deg", "k",
-               "stream_base"],
-              ([row["kind"], row["e"], theta, *stats, row["k"], row["stream_base"]]
-               for row in rows for theta, stats in zip(thetas, row["stats"])))
-    _write_phase_plot_script(out)
-    _write_meta(out, "phase-scan", cfg, seed, workers, ["phase_scan.csv"])
+    table = csv_lines(
+        ["kind", "e", "theta_deg", "theta_mean_deg", "std_deg", "std_of_mean_deg", "k",
+         "stream_base"],
+        ([row["kind"], row["e"], theta, *stats, row["k"], row["stream_base"]]
+         for row in rows for theta, stats in zip(thetas, row["stats"])))
+    _finish(out, "phase-scan", cfg, seed, workers,
+            {"phase_scan.csv": table, "plot_angles.py": [ANGLES_PLOT]})
     _say(f"wrote {os.path.join(out, 'phase_scan.csv')}")
     return EXIT_OK
 
@@ -388,14 +386,7 @@ def _read_record(meta_path: str) -> tuple[str, Config, int, int]:
 
 _PLOT_HEADER = "#!/usr/bin/env python3\n# generated by spinnet; needs matplotlib + the CSVs next to it\n"
 
-
-def _write_script(out: str, name: str, body: str) -> None:
-    with output(out, name) as fh:
-        fh.write(_PLOT_HEADER + body)
-
-
-def _write_trajectory_plot_script(out: str) -> None:
-    _write_script(out, "plot_trajectory.py", '''
+TRAJECTORY_PLOT = _PLOT_HEADER + '''
 import csv, json
 import matplotlib.pyplot as plt
 
@@ -413,11 +404,10 @@ plt.ylabel("site population")
 plt.legend(ncol=2, fontsize=7)
 plt.tight_layout()
 plt.savefig("trajectory.png", dpi=160)
-''')
+'''
 
-
-def _write_heatmap_plot_script(out: str, axis: str) -> None:
-    _write_script(out, "plot_heatmap.py", f'''
+# a template for str.format, which fills in the sweep's axis
+HEATMAP_PLOT = _PLOT_HEADER + '''
 import csv
 from collections import defaultdict
 import matplotlib.pyplot as plt
@@ -446,11 +436,9 @@ for ax, (kind, grid) in zip(axes[0], sorted(grids.items())):
     fig.colorbar(mesh, ax=ax)
 plt.tight_layout()
 plt.savefig("heatmap.png", dpi=160)
-''')
+'''
 
-
-def _write_phase_plot_script(out: str) -> None:
-    _write_script(out, "plot_angles.py", '''
+ANGLES_PLOT = _PLOT_HEADER + '''
 import csv
 from collections import defaultdict
 import matplotlib.pyplot as plt
@@ -473,7 +461,7 @@ inset.set_xlabel("true angle (deg)"); inset.set_ylabel("std of mean (deg)")
 ax.legend(fontsize=7)
 plt.tight_layout()
 plt.savefig("phase_scan.png", dpi=160)
-''')
+'''
 
 
 if __name__ == "__main__":

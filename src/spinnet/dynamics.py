@@ -72,9 +72,6 @@ class PureState:
         _check_site(site, self.n_sites)
         return complex(self.amplitudes[site - 1])
 
-    def population(self, site: int) -> float:
-        return abs(self.amplitude(site)) ** 2
-
     def populations(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
@@ -286,12 +283,6 @@ def run_decomposed(decomp: SpectralDecomposition, protocol: Protocol) -> Traject
         recorded[k] = PureState(amp)
 
     return Trajectory(np.asarray(protocol.sample_times, dtype=float), tuple(recorded))
-
-
-def state_at(graph: CouplingGraph, protocol: Protocol, t: float) -> PureState:
-    """The state at one instant, skipping any other recording."""
-    run = run_schedule(graph, replace_samples(protocol, (t,)))
-    return run.states[0]
 
 
 def replace_samples(protocol: Protocol, sample_times: Sequence[float]) -> Protocol:

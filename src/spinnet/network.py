@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -145,13 +145,6 @@ class CouplingGraph:
             raise ValueError(f"on-site energy of site {bad[0] + 1} is {self.onsite[bad[0]]}, "
                              "not finite")
 
-    def coupling(self, i: int, j: int) -> float:
-        if i == j:
-            raise ValueError("no self-couplings")
-        i, j = min(i, j), max(i, j)
-        hit = np.flatnonzero((self.rows == i - 1) & (self.cols == j - 1))
-        return float(self.values[hit[0]]) if hit.size else 0.0
-
     def edges(self) -> list[tuple[int, int, float]]:
         """Edges as 1-based (i, j, J) with i < j, sorted by site pair."""
         return [(i + 1, j + 1, value) for i, j, value
@@ -248,10 +241,10 @@ def _chain_index(spec: NetworkSpec, k: int) -> int:
     return k - 1
 
 
-def write_edge_list(graph: CouplingGraph, out: TextIO) -> None:
+def edge_lines(graph: CouplingGraph) -> Iterator[str]:
     """Plain-text export: one `i j J_ij` line per edge, then `site i eps_i`
     lines, 1-based indices."""
     for i, j, value in graph.edges():
-        out.write(f"{i} {j} {float(value)!r}\n")
+        yield f"{i} {j} {float(value)!r}\n"
     for i in range(1, graph.n_sites + 1):
-        out.write(f"site {i} {float(graph.onsite[i - 1])!r}\n")
+        yield f"site {i} {float(graph.onsite[i - 1])!r}\n"

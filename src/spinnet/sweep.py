@@ -28,7 +28,8 @@ command, a line of JSON holding its row and a fingerprint of its
 configuration and of the package's code, and on resume skips a cell only
 when a line with that fingerprint holds it. Every other file a command
 writes, the journal's rewrite included, goes through one writer,
-:func:`output`, and every table through :func:`write_csv`.
+:func:`publish`, which puts a run's files in place at once, and every
+table through :func:`csv_lines`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import signal
 import sys
 import zlib
 from dataclasses import asdict, dataclass
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -454,16 +455,17 @@ def _read_journal(journal: str,
     The last such line of a cell counts. Any other line (cut off by a killed
     run, not a cell's row, or written for another configuration) is dropped
     with a warning on stderr, and the journal is rewritten with the kept
-    lines (through :func:`output`), so a new line never follows a cut one.
+    lines (through :func:`publish`), so a new line never follows a cut one.
     """
     rows: dict[int, dict[str, Any]] = {}
     if not os.path.exists(journal):
         return rows
-    kept: dict[int, bytes] = {}
+    kept: dict[int, str] = {}
     with open(journal, "rb") as fh:
         for number, line in enumerate(fh, start=1):
             try:
-                row = json.loads(line)
+                text = line.decode("utf-8")
+                row = json.loads(text)
             except ValueError as exc:  # ValueError covers bad JSON and bad UTF-8
                 problem = f"cannot be read ({exc})"
             else:
@@ -471,42 +473,43 @@ def _read_journal(journal: str,
                 if not isinstance(index, int):
                     problem = "is not the row of a cell"
                 elif index in fingerprints and row.pop("fingerprint", None) == fingerprints[index]:
-                    rows[index], kept[index] = row, line.rstrip()
+                    rows[index], kept[index] = row, text.rstrip() + "\n"
                     continue
                 else:
                     problem = "was written for another configuration"
             print(f"warning: discarding checkpoint {journal}:{number}: it {problem}; "
                   "computing the cell again", file=sys.stderr)
-    with output(*os.path.split(journal), mode="wb") as fh:
-        fh.writelines(line + b"\n" for line in kept.values())
+    directory, name = os.path.split(journal)
+    publish(directory, {name: kept.values()})
     return rows
 
 
-@contextlib.contextmanager
-def output(out: str, name: str, mode: str = "w") -> Iterator[IO[Any]]:
-    """Write the file ``name`` in ``out`` whole: the body writes
-    ``<name>.tmp``, which replaces the file once the body has finished, so
-    no reader finds part of a file. An OSError (say, a directory at either
-    path) is a :class:`~spinnet.config.ConfigError`."""
-    path = os.path.join(out, name)
+def publish(out: str, files: Mapping[str, Iterable[str]]) -> None:
+    """Put a run's files in ``out`` at once: ``files`` maps each name to its
+    text lines. Every ``<name>.tmp`` is written whole before any of them
+    replaces its file, in order, so a run that fails before that commit
+    leaves every earlier file as it was, and no reader finds part of a file.
+    An OSError (say, a directory at either path) is a
+    :class:`~spinnet.config.ConfigError` naming the file."""
     try:
-        with open(path + ".tmp", mode, encoding=None if "b" in mode else "utf-8") as fh:
-            yield fh
-        os.replace(path + ".tmp", path)
+        for name, lines in files.items():
+            path = os.path.join(out, name)
+            with open(path + ".tmp", "w", encoding="utf-8") as fh:
+                fh.writelines(lines)
+        for name in files:
+            path = os.path.join(out, name)
+            os.replace(path + ".tmp", path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def write_csv(out: str, name: str, columns: Sequence[str],
-              rows: Iterable[Iterable[Any]]) -> None:
-    """Write a table through :func:`output`, one line per row. A float
-    (numpy's float64 included) prints with 12 significant digits, anything
-    else as ``str()``, so an int prints in full at any size."""
-    with output(out, name) as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
-                     + "\n")
+def csv_lines(columns: Sequence[str], rows: Iterable[Iterable[Any]]) -> Iterator[str]:
+    """A table's lines for :func:`publish`, one per row. A float (numpy's
+    float64 included) prints with 12 significant digits, anything else as
+    ``str()``, so an int prints in full at any size."""
+    yield ",".join(columns) + "\n"
+    for row in rows:
+        yield ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n"
 
 
 def _write_checkpoint(journal: str, row: dict[str, Any]) -> None:

@@ -5,13 +5,17 @@ and entanglement of formation (Wootters, PRL 80, 2245, 1998). No command
 runs it: the package scores EOF by the closed form C = 2 |a_i| |a_j| of a
 pure single-excitation state (:func:`spinnet.observables.pair_eofs`), and
 the tests check that closed form against this pipeline.
+
+The lookups at the end read one state, population or coupling by its
+1-based label, as the tests' hand-picked cases do; no command needs them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from spinnet.dynamics import PureState
+from spinnet.dynamics import Protocol, PureState, replace_samples, run_schedule
+from spinnet.network import CouplingGraph
 from spinnet.observables import eof_from_concurrence
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -74,3 +78,19 @@ def concurrence(rho: np.ndarray) -> float:
 def eof(rho: np.ndarray) -> float:
     """Entanglement of formation of a two-qubit density matrix, in [0, 1]."""
     return float(eof_from_concurrence(concurrence(rho)))
+
+
+def state_at(graph: CouplingGraph, protocol: Protocol, t: float) -> PureState:
+    """The state at one instant, skipping any other recording."""
+    return run_schedule(graph, replace_samples(protocol, (t,))).states[0]
+
+
+def population(state: PureState, site: int) -> float:
+    return abs(state.amplitude(site)) ** 2
+
+
+def coupling(graph: CouplingGraph, i: int, j: int) -> float:
+    """The coupling J_ij of sites i != j, 0 where they share no edge."""
+    i, j = min(i, j), max(i, j)
+    hit = np.flatnonzero((graph.rows == i - 1) & (graph.cols == j - 1))
+    return float(graph.values[hit[0]]) if hit.size else 0.0

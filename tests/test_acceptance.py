@@ -28,7 +28,6 @@ from spinnet.dynamics import (
     ScheduleEvent,
     replace_samples,
     run_schedule,
-    state_at,
 )
 from spinnet.observables import ensemble_average, eof_pair, fidelity
 from spinnet.protocols import (
@@ -52,7 +51,7 @@ from spinnet.sweep import (angle_stats, ensemble_merit, phase_scan_estimates, ru
                            sweep_cells)
 from spinnet.config import SweepConfig
 
-from oracles import concurrence, reduce_two_sites
+from oracles import concurrence, population, reduce_two_sites, state_at
 from conftest import random_single_excitation_state
 
 K = 1000            # realizations per Monte-Carlo cell
@@ -153,12 +152,12 @@ def test_criterion_04_nine_site_network():
     w = w_state(3)
     w_state_at_target = state_at(w.graph(), w.protocol, w.merit.time)
     pop_err_w = max(
-        abs(w_state_at_target.population(site) - 1 / 3) for site in (1, 6, 7)
+        abs(population(w_state_at_target, site) - 1 / 3) for site in (1, 6, 7)
     )
 
     mws = mws_9()
     share = state_at(mws.graph(), mws.protocol, mws.merit.time)
-    pop_err_mws = max(abs(share.population(site) - 0.25) for site in (3, 4, 6, 7))
+    pop_err_mws = max(abs(population(share, site) - 0.25) for site in (3, 4, 6, 7))
 
     defect_pair = reached(mws_9(with_flips=True))
     ok = u_ok and pop_err_w < EXACT and pop_err_mws < EXACT and defect_pair < EXACT
@@ -185,7 +184,7 @@ def test_criterion_06_fifteen_site_network():
     defect_router = reached(m_chain_router(5))
     transfer = mws_transfer_15()
     state = state_at(transfer.graph(), transfer.protocol, transfer.merit.time)
-    pop_err = max(abs(state.population(site) - 0.25) for site in (3, 4, 12, 13))
+    pop_err = max(abs(population(state, site) - 0.25) for site in (3, 4, 12, 13))
     ok = defect_router < EXACT and pop_err < EXACT
     report(6, ok, f"15-site: hop-by-hop routing defect {defect_router:.2e}, "
                   f"relocated share off by {pop_err:.2e}")

@@ -555,6 +555,26 @@ def test_sweep_recomputes_an_unreadable_checkpoint(tmp_path, capsys):
     assert [line["index"] for line in journal_lines(journal)] == [0, 1, 2, 4, 5, 6, 7, 3]
 
 
+def test_sweep_recomputes_a_checkpoint_that_is_not_utf8(tmp_path, capsys):
+    """A byte that is not UTF-8 in a journal line drops that line with one
+    warning, and the rewritten journal holds only the kept lines."""
+    cfg = write_config(tmp_path, SWEEP_CONFIG)
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+    first = (out / "heatmap.csv").read_bytes()
+    journal = out / "sweep.jsonl"
+    lines = journal.read_bytes().splitlines(keepends=True)
+    lines[3] = lines[3][:2] + b"\xff" + lines[3][2:]  # inside the line's first key
+    journal.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+    err = capsys.readouterr().err
+    assert err.count("warning: discarding checkpoint") == 1
+    assert f"{journal}:4: it cannot be read" in err and "Traceback" not in err
+    assert (out / "heatmap.csv").read_bytes() == first
+    assert [line["index"] for line in journal_lines(journal)] == [0, 1, 2, 4, 5, 6, 7, 3]
+
+
 @pytest.mark.parametrize("line", [
     "[3, 0.5]", '"row"', "null", '{"mean": 0.5}', '{"index": [3]}', '{"index": "3"}',
 ])
@@ -1574,16 +1594,88 @@ def test_a_sweep_whose_heatmap_is_blocked_resumes_from_its_journal(tmp_path, cap
 
 @pytest.mark.parametrize("blocked", ["contour.csv.tmp", "plot_heatmap.py.tmp"])
 def test_a_failed_rerun_leaves_no_meta_json(tmp_path, capsys, blocked):
-    """A rerun at another seed that cannot write one of its files exits 2
-    and leaves no record: the tables it wrote are not the earlier run's."""
+    """A rerun at another seed that cannot stage one of its files exits 2
+    and leaves no record. It stages every file before it renames any, so
+    the tables in --out are still the earlier run's, both of them: a seed-7
+    heatmap beside the earlier contour would be one table from each run."""
     cfg, out = write_config(tmp_path, SWEEP_CONFIG), tmp_path / "out"
     assert run_cli("sweep", "--config", cfg, "--out", out) == 0
     assert (out / "meta.json").exists()
+    earlier = {name: (out / name).read_bytes() for name in ("heatmap.csv", "contour.csv")}
     (out / blocked).mkdir()
     assert run_cli("sweep", "--config", cfg, "--out", out, "--seed", 7) == 2
     assert f"config error: cannot write {out / blocked.removesuffix('.tmp')}: " in (
         capsys.readouterr().err)
     assert not (out / "meta.json").exists()
+    assert {name: (out / name).read_bytes() for name in earlier} == earlier
+    (out / blocked).rmdir()
+    assert run_cli("sweep", "--config", cfg, "--out", out, "--seed", 7) == 0
+    assert (out / "heatmap.csv").read_bytes() != earlier["heatmap.csv"]  # the seeds differ
+
+
+# each command's earlier config, and the config of a rerun whose tables differ
+# from the earlier ones: build's network is another, the others' seed
+DISORDERED_SCAN_CONFIG = {"phase_scan": dict(SCAN_CONFIG["phase_scan"],
+                                             settings=[{"kind": "diagonal", "strength": 0.1}])}
+RERUNS = {
+    "build": (OUTPUTS["build"][0], {"network": {"chains": [{"length": 4}, {"length": 4}]}}),
+    "run": (RUN_CONFIG, dict(RUN_CONFIG, seed=7)),
+    "sweep": (SWEEP_CONFIG, dict(SWEEP_CONFIG, seed=7)),
+    "phase-scan": (DISORDERED_SCAN_CONFIG, dict(DISORDERED_SCAN_CONFIG, seed=7)),
+}
+# every file of every command, blocked by a directory at its path or its .tmp
+BLOCKED_FILES = [(command, name, blocked) for command, (_, names) in OUTPUTS.items()
+                 for name in names for blocked in ("", ".tmp")]
+
+
+@pytest.fixture(scope="module")
+def earlier_runs(tmp_path_factory):
+    """The --out of each command's earlier run, to be copied, not changed."""
+    runs = {}
+    for command, (data, _) in RERUNS.items():
+        root = tmp_path_factory.mktemp(command)
+        assert run_cli(command, "--config", write_config(root, data), "--out", root / "out") == 0
+        runs[command] = root / "out"
+    return runs
+
+
+@settings(max_examples=100, deadline=None)  # the space has 26 cases: each runs once
+@given(case=st.sampled_from(BLOCKED_FILES))
+def test_a_rerun_that_cannot_write_a_file_leaves_the_earlier_run(tmp_path_factory,
+                                                                  earlier_runs, case):
+    """A rerun that cannot write one of its files exits 2 with no meta.json.
+    Blocked at a .tmp, it fails while it stages, before any rename: every
+    file of the earlier run is left byte for byte. Freed, the rerun writes
+    its own files over every .tmp it left."""
+    command, name, blocked = case
+    root = tmp_path_factory.mktemp("rerun")
+    out = root / "out"
+    shutil.copytree(earlier_runs[command], out)
+    earlier = {listed: (out / listed).read_bytes()
+               for listed in json.loads((out / "meta.json").read_text())["outputs"]}
+    if not blocked:
+        (out / name).unlink()
+    (out / (name + blocked)).mkdir()
+    cfg = write_config(root, RERUNS[command][1])
+    assert run_cli(command, "--config", cfg, "--out", out) == 2
+    assert not (out / "meta.json").is_file()
+    if blocked:
+        assert {listed: (out / listed).read_bytes() for listed in earlier} == earlier
+    (out / (name + blocked)).rmdir()
+    assert run_cli(command, "--config", cfg, "--out", out) == 0
+    assert not list(out.glob("*.tmp"))
+    assert any((out / listed).read_bytes() != data for listed, data in earlier.items())
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_meta_json_lists_every_file_of_its_run(tmp_path, command):
+    data, names = OUTPUTS[command]
+    cfg, out = write_config(tmp_path, data), tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", out) == 0
+    outputs = json.loads((out / "meta.json").read_text())["outputs"]
+    assert sorted(outputs) == sorted(set(names) - {"meta.json"})
+    written = {path.name for path in out.iterdir()} - {"meta.json", cli.JOURNALS.get(command)}
+    assert set(outputs) == written
 
 
 @pytest.mark.parametrize("command", OUTPUTS)

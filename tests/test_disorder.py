@@ -24,6 +24,8 @@ from spinnet.disorder import (
 )
 from spinnet.linalg import hermiticity_defect
 
+from oracles import coupling
+
 
 def test_width_constant():
     assert math.isclose(GAUSSIAN_WIDTH, 1.0 / (2.0 * math.sqrt(3.0)), rel_tol=1e-15)
@@ -130,7 +132,7 @@ def test_only_existing_edges_are_perturbed():
     out = sample_disorder(g, DisorderSpec("off_diagonal", 0.5), SeededRng(5, 0))
     assert {(i, j) for i, j, _ in out.edges()} == {(i, j) for i, j, _ in g.edges()}
     # e.g. the diamond's missing diagonal stays absent
-    assert out.coupling(3, 4) == 0.0
+    assert coupling(out, 3, 4) == 0.0
 
 
 def test_disordered_graph_stays_hermitian_compatible():

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -11,14 +10,16 @@ from spinnet.network import (
     CouplingGraph,
     NetworkSpec,
     chain_graph,
+    edge_lines,
     hadamard_join,
     join_unitary,
     mirror_time,
     network_graph,
     pst_couplings,
     retune_jmax,
-    write_edge_list,
 )
+
+from oracles import coupling
 
 SQRT2 = math.sqrt(2.0)
 
@@ -78,13 +79,13 @@ def test_mirror_time_scales_with_even_length():
 def test_chain_graph_two_sites():
     g = chain_graph(ChainSpec(2))
     assert g.n_sites == 2
-    assert g.coupling(1, 2) == 1.0
+    assert coupling(g, 1, 2) == 1.0
     assert np.all(g.onsite == 0.0)
 
 
 def test_chain_graph_three_sites():
     g = chain_graph(ChainSpec(3))
-    assert np.allclose([g.coupling(1, 2), g.coupling(2, 3)], [1.0, 1.0])
+    assert np.allclose([coupling(g, 1, 2), coupling(g, 2, 3)], [1.0, 1.0])
 
 
 def test_chain_spectrum_symmetric_about_zero():
@@ -107,11 +108,11 @@ def test_pst_within_bare_chains(rng):
 
 def test_two_chain_junction_diamond():
     g = hadamard_join(NetworkSpec([ChainSpec(3), ChainSpec(3)]))
-    assert math.isclose(g.coupling(2, 3), 1 / SQRT2, abs_tol=1e-12)
-    assert math.isclose(g.coupling(2, 4), 1 / SQRT2, abs_tol=1e-12)
-    assert math.isclose(g.coupling(3, 5), 1 / SQRT2, abs_tol=1e-12)
-    assert math.isclose(g.coupling(4, 5), -1 / SQRT2, abs_tol=1e-12)
-    assert g.coupling(3, 4) == 0.0
+    assert math.isclose(coupling(g, 2, 3), 1 / SQRT2, abs_tol=1e-12)
+    assert math.isclose(coupling(g, 2, 4), 1 / SQRT2, abs_tol=1e-12)
+    assert math.isclose(coupling(g, 3, 5), 1 / SQRT2, abs_tol=1e-12)
+    assert math.isclose(coupling(g, 4, 5), -1 / SQRT2, abs_tol=1e-12)
+    assert coupling(g, 3, 4) == 0.0
 
 
 def test_junction_edge_pattern_general(rng):
@@ -125,10 +126,10 @@ def test_junction_edge_pattern_general(rng):
             p = offset + left.length
             j_a = pst_couplings(left.length, left.j_max)[-1]
             j_b = pst_couplings(right.length, right.j_max)[0]
-            assert math.isclose(g.coupling(p - 1, p), j_a / SQRT2, rel_tol=1e-12)
-            assert math.isclose(g.coupling(p - 1, p + 1), j_a / SQRT2, rel_tol=1e-12)
-            assert math.isclose(g.coupling(p, p + 2), j_b / SQRT2, rel_tol=1e-12)
-            assert math.isclose(g.coupling(p + 1, p + 2), -j_b / SQRT2, rel_tol=1e-12)
+            assert math.isclose(coupling(g, p - 1, p), j_a / SQRT2, rel_tol=1e-12)
+            assert math.isclose(coupling(g, p - 1, p + 1), j_a / SQRT2, rel_tol=1e-12)
+            assert math.isclose(coupling(g, p, p + 2), j_b / SQRT2, rel_tol=1e-12)
+            assert math.isclose(coupling(g, p + 1, p + 2), -j_b / SQRT2, rel_tol=1e-12)
             offset += left.length
 
 
@@ -269,9 +270,7 @@ def test_edge_list_round_trip(rng):
     each value as its repr, so the lines give the graph back bit for bit."""
     spec = random_network_spec(rng)
     g = hadamard_join(spec)
-    buffer = io.StringIO()
-    write_edge_list(g, buffer)
-    lines = [line.split() for line in buffer.getvalue().splitlines()]
+    lines = [line.split() for line in "".join(edge_lines(g)).splitlines()]
     edges, sites = lines[:len(g.values)], lines[len(g.values):]
     assert [(int(i), int(j), float(value)) for i, j, value in edges] == g.edges()
     assert [(word, int(i), float(value)) for word, i, value in sites] == [
@@ -280,6 +279,4 @@ def test_edge_list_round_trip(rng):
 
 def test_edge_list_keeps_an_explicit_zero_coupling():
     graph = CouplingGraph(3, [0, 1], [1, 2], [0.0, 0.5], np.zeros(3))
-    buffer = io.StringIO()
-    write_edge_list(graph, buffer)
-    assert buffer.getvalue().splitlines()[:2] == ["1 2 0.0", "2 3 0.5"]
+    assert "".join(edge_lines(graph)).splitlines()[:2] == ["1 2 0.0", "2 3 0.5"]

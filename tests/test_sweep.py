@@ -258,13 +258,44 @@ SPELLED_VALUES = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(st.lists(SPELLED_VALUES, min_size=1, max_size=6), max_size=5))
 @example(rows=[[(10**12 + 1, "1000000000001"), (np.float64(1 / 3), "0.333333333333")]])
-def test_write_csv_spells_floats_to_12_digits_and_the_rest_in_full(tmp_path_factory, rows):
+def test_csv_lines_spell_floats_to_12_digits_and_the_rest_in_full(tmp_path_factory, rows):
     out = tmp_path_factory.mktemp("table")
-    sweep.write_csv(str(out), "table.csv", ["a", "b"], ([v for v, _ in row] for row in rows))
+    table = sweep.csv_lines(["a", "b"], ([v for v, _ in row] for row in rows))
+    sweep.publish(str(out), {"table.csv": table})
     with open(out / "table.csv", encoding="utf-8", newline="") as fh:
         lines = fh.read().split("\n")
     assert lines == ["a,b", *(",".join(spelled for _, spelled in row) for row in rows), ""]
     assert os.listdir(out) == ["table.csv"]
+
+
+def broken_lines():
+    yield "a line\n"
+    raise ValueError("a table that cannot be made")
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+@pytest.mark.parametrize("failure", ["directory", "lines"])
+def test_publish_renames_nothing_when_a_file_fails_to_stage(tmp_path, monkeypatch, failing,
+                                                            failure):
+    """A file that cannot be staged, whichever it is, stops the run before
+    the first rename: every earlier file stays as it was."""
+    names = ["first.csv", "second.py", "meta.json"]
+    for name in names:
+        (tmp_path / name).write_text(f"earlier {name}\n")
+    files = {name: [f"new {name}\n"] for name in names}
+    if failure == "directory":  # an OSError names the file it was staging
+        (tmp_path / (names[failing] + ".tmp")).mkdir()
+        error = (ConfigError, re.escape(f"cannot write {tmp_path / names[failing]}: "))
+    else:
+        files[names[failing]] = broken_lines()
+        error = (ValueError, "a table that cannot be made")
+    replaced = []
+    monkeypatch.setattr(sweep.os, "replace", lambda *paths: replaced.append(paths))
+    with pytest.raises(error[0], match=error[1]):
+        sweep.publish(str(tmp_path), files)
+    assert replaced == []
+    assert [(tmp_path / name).read_text() for name in names] == [
+        f"earlier {name}\n" for name in names]
 
 
 PART_K = 30  # realizations of a cut cell: blocks of 12, dense stacks of 4 under PART_BLOCK
